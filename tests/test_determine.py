@@ -3,9 +3,13 @@
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superjet.algebra import EVEN, ODD, FieldSymbol, JetVar, SuperPoly
 from superjet.determine import (
+    LinearEquation,
     extract_linear_system,
     find_symmetries,
     flows_proportional,
@@ -105,3 +109,44 @@ def test_inconsistent_system_has_no_solutions():
     polys = [c0, c0 - one]
     branches = solve_linear(extract_linear_system(polys, names), names)
     assert branches == [] or all(b is None for b in branches)
+
+
+small = st.integers(min_value=-3, max_value=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.lists(small, min_size=n + 1, max_size=n + 1),
+                       min_size=1, max_size=5)))
+def test_solutions_of_random_rational_systems(rows):
+    """Solutions satisfy the equations and have dimension n - rank, with
+    the rank taken from sympy as an independent oracle."""
+    n = len(rows[0]) - 1
+    names = [f"c{i}" for i in range(n)]
+    eqs = [
+        LinearEquation(
+            {u: SuperPoly.scalar(a) for u, a in zip(names, row) if a},
+            SuperPoly.scalar(row[n]),
+        )
+        for row in rows
+    ]
+    coeffs = sympy.Matrix([row[:n] for row in rows])
+    augmented = sympy.Matrix([row[:n] + [-row[n]] for row in rows])
+    branches = solve_linear(eqs, names)
+    if coeffs.rank() < augmented.rank():
+        assert branches == []
+        return
+    (sol,) = branches
+    assert sol.dim == n - coeffs.rank()
+    assert not sol.assumptions and not sol.constraints
+
+    def value(eq, vec, const):
+        total = const
+        for u, c in eq.coeffs.items():
+            total = total + c * vec[u]
+        return total
+
+    for eq in eqs:
+        assert value(eq, sol.particular, eq.const).is_zero
+        for vec in sol.basis:
+            assert value(eq, vec, SuperPoly.zero()).is_zero

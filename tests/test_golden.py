@@ -1,0 +1,100 @@
+"""Golden canonical outputs of catalog computations that go through the
+exact linear solver: symmetry searches, shadow iteration, the Gardner
+deformation search and weight inference.
+
+The snapshot in ``golden/solver_outputs.json`` is compared in canonical
+printed form.  Regenerate it only when an output is meant to change:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import json
+from fractions import Fraction
+from pathlib import Path
+
+from superjet import catalog
+from superjet.algebra import EVEN, ODD
+from superjet.determine import find_symmetries
+from superjet.gardner import search_deformation
+from superjet.grammar import print_flow, print_poly
+from superjet.recursion import iterate
+from superjet.weights import infer_weights
+
+from conftest import cached_entry
+
+Q = Fraction
+
+SNAPSHOT = Path(__file__).parent / "golden" / "solver_outputs.json"
+
+SEARCHES = ((Q(-1), EVEN), (Q(-2), EVEN), (Q(-4), EVEN), (Q(-7, 2), ODD))
+
+
+def _symmetry_searches():
+    doc = cached_entry("bous-embed").doc
+    sys, ws = doc.system(), doc.weight_system()
+    out = {}
+    for weight, parity in SEARCHES:
+        res = find_symmetries(sys, ws, weight, parity,
+                              assume_nonzero=("alpha", "beta", "gamma"))
+        out[f"{weight} {'odd' if parity else 'even'}"] = [
+            print_flow(f) for f in res.flows]
+    return out
+
+
+def _shadow_steps():
+    doc = cached_entry("dbous").doc
+    flows = iterate(doc.shadows["R"], doc.flows["seed_x"], 2, doc.weight_system())
+    return [print_flow(f) for f in flows]
+
+
+def _deformation_search():
+    main = cached_entry("hydro-bous").doc
+    found = search_deformation(main.system(), main.weight_system(),
+                               main.functionals["H"], "eps", Q(-3), 2)
+    return [
+        {
+            "miura": {u.name: print_poly(p) for u, p in sorted(
+                d.miura.items(), key=lambda kv: kv[0].name)},
+            "density": print_poly(d.hamiltonian),
+            "free_params": list(d.free_params),
+        }
+        for d in found
+    ]
+
+
+def _weight_inference():
+    out = {}
+    for entry_id in catalog.ids():
+        doc = cached_entry(entry_id).doc
+        try:
+            sol = infer_weights(doc.system(), param_names=tuple(doc.param_weights))
+        except (KeyError, ValueError) as exc:
+            out[entry_id] = type(exc).__name__
+            continue
+        out[entry_id] = None if sol is None else {
+            "particular": {n: str(v) for n, v in sol.particular.items()},
+            "basis": [{n: str(v) for n, v in vec.items()} for vec in sol.basis],
+        }
+    return out
+
+
+def snapshot():
+    return {
+        "bous-embed find_symmetries": _symmetry_searches(),
+        "dbous R steps from seed_x": _shadow_steps(),
+        "hydro-bous search_deformation": _deformation_search(),
+        "infer_weights": _weight_inference(),
+    }
+
+
+def test_outputs_match_the_golden_snapshot():
+    golden = json.loads(SNAPSHOT.read_text())
+    now = snapshot()
+    for key in golden:
+        assert now[key] == golden[key], key
+    assert set(now) == set(golden)
+
+
+if __name__ == "__main__":
+    SNAPSHOT.parent.mkdir(exist_ok=True)
+    SNAPSHOT.write_text(json.dumps(snapshot(), indent=1, sort_keys=True) + "\n")
