@@ -375,7 +375,7 @@ class SuperPoly:
         if not self.terms:
             return "SuperPoly(0)"
         bits = []
-        for key in sorted(self.terms, key=_term_sort_key):
+        for key in sorted(self.terms, key=term_order_key):
             bits.append(f"{self.terms[key]}*{_key_repr(key)}")
         return "SuperPoly(" + " + ".join(bits) + ")"
 
@@ -428,7 +428,8 @@ def _coerce(x):
     return NotImplemented
 
 
-def _term_sort_key(key):
+def term_order_key(key):
+    """Deterministic global ordering of monomial keys (used for normalization)."""
     e, o, f, p = key
     return (
         tuple(g.sort_key() for g in o),
@@ -436,11 +437,6 @@ def _term_sort_key(key):
         f,
         p,
     )
-
-
-def term_order_key(key):
-    """Deterministic global ordering of monomial keys (used for normalization)."""
-    return _term_sort_key(key)
 
 
 def _key_repr(key):

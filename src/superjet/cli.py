@@ -197,7 +197,17 @@ def cmd_find_symmetries(args):
     )
     flows = [_flow_dict(f) for f in res.flows]
     code = 0 if flows else 1
-    return _emit(args, {"dimension": len(flows), "flows": flows}, code)
+    assumed = res.solution.assumptions if res.solution else []
+    branches = [
+        {"zero_params": sorted(b.zero_params), "dimension": b.dim}
+        for b in res.branches
+    ]
+    return _emit(args, {
+        "dimension": len(flows),
+        "flows": flows,
+        "assumptions": [print_poly(a) for a in assumed],
+        "branches": branches,
+    }, code)
 
 
 def cmd_check_covering(args):

@@ -3,10 +3,11 @@
 Unknown constants are carried inside expressions as distinguished
 parameter names, so building an ansatz, pushing it through the calculus
 and reading off the determining system needs no special data flow.  The
-solver works over the field of rational functions in the declared
-parameters; every pivot whose non-vanishing is not guaranteed is
-recorded, and optional case splitting re-solves with such parameters
-pinned to zero.
+system is solved by the sparse Gauss-Jordan elimination of ``linsolve``,
+over the rationals or, when parameters occur, over the field of rational
+functions in them.  The numerator of every pivot whose non-vanishing is
+not guaranteed is recorded, and optional case splitting re-solves with
+such parameters pinned to zero.
 """
 
 from __future__ import annotations
@@ -15,17 +16,21 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-import sympy
-
 from .algebra import SuperPoly, term_order_key
-from .jets import EvolutionSystem, Flow, check_symmetry
+from .jets import EvolutionSystem, Flow, check_symmetry, substitute_params
+from .linsolve import (
+    NonlinearSystemError,
+    clear_polynomial_denominators,
+    field_of,
+    from_field,
+    gauss_jordan,
+    is_monomial_in,
+    numerator,
+    to_field,
+)
 from .weights import WeightSystem, enumerate_monomials, items_from_gens, jets_up_to_weight
 
 Q = Fraction
-
-
-class NonlinearSystemError(ValueError):
-    pass
 
 
 def unknown_names(n: int, prefix: str = "c") -> list:
@@ -83,53 +88,6 @@ def extract_linear_system(
 
 
 # ---------------------------------------------------------------------------
-# sympy bridge
-
-
-def _pp_to_sympy(p: SuperPoly, symtab: dict):
-    e = sympy.Integer(0)
-    for (_ev, _od, _fn, params), c in p.terms.items():
-        t = sympy.Rational(c.numerator, c.denominator)
-        for n, x in params:
-            t *= symtab.setdefault(n, sympy.Symbol(n)) ** x
-        e += t
-    return e
-
-
-def _sympy_to_pp(e) -> SuperPoly:
-    """Convert a sympy expression back; denominators must be monomials."""
-    e = sympy.together(sympy.expand(e))
-    num, den = sympy.fraction(e)
-    num = sympy.expand(num)
-    dc, dm = den.as_coeff_Mul()
-    den_params = {}
-    for factor in sympy.Mul.make_args(dm):
-        if factor == 1:
-            continue
-        base, exp = factor.as_base_exp()
-        if not base.is_Symbol or not (exp.is_Integer and exp > 0):
-            raise NonlinearSystemError(
-                f"solution denominator {den} is not a parameter monomial"
-            )
-        den_params[str(base)] = int(exp)
-    out = SuperPoly.zero()
-    for term in sympy.Add.make_args(num):
-        coeff, mon = term.as_coeff_Mul()
-        params = dict((n, -x) for n, x in den_params.items())
-        for factor in sympy.Mul.make_args(mon):
-            if factor == 1:
-                continue
-            base, exp = factor.as_base_exp()
-            if not base.is_Symbol or not exp.is_Integer:
-                raise NonlinearSystemError(f"non-polynomial solution term {term}")
-            params[str(base)] = params.get(str(base), 0) + int(exp)
-        c = sympy.Rational(coeff) / sympy.Rational(dc)
-        params = tuple(sorted((n, x) for n, x in params.items() if x))
-        out = out + Q(int(c.p), int(c.q)) * _param_only(params)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # solving
 
 
@@ -140,7 +98,7 @@ class LinearSolution:
     unknowns: tuple
     particular: dict  # unknown -> SuperPoly (parameters only)
     basis: list  # list of {unknown: SuperPoly}
-    assumptions: list = dc_field(default_factory=list)  # pivots assumed nonzero
+    assumptions: list = dc_field(default_factory=list)  # numerators of pivots assumed nonzero
     zero_params: frozenset = frozenset()  # parameters pinned to 0 in this branch
     constraints: list = dc_field(default_factory=list)  # residual conditions on free parameters
 
@@ -151,42 +109,6 @@ class LinearSolution:
     @property
     def is_trivial(self):
         return not self.basis and all(v.is_zero for v in self.particular.values())
-
-
-def _substitute_zero(eqs, params):
-    """Pin the given parameters to zero inside every coefficient."""
-    if not params:
-        return eqs
-    out = []
-    for eq in eqs:
-        def drop(p):
-            return SuperPoly(
-                {
-                    k: c
-                    for k, c in p.terms.items()
-                    if all(n not in params or e < 0 for n, e in k[3])
-                }
-            )
-        coeffs = {n: drop(v) for n, v in eq.coeffs.items()}
-        coeffs = {n: v for n, v in coeffs.items() if not v.is_zero}
-        e2 = LinearEquation(coeffs, drop(eq.const))
-        if not e2.is_trivial():
-            out.append(e2)
-    return out
-
-
-def _is_sure_nonzero(expr, nonzero_syms) -> bool:
-    """True if the expression cannot vanish for admissible parameter values."""
-    if expr.is_Rational:
-        return expr != 0
-    coeff, mon = sympy.factor(expr).as_coeff_Mul()
-    if coeff == 0:
-        return False
-    for factor in sympy.Mul.make_args(mon):
-        base, _exp = factor.as_base_exp()
-        if not (base.is_Symbol and str(base) in nonzero_syms):
-            return False
-    return True
 
 
 def solve_linear(
@@ -201,7 +123,9 @@ def solve_linear(
     With ``case_split_limit == 0`` only the generic branch is returned
     (pivots recorded in ``assumptions``).  Otherwise each parameter whose
     non-vanishing the generic branch relied on is also pinned to zero in
-    a separate branch, recursively up to the given depth.
+    a separate branch, recursively up to the given depth.  A parameter
+    that occurs with a negative power is nonzero by construction and is
+    never pinned.
 
     Ordinary parameters are treated as arbitrary symbols, so a leftover
     equation without unknowns kills the branch unless it vanishes
@@ -209,217 +133,83 @@ def solve_linear(
     adjustable: leftover equations built from them alone are returned in
     ``constraints`` for the caller to resolve.
     """
+    unknowns = tuple(unknowns)
+    nonzero = frozenset(assume_nonzero)
     cp = frozenset(constraint_params)
-    branches = _solve_branch(
-        eqs, tuple(unknowns), frozenset(assume_nonzero), frozenset(), cp
-    )
-    if case_split_limit:
-        seen = {frozenset()}
-        frontier = list(branches)
-        depth = 0
-        while frontier and depth < case_split_limit:
-            new = []
-            for sol in frontier:
-                if sol is None:
+    branches = [_solve_branch(eqs, unknowns, nonzero, frozenset(), cp)]
+    inverted = {
+        n
+        for eq in eqs
+        for p in (eq.const, *eq.coeffs.values())
+        for key in p.terms
+        for n, e in key[3]
+        if e < 0
+    }
+    seen = {frozenset()}
+    frontier = branches
+    for _depth in range(case_split_limit):
+        new = []
+        for sol in frontier:
+            if sol is None:
+                continue
+            split = {n for a in sol.assumptions for n in a.param_names()}
+            for pname in sorted(split - nonzero - inverted):
+                zp = sol.zero_params | {pname}
+                if zp in seen:
                     continue
-                split_params = set()
-                for a in sol.assumptions:
-                    split_params.update(
-                        str(s) for s in a.free_symbols if str(s) not in assume_nonzero
+                seen.add(zp)
+                pinned = dict.fromkeys(zp, Q(0))
+                sub = [
+                    LinearEquation(
+                        {u: substitute_params(c, pinned) for u, c in eq.coeffs.items()},
+                        substitute_params(eq.const, pinned),
                     )
-                for pname in sorted(split_params):
-                    zp = sol.zero_params | {pname}
-                    if zp in seen:
-                        continue
-                    seen.add(zp)
-                    sub = _solve_branch(
-                        _substitute_zero(eqs, zp),
-                        tuple(unknowns),
-                        frozenset(assume_nonzero),
-                        zp,
-                        cp,
-                    )
-                    new.extend(sub)
-            branches.extend(b for b in new if b is not None)
-            frontier = new
-            depth += 1
+                    for eq in eqs
+                ]
+                new.append(_solve_branch(sub, unknowns, nonzero, zp, cp))
+        branches.extend(new)
+        frontier = new
     return [b for b in branches if b is not None]
 
 
-def _rational_system(eqs):
-    """Rows {unknown: Fraction} and constants if no parameters occur, else None."""
-    rows = []
-    for eq in eqs:
-        row = {}
-        for u, p in eq.coeffs.items():
-            if p.is_zero:
-                continue
-            if list(p.terms) != [((), (), (), ())]:
-                return None
-            row[u] = p.terms[((), (), (), ())]
-        cp = eq.const
-        if cp.is_zero:
-            const = Q(0)
-        elif list(cp.terms) != [((), (), (), ())]:
-            return None
-        else:
-            const = cp.terms[((), (), (), ())]
-        rows.append((row, const))
-    return rows
-
-
-def _solve_branch_rational(rows, unknowns, zero_params):
-    """Sparse exact Gauss-Jordan over the rationals (no parameters)."""
-    n = len(unknowns)
+def _solve_branch(eqs, unknowns, assume_nonzero, zero_params, constraint_params):
+    """The generic solution of one branch, or None if it is inconsistent."""
+    K = field_of(
+        n for eq in eqs for p in (eq.const, *eq.coeffs.values()) for n in p.param_names()
+    )
     index = {u: i for i, u in enumerate(unknowns)}
-    # rows: ({col: Fraction}, Fraction const); solve coeffs . x + const = 0
-    work = [({index[u]: v for u, v in row.items()}, -const) for row, const in rows]
-    col_rows: dict = {}
-    for ri, (row, _c) in enumerate(work):
-        for cc in row:
-            col_rows.setdefault(cc, set()).add(ri)
-    piv_cols = []
-    piv_row_of = {}
-    used = set()
-    for c in range(n):
-        pr = None
-        for ri in col_rows.get(c, ()):
-            if ri not in used and work[ri][0].get(c):
-                pr = ri
-                break
-        if pr is None:
-            continue
-        used.add(pr)
-        row, rhs = work[pr]
-        pv = row[c]
-        row = {cc: v / pv for cc, v in row.items()}
-        rhs = rhs / pv
-        work[pr] = (row, rhs)
-        for ri in list(col_rows.get(c, ())):
-            if ri == pr:
-                continue
-            orow, orhs = work[ri]
-            fac = orow.get(c)
-            if not fac:
-                continue
-            nrow = dict(orow)
-            for cc, v in row.items():
-                nv = nrow.get(cc, Q(0)) - fac * v
-                if nv:
-                    nrow[cc] = nv
-                    col_rows.setdefault(cc, set()).add(ri)
-                else:
-                    nrow.pop(cc, None)
-                    col_rows.get(cc, set()).discard(ri)
-            work[ri] = (nrow, orhs - fac * rhs)
-        piv_cols.append(c)
-        piv_row_of[c] = pr
-    for ri, (row, rhs) in enumerate(work):
-        if ri not in used and not row and rhs:
-            return [None]
-        if ri not in used and row:
-            # should be impossible after full elimination
-            if any(row.values()):
-                return [None]
-    particular = {u: SuperPoly.zero() for u in unknowns}
-    for c in piv_cols:
-        v = work[piv_row_of[c]][1]
-        if v:
-            particular[unknowns[c]] = SuperPoly.scalar(v)
-    free = [c for c in range(n) if c not in piv_row_of]
-    basis = []
-    for fc in free:
-        vec = {u: SuperPoly.zero() for u in unknowns}
-        vec[unknowns[fc]] = SuperPoly.one()
-        for c in piv_cols:
-            coef = work[piv_row_of[c]][0].get(fc)
-            if coef:
-                vec[unknowns[c]] = SuperPoly.scalar(-coef)
-        basis.append(vec)
-    return [
-        LinearSolution(
-            tuple(unknowns),
-            particular,
-            basis,
-            assumptions=[],
-            zero_params=zero_params,
-            constraints=[],
-        )
+    # equations read coeffs . x + const = 0
+    rows = [
+        ({index[u]: to_field(c, K) for u, c in eq.coeffs.items() if not c.is_zero},
+         -to_field(eq.const, K))
+        for eq in eqs
     ]
-
-
-def _solve_branch(eqs, unknowns, assume_nonzero, zero_params, constraint_params=frozenset()):
-    rational = _rational_system(eqs)
-    if rational is not None:
-        return _solve_branch_rational(rational, tuple(unknowns), zero_params)
-    symtab: dict = {}
-    rows = []
-    for eq in eqs:
-        row = [_pp_to_sympy(eq.coeffs.get(u, SuperPoly.zero()), symtab) for u in unknowns]
-        # equations read coeffs . x + const = 0, so the augmented column is -const
-        row.append(-_pp_to_sympy(eq.const, symtab))
-        rows.append(row)
-    n = len(unknowns)
-    assumptions = []
-    piv_cols = []
-    r = 0
-    for c in range(n):
-        # choose a pivot: prefer provably nonzero entries
-        pr = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0 and _is_sure_nonzero(rows[i][c], assume_nonzero):
-                pr = i
-                break
-        if pr is None:
-            for i in range(r, len(rows)):
-                cand = sympy.cancel(rows[i][c])
-                if cand != 0:
-                    pr = i
-                    assumptions.append(cand)
-                    break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        rows[r] = [sympy.cancel(x / pv) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                fac = rows[i][c]
-                rows[i] = [sympy.cancel(x - fac * y) for x, y in zip(rows[i], rows[r])]
-        piv_cols.append(c)
-        r += 1
+    red = gauss_jordan(rows, len(unknowns), K,
+                       lambda v: is_monomial_in(v, K, assume_nonzero))
     constraints = []
-    for i in range(r, len(rows)):
-        rest = sympy.cancel(rows[i][n])
-        if rest != 0:
-            if constraint_params and {
-                str(s) for s in rest.free_symbols
-            } <= set(constraint_params):
-                constraints.append(rest)
-                continue
-            # inconsistent: the condition cannot hold for arbitrary parameters
-            return [None]
-    free = [c for c in range(n) if c not in piv_cols]
+    for rest in red.leftover:
+        cond = numerator(rest, K)
+        names = cond.param_names()
+        if not names or not names <= constraint_params:
+            return None
+        constraints.append(cond)
     particular = {u: SuperPoly.zero() for u in unknowns}
-    for i, c in enumerate(piv_cols):
-        particular[unknowns[c]] = _sympy_to_pp(rows[i][n])
+    for c, v in red.particular.items():
+        particular[unknowns[c]] = from_field(v, K)
     basis = []
-    for fc in free:
-        vec = {u: SuperPoly.zero() for u in unknowns}
-        vec[unknowns[fc]] = SuperPoly.one()
-        for i, c in enumerate(piv_cols):
-            vec[unknowns[c]] = _sympy_to_pp(-rows[i][fc])
-        basis.append(vec)
-    return [
-        LinearSolution(
-            tuple(unknowns),
-            particular,
-            basis,
-            assumptions=assumptions,
-            zero_params=zero_params,
-            constraints=constraints,
-        )
-    ]
+    for vec in red.basis:
+        out = {u: SuperPoly.zero() for u in unknowns}
+        for c, v in clear_polynomial_denominators(vec, K).items():
+            out[unknowns[c]] = from_field(v, K)
+        basis.append(out)
+    return LinearSolution(
+        unknowns,
+        particular,
+        basis,
+        assumptions=[numerator(a, K) for a in red.assumed],
+        zero_params=zero_params,
+        constraints=constraints,
+    )
 
 
 def clear_denominators(vec: Mapping[str, SuperPoly]) -> dict:
@@ -531,31 +321,10 @@ def find_symmetries(
     for vec in sol.basis:
         nv = normalize_vector(vec, names)
         comps_v = {
-            u: _instantiate(comps[u], nv) for u in sys.fields
+            u: substitute_params(comps[u], nv) for u in sys.fields
         }
         flows.append(Flow(comps_v, parameter_parity))
     return SymmetrySearchResult(flows, len(names), sol, branches)
-
-
-def _instantiate(expr: SuperPoly, values: Mapping[str, SuperPoly]) -> SuperPoly:
-    """Replace unknown-name parameters by their solved values."""
-    out = SuperPoly.zero()
-    for (evens, odds, funcs, params), c in expr.terms.items():
-        val = c * SuperPoly.one()
-        rest = []
-        for n, e in params:
-            if n in values:
-                if e != 1:
-                    raise NonlinearSystemError("unknowns must occur linearly")
-                val = val * values[n]
-            else:
-                rest.append((n, e))
-        out = out + val * SuperPoly({(evens, odds, funcs, tuple(rest)): Q(1)})
-    return out
-
-
-def instantiate(expr: SuperPoly, values: Mapping[str, SuperPoly]) -> SuperPoly:
-    return _instantiate(expr, values)
 
 
 def proportional(a: SuperPoly, b: SuperPoly):

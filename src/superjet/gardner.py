@@ -10,12 +10,8 @@ from typing import Callable, Mapping, Optional, Sequence
 import sympy
 
 from .algebra import DX, EVEN, FieldSymbol, JetVar, SuperPoly
-from .jets import EvolutionSystem, dt_apply, substitute
-from .determine import (
-    extract_linear_system,
-    instantiate,
-    solve_linear,
-)
+from .jets import EvolutionSystem, dt_apply, substitute, substitute_params
+from .determine import extract_linear_system, solve_linear
 from .variational import HamiltonianOperator, hamiltonian_flow
 from .weights import (
     WeightSystem,
@@ -95,30 +91,13 @@ class GardnerDeformation:
     correspondence: tuple = ()
 
 
-def _subst_params_poly(expr: SuperPoly, values: Mapping[str, SuperPoly]) -> SuperPoly:
-    """Replace parameters by parameter-only polynomial values (any power)."""
-    out = SuperPoly.zero()
-    for (evens, odds, funcs, params), c in expr.terms.items():
-        val = SuperPoly.scalar(c)
-        rest = []
-        for n, e in params:
-            if n in values:
-                if e < 0:
-                    raise ValueError(f"negative power of substituted parameter {n}")
-                val = val * values[n] ** e
-            else:
-                rest.append((n, e))
-        out = out + val * SuperPoly({(evens, odds, funcs, tuple(rest)): Q(1)})
-    return out
-
-
 def _sympy_sol_to_values(sol: Mapping) -> Optional[dict]:
     values = {}
     for sym, v in sol.items():
         v = sympy.nsimplify(v)
         if not v.is_Rational:
             return None
-        values[str(sym)] = SuperPoly.scalar(Q(int(v.p), int(v.q)))
+        values[str(sym)] = Q(int(v.p), int(v.q))
     return values
 
 
@@ -210,7 +189,6 @@ def search_deformation(
             names,
         )
         branches = solve_linear(eqs, names, constraint_params=frees)
-        branches = [b for b in branches if b is not None]
         if not branches:
             return []
         sol = branches[0]
@@ -225,8 +203,8 @@ def search_deformation(
                 values[nm] = values.get(nm, SuperPoly.zero()) + SuperPoly.param(
                     tau
                 ) * vec[nm]
-        miura = {u: instantiate(trial_miura[u], values) for u, _w in corr}
-        hbar = instantiate(trial_h, values)
+        miura = {u: substitute_params(trial_miura[u], values) for u, _w in corr}
+        hbar = substitute_params(trial_h, values)
 
     # resolve leftover freedoms against the full residual
     ext = EvolutionSystem(
@@ -261,8 +239,8 @@ def search_deformation(
         values = _sympy_sol_to_values(s)
         if values is None:
             continue
-        m2 = {u: _subst_params_poly(p, values) for u, p in miura.items()}
-        h2 = _subst_params_poly(hbar, values)
+        m2 = {u: substitute_params(p, values) for u, p in miura.items()}
+        h2 = substitute_params(hbar, values)
         ext2 = EvolutionSystem(
             wfields,
             hamiltonian_flow(op, h2).components,
@@ -278,12 +256,11 @@ def search_deformation(
 def specialize_deformation(
     d: GardnerDeformation, values: Mapping[str, Fraction]
 ) -> GardnerDeformation:
-    vals = {n: SuperPoly.scalar(Q(v)) for n, v in values.items()}
-    miura = {u: _subst_params_poly(p, vals) for u, p in d.miura.items()}
-    h = _subst_params_poly(d.hamiltonian, vals) if d.hamiltonian is not None else None
+    miura = {u: substitute_params(p, values) for u, p in d.miura.items()}
+    h = substitute_params(d.hamiltonian, values) if d.hamiltonian is not None else None
     ext = EvolutionSystem(
         d.fields,
-        {w: _subst_params_poly(p, vals) for w, p in d.extended.rhs.items()},
+        {w: substitute_params(p, values) for w, p in d.extended.rhs.items()},
         d.extended.params,
     )
     rest = tuple(n for n in d.free_params if n not in values)

@@ -435,30 +435,35 @@ def substitute(p: SuperPoly, mapping: Mapping) -> SuperPoly:
     return out
 
 
-def substitute_params(p: SuperPoly, values: Mapping[str, Fraction]) -> SuperPoly:
-    """Specialize declared parameters to exact rational values."""
-    out = {}
+def substitute_params(p: SuperPoly, values: Mapping) -> SuperPoly:
+    """Replace parameters by exact values: rationals or parameter-only
+    polynomials.
+
+    Any nonnegative power of a value is allowed; a negative power only
+    of a nonzero rational.
+    """
+    vals = {n: v if isinstance(v, SuperPoly) else SuperPoly.scalar(v)
+            for n, v in values.items()}
+    out: dict = {}
     for (evens, odds, funcs, params), c in p.terms.items():
+        val = SuperPoly.scalar(c)
         keep = []
         for n, x in params:
-            if n in values:
-                v = Fraction(values[n])
-                if v == 0:
-                    if x > 0:
-                        c = Fraction(0)
-                        break
-                    raise ZeroDivisionError(f"parameter {n} set to 0 with exponent {x}")
-                c *= v**x
-            else:
+            v = vals.get(n)
+            if v is None:
                 keep.append((n, x))
-        if not c:
-            continue
-        key = (evens, odds, funcs, tuple(keep))
-        c0 = out.get(key, Fraction(0)) + c
-        if c0:
-            out[key] = c0
-        else:
-            out.pop(key, None)
+            elif x > 0:
+                val = val * v**x
+            elif v.is_zero:
+                raise ZeroDivisionError(f"parameter {n} set to 0 with exponent {x}")
+            elif not v.param_names():
+                (r,) = v.terms.values()
+                val = val * SuperPoly.scalar(r**x)
+            else:
+                raise ValueError(f"negative power of non-scalar value for {n}")
+        for key, cc in (val * _params_poly(keep)).terms.items():
+            key = (evens, odds, funcs, key[3])
+            out[key] = out.get(key, 0) + cc
     return SuperPoly(out)
 
 

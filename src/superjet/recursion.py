@@ -24,14 +24,10 @@ from .jets import (
     apply_ops,
     dt_apply,
     evolutionary_apply,
+    substitute_params,
     super_derive,
 )
-from .determine import (
-    extract_linear_system,
-    instantiate,
-    solve_linear,
-    unknown_names,
-)
+from .determine import extract_linear_system, solve_linear, unknown_names
 from .weights import (
     WeightSystem,
     enumerate_monomials,
@@ -154,7 +150,7 @@ def d_integrate(
             )
         sol = branches[0]
         values = dict(sol.particular)
-        result = result + instantiate(ansatz, values)
+        result = result + substitute_params(ansatz, values)
     return result
 
 

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
+from sympy import QQ
+
 from .algebra import (
     Clifford,
     FieldSymbol,
@@ -20,6 +22,7 @@ from .algebra import (
     SuperPoly,
     Theta,
 )
+from .linsolve import gauss_jordan, to_fraction
 
 Q = Fraction
 
@@ -129,41 +132,6 @@ class WeightSolution:
         return True
 
 
-def _solve_affine(rows, nunk):
-    """Solve rows of (coeffs tuple, rhs) exactly; return (particular, basis)."""
-    mat = [list(r) + [v] for r, v in rows]
-    piv_cols = []
-    r = 0
-    for c in range(nunk):
-        pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        pv = mat[r][c]
-        mat[r] = [x / pv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                fac = mat[i][c]
-                mat[i] = [x - fac * y for x, y in zip(mat[i], mat[r])]
-        piv_cols.append(c)
-        r += 1
-    for i in range(r, len(mat)):
-        if mat[i][nunk]:
-            return None
-    free = [c for c in range(nunk) if c not in piv_cols]
-    particular = [Q(0)] * nunk
-    for i, c in enumerate(piv_cols):
-        particular[c] = mat[i][nunk]
-    basis = []
-    for fc in free:
-        vec = [Q(0)] * nunk
-        vec[fc] = Q(1)
-        for i, c in enumerate(piv_cols):
-            vec[c] = -mat[i][fc]
-        basis.append(vec)
-    return particular, basis
-
-
 def infer_weights(sys, fixed: Mapping = None, param_names: Sequence[str] = ()):
     """Infer a weight system from the balance [term] = [u] - [t].
 
@@ -230,16 +198,21 @@ def infer_weights(sys, fixed: Mapping = None, param_names: Sequence[str] = ()):
             row = [Q(0)] * len(unknowns)
             row[index[nm]] = Q(1)
             rows.append((tuple(row), Q(v)))
-    sol = _solve_affine(rows, len(unknowns))
-    if sol is None:
+    red = gauss_jordan(
+        [({c: QQ(a.numerator, a.denominator) for c, a in enumerate(row) if a},
+          QQ(rhs.numerator, rhs.denominator)) for row, rhs in rows],
+        len(unknowns),
+        QQ,
+    )
+    if red.leftover:
         return None
-    particular, basis = sol
+
+    def rational(vec):
+        return {unknowns[c]: to_fraction(v) for c, v in vec.items()}
+
     return WeightSolution(
-        dict(zip(unknowns, particular)),
-        [
-            {n: v for n, v in zip(unknowns, vec) if v}
-            for vec in basis
-        ],
+        {**dict.fromkeys(unknowns, Q(0)), **rational(red.particular)},
+        [rational(vec) for vec in red.basis],
     )
 
 

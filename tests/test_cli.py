@@ -134,3 +134,14 @@ def test_negative_result_exit_code(capsys):
     code, _ = run(capsys, "conserved", "--catalog", "pskdv",
                   "--expr", "1/3*b^3", "--image", "D")
     assert code == 1
+
+
+def test_find_symmetries_reports_assumptions_and_branches(capsys):
+    code, out = run(capsys, "find-symmetries", "--catalog", "bous-embed",
+                    "--weight=-2", "--case-split-limit", "1", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["dimension"] == 1
+    assert "2*alpha*beta" in payload["assumptions"]
+    assert payload["branches"][0] == {"zero_params": [], "dimension": 1}
+    assert {"zero_params": ["alpha"], "dimension": 2} in payload["branches"]

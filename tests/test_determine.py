@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from superjet.algebra import EVEN, ODD, FieldSymbol, JetVar, SuperPoly
 from superjet.determine import (
     LinearEquation,
+    NonlinearSystemError,
     extract_linear_system,
     find_symmetries,
     flows_proportional,
@@ -150,3 +151,38 @@ def test_solutions_of_random_rational_systems(rows):
         assert value(eq, sol.particular, eq.const).is_zero
         for vec in sol.basis:
             assert value(eq, vec, SuperPoly.zero()).is_zero
+
+
+def test_case_split_pins_an_assumed_parameter_to_zero():
+    names = ["c0"]
+    alpha = SuperPoly.param("alpha")
+    eqs = extract_linear_system([alpha * SuperPoly.param("c0")], names)
+    generic, pinned = solve_linear(eqs, names, case_split_limit=1)
+    assert generic.dim == 0 and generic.assumptions == [alpha]
+    assert pinned.zero_params == {"alpha"} and pinned.dim == 1
+
+
+def test_inverted_parameter_is_never_pinned_to_zero():
+    names = ["c0", "c1"]
+    alpha = SuperPoly.param("alpha")
+    c0, c1 = SuperPoly.param("c0"), SuperPoly.param("c1")
+    eqs = extract_linear_system([alpha * c0 + SuperPoly.param("alpha", -1) * c1], names)
+    branches = solve_linear(eqs, names, case_split_limit=2)
+    assert [b.zero_params for b in branches] == [frozenset()]
+    assert branches[0].assumptions == [alpha]
+
+
+def test_basis_vector_with_polynomial_denominator_is_cleared():
+    names = ["c0", "c1"]
+    s = SuperPoly.param("alpha") + SuperPoly.param("beta")
+    eqs = extract_linear_system(
+        [s * SuperPoly.param("c0") + SuperPoly.param("c1")], names)
+    (sol,) = solve_linear(eqs, names)
+    assert sol.basis == [{"c0": SuperPoly.scalar(-1), "c1": s}]
+
+
+def test_particular_solution_with_polynomial_denominator_raises():
+    s = SuperPoly.param("alpha") + SuperPoly.param("beta")
+    eqs = extract_linear_system([s * SuperPoly.param("c0") - SuperPoly.one()], ["c0"])
+    with pytest.raises(NonlinearSystemError):
+        solve_linear(eqs, ["c0"])
