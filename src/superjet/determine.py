@@ -137,14 +137,7 @@ def solve_linear(
     nonzero = frozenset(assume_nonzero)
     cp = frozenset(constraint_params)
     branches = [_solve_branch(eqs, unknowns, nonzero, frozenset(), cp)]
-    inverted = {
-        n
-        for eq in eqs
-        for p in (eq.const, *eq.coeffs.values())
-        for key in p.terms
-        for n, e in key[3]
-        if e < 0
-    }
+    inverted = {n for n, e in _param_powers(eqs) if e < 0}
     seen = {frozenset()}
     frontier = branches
     for _depth in range(case_split_limit):
@@ -172,11 +165,17 @@ def solve_linear(
     return [b for b in branches if b is not None]
 
 
+def _param_powers(eqs):
+    """Every (parameter, exponent) pair of every coefficient."""
+    for eq in eqs:
+        for p in (eq.const, *eq.coeffs.values()):
+            for key in p.terms:
+                yield from key[3]
+
+
 def _solve_branch(eqs, unknowns, assume_nonzero, zero_params, constraint_params):
     """The generic solution of one branch, or None if it is inconsistent."""
-    K = field_of(
-        n for eq in eqs for p in (eq.const, *eq.coeffs.values()) for n in p.param_names()
-    )
+    K = field_of(n for n, _e in _param_powers(eqs))
     index = {u: i for i, u in enumerate(unknowns)}
     # equations read coeffs . x + const = 0
     rows = [

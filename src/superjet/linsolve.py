@@ -117,9 +117,8 @@ def field_of(names: Iterable[str]):
 
 def to_field(p: SuperPoly, K):
     """The field element of a parameter-only polynomial."""
-    if K == QQ:
-        c = p.terms.get(((), (), (), ()), 0)
-        return QQ(c.numerator, c.denominator)
+    if K is QQ:
+        return from_fraction(p.terms.get(((), (), (), ()), 0))
     index = {str(g): i for i, g in enumerate(K.symbols)}
     exps = []
     for (_e, _o, _f, params), c in p.terms.items():
@@ -130,10 +129,15 @@ def to_field(p: SuperPoly, K):
     shift = [max([0] + [-vec[i] for vec, _c in exps]) for i in range(len(index))]
     ring = K.field.ring
     numer = ring({
-        tuple(x + s for x, s in zip(vec, shift)): QQ(c.numerator, c.denominator)
+        tuple(x + s for x, s in zip(vec, shift)): from_fraction(c)
         for vec, c in exps
     })
     return K.field.new(numer, ring({tuple(shift): QQ.one}))
+
+
+def from_fraction(c):
+    """A Fraction as an element of QQ."""
+    return QQ.dtype(c.numerator, c.denominator)
 
 
 def to_fraction(c) -> Fraction:
@@ -159,7 +163,7 @@ def from_field(v, K) -> SuperPoly:
 
     Raises NonlinearSystemError when the denominator is not a monomial.
     """
-    if K == QQ:
+    if K is QQ:
         return SuperPoly.scalar(to_fraction(v))
     if len(v.denom) != 1:
         raise NonlinearSystemError(
@@ -171,12 +175,12 @@ def from_field(v, K) -> SuperPoly:
 
 def numerator(v, K) -> SuperPoly:
     """The numerator of a field element as a parameter-only SuperPoly."""
-    return from_field(v, K) if K == QQ else _poly_of(v.numer, K)
+    return from_field(v, K) if K is QQ else _poly_of(v.numer, K)
 
 
 def is_monomial_in(v, K, names: Sequence[str]) -> bool:
     """Whether numerator and denominator are single monomials in ``names``."""
-    if K == QQ:
+    if K is QQ:
         return bool(v)
     allowed = [str(g) in names for g in K.symbols]
     return all(
@@ -187,7 +191,7 @@ def is_monomial_in(v, K, names: Sequence[str]) -> bool:
 
 def clear_polynomial_denominators(vec: dict, K) -> dict:
     """Scale a vector by the lcm of its non-monomial denominators."""
-    if K == QQ:
+    if K is QQ:
         return vec
     lcm = K.field.ring.one
     for v in vec.values():

@@ -13,8 +13,6 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from sympy import QQ
-
 from .algebra import (
     Clifford,
     FieldSymbol,
@@ -22,7 +20,7 @@ from .algebra import (
     SuperPoly,
     Theta,
 )
-from .linsolve import gauss_jordan, to_fraction
+from .linsolve import QQ, from_fraction, gauss_jordan, to_fraction
 
 Q = Fraction
 
@@ -199,8 +197,8 @@ def infer_weights(sys, fixed: Mapping = None, param_names: Sequence[str] = ()):
             row[index[nm]] = Q(1)
             rows.append((tuple(row), Q(v)))
     red = gauss_jordan(
-        [({c: QQ(a.numerator, a.denominator) for c, a in enumerate(row) if a},
-          QQ(rhs.numerator, rhs.denominator)) for row, rhs in rows],
+        [({c: from_fraction(a) for c, a in enumerate(row) if a}, from_fraction(rhs))
+         for row, rhs in rows],
         len(unknowns),
         QQ,
     )
