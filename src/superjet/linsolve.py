@@ -7,7 +7,7 @@ zero entries that dominate determining systems.  Pivots are taken in
 column order, which makes the reduced row echelon form, and hence every
 returned solution, canonical.
 
-Parameter-only ``SuperPoly`` values (Laurent monomials in parameters with
+Parameter-only ``SuperPoly`` values (Laurent polynomials in parameters with
 rational coefficients) convert to and from elements of ``K``.
 """
 
