@@ -1,6 +1,6 @@
-"""Golden canonical outputs of catalog computations that go through the
-exact linear solver: symmetry searches, shadow iteration, the Gardner
-deformation search and weight inference.
+"""Golden canonical outputs of catalog computations: symmetry searches,
+shadow iteration, the Gardner deformation search, the Gardner density
+recurrence and weight inference.
 
 The snapshot in ``golden/solver_outputs.json`` is compared in canonical
 printed form.  Regenerate it only when an output is meant to change:
@@ -15,7 +15,7 @@ from pathlib import Path
 from superjet import catalog
 from superjet.algebra import EVEN, ODD
 from superjet.determine import find_symmetries
-from superjet.gardner import search_deformation
+from superjet.gardner import density_recurrence, search_deformation
 from superjet.grammar import print_flow, print_poly
 from superjet.recursion import iterate
 from superjet.weights import infer_weights
@@ -62,6 +62,12 @@ def _deformation_search():
     ]
 
 
+def _density_recurrence():
+    extras = cached_entry("hydro-bous").extras
+    rows = density_recurrence(extras["miura"], extras["correspondence"], "eps", 4)
+    return {w.name: [print_poly(rho) for rho in rhos] for w, rhos in rows.items()}
+
+
 def _weight_inference():
     out = {}
     for entry_id in catalog.ids():
@@ -83,6 +89,7 @@ def snapshot():
         "bous-embed find_symmetries": _symmetry_searches(),
         "dbous R steps from seed_x": _shadow_steps(),
         "hydro-bous search_deformation": _deformation_search(),
+        "hydro-bous density_recurrence": _density_recurrence(),
         "infer_weights": _weight_inference(),
     }
 

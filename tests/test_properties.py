@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from superjet.algebra import (
     DX,
     D1,
+    D2,
     EVEN,
     ODD,
     FieldSymbol,
@@ -16,7 +17,7 @@ from superjet.algebra import (
     Theta,
     prod,
 )
-from superjet.jets import dt_apply, super_derive
+from superjet.jets import Flow, dt_apply, evolutionary_apply, super_derive
 
 from conftest import cached_entry
 
@@ -63,6 +64,35 @@ def test_graded_commutativity(a, c):
 @given(polys)
 def test_super_derivative_squares_to_dx(p):
     assert super_derive(super_derive(p, D1), D1) == super_derive(p, DX)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((D1, D2, DX)), monomials, monomials)
+def test_graded_leibniz_rule(direction, a, c):
+    sign = -1 if direction != DX and a.parity() == ODD else 1
+    rhs = super_derive(a, direction) * c + SuperPoly.scalar(sign) * a * super_derive(c, direction)
+    assert super_derive(a * c, direction) == rhs
+
+
+# an odd-parameter flow on every field of GENS
+ODD_FLOW = Flow(
+    {
+        b: prod([JetVar(f, 0, 0, 1)]) + prod([JetVar(b), JetVar(f)]),
+        f: prod([JetVar(b, 0, 0, 1)]) + prod([JetVar(b), JetVar(f, 1)]),
+        u2: prod([JetVar(u2, 1)]) + prod([JetVar(b), JetVar(u2, 0, 1, 1)]),
+    },
+    ODD,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(monomials, monomials)
+def test_odd_evolutionary_right_leibniz_rule(a, c):
+    sign = -1 if c.parity() == ODD else 1
+    rhs = a * evolutionary_apply(ODD_FLOW, c) + SuperPoly.scalar(sign) * (
+        evolutionary_apply(ODD_FLOW, a) * c
+    )
+    assert evolutionary_apply(ODD_FLOW, a * c) == rhs
 
 
 SYS = None
