@@ -15,12 +15,19 @@ odd factor annihilates the monomial, except for Clifford auxiliaries
 whose square reduces to a declared even parameter monomial.  All
 operations return fully canonical values, and every value is immutable
 after construction.
+
+Sums are accumulated in place in a plain dict (``_accumulate``), so a sum
+or product costs time linear in the terms it produces.  Results built that
+way skip the constructor's filtering (``_wrap``); two invariants make that
+safe: no stored coefficient is zero, and no two values share a ``terms``
+dict.  Generators compute their hash and sort key once per instance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence, Union
 
 EVEN = 0
@@ -40,10 +47,36 @@ class ParityError(ValueError):
     pass
 
 
+class UnknownNameError(KeyError):
+    """A name given by the user (a catalog entry, a weight) is not defined."""
+
+
+class _Cached:
+    """Hash (of the fields equality compares) and sort key, computed once.
+
+    Each dataclass sets ``__hash__ = _Cached.__hash__`` so that the decorator
+    keeps it.  Pickles leave the caches out: string hashes differ by process.
+    """
+
+    @cached_property
+    def _hash(self):
+        return hash(tuple(getattr(self, f.name) for f in fields(self) if f.compare))
+
+    def __hash__(self):
+        return self._hash
+
+    def sort_key(self):
+        return self._sort_key
+
+    def __getstate__(self):
+        return {k: v for k, v in vars(self).items() if k not in ("_hash", "_sort_key")}
+
+
 @dataclass(frozen=True)
-class FieldSymbol:
+class FieldSymbol(_Cached):
     """A dependent variable: bosonic or fermionic, with 0..2 susy directions."""
 
+    __hash__ = _Cached.__hash__
     name: str
     parity: int
     n_susy: int = 1
@@ -62,6 +95,7 @@ class FieldSymbol:
 class Phantom(FieldSymbol):
     """Linearized counterpart of a field; same parity, capitalized by convention."""
 
+    __hash__ = _Cached.__hash__
     base: FieldSymbol = None
 
     def __repr__(self):
@@ -69,16 +103,18 @@ class Phantom(FieldSymbol):
 
 
 @dataclass(frozen=True)
-class Theta:
+class Theta(_Cached):
     """An anticommuting independent variable theta^i (odd, squares to zero)."""
 
+    __hash__ = _Cached.__hash__
     index: int
 
     @property
     def parity(self):
         return ODD
 
-    def sort_key(self):
+    @cached_property
+    def _sort_key(self):
         return (0, self.index, "", 0, 0, 0)
 
     def __repr__(self):
@@ -86,13 +122,14 @@ class Theta:
 
 
 @dataclass(frozen=True)
-class Clifford:
+class Clifford(_Cached):
     """Odd auxiliary whose square is a declared even parameter monomial.
 
     ``square`` is a pair (rational, params) where params is a sorted tuple
     of (name, exponent).
     """
 
+    __hash__ = _Cached.__hash__
     name: str
     square: tuple = (Fraction(1), ())
 
@@ -100,7 +137,8 @@ class Clifford:
     def parity(self):
         return ODD
 
-    def sort_key(self):
+    @cached_property
+    def _sort_key(self):
         return (1, 0, self.name, 0, 0, 0)
 
     def __repr__(self):
@@ -108,9 +146,10 @@ class Clifford:
 
 
 @dataclass(frozen=True)
-class JetVar:
+class JetVar(_Cached):
     """A derivative coordinate D1^d1 D2^d2 Dx^m (field)."""
 
+    __hash__ = _Cached.__hash__
     fieldsym: FieldSymbol
     d1: int = 0
     d2: int = 0
@@ -129,7 +168,8 @@ class JetVar:
     def parity(self):
         return (self.fieldsym.parity + self.d1 + self.d2) % 2
 
-    def sort_key(self):
+    @cached_property
+    def _sort_key(self):
         return (2, 0, self.fieldsym.name, self.d1, self.d2, self.m)
 
     def __repr__(self):
@@ -162,13 +202,16 @@ def _merge_odds(a: tuple, b: tuple):
     """Merge two canonical odd words, counting transposition sign.
 
     Returns (coeff, params, word) where coeff/params absorb signs and
-    Clifford square reductions, or (0, (), ()) when the product vanishes.
+    Clifford square reductions, or (0, (), ()) when the product vanishes;
+    coeff is the int 1 or -1 unless a Clifford square was reduced.
     """
+    if not a or not b:
+        return 1, (), a or b
     sign = 1
     out = []
     i = j = 0
     while i < len(a) and j < len(b):
-        if b[j].sort_key() < a[i].sort_key():
+        if b[j]._sort_key < a[i]._sort_key:
             out.append(b[j])
             j += 1
             if (len(a) - i) % 2:
@@ -178,7 +221,7 @@ def _merge_odds(a: tuple, b: tuple):
             i += 1
     out.extend(a[i:])
     out.extend(b[j:])
-    coeff = Fraction(sign)
+    coeff = sign
     params = ()
     k = 0
     reduced = []
@@ -187,11 +230,11 @@ def _merge_odds(a: tuple, b: tuple):
             g = out[k]
             if isinstance(g, Clifford):
                 sq_rat, sq_params = g.square
-                coeff *= sq_rat
+                coeff = coeff * sq_rat
                 params = _merge_params(params, sq_params)
                 k += 2
                 continue
-            return Fraction(0), (), ()
+            return 0, (), ()
         reduced.append(out[k])
         k += 1
     return coeff, params, tuple(reduced)
@@ -205,7 +248,7 @@ def _merge_evens(a, b):
     d = dict(a)
     for g, e in b:
         d[g] = d.get(g, 0) + e
-    return tuple(sorted(d.items(), key=lambda ge: ge[0].sort_key()))
+    return tuple(sorted(d.items(), key=lambda ge: ge[0]._sort_key))
 
 
 def _merge_funcs(a, b):
@@ -222,6 +265,48 @@ _ONE_KEY = ((), (), (), ())
 
 def _key_parity(key):
     return len(key[1]) % 2
+
+
+def _mul_keys(k1, k2):
+    """Product of monomial keys, k1 on the left: (scalar, key); scalar 0 if it vanishes."""
+    e1, o1, f1, p1 = k1
+    e2, o2, f2, p2 = k2
+    coeff, sq_params, odds = _merge_odds(o1, o2)
+    if not coeff:
+        return 0, None
+    params = _merge_params(_merge_params(p1, p2), sq_params)
+    return coeff, (_merge_evens(e1, e2), odds, _merge_funcs(f1, f2), params)
+
+
+def _scaled(c, s):
+    """Coefficient c times the scalar s of a key product."""
+    if s == 1:
+        return c
+    return -c if s == -1 else c * s
+
+
+def _accumulate(acc: dict, items) -> dict:
+    """Add (key, coefficient) pairs into acc in place, dropping zero sums."""
+    get = acc.get
+    for key, c in items:
+        c0 = get(key)
+        if c0 is None:
+            if c:
+                acc[key] = c
+        else:
+            c0 = c0 + c
+            if c0:
+                acc[key] = c0
+            else:
+                del acc[key]
+    return acc
+
+
+def _wrap(terms: dict) -> "SuperPoly":
+    """A SuperPoly owning terms, which must be canonical, zero-free and unshared."""
+    p = object.__new__(SuperPoly)
+    p.terms = terms
+    return p
 
 
 class SuperPoly:
@@ -250,11 +335,8 @@ class SuperPoly:
 
     @staticmethod
     def from_gen(g: Generator) -> "SuperPoly":
-        if isinstance(g, (Theta, Clifford)) or g.parity == ODD:
-            key = ((), (g,), (), ())
-        else:
-            key = (((g, 1),), (), (), ())
-        return SuperPoly({key: Fraction(1)})
+        key = ((), (g,), (), ()) if g.parity == ODD else (((g, 1),), (), (), ())
+        return _wrap({key: Fraction(1)})
 
     @staticmethod
     def param(name: str, exp: int = 1) -> "SuperPoly":
@@ -296,19 +378,12 @@ class SuperPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        t = dict(self.terms)
-        for k, c in other.terms.items():
-            c2 = t.get(k, Fraction(0)) + c
-            if c2:
-                t[k] = c2
-            else:
-                t.pop(k, None)
-        return SuperPoly(t)
+        return _wrap(_accumulate(dict(self.terms), other.terms.items()))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SuperPoly({k: -c for k, c in self.terms.items()})
+        return _wrap({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -324,24 +399,10 @@ class SuperPoly:
         if other is NotImplemented:
             return NotImplemented
         out: dict = {}
-        for (e1, o1, f1, p1), c1 in self.terms.items():
-            for (e2, o2, f2, p2), c2 in other.terms.items():
-                coeff, sq_params, odds = _merge_odds(o1, o2)
-                if not coeff:
-                    continue
-                key = (
-                    _merge_evens(e1, e2),
-                    odds,
-                    _merge_funcs(f1, f2),
-                    _merge_params(_merge_params(p1, p2), sq_params),
-                )
-                c = c1 * c2 * coeff
-                c0 = out.get(key, Fraction(0)) + c
-                if c0:
-                    out[key] = c0
-                else:
-                    out.pop(key, None)
-        return SuperPoly(out)
+        items = other.terms.items()
+        for k1, c1 in self.terms.items():
+            _accumulate(out, _placed(k1, items, _ONE_KEY, c1))
+        return _wrap(out)
 
     def __rmul__(self, other):
         other = _coerce(other)
@@ -418,6 +479,20 @@ class SuperPoly:
         return best
 
 
+def _placed(left, terms, right, c):
+    """(key, coefficient) pairs of c * left * terms * right.
+
+    left and right are monomial keys, right with nothing but an odd word.
+    """
+    for dk, dc in terms:
+        s, key = _mul_keys(left, dk)
+        if s and right[1]:
+            s2, key = _mul_keys(key, right)
+            s *= s2
+        if s:
+            yield key, _scaled(dc * c, s)
+
+
 def _coerce(x):
     if isinstance(x, SuperPoly):
         return x
@@ -455,13 +530,20 @@ def normalize(raw_terms: Iterable[tuple]) -> SuperPoly:
     annihilate, Clifford squares reduce, and reordering signs are
     absorbed into the coefficient.
     """
-    out = SuperPoly.zero()
-    for coeff, factors in raw_terms:
-        t = SuperPoly.scalar(coeff)
-        for g in factors:
-            t = t * SuperPoly.from_gen(g)
-        out = out + t
-    return out
+    return poly_sum(prod(factors, coeff) for coeff, factors in raw_terms)
+
+
+def poly_sum(polys: Iterable[SuperPoly]) -> SuperPoly:
+    """Sum of polynomials, accumulated in place."""
+    acc: dict = {}
+    for p in polys:
+        _accumulate(acc, p.terms.items())
+    return _wrap(acc)
+
+
+def linear_ansatz(names: Sequence[str], monomials: Sequence[SuperPoly]) -> SuperPoly:
+    """The ansatz sum of param(names[i]) * monomials[i]."""
+    return poly_sum(SuperPoly.param(n) * m for n, m in zip(names, monomials))
 
 
 def prod(factors: Sequence, coeff: Rat = 1) -> SuperPoly:

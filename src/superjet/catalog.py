@@ -13,7 +13,9 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .algebra import D1, DX, EVEN, ODD, Clifford, FieldSymbol, JetVar, SuperPoly
+from .algebra import (
+    D1, DX, EVEN, ODD, Clifford, FieldSymbol, JetVar, SuperPoly, UnknownNameError,
+)
 from .coverings import covering_is_consistent, derived_equation_check, linearize
 from .gardner import (
     deformation_is_valid,
@@ -776,7 +778,7 @@ def ids():
 
 def get(entry_id: str) -> CatalogEntry:
     if entry_id not in _BUILDERS:
-        raise KeyError(f"unknown catalog entry {entry_id!r}")
+        raise UnknownNameError(f"unknown catalog entry {entry_id!r}")
     return _BUILDERS[entry_id]()
 
 

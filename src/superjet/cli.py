@@ -2,7 +2,7 @@
 commands over documents and the built-in catalog.
 
 Exit codes: 0 = verified / zero residual, 1 = nonzero residual or
-negative result, 2 = usage error.
+negative result, 2 = usage error, 3 = internal error (with a traceback).
 """
 
 from __future__ import annotations
@@ -11,11 +11,12 @@ import argparse
 import json
 import re
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import catalog
-from .algebra import D1, D2, DX, EVEN, ODD, SuperPoly
+from .algebra import D1, D2, DX, EVEN, ODD, SuperPoly, UnknownNameError
 from .coverings import check_covering
 from .determine import find_symmetries
 from .gardner import (
@@ -614,9 +615,12 @@ def main(argv=None):
     except (SyntaxErrorWithPos, UndeclaredSymbolError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, KeyError) as exc:
+    except (FileNotFoundError, UnknownNameError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:  # an engine fault, not a usage error
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

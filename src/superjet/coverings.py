@@ -12,6 +12,7 @@ from .jets import (
     EvolutionSystem,
     Flow,
     Nonlocality,
+    check_definition,
     dt_apply,
     evolutionary_apply,
     super_derive,
@@ -143,7 +144,9 @@ def linearize(cov: Covering) -> PhantomFrame:
         comps[w] = SuperPoly.from_gen(JetVar(W))
         flow = Flow(dict(comps), EVEN, name="linearization")
         for d, e in w.defs.items():
-            W.defs[d] = evolutionary_apply(flow, e)
+            value = evolutionary_apply(flow, e)
+            check_definition(W, d, value)
+            W.defs[d] = value
         pn[w] = W
     rhs = dict(sys.rhs)
     for u in sys.fields:

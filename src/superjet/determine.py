@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .algebra import SuperPoly, term_order_key
+from .algebra import SuperPoly, _accumulate, _wrap, linear_ansatz, term_order_key
 from .jets import EvolutionSystem, Flow, check_symmetry, substitute_params
 from .linsolve import (
     NonlinearSystemError,
@@ -72,14 +72,10 @@ def extract_linear_system(
                     f"residual is not linear in the unknowns: {upart}"
                 )
             slot = upart[0][0] if upart else None
-            grouped.setdefault((evens, odds, funcs), {}).setdefault(
-                slot, SuperPoly.zero()
-            )
-            grouped[(evens, odds, funcs)][slot] = (
-                grouped[(evens, odds, funcs)][slot] + c * _param_only(rest)
-            )
+            parts = grouped.setdefault((evens, odds, funcs), {})
+            _accumulate(parts.setdefault(slot, {}), ((((), (), (), rest), c),))
         for mono in sorted(grouped, key=lambda k: term_order_key((k[0], k[1], k[2], ()))):
-            parts = grouped[mono]
+            parts = {n: _wrap(t) for n, t in grouped[mono].items()}
             const = parts.pop(None, SuperPoly.zero())
             eq = LinearEquation({n: v for n, v in parts.items() if not v.is_zero}, const)
             if not eq.is_trivial():
@@ -280,13 +276,10 @@ def build_flow_ansatz(
         gens = jets_up_to_weight(ws, all_fields, target)
         items = items_from_gens(ws, gens, target, zero_weight_cap)
         monos = enumerate_monomials(items, target, (u.parity + parameter_parity) % 2)
-        acc = SuperPoly.zero()
-        for m in monos:
-            nm = f"{prefix}{idx}"
-            idx += 1
-            names.append(nm)
-            acc = acc + SuperPoly.param(nm) * m
-        comps[u] = acc
+        new = [f"{prefix}{idx + i}" for i in range(len(monos))]
+        idx += len(monos)
+        names += new
+        comps[u] = linear_ansatz(new, monos)
         monos_by_field[u] = monos
     return comps, names, monos_by_field
 

@@ -9,7 +9,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import sympy
 
-from .algebra import DX, EVEN, FieldSymbol, JetVar, SuperPoly
+from .algebra import DX, EVEN, FieldSymbol, JetVar, SuperPoly, linear_ansatz
 from .jets import EvolutionSystem, dt_apply, substitute, substitute_params
 from .determine import extract_linear_system, solve_linear
 from .variational import HamiltonianOperator, hamiltonian_flow
@@ -147,33 +147,27 @@ def search_deformation(
     frees: list = []
     counter = 0
 
-    def stage_monomials(target):
+    def stage_ansatz(target, names):
+        """Ansatz of the given weight; its fresh unknowns are appended to names."""
+        nonlocal counter
         gens = [
             JetVar(w, 0, 0, m)
             for w in wfields
             for m in range(max_jet_order + 1)
         ]
         items = items_from_gens(wsw, gens, target)
-        return enumerate_monomials(items, target, EVEN)
+        monos = enumerate_monomials(items, target, EVEN)
+        new = [f"a{counter + i}" for i in range(len(monos))]
+        counter += len(monos)
+        names += new
+        return linear_ansatz(new, monos)
 
     for k in range(1, max_order + 1):
         names = []
-        additions_m = {}
-        for u, w in corr:
-            target = ws.field_weight(u) - k * eps_weight
-            acc = SuperPoly.zero()
-            for m in stage_monomials(target):
-                nm = f"a{counter}"
-                counter += 1
-                names.append(nm)
-                acc = acc + SuperPoly.param(nm) * m
-            additions_m[u] = acc
-        acc_h = SuperPoly.zero()
-        for m in stage_monomials(h_weight - k * eps_weight):
-            nm = f"a{counter}"
-            counter += 1
-            names.append(nm)
-            acc_h = acc_h + SuperPoly.param(nm) * m
+        additions_m = {
+            u: stage_ansatz(ws.field_weight(u) - k * eps_weight, names) for u, _w in corr
+        }
+        acc_h = stage_ansatz(h_weight - k * eps_weight, names)
         trial_miura = {
             u: miura[u] + SuperPoly.param(eps, k) * additions_m[u] for u, _w in corr
         }

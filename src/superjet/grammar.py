@@ -35,6 +35,7 @@ from .algebra import (
     JetVar,
     SuperPoly,
     Theta,
+    poly_sum,
     term_order_key,
 )
 from .coverings import Covering, linearize
@@ -208,12 +209,12 @@ class _Parser:
     # expression grammar ----------------------------------------------------
 
     def expression(self) -> SuperPoly:
-        p = self.term()
+        terms = [self.term()]
         while self.at("op", "+") or self.at("op", "-"):
             op = self.advance().text
             q = self.term()
-            p = p + q if op == "+" else p - q
-        return p
+            terms.append(q if op == "+" else -q)
+        return poly_sum(terms)
 
     def term(self) -> SuperPoly:
         p = self.unary()

@@ -35,6 +35,11 @@ from .algebra import (
     Phantom,
     SuperPoly,
     Theta,
+    _accumulate,
+    _Cached,
+    _placed,
+    _scaled,
+    _wrap,
 )
 
 
@@ -46,6 +51,7 @@ class MissingDerivativeError(ValueError):
 class Nonlocality(FieldSymbol):
     """A covering (potential) variable with declared derivative values."""
 
+    __hash__ = _Cached.__hash__
     weight: Optional[Fraction] = dc_field(default=None, compare=False)
     defs: Mapping[str, SuperPoly] = dc_field(default_factory=dict, compare=False)
     base: Optional[FieldSymbol] = dc_field(default=None, compare=False)
@@ -53,20 +59,22 @@ class Nonlocality(FieldSymbol):
     def __post_init__(self):
         super().__post_init__()
         for direction, value in self.defs.items():
-            if direction not in (D1, D2, DX, DT):
-                raise ValueError(f"unknown direction {direction!r} for {self.name}")
-            q = value.parity()
-            if q is None and not value.is_zero:
-                raise ParityError(f"{direction}({self.name}) has mixed parity")
-            if q is not None:
-                want = (self.parity + (1 if direction in (D1, D2) else 0)) % 2
-                if q != want:
-                    raise ParityError(
-                        f"{direction}({self.name}) must have parity {want}, got {q}"
-                    )
+            check_definition(self, direction, value)
 
     def __repr__(self):
         return f"Nonlocality({self.name!r})"
+
+
+def check_definition(w: Nonlocality, direction: str, value: SuperPoly):
+    """Raise unless value can be the declared derivative of w in direction."""
+    if direction not in (D1, D2, DX, DT):
+        raise ValueError(f"unknown direction {direction!r} for {w.name}")
+    q = value.parity()
+    if q is None and not value.is_zero:
+        raise ParityError(f"{direction}({w.name}) has mixed parity")
+    want = (w.parity + (1 if direction in (D1, D2) else 0)) % 2
+    if q is not None and q != want:
+        raise ParityError(f"{direction}({w.name}) must have parity {want}, got {q}")
 
 
 @dataclass
@@ -113,7 +121,8 @@ class Flow:
         return all(p.is_zero for p in self.components.values())
 
     def __add__(self, other):
-        assert self.parameter_parity == other.parameter_parity
+        if self.parameter_parity != other.parameter_parity:
+            raise ParityError("cannot add flows of different parameter parity")
         keys = set(self.components) | set(other.components)
         return Flow(
             {
@@ -159,38 +168,19 @@ def nonlocal_jet(w: Nonlocality, d1=0, d2=0, m=0) -> SuperPoly:
     """D1^d1 D2^d2 Dx^m (w), reduced through the declared values of w."""
     defs = w.defs
     if d1 and D1 in defs:
-        e = defs[D1]
-        for _ in range(m):
-            e = super_derive(e, DX)
-        if d2:
-            e = super_derive(e, D2)
-        return (-1 if d2 else 1) * e
+        return (-1 if d2 else 1) * apply_ops(defs[D1], [DX] * m + [D2] * d2)
     if d2 and D2 in defs:
-        e = defs[D2]
-        for _ in range(m):
-            e = super_derive(e, DX)
-        if d1:
-            e = super_derive(e, D1)
-        return e
+        return apply_ops(defs[D2], [DX] * m + [D1] * d1)
     if m:
         if DX in defs:
             e = defs[DX]
-            m0 = m - 1
         elif D1 in defs:
             e = super_derive(defs[D1], D1)
-            m0 = m - 1
         elif D2 in defs:
             e = super_derive(defs[D2], D2)
-            m0 = m - 1
         else:
             return SuperPoly.from_gen(JetVar(w, d1, d2, m))
-        for _ in range(m0):
-            e = super_derive(e, DX)
-        if d2:
-            e = super_derive(e, D2)
-        if d1:
-            e = super_derive(e, D1)
-        return e
+        return apply_ops(e, _op_list(d1, d2, m - 1))
     return SuperPoly.from_gen(JetVar(w, d1, d2, m))
 
 
@@ -223,34 +213,6 @@ def _derive_gen(g, direction) -> SuperPoly:
 # graded derivations over whole polynomials
 
 
-def _evens_poly(evens):
-    out = SuperPoly.one()
-    for g, x in evens:
-        out = out * SuperPoly.from_gen(g) ** x
-    return out
-
-
-def _funcs_poly(funcs):
-    out = SuperPoly.one()
-    for n, k, arg in funcs:
-        out = out * SuperPoly.func(n, k, arg)
-    return out
-
-
-def _odds_poly(odds):
-    out = SuperPoly.one()
-    for g in odds:
-        out = out * SuperPoly.from_gen(g)
-    return out
-
-
-def _params_poly(params):
-    out = SuperPoly.one()
-    for n, x in params:
-        out = out * SuperPoly.param(n, x)
-    return out
-
-
 def _derive(p: SuperPoly, gen_image, side: str) -> SuperPoly:
     """Extend a rule on generators to a graded derivation.
 
@@ -264,45 +226,35 @@ def _derive(p: SuperPoly, gen_image, side: str) -> SuperPoly:
 
     The written order of a monomial is evens, function factors, odd word;
     ``gen_image(g)`` returns the image of generator g, placed at g's slot.
+    Each image is computed once per call.
     """
-    out = SuperPoly.zero()
+    images = {}
+    out: dict = {}
     for (evens, odds, funcs, params), c in p.terms.items():
-        pref = _params_poly(params) * SuperPoly.scalar(c)
         n_odds = len(odds)
         even_sign = -1 if (side == "right" and n_odds % 2) else 1
+        # each slot: (generator, key left of its image, odd word right of it, sign)
+        slots = []
         for i, (g, x) in enumerate(evens):
-            d = gen_image(g)
-            if d.is_zero:
-                continue
-            rest = list(evens)
-            rest[i] = (g, x - 1)
-            rest = tuple(ge for ge in rest if ge[1])
-            out = out + Fraction(x * even_sign) * pref * _evens_poly(
-                rest
-            ) * _funcs_poly(funcs) * d * _odds_poly(odds)
+            rest = evens[:i] + (((g, x - 1),) if x > 1 else ()) + evens[i + 1 :]
+            slots.append((g, (rest, (), funcs, params), odds, x * even_sign))
         for i, (n, k, arg) in enumerate(funcs):
-            d = gen_image(arg)
-            if d.is_zero:
-                continue
-            rest = list(funcs)
-            rest[i] = (n, k + 1, arg)
-            out = out + Fraction(even_sign) * pref * _evens_poly(evens) * _funcs_poly(
-                tuple(rest)
-            ) * d * _odds_poly(odds)
+            rest = tuple(sorted(funcs[:i] + ((n, k + 1, arg),) + funcs[i + 1 :]))
+            slots.append((arg, (evens, (), rest, params), odds, even_sign))
         for j, g in enumerate(odds):
-            d = gen_image(g)
-            if d.is_zero:
-                continue
             if side == "left":
                 sign = -1 if j % 2 else 1
             elif side == "right":
                 sign = -1 if (n_odds - 1 - j) % 2 else 1
             else:
                 sign = 1
-            out = out + Fraction(sign) * pref * _evens_poly(evens) * _funcs_poly(
-                funcs
-            ) * _odds_poly(odds[:j]) * d * _odds_poly(odds[j + 1 :])
-    return out
+            slots.append((g, (evens, odds[:j], funcs, params), odds[j + 1 :], sign))
+        for g, left, right, sign in slots:
+            d = images.get(g)
+            if d is None:
+                d = images[g] = list(gen_image(g).terms.items())
+            _accumulate(out, _placed(left, d, ((), right, (), ()), _scaled(c, sign)))
+    return _wrap(out)
 
 
 def super_derive(p: SuperPoly, direction: str) -> SuperPoly:
@@ -418,21 +370,21 @@ def substitute(p: SuperPoly, mapping: Mapping) -> SuperPoly:
                 return apply_ops(mapping[base], _op_list(g.d1, g.d2, g.m))
         return SuperPoly.from_gen(g)
 
-    out = SuperPoly.zero()
+    out: dict = {}
     for (evens, odds, funcs, params), c in p.terms.items():
-        t = _params_poly(params) * SuperPoly.scalar(c)
-        for g, x in evens:
-            t = t * image_of(g) ** x
-        for n, k, arg in funcs:
+        for n, _k, arg in funcs:
             if arg in mapping or arg.fieldsym in mapping:
                 raise ValueError(
                     f"cannot substitute into the argument of function factor {n}"
                 )
-            t = t * SuperPoly.func(n, k, arg)
+        # function factors are even, so they may lead
+        t = SuperPoly({((), (), funcs, params): c})
+        for g, x in evens:
+            t = t * image_of(g) ** x
         for g in odds:
             t = t * image_of(g)
-        out = out + t
-    return out
+        _accumulate(out, t.terms.items())
+    return _wrap(out)
 
 
 def substitute_params(p: SuperPoly, values: Mapping) -> SuperPoly:
@@ -446,13 +398,13 @@ def substitute_params(p: SuperPoly, values: Mapping) -> SuperPoly:
             for n, v in values.items()}
     out: dict = {}
     for (evens, odds, funcs, params), c in p.terms.items():
-        val = SuperPoly.scalar(c)
-        keep = []
+        kept = tuple((n, x) for n, x in params if n not in vals)
+        val = SuperPoly({((), (), (), kept): c})
         for n, x in params:
             v = vals.get(n)
             if v is None:
-                keep.append((n, x))
-            elif x > 0:
+                continue
+            if x > 0:
                 val = val * v**x
             elif v.is_zero:
                 raise ZeroDivisionError(f"parameter {n} set to 0 with exponent {x}")
@@ -461,10 +413,8 @@ def substitute_params(p: SuperPoly, values: Mapping) -> SuperPoly:
                 val = val * SuperPoly.scalar(r**x)
             else:
                 raise ValueError(f"negative power of non-scalar value for {n}")
-        for key, cc in (val * _params_poly(keep)).terms.items():
-            key = (evens, odds, funcs, key[3])
-            out[key] = out.get(key, 0) + cc
-    return SuperPoly(out)
+        _accumulate(out, (((evens, odds, funcs, k[3]), cc) for k, cc in val.terms.items()))
+    return _wrap(out)
 
 
 # ---------------------------------------------------------------------------
@@ -484,14 +434,8 @@ def collect_odd_prefix(p: SuperPoly, classes=(Theta,)) -> dict:
         while k < len(odds) and isinstance(odds[k], classes):
             k += 1
         word, rest = odds[:k], odds[k:]
-        key = (evens, rest, funcs, params)
-        bucket = out.setdefault(word, {})
-        c0 = bucket.get(key, Fraction(0)) + c
-        if c0:
-            bucket[key] = c0
-        else:
-            bucket.pop(key, None)
-    return {w: SuperPoly(t) for w, t in out.items() if t}
+        _accumulate(out.setdefault(word, {}), (((evens, rest, funcs, params), c),))
+    return {w: _wrap(t) for w, t in out.items() if t}
 
 
 def component_fields(u: FieldSymbol):

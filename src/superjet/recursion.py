@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import ceil
 from typing import Iterable, Optional, Sequence
 
-from .algebra import D1, D2, DT, DX, JetVar, SuperPoly
+from .algebra import D1, D2, DT, DX, JetVar, SuperPoly, linear_ansatz, poly_sum
 from .coverings import PhantomFrame, is_phantom
 from .jets import (
     EvolutionSystem,
@@ -117,16 +117,16 @@ def d_integrate(
     if target.is_zero:
         return SuperPoly.zero()
     shift = Q(1) if direction == DX else Q(1, 2)
-    result = SuperPoly.zero()
+    parts = []
     for wt, part in sorted(split_by_weight(ws, target).items()):
         par = part.parity()
         if par is None:
             even, odd = part.parity_report()
             for sub in (even, odd):
                 if not sub.is_zero:
-                    result = result + d_integrate(
+                    parts.append(d_integrate(
                         sub, direction, ws, gens, zero_weight_cap, assume_nonzero
-                    )
+                    ))
             continue
         want_par = par if direction == DX else (par + 1) % 2
         want_wt = wt - shift
@@ -138,9 +138,7 @@ def d_integrate(
                 f"no ansatz monomials of weight {want_wt} for {direction}-integration"
             )
         names = unknown_names(len(monos), "ci")
-        ansatz = SuperPoly.zero()
-        for nm, m in zip(names, monos):
-            ansatz = ansatz + SuperPoly.param(nm) * m
+        ansatz = linear_ansatz(names, monos)
         residual = super_derive(ansatz, direction) - part
         eqs = extract_linear_system([residual], names)
         branches = solve_linear(eqs, names, assume_nonzero)
@@ -149,9 +147,8 @@ def d_integrate(
                 f"no exact {direction}-preimage of weight {wt} part"
             )
         sol = branches[0]
-        values = dict(sol.particular)
-        result = result + substitute_params(ansatz, values)
-    return result
+        parts.append(substitute_params(ansatz, dict(sol.particular)))
+    return poly_sum(parts)
 
 
 def _is_new_coordinate(g: JetVar) -> bool:
@@ -205,37 +202,27 @@ def _substitute_phantoms(expr: SuperPoly, value_of) -> SuperPoly:
     (collecting signs) and the remaining monomial right-multiplies the
     value; ``value_of(jetvar)`` supplies the replacement.
     """
-    out = SuperPoly.zero()
+    def phantom(g):
+        return isinstance(g, JetVar) and is_phantom(g.fieldsym)
+
+    parts = []
     for (evens, odds, funcs, params), c in expr.terms.items():
-        found = []
-        for g, _x in evens:
-            if isinstance(g, JetVar) and is_phantom(g.fieldsym):
-                found.append(("even", g))
-        for j, g in enumerate(odds):
-            if isinstance(g, JetVar) and is_phantom(g.fieldsym):
-                found.append(("odd", j, g))
+        found = [(None, g, x) for g, x in evens if phantom(g)]
+        found += [(j, g, 1) for j, g in enumerate(odds) if phantom(g)]
         if len(found) != 1:
             raise NotLinearInPhantomsError(
                 f"monomial has {len(found)} phantom factors; shadows must be linear"
             )
-        slot = found[0]
-        if slot[0] == "even":
-            g = slot[1]
-            d = dict(evens)
-            if d[g] != 1:
-                raise NotLinearInPhantomsError("phantom factor occurs squared")
-            del d[g]
-            rest_evens = tuple(sorted(d.items(), key=lambda ge: ge[0].sort_key()))
-            rest = SuperPoly({(rest_evens, odds, funcs, params): c})
-            out = out + rest * value_of(g)
+        j, g, x = found[0]
+        if x != 1:
+            raise NotLinearInPhantomsError("phantom factor occurs squared")
+        if j is None:
+            key = (tuple(ge for ge in evens if ge[0] != g), odds, funcs, params)
         else:
-            _tag, j, g = slot
-            sign = -1 if (len(odds) - 1 - j) % 2 else 1
-            rest = SuperPoly(
-                {(evens, odds[:j] + odds[j + 1 :], funcs, params): c * sign}
-            )
-            out = out + rest * value_of(g)
-    return out
+            key = (evens, odds[:j] + odds[j + 1 :], funcs, params)
+            c = -c if (len(odds) - 1 - j) % 2 else c
+        parts.append(SuperPoly({key: c}) * value_of(g))
+    return poly_sum(parts)
 
 
 def apply_shadow(
@@ -282,13 +269,7 @@ def iterate(
 # composition and nilpotency
 
 
-def compose(
-    s1: Shadow,
-    s2: Shadow,
-    ws: Optional[WeightSystem] = None,
-    zero_weight_cap: int = 2,
-    assume_nonzero: Iterable[str] = (),
-) -> Shadow:
+def compose(s1: Shadow, s2: Shadow) -> Shadow:
     """The shadow obtained by substituting s2's phantom values into s1.
 
     Both shadows must use only the phantoms of the local fields;
@@ -320,20 +301,20 @@ def compose(
     )
 
 
-def nilpotency_order(shadow: Shadow, max_power: int = 8, ws=None) -> Optional[int]:
+def nilpotency_order(shadow: Shadow, max_power: int = 8) -> Optional[int]:
     """Least k with the k-th power of the shadow vanishing, or None."""
     cur = shadow
     for k in range(2, max_power + 1):
-        cur = compose(cur, shadow, ws)
+        cur = compose(cur, shadow)
         if cur.is_zero:
             return k
     return None
 
 
-def shadow_power(shadow: Shadow, k: int, ws=None) -> Shadow:
+def shadow_power(shadow: Shadow, k: int) -> Shadow:
     cur = shadow
     for _ in range(k - 1):
-        cur = compose(cur, shadow, ws)
+        cur = compose(cur, shadow)
     return cur
 
 

@@ -18,6 +18,9 @@ from .algebra import (
     JetVar,
     SuperPoly,
     Theta,
+    _accumulate,
+    _wrap,
+    poly_sum,
 )
 from .jets import EvolutionSystem, Flow, apply_ops, dt_apply
 
@@ -33,14 +36,7 @@ def graded_partial(p: SuperPoly, v) -> SuperPoly:
     derivative when v is their argument.
     """
     out: dict = {}
-
-    def add(key, c):
-        c0 = out.get(key, Q(0)) + c
-        if c0:
-            out[key] = c0
-        else:
-            out.pop(key, None)
-
+    add = lambda key, c: _accumulate(out, ((key, c),))
     odd = isinstance(v, (Theta, Clifford)) or (isinstance(v, JetVar) and v.parity)
     for (evens, odds, funcs, params), c in p.terms.items():
         if odd:
@@ -62,7 +58,7 @@ def graded_partial(p: SuperPoly, v) -> SuperPoly:
                     rest = list(funcs)
                     rest[i] = (n, k + 1, arg)
                     add((evens, odds, tuple(sorted(rest)), params), c)
-    return SuperPoly(out)
+    return _wrap(out)
 
 
 def euler(H: SuperPoly, fields: Sequence[FieldSymbol]) -> dict:
@@ -73,7 +69,7 @@ def euler(H: SuperPoly, fields: Sequence[FieldSymbol]) -> dict:
     """
     out = {}
     for u in fields:
-        acc = SuperPoly.zero()
+        parts = []
         jets = {
             g
             for g in H.generators()
@@ -88,10 +84,8 @@ def euler(H: SuperPoly, fields: Sequence[FieldSymbol]) -> dict:
                 sign *= (-1) ** (1 + u.parity)
             if g.d2:
                 sign *= (-1) ** (1 + u.parity)
-            acc = acc + Q(sign) * apply_ops(
-                pd, [D2] * g.d2 + [D1] * g.d1 + [DX] * g.m
-            )
-        out[u] = acc
+            parts.append(Q(sign) * apply_ops(pd, [D2] * g.d2 + [D1] * g.d1 + [DX] * g.m))
+        out[u] = poly_sum(parts)
     return out
 
 
@@ -129,12 +123,11 @@ class HamiltonianOperator:
     def apply_gradient(self, grads: Mapping) -> dict:
         comps = {}
         for u in self.fields:
-            acc = SuperPoly.zero()
-            for v, terms in self.entries.get(u, {}).items():
-                g = grads[v]
-                for coeff, word in terms:
-                    acc = acc + coeff * apply_ops(g, list(word))
-            comps[u] = acc
+            comps[u] = poly_sum(
+                coeff * apply_ops(grads[v], list(word))
+                for v, terms in self.entries.get(u, {}).items()
+                for coeff, word in terms
+            )
         return comps
 
 

@@ -19,6 +19,9 @@ from .algebra import (
     JetVar,
     SuperPoly,
     Theta,
+    UnknownNameError,
+    prod,
+    term_order_key,
 )
 from .linsolve import QQ, from_fraction, gauss_jordan, to_fraction
 
@@ -43,7 +46,7 @@ class WeightSystem:
         w = getattr(sym, "weight", None)
         if w is not None:
             return Q(w)
-        raise KeyError(f"no weight assigned to {sym.name}")
+        raise UnknownNameError(f"no weight assigned to {sym.name}")
 
     def gen_weight(self, g) -> Fraction:
         if isinstance(g, Theta):
@@ -169,7 +172,7 @@ def infer_weights(sys, fixed: Mapping = None, param_names: Sequence[str] = ()):
                 else:
                     w = getattr(sym, "weight", None)
                     if w is None:
-                        raise KeyError(f"no weight for {nm}")
+                        raise UnknownNameError(f"no weight for {nm}")
                     const += Q(x) * Q(w)
                 const += x * (g.m + Q(g.d1 + g.d2, 2))
         if funcs:
@@ -301,21 +304,12 @@ def enumerate_monomials(items: Sequence[AnsatzItem], weight, parity, include_sca
     build(0, weight, 0, [])
     out = []
     for combo in results:
-        m = SuperPoly.one()
-        for factor, e in combo:
-            if isinstance(factor, tuple) and factor[0] == "param":
-                m = m * SuperPoly.param(factor[1], e)
-            else:
-                m = m * SuperPoly.from_gen(factor) ** e
+        m = prod(
+            SuperPoly.param(f[1], e) if isinstance(f, tuple) else SuperPoly.from_gen(f) ** e
+            for f, e in combo
+        )
         if not m.is_zero:
             out.append(m)
     # deterministic order
-    out.sort(key=lambda m: _mono_key(m))
+    out.sort(key=lambda m: term_order_key(next(iter(m.terms))))
     return out
-
-
-def _mono_key(m: SuperPoly):
-    from .algebra import term_order_key
-
-    (key,) = m.terms
-    return term_order_key(key)

@@ -7,6 +7,7 @@ repeated odd factors and reducing Clifford squares.  It shares no code
 with the engine's merge-based product.
 """
 
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -224,3 +225,12 @@ def test_distributivity_random(rng):
         a, b_, c = (prod([rng.choice(GENS) for _ in range(rng.randint(1, 3))])
                     for _ in range(3))
         assert a * (b_ + c) == a * b_ + a * c
+
+
+def test_cached_hash_and_sort_key_stay_out_of_pickles():
+    g = JetVar(f, 1, 0, 2)
+    h, key = hash(g), g.sort_key()
+    clone = pickle.loads(pickle.dumps(g))
+    assert "_hash" not in vars(clone) and "_sort_key" not in vars(clone)
+    assert "_hash" not in vars(clone.fieldsym)
+    assert clone == g and hash(clone) == h and clone.sort_key() == key

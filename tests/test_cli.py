@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from superjet import cli
 from superjet.cli import main
 
 
@@ -145,3 +146,21 @@ def test_find_symmetries_reports_assumptions_and_branches(capsys):
     assert "2*alpha*beta" in payload["assumptions"]
     assert payload["branches"][0] == {"zero_params": [], "dimension": 1}
     assert {"zero_params": ["alpha"], "dimension": 2} in payload["branches"]
+
+
+def test_missing_weight_is_a_usage_error(capsys, tmp_path):
+    doc = tmp_path / "doc.sj"
+    doc.write_text("field b even susy 0;\nfield c even susy 0 weight 1;\n"
+                   "time weight -2;\nb_t = c_x;\nc_t = b_x;\n")
+    code, _ = run(capsys, "find-symmetries", "--file", str(doc), "--weight=-1")
+    assert code == 2
+
+
+def test_engine_fault_is_not_a_usage_error(capsys, monkeypatch):
+    def broken(cov):
+        raise KeyError("engine bug")
+
+    monkeypatch.setattr(cli, "check_covering", broken)
+    code = main(["check-covering", "--catalog", "superburg"])
+    assert code == 3
+    assert "KeyError: 'engine bug'" in capsys.readouterr().err

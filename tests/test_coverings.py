@@ -2,8 +2,10 @@
 
 from fractions import Fraction
 
-from superjet import catalog
-from superjet.algebra import DX, DT, SuperPoly, JetVar
+import pytest
+
+from superjet import catalog, coverings
+from superjet.algebra import D1, DX, DT, EVEN, FieldSymbol, ParityError, SuperPoly, JetVar, Theta
 from superjet.coverings import (
     Covering,
     check_covering,
@@ -12,7 +14,7 @@ from superjet.coverings import (
     linearize,
     phantom_name,
 )
-from superjet.jets import Nonlocality
+from superjet.jets import Nonlocality, check_definition
 
 from conftest import cached_entry
 
@@ -85,3 +87,19 @@ def test_derived_cross_derivatives_commute_on_nonlocal_jets():
         lhs = dt_apply(sys, w.defs[DX])
         rhs = super_derive(w.defs[DT], DX)
         assert (lhs - rhs).is_zero, w.name
+
+
+def test_definitions_of_the_wrong_parity_are_rejected(monkeypatch):
+    u = FieldSymbol("u", EVEN, 1)
+    bad = {D1: SuperPoly.from_gen(JetVar(u))}  # D1 of an even variable is odd
+    with pytest.raises(ParityError):
+        Nonlocality("w", EVEN, 1, defs=bad)
+    w = Nonlocality("w", EVEN, 1)
+    with pytest.raises(ParityError):
+        check_definition(w, D1, bad[D1])
+    check_definition(w, D1, SuperPoly.from_gen(JetVar(u, 1)))
+    # linearize checks the phantom definitions it fills in after construction
+    flip = SuperPoly.from_gen(Theta(1))
+    monkeypatch.setattr(coverings, "evolutionary_apply", lambda flow, e: e * flip)
+    with pytest.raises(ParityError, match="must have parity"):
+        linearize(cached_entry("superburg").doc.covering())

@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import pytest
+
 from superjet.algebra import (
     D1,
     D2,
@@ -10,11 +12,14 @@ from superjet.algebra import (
     ODD,
     FieldSymbol,
     JetVar,
+    ParityError,
+    Phantom,
     SuperPoly,
     prod,
 )
 from superjet.jets import (
     Flow,
+    Nonlocality,
     check_symmetry,
     commutator,
     dt_apply,
@@ -127,6 +132,21 @@ def test_check_symmetry_matches_commutator():
     )
     assert not check_symmetry(sys, bad).is_zero
     assert not commutator(sys.as_flow(), bad).is_zero
+
+
+def test_adding_flows_of_different_parameter_parity_raises():
+    even = Flow({b: SuperPoly.from_gen(JetVar(b, 0, 0, 1))}, EVEN)
+    odd = Flow({b: SuperPoly.from_gen(JetVar(f))}, ODD)
+    with pytest.raises(ParityError):
+        even + odd
+
+
+def test_generator_equality_and_hash_fields():
+    w1 = Nonlocality("w", EVEN, 1, weight=Q(1, 2))
+    w2 = Nonlocality("w", EVEN, 1, defs={DX: SuperPoly.from_gen(JetVar(b))}, base=b)
+    assert w1 == w2 and hash(w1) == hash(w2)
+    assert Phantom("B", EVEN, 1, base=b) != Phantom("B", EVEN, 1, base=f)
+    assert JetVar(w1, m=1) == JetVar(w2, m=1) and hash(JetVar(w1)) == hash(JetVar(w2))
 
 
 def test_evolutionary_derivation_is_even_leibniz(rng):
