@@ -72,8 +72,8 @@ def extract_linear_system(
                     f"residual is not linear in the unknowns: {upart}"
                 )
             slot = upart[0][0] if upart else None
-            parts = grouped.setdefault((evens, odds, funcs), {})
-            _accumulate(parts.setdefault(slot, {}), ((((), (), (), rest), c),))
+            by_unknown = grouped.setdefault((evens, odds, funcs), {})
+            _accumulate(by_unknown.setdefault(slot, {}), ((((), (), (), rest), c),))
         for mono in sorted(grouped, key=lambda k: term_order_key((k[0], k[1], k[2], ()))):
             parts = {n: _wrap(t) for n, t in grouped[mono].items()}
             const = parts.pop(None, SuperPoly.zero())
