@@ -1,4 +1,5 @@
-"""Golden canonical outputs of catalog computations: symmetry searches,
+"""Golden canonical outputs of catalog computations: symmetry searches
+(with the generic pivots assumed nonzero, and as the CLI runs them),
 shadow iteration, the Gardner deformation search, the Gardner density
 recurrence and weight inference.
 
@@ -27,6 +28,8 @@ Q = Fraction
 SNAPSHOT = Path(__file__).parent / "golden" / "solver_outputs.json"
 
 SEARCHES = ((Q(-1), EVEN), (Q(-2), EVEN), (Q(-4), EVEN), (Q(-7, 2), ODD))
+CLI_SEARCHES = ((Q(-1), EVEN), (Q(-2), EVEN), (Q(-3), EVEN), (Q(-4), EVEN),
+                (Q(-7, 2), ODD))
 
 
 def _symmetry_searches():
@@ -38,6 +41,24 @@ def _symmetry_searches():
                               assume_nonzero=("alpha", "beta", "gamma"))
         out[f"{weight} {'odd' if parity else 'even'}"] = [
             print_flow(f) for f in res.flows]
+    return out
+
+
+def _cli_symmetry_searches():
+    """No parameter assumed nonzero and one level of case splits, so the
+    outputs depend on the pivot order and on how assumed pivots are
+    normalised."""
+    doc = cached_entry("bous-embed").doc
+    sys, ws = doc.system(), doc.weight_system()
+    out = {}
+    for weight, parity in CLI_SEARCHES:
+        res = find_symmetries(sys, ws, weight, parity, case_split_limit=1)
+        out[f"{weight} {'odd' if parity else 'even'}"] = {
+            "flows": [print_flow(f) for f in res.flows],
+            "assumptions": [print_poly(a) for a in
+                            (res.solution.assumptions if res.solution else [])],
+            "branches": [[sorted(b.zero_params), b.dim] for b in res.branches],
+        }
     return out
 
 
@@ -87,6 +108,7 @@ def _weight_inference():
 def snapshot():
     return {
         "bous-embed find_symmetries": _symmetry_searches(),
+        "bous-embed find_symmetries, case split 1": _cli_symmetry_searches(),
         "dbous R steps from seed_x": _shadow_steps(),
         "hydro-bous search_deformation": _deformation_search(),
         "hydro-bous density_recurrence": _density_recurrence(),
