@@ -4,14 +4,16 @@ Unknown constants are carried inside expressions as distinguished
 parameter names, so building an ansatz, pushing it through the calculus
 and reading off the determining system needs no special data flow.  The
 system is solved by the sparse Gauss-Jordan elimination of ``linsolve``,
-over the rationals or, when parameters occur, over the field of rational
-functions in them.  The numerator of every pivot whose non-vanishing is
+over the rationals or, when parameters occur, over the Laurent ring in
+them, falling back to the field of rational functions at the first pivot
+that is not a monomial.  The numerator of every pivot whose non-vanishing is
 not guaranteed is recorded, and optional case splitting re-solves with
 such parameters pinned to zero.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
@@ -20,8 +22,9 @@ from .algebra import SuperPoly, _accumulate, _wrap, linear_ansatz, term_order_ke
 from .jets import EvolutionSystem, Flow, check_symmetry, substitute_params
 from .linsolve import (
     NonlinearSystemError,
+    NotInvertible,
     clear_polynomial_denominators,
-    field_of,
+    domain_of,
     from_field,
     gauss_jordan,
     is_monomial_in,
@@ -41,10 +44,6 @@ def unknown_names(n: int, prefix: str = "c") -> list:
 # extraction
 
 # a "coefficient" below is a SuperPoly containing only parameter factors
-
-
-def _param_only(params) -> SuperPoly:
-    return SuperPoly({((), (), (), params): Q(1)})
 
 
 @dataclass
@@ -171,16 +170,24 @@ def _param_powers(eqs):
 
 def _solve_branch(eqs, unknowns, assume_nonzero, zero_params, constraint_params):
     """The generic solution of one branch, or None if it is inconsistent."""
-    K = field_of(n for n, _e in _param_powers(eqs))
     index = {u: i for i, u in enumerate(unknowns)}
-    # equations read coeffs . x + const = 0
-    rows = [
-        ({index[u]: to_field(c, K) for u, c in eq.coeffs.items() if not c.is_zero},
-         -to_field(eq.const, K))
-        for eq in eqs
-    ]
-    red = gauss_jordan(rows, len(unknowns), K,
-                       lambda v: is_monomial_in(v, K, assume_nonzero))
+
+    def solve(K):
+        # equations read coeffs . x + const = 0
+        rows = [
+            ({index[u]: to_field(c, K) for u, c in eq.coeffs.items() if not c.is_zero},
+             -to_field(eq.const, K))
+            for eq in eqs
+        ]
+        return gauss_jordan(rows, len(unknowns), K,
+                            lambda v: is_monomial_in(v, K, assume_nonzero))
+
+    K = domain_of(n for n, _e in _param_powers(eqs))
+    try:
+        red = solve(K)
+    except NotInvertible:  # a pivot of the Laurent ring that is not a monomial
+        K = K.fraction_field
+        red = solve(K)
     constraints = []
     for rest in red.leftover:
         cond = numerator(rest, K)
@@ -188,19 +195,16 @@ def _solve_branch(eqs, unknowns, assume_nonzero, zero_params, constraint_params)
         if not names or not names <= constraint_params:
             return None
         constraints.append(cond)
-    particular = {u: SuperPoly.zero() for u in unknowns}
-    for c, v in red.particular.items():
-        particular[unknowns[c]] = from_field(v, K)
-    basis = []
-    for vec in red.basis:
+
+    def values(vec):
         out = {u: SuperPoly.zero() for u in unknowns}
-        for c, v in clear_polynomial_denominators(vec, K).items():
-            out[unknowns[c]] = from_field(v, K)
-        basis.append(out)
+        out.update((unknowns[c], from_field(v, K)) for c, v in vec.items())
+        return out
+
     return LinearSolution(
         unknowns,
-        particular,
-        basis,
+        values(red.particular),
+        [values(clear_polynomial_denominators(vec, K)) for vec in red.basis],
         assumptions=[numerator(a, K) for a in red.assumed],
         zero_params=zero_params,
         constraints=constraints,
@@ -216,15 +220,9 @@ def clear_denominators(vec: Mapping[str, SuperPoly]) -> dict:
             for nm, e in key[3]:
                 if e < 0:
                     worst[nm] = max(worst.get(nm, 0), -e)
-            denom = _lcm(denom, c.denominator)
-    scale = Q(denom) * _param_only(tuple(sorted(worst.items())))
+            denom = math.lcm(denom, c.denominator)
+    scale = SuperPoly({((), (), (), tuple(sorted(worst.items()))): Q(denom)})
     return {u: scale * v for u, v in vec.items()}
-
-
-def _lcm(a, b):
-    import math
-
-    return a * b // math.gcd(a, b)
 
 
 def normalize_vector(vec: Mapping[str, SuperPoly], order: Sequence[str]) -> dict:

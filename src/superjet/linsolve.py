@@ -1,25 +1,29 @@
-"""Exact linear algebra: one sparse Gauss-Jordan elimination over a field.
+"""Exact linear algebra: one sparse Gauss-Jordan elimination.
 
-The field is a sympy polys domain ``K``: ``QQ`` for rational systems and
-``QQ(p1, ..., pk)`` when parameters occur.  Rows are sparse maps from
-column index to nonzero field element, so the loop costs nothing for the
-zero entries that dominate determining systems.  Pivots are taken in
-column order, which makes the reduced row echelon form, and hence every
-returned solution, canonical.
+The domain ``K`` is chosen by the values: ``QQ`` when no parameter occurs,
+else the Laurent ring ``QQ[p1^±1, ..., pk^±1]`` (``LaurentRing``), whose
+elements are parameter-only ``SuperPoly`` values and whose one-term
+pivots invert exactly, with no gcd.  At the first pivot with more than
+one term the ring's ``revert`` raises ``NotInvertible``, and the caller
+re-solves the original rows over the field ``QQ(p1, ..., pk)``.
 
-Parameter-only ``SuperPoly`` values (Laurent polynomials in parameters with
-rational coefficients) convert to and from elements of ``K``.
+Rows are sparse maps from column index to nonzero element, so the loop
+costs nothing for the zero entries that dominate determining systems.
+Pivots are taken in column order, which makes the reduced row echelon
+form, and hence every returned solution, canonical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from sympy import QQ
+from sympy.polys.polyerrors import NotInvertible
 
-from .algebra import SuperPoly
+from .algebra import SuperPoly, _accumulate, _merge_params, _wrap
 
 
 class NonlinearSystemError(ValueError):
@@ -53,8 +57,12 @@ def gauss_jordan(
 
     For each column the pivot is the first remaining row (in input order)
     whose entry satisfies ``sure_nonzero``, else the first remaining row
-    with any nonzero entry, which is then recorded in ``assumed``.
+    with any nonzero entry, which is then recorded in ``assumed``.  The loop
+    uses ``K``'s zero, one, is_zero, revert (which may raise NotInvertible),
+    mul and the update ``a - f*v``.
     """
+    zero, is_zero, mul = K.zero, K.is_zero, K.mul
+    submul = K.submul if isinstance(K, LaurentRing) else (lambda a, f, v: a - f * v)
     work = [(dict(row), rhs) for row, rhs in rows]
     col_rows: dict = {}  # column -> indices of the rows with an entry there
     for i, (row, _rhs) in enumerate(work):
@@ -72,9 +80,9 @@ def gauss_jordan(
             p = cands[0]
             assumed.append(work[p][0][c])
         row, rhs = work[p]
-        pv = row[c]
-        row = {cc: v / pv for cc, v in row.items()}
-        rhs = rhs / pv
+        inv = K.revert(row[c])
+        row = {cc: mul(v, inv) for cc, v in row.items()}
+        rhs = mul(rhs, inv)
         work[p] = (row, rhs)
         used.add(p)
         pivot_row[c] = p
@@ -82,15 +90,16 @@ def gauss_jordan(
             orow, orhs = work[i]
             f = orow[c]
             for cc, v in row.items():
-                nv = orow.get(cc, K.zero) - f * v
-                if nv:
+                nv = submul(orow.get(cc, zero), f, v)
+                if not is_zero(nv):
                     orow[cc] = nv
                     col_rows.setdefault(cc, set()).add(i)
                 else:
                     del orow[cc]
                     col_rows[cc].discard(i)
-            work[i] = (orow, orhs - f * rhs)
-    leftover = [rhs for i, (_row, rhs) in enumerate(work) if i not in used and rhs]
+            work[i] = (orow, submul(orhs, f, rhs))
+    leftover = [rhs for i, (_row, rhs) in enumerate(work)
+                if i not in used and not is_zero(rhs)]
     particular = {c: work[p][1] for c, p in pivot_row.items()}
     basis = []
     for fc in range(n):
@@ -99,24 +108,69 @@ def gauss_jordan(
         vec = {fc: K.one}
         for c, p in pivot_row.items():
             v = work[p][0].get(fc)
-            if v:
+            if v is not None:
                 vec[c] = -v
         basis.append(vec)
     return Reduced(particular, basis, assumed, leftover)
 
 
+class LaurentRing:
+    """``QQ[p1^±1, ..., pk^±1]`` with parameter-only SuperPolys as elements.
+
+    Products work on the parameter part of the monomial keys alone.  Only
+    monomials are invertible; ``revert`` raises ``NotInvertible`` on any
+    other value, and ``fraction_field`` is the field to fall back to.
+    """
+
+    zero, one = SuperPoly.zero(), SuperPoly.one()
+
+    def __init__(self, names: Sequence[str]):
+        self.names = tuple(names)
+
+    @cached_property
+    def fraction_field(self):
+        return QQ.frac_field(*self.names)
+
+    @staticmethod
+    def is_zero(a: SuperPoly) -> bool:
+        return not a.terms
+
+    @staticmethod
+    def revert(a: SuperPoly) -> SuperPoly:
+        if len(a.terms) != 1:
+            raise NotInvertible(f"{a} is not a Laurent monomial")
+        ((key, c),) = a.terms.items()
+        return _wrap({((), (), (), tuple((nm, -x) for nm, x in key[3])): 1 / c})
+
+    @staticmethod
+    def mul(a: SuperPoly, b: SuperPoly) -> SuperPoly:
+        return LaurentRing.submul(LaurentRing.zero, a, -b)
+
+    @staticmethod
+    def submul(a: SuperPoly, f: SuperPoly, v: SuperPoly) -> SuperPoly:
+        """``a - f*v``, accumulated into a copy of ``a``'s terms."""
+        acc = dict(a.terms)
+        vt = [(key[3], -c) for key, c in v.terms.items()]
+        for (_e, _o, _f, pf), c in f.terms.items():
+            _accumulate(acc, ((((), (), (), _merge_params(pf, pv)), c * cv) for pv, cv in vt))
+        return _wrap(acc)
+
+
 # ---------------------------------------------------------------------------
-# parameter-only SuperPoly values as field elements
+# parameter-only SuperPoly values as domain elements
 
 
-def field_of(names: Iterable[str]):
-    """``QQ`` without parameters, else the rational function field in them."""
+def domain_of(names: Iterable[str]):
+    """``QQ`` without parameters, else the Laurent ring in them."""
     names = sorted(set(names))
-    return QQ.frac_field(*names) if names else QQ
+    return LaurentRing(names) if names else QQ
 
 
 def to_field(p: SuperPoly, K):
-    """The field element of a parameter-only polynomial."""
+    """The element of ``K`` of a parameter-only polynomial (the polynomial
+    itself in the Laurent ring)."""
+    if isinstance(K, LaurentRing):
+        return p
     if K is QQ:
         return from_fraction(p.terms.get(((), (), (), ()), 0))
     index = {str(g): i for i, g in enumerate(K.symbols)}
@@ -159,10 +213,12 @@ def _poly_of(numer, K, shift=None) -> SuperPoly:
 
 
 def from_field(v, K) -> SuperPoly:
-    """A field element as a parameter-only Laurent polynomial.
+    """An element of ``K`` as a parameter-only Laurent polynomial.
 
     Raises NonlinearSystemError when the denominator is not a monomial.
     """
+    if isinstance(K, LaurentRing):
+        return v
     if K is QQ:
         return SuperPoly.scalar(to_fraction(v))
     if len(v.denom) != 1:
@@ -174,7 +230,10 @@ def from_field(v, K) -> SuperPoly:
 
 
 def numerator(v, K) -> SuperPoly:
-    """The numerator of a field element as a parameter-only SuperPoly."""
+    """The numerator of ``v`` as an element of ``QQ`` or of the fraction
+    field, as a parameter-only SuperPoly."""
+    if isinstance(K, LaurentRing):
+        return numerator(to_field(v, K.fraction_field), K.fraction_field)
     return from_field(v, K) if K is QQ else _poly_of(v.numer, K)
 
 
@@ -182,6 +241,9 @@ def is_monomial_in(v, K, names: Sequence[str]) -> bool:
     """Whether numerator and denominator are single monomials in ``names``."""
     if K is QQ:
         return bool(v)
+    if isinstance(K, LaurentRing):
+        ((key, _c), *more) = v.terms.items()
+        return not more and all(nm in names for nm, _x in key[3])
     allowed = [str(g) in names for g in K.symbols]
     return all(
         len(part) == 1 and all(ok or not x for ok, x in zip(allowed, next(iter(part))))
@@ -191,7 +253,7 @@ def is_monomial_in(v, K, names: Sequence[str]) -> bool:
 
 def clear_polynomial_denominators(vec: dict, K) -> dict:
     """Scale a vector by the lcm of its non-monomial denominators."""
-    if K is QQ:
+    if K is QQ or isinstance(K, LaurentRing):
         return vec
     lcm = K.field.ring.one
     for v in vec.values():

@@ -16,6 +16,14 @@ from superjet.determine import (
     flows_proportional,
     solve_linear,
 )
+from superjet.linsolve import (
+    LaurentRing,
+    NotInvertible,
+    domain_of,
+    gauss_jordan,
+    is_monomial_in,
+    to_field,
+)
 
 from conftest import cached_entry
 
@@ -186,3 +194,103 @@ def test_particular_solution_with_polynomial_denominator_raises():
     eqs = extract_linear_system([s * SuperPoly.param("c0") - SuperPoly.one()], ["c0"])
     with pytest.raises(NonlinearSystemError):
         solve_linear(eqs, ["c0"])
+
+
+def test_binomial_pivot_mid_elimination_falls_back_to_the_field():
+    """The first pivot (alpha) is a monomial; eliminating it leaves the
+    binomial beta - 1/alpha as the next pivot, so the solve restarts over
+    the fraction field and clears the polynomial denominator."""
+    names = ["c0", "c1", "c2"]
+    alpha, beta = SuperPoly.param("alpha"), SuperPoly.param("beta")
+    c0, c1, c2 = (SuperPoly.param(n) for n in names)
+    eqs = extract_linear_system([alpha * c0 + c1, c0 + beta * c1 + c2], names)
+    (sol,) = solve_linear(eqs, names, assume_nonzero=("alpha", "beta"))
+    one = SuperPoly.one()
+    assert sol.basis == [{"c0": one, "c1": -alpha, "c2": alpha * beta - one}]
+    assert sol.assumptions == [alpha * beta - one]
+
+
+LAURENT_PARAMS = ("alpha", "beta", "gamma")
+laurent_coefficients = st.sampled_from([Q(1), Q(-1), Q(2), Q(-3), Q(1, 2), Q(-5, 3)])
+
+
+@st.composite
+def laurent_systems(draw):
+    """Sparse rows whose entries are Laurent monomials in 2-3 parameters;
+    in about half the draws one entry is a sum of two monomials."""
+    names = LAURENT_PARAMS[:draw(st.integers(2, 3))]
+    n = draw(st.integers(1, 5))
+
+    def monomial():
+        exps = draw(st.lists(st.integers(-2, 2), min_size=len(names), max_size=len(names)))
+        params = tuple((nm, e) for nm, e in zip(names, exps) if e)
+        return SuperPoly({((), (), (), params): draw(laurent_coefficients)})
+
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        cols = sorted(draw(st.sets(st.integers(0, n - 1), max_size=n)))
+        rhs = monomial() if draw(st.booleans()) else SuperPoly.zero()
+        rows.append(({c: monomial() for c in cols}, rhs))
+    entries = [(i, c) for i, (row, _rhs) in enumerate(rows) for c in row]
+    if entries and draw(st.booleans()):
+        i, c = draw(st.sampled_from(entries))
+        binomial = rows[i][0][c] + monomial()
+        if not binomial.is_zero:
+            rows[i][0][c] = binomial
+    nonzero = draw(st.sets(st.sampled_from(names)))
+    return rows, n, names, nonzero
+
+
+class _PivotLog:
+    """A domain that records every pivot gauss_jordan inverts."""
+
+    def __init__(self, K):
+        self.K = K
+        self.pivots = []
+
+    def __getattr__(self, name):
+        return getattr(self.K, name)
+
+    def revert(self, a):
+        self.pivots.append(a)
+        return self.K.revert(a)
+
+
+class _LaurentPivotLog(LaurentRing):
+    def __init__(self, names):
+        super().__init__(names)
+        self.pivots = []
+
+    def revert(self, a):
+        self.pivots.append(a)
+        return LaurentRing.revert(a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(laurent_systems())
+def test_laurent_elimination_matches_the_fraction_field(system):
+    """Over the Laurent ring, gauss_jordan takes the pivots it takes over
+    the fraction field and gives the same results, or raises NotInvertible
+    at the first pivot that is not a monomial (the caller then re-solves
+    over the field)."""
+    rows, n, names, nonzero = system
+    K = _LaurentPivotLog(domain_of(names).names)
+    F = _PivotLog(K.fraction_field)
+    field_rows = [({c: to_field(v, F.K) for c, v in row.items()}, to_field(rhs, F.K))
+                  for row, rhs in rows]
+    ref = gauss_jordan(field_rows, n, F, lambda v: is_monomial_in(v, F.K, nonzero))
+
+    def over_f(vals):
+        return [to_field(v, F.K) for v in vals]
+
+    try:
+        red = gauss_jordan(rows, n, K, lambda v: is_monomial_in(v, K, nonzero))
+    except NotInvertible:
+        assert len(K.pivots[-1].terms) > 1
+        assert over_f(K.pivots) == F.pivots[:len(K.pivots)]
+        return
+    assert over_f(K.pivots) == F.pivots
+    assert {c: to_field(v, F.K) for c, v in red.particular.items()} == ref.particular
+    assert [{c: to_field(v, F.K) for c, v in vec.items()} for vec in red.basis] == ref.basis
+    assert over_f(red.assumed) == ref.assumed
+    assert over_f(red.leftover) == ref.leftover
