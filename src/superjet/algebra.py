@@ -251,12 +251,21 @@ def _merge_evens(a, b):
     return tuple(sorted(d.items(), key=lambda ge: ge[0]._sort_key))
 
 
+def _func_key(f):
+    """Order of a function factor (name, order, arg): arguments have no ``<``."""
+    return f[0], f[1], f[2].sort_key()
+
+
+def _sorted_funcs(funcs) -> tuple:
+    return tuple(sorted(funcs, key=_func_key))
+
+
 def _merge_funcs(a, b):
     if not a:
         return b
     if not b:
         return a
-    return tuple(sorted(a + b))
+    return _sorted_funcs(a + b)
 
 
 #: monomial key layout: (evens, odds, funcs, params)
@@ -509,7 +518,7 @@ def term_order_key(key):
     return (
         tuple(g.sort_key() for g in o),
         tuple((g.sort_key(), x) for g, x in e),
-        f,
+        tuple(map(_func_key, f)),
         p,
     )
 

@@ -39,6 +39,7 @@ from .algebra import (
     _Cached,
     _placed,
     _scaled,
+    _sorted_funcs,
     _wrap,
 )
 
@@ -239,7 +240,7 @@ def _derive(p: SuperPoly, gen_image, side: str) -> SuperPoly:
             rest = evens[:i] + (((g, x - 1),) if x > 1 else ()) + evens[i + 1 :]
             slots.append((g, (rest, (), funcs, params), odds, x * even_sign))
         for i, (n, k, arg) in enumerate(funcs):
-            rest = tuple(sorted(funcs[:i] + ((n, k + 1, arg),) + funcs[i + 1 :]))
+            rest = _sorted_funcs(funcs[:i] + ((n, k + 1, arg),) + funcs[i + 1 :])
             slots.append((arg, (evens, (), rest, params), odds, even_sign))
         for j, g in enumerate(odds):
             if side == "left":

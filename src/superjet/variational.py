@@ -19,6 +19,7 @@ from .algebra import (
     SuperPoly,
     Theta,
     _accumulate,
+    _sorted_funcs,
     _wrap,
     poly_sum,
 )
@@ -57,7 +58,7 @@ def graded_partial(p: SuperPoly, v) -> SuperPoly:
                 if arg == v:
                     rest = list(funcs)
                     rest[i] = (n, k + 1, arg)
-                    add((evens, odds, tuple(sorted(rest)), params), c)
+                    add((evens, odds, _sorted_funcs(rest), params), c)
     return _wrap(out)
 
 

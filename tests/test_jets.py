@@ -118,6 +118,20 @@ def test_time_derivation_commutes_with_d1(rng):
         assert dt_apply(sys, super_derive(p, D1)) == super_derive(dt_apply(sys, p), D1)
 
 
+def test_function_factors_of_two_arguments():
+    """Q(b) * Q(c): the factors differ only in their argument, which has no
+    ``<``; products, derivatives and the term order must still sort them."""
+    c = FieldSymbol("c", EVEN, 1)
+    qb, qc = SuperPoly.func("Q", 0, JetVar(b)), SuperPoly.func("Q", 0, JetVar(c))
+    qb1, qc1 = SuperPoly.func("Q", 1, JetVar(b)), SuperPoly.func("Q", 1, JetVar(c))
+    product = qb * qc
+    assert product == qc * qb and len(product.terms) == 1
+    expected = (qb1 * qc * SuperPoly.from_gen(JetVar(b, d1=1))
+                + qb * qc1 * SuperPoly.from_gen(JetVar(c, d1=1)))
+    assert super_derive(product, D1) == expected
+    assert repr(qb + qc) == "SuperPoly(1*Q^(0)(JetVar(b,0,0,0)) + 1*Q^(0)(JetVar(c,0,0,0)))"
+
+
 def test_check_symmetry_matches_commutator():
     doc = cached_entry("burgers-repr").doc
     sys = doc.system()
