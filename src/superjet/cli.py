@@ -185,30 +185,43 @@ def cmd_check_symmetry(args):
     return _emit(args, {"residual": _flow_dict(res)}, code)
 
 
+def _weights(spec: str) -> list:
+    """A weight ``A``, or every weight of the range ``A..B`` in steps of -1/2."""
+    try:
+        bounds = [Q(x) for x in spec.split("..")]
+    except ValueError:
+        raise UsageError(f"bad weight {spec!r}") from None
+    if len(bounds) > 2 or bounds[-1] > bounds[0]:
+        raise UsageError(f"bad weight range {spec!r}: give A..B with A >= B, e.g. -1/2..-5")
+    return [bounds[0] - Q(i, 2) for i in range(int(2 * (bounds[0] - bounds[-1])) + 1)]
+
+
 def cmd_find_symmetries(args):
     doc, _ = _load_doc(args)
-    parity = ODD if args.parity == "odd" else EVEN
-    res = find_symmetries(
-        doc.system(),
-        doc.weight_system(),
-        Q(args.weight),
-        parity,
-        zero_weight_cap=args.max_degree,
-        case_split_limit=args.case_split_limit,
-    )
-    flows = [_flow_dict(f) for f in res.flows]
-    code = 0 if flows else 1
-    assumed = res.solution.assumptions if res.solution else []
-    branches = [
-        {"zero_params": sorted(b.zero_params), "dimension": b.dim}
-        for b in res.branches
-    ]
-    return _emit(args, {
-        "dimension": len(flows),
-        "flows": flows,
-        "assumptions": [print_poly(a) for a in assumed],
-        "branches": branches,
-    }, code)
+    sys_, ws = doc.system(), doc.weight_system()
+    parities = {"even": (EVEN,), "odd": (ODD,), "both": (EVEN, ODD)}[args.parity]
+    nonzero = tuple(n for n in args.assume_nonzero.split(",") if n)
+    rows = []
+    for weight in _weights(args.weight):
+        for parity in parities:
+            res = find_symmetries(sys_, ws, weight, parity, assume_nonzero=nonzero,
+                                  zero_weight_cap=args.max_degree,
+                                  case_split_limit=args.case_split_limit)
+            assumed = res.solution.assumptions if res.solution else []
+            rows.append({
+                "weight": str(weight), "parity": "odd" if parity else "even",
+                "ansatz_size": res.ansatz_size, "dimension": len(res.flows),
+                "flows": [_flow_dict(f) for f in res.flows],
+                "assumptions": [print_poly(a) for a in assumed],
+                "branches": [{"zero_params": sorted(b.zero_params), "dimension": b.dim}
+                             for b in res.branches],
+            })
+    code = 0 if any(r["flows"] for r in rows) else 1
+    if len(rows) == 1:  # one search: its generic branch and every case branch
+        keys = ("dimension", "flows", "assumptions", "branches")
+        return _emit(args, {k: rows[0][k] for k in keys}, code)
+    keys = ("weight", "parity", "ansatz_size", "dimension", "flows", "assumptions")
+    return _emit(args, {"rows": [{k: r[k] for k in keys} for r in rows]}, code)
 
 
 def cmd_check_covering(args):
@@ -524,8 +537,12 @@ def build_parser():
 
     sp = sub.add_parser("find-symmetries", help="solve for homogeneous flows")
     _add_common(sp)
-    sp.add_argument("--weight", required=True, help="flow weight, e.g. -7/2")
-    sp.add_argument("--parity", choices=["even", "odd"], default="even")
+    sp.add_argument("--weight", required=True,
+                    help="flow weight, e.g. -7/2, or a range such as -1/2..-5 "
+                         "(steps of -1/2)")
+    sp.add_argument("--parity", choices=["even", "odd", "both"], default="even")
+    sp.add_argument("--assume-nonzero", default="", dest="assume_nonzero",
+                    help="comma-separated parameters taken to be nonzero")
     sp.set_defaults(fn=cmd_find_symmetries)
 
     sp = sub.add_parser("check-covering", help="cross-derivative consistency")

@@ -148,6 +148,36 @@ def test_find_symmetries_reports_assumptions_and_branches(capsys):
     assert {"zero_params": ["alpha"], "dimension": 2} in payload["branches"]
 
 
+def test_find_symmetries_over_a_weight_range(capsys):
+    code, out = run(capsys, "find-symmetries", "--catalog", "bous-embed",
+                    "--weight=-1..-2", "--parity", "both", "--json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [(r["weight"], r["parity"], r["dimension"]) for r in rows] == [
+        ("-1", "even", 1), ("-1", "odd", 0), ("-3/2", "even", 0),
+        ("-3/2", "odd", 0), ("-2", "even", 1), ("-2", "odd", 0)]
+    assert [r["ansatz_size"] for r in rows] == [4, 0, 0, 5, 7, 0]
+    assert rows[0]["flows"] == [{"b": "b_x", "f": "f_x"}]
+    assert "2*alpha*beta" in rows[0]["assumptions"]
+
+
+def test_find_symmetries_assume_nonzero(capsys):
+    code, out = run(capsys, "find-symmetries", "--catalog", "bous-embed",
+                    "--weight=-4", "--assume-nonzero", "alpha,beta,gamma", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["dimension"] == 1
+    assert payload["assumptions"] == []
+    assert payload["branches"] == [{"zero_params": [], "dimension": 1}]
+
+
+@pytest.mark.parametrize("weight", ["-1..0", "-1..-2..-3", "one"])
+def test_bad_weight_is_a_usage_error(capsys, weight):
+    code, _ = run(capsys, "find-symmetries", "--catalog", "bous-embed",
+                  f"--weight={weight}")
+    assert code == 2
+
+
 def test_missing_weight_is_a_usage_error(capsys, tmp_path):
     doc = tmp_path / "doc.sj"
     doc.write_text("field b even susy 0;\nfield c even susy 0 weight 1;\n"
