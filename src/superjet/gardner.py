@@ -70,11 +70,6 @@ def density_recurrence(
     return rows
 
 
-def superfield_density_lift(rho: SuperPoly, mapping: Mapping) -> SuperPoly:
-    """Rewrite a component-field density in superfield variables."""
-    return substitute(rho, mapping)
-
-
 # ---------------------------------------------------------------------------
 # deformation search
 
