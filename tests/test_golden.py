@@ -1,5 +1,6 @@
 """Golden canonical outputs of catalog computations: symmetry searches
 (with the generic pivots assumed nonzero, and as the CLI runs them),
+the signed monomials of a flow ansatz and of an integration ansatz,
 shadow iteration, the Gardner deformation search, the Gardner density
 recurrence and weight inference.
 
@@ -10,15 +11,16 @@ printed form.  Regenerate it only when an output is meant to change:
 """
 
 import json
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
-from superjet import catalog
+from superjet import catalog, recursion
 from superjet.algebra import EVEN, ODD
-from superjet.determine import find_symmetries
+from superjet.determine import build_flow_ansatz, find_symmetries
 from superjet.gardner import density_recurrence, search_deformation
 from superjet.grammar import print_flow, print_poly
-from superjet.recursion import iterate
+from superjet.recursion import apply_shadow
 from superjet.weights import infer_weights
 
 from conftest import cached_entry
@@ -30,6 +32,7 @@ SNAPSHOT = Path(__file__).parent / "golden" / "solver_outputs.json"
 SEARCHES = ((Q(-1), EVEN), (Q(-2), EVEN), (Q(-4), EVEN), (Q(-7, 2), ODD))
 CLI_SEARCHES = ((Q(-1), EVEN), (Q(-2), EVEN), (Q(-3), EVEN), (Q(-4), EVEN),
                 (Q(-7, 2), ODD))
+ANSATZ_SEARCHES = ((Q(-4), EVEN), (Q(-7, 2), ODD))
 
 
 def _symmetry_searches():
@@ -62,10 +65,53 @@ def _cli_symmetry_searches():
     return out
 
 
+def _flow_ansatz_monomials():
+    """The signed monomials of each component, in enumeration order."""
+    doc = cached_entry("bous-embed").doc
+    sys, ws = doc.system(), doc.weight_system()
+    out = {}
+    for weight, parity in ANSATZ_SEARCHES:
+        _comps, _names, monos = build_flow_ansatz(sys, ws, weight, parity)
+        out[f"{weight} {'odd' if parity else 'even'}"] = {
+            u.name: [print_poly(m) for m in ms] for u, ms in monos.items()}
+    return out
+
+
+@contextmanager
+def _recorded_integration_ansatz(log):
+    """Append the printed monomials of every ``d_integrate`` ansatz to log."""
+    real = recursion.enumerate_monomials
+
+    def enumerate_and_record(*args, **kwargs):
+        monos = real(*args, **kwargs)
+        log.append([print_poly(m) for m in monos])
+        return monos
+
+    recursion.enumerate_monomials = enumerate_and_record
+    try:
+        yield
+    finally:
+        recursion.enumerate_monomials = real
+
+
 def _shadow_steps():
+    """Three R steps from each seed, and the integration ansatz of the
+    third step from seed_x."""
     doc = cached_entry("dbous").doc
-    flows = iterate(doc.shadows["R"], doc.flows["seed_x"], 2, doc.weight_system())
-    return [print_flow(f) for f in flows]
+    ws = doc.weight_system()
+    steps = {}
+    ansatz = []
+    for seed in ("seed_x", "seed_t"):
+        flow = doc.flows[seed]
+        steps[seed] = []
+        for step in (1, 2, 3):
+            if (seed, step) == ("seed_x", 3):
+                with _recorded_integration_ansatz(ansatz):
+                    flow = apply_shadow(doc.shadows["R"], flow, ws)
+            else:
+                flow = apply_shadow(doc.shadows["R"], flow, ws)
+            steps[seed].append(print_flow(flow))
+    return steps, ansatz
 
 
 def _deformation_search():
@@ -106,10 +152,14 @@ def _weight_inference():
 
 
 def snapshot():
+    steps, ansatz = _shadow_steps()
     return {
         "bous-embed find_symmetries": _symmetry_searches(),
         "bous-embed find_symmetries, case split 1": _cli_symmetry_searches(),
-        "dbous R steps from seed_x": _shadow_steps(),
+        "bous-embed flow ansatz monomials": _flow_ansatz_monomials(),
+        "dbous R steps from seed_x": steps["seed_x"],
+        "dbous R steps from seed_t": steps["seed_t"],
+        "dbous R step 3 from seed_x, integration ansatz": ansatz,
         "hydro-bous search_deformation": _deformation_search(),
         "hydro-bous density_recurrence": _density_recurrence(),
         "infer_weights": _weight_inference(),
