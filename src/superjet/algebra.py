@@ -551,8 +551,13 @@ def poly_sum(polys: Iterable[SuperPoly]) -> SuperPoly:
 
 
 def linear_ansatz(names: Sequence[str], monomials: Sequence[SuperPoly]) -> SuperPoly:
-    """The ansatz sum of param(names[i]) * monomials[i]."""
-    return poly_sum(SuperPoly.param(n) * m for n, m in zip(names, monomials))
+    """The ansatz sum of param(names[i]) * monomials[i], built on the keys."""
+    acc: dict = {}
+    for n, m in zip(names, monomials):
+        unknown = ((n, 1),)
+        _accumulate(acc, (((e, o, f, _merge_params(p, unknown)), c)
+                          for (e, o, f, p), c in m.terms.items()))
+    return _wrap(acc)
 
 
 def prod(factors: Sequence, coeff: Rat = 1) -> SuperPoly:

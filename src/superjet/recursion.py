@@ -24,10 +24,10 @@ from .jets import (
     apply_ops,
     dt_apply,
     evolutionary_apply,
-    substitute_params,
+    nonlocal_jet,
     super_derive,
 )
-from .determine import extract_linear_system, solve_linear, unknown_names
+from .determine import LinearEquation, extract_linear_system, solve_linear, unknown_names
 from .weights import (
     WeightSystem,
     enumerate_monomials,
@@ -112,7 +112,8 @@ def d_integrate(
 
     The preimage is sought as a homogeneous polynomial ansatz over jets
     of the given symbols; raises NotIntegrableError when no polynomial
-    preimage exists.
+    preimage exists.  Unknowns that the equations force to zero
+    (``_forced_zero``) are dropped before the rest are solved for.
     """
     if target.is_zero:
         return SuperPoly.zero()
@@ -138,17 +139,56 @@ def d_integrate(
                 f"no ansatz monomials of weight {want_wt} for {direction}-integration"
             )
         names = unknown_names(len(monos), "ci")
-        ansatz = linear_ansatz(names, monos)
-        residual = super_derive(ansatz, direction) - part
+        residual = super_derive(linear_ansatz(names, monos), direction) - part
         eqs = extract_linear_system([residual], names)
-        branches = solve_linear(eqs, names, assume_nonzero)
+        zero = _forced_zero(eqs)
+        kept = [n for n in names if n not in zero]
+        eqs = [LinearEquation({n: c for n, c in eq.coeffs.items() if n not in zero}, eq.const)
+               for eq in eqs]
+        branches = solve_linear([eq for eq in eqs if not eq.is_trivial()], kept, assume_nonzero)
         if not branches:
             raise NotIntegrableError(
                 f"no exact {direction}-preimage of weight {wt} part"
             )
-        sol = branches[0]
-        parts.append(substitute_params(ansatz, dict(sol.particular)))
+        mono_of = dict(zip(names, monos))
+        parts.append(poly_sum(
+            v * mono_of[n] for n, v in branches[0].particular.items() if not v.is_zero
+        ))
     return poly_sum(parts)
+
+
+def _forced_zero(eqs) -> set:
+    """Unknowns that vanish in every solution, found by propagation.
+
+    An unknown is forced to zero when, once the unknowns already forced
+    are dropped, it is the only one left in an equation with no constant
+    part and a rational coefficient.  A worklist of such equations keeps
+    the pass linear in the size of the system.  The unit vector of every
+    forced unknown lies in the row space, so it is a row of the reduced
+    row echelon form, and the other rows are 0 in its column: solving
+    for the remaining unknowns alone gives the same solution.
+    """
+    left = [len(eq.coeffs) for eq in eqs]
+    where: dict = {}
+    for i, eq in enumerate(eqs):
+        for n in eq.coeffs:
+            where.setdefault(n, []).append(i)
+    todo = [i for i, eq in enumerate(eqs) if left[i] == 1 and eq.const.is_zero]
+    zero: set = set()
+    while todo:
+        i = todo.pop()
+        if left[i] != 1:  # its last unknown was forced meanwhile
+            continue
+        coeffs = eqs[i].coeffs
+        n = next(n for n in coeffs if n not in zero)
+        if coeffs[n].param_names():
+            continue
+        zero.add(n)
+        for j in where[n]:
+            left[j] -= 1
+            if left[j] == 1 and eqs[j].const.is_zero:
+                todo.append(j)
+    return zero
 
 
 def _is_new_coordinate(g: JetVar) -> bool:
@@ -156,8 +196,6 @@ def _is_new_coordinate(g: JetVar) -> bool:
     sym = g.fieldsym
     if not isinstance(sym, Nonlocality):
         return True
-    from .jets import nonlocal_jet
-
     return nonlocal_jet(sym, g.d1, g.d2, g.m) == SuperPoly.from_gen(g)
 
 

@@ -11,16 +11,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Optional, Sequence
 
 from .algebra import (
+    _ONE_KEY,
     Clifford,
     FieldSymbol,
     JetVar,
     SuperPoly,
     Theta,
     UnknownNameError,
-    prod,
+    _mul_keys,
+    _scaled,
+    _wrap,
     term_order_key,
 )
 from .linsolve import QQ, from_fraction, gauss_jordan, to_fraction
@@ -48,6 +52,11 @@ class WeightSystem:
             return Q(w)
         raise UnknownNameError(f"no weight assigned to {sym.name}")
 
+    def param_weight(self, name: str) -> Fraction:
+        if name in self.params:
+            return Q(self.params[name])
+        raise UnknownNameError(f"no weight assigned to parameter {name}")
+
     def gen_weight(self, g) -> Fraction:
         if isinstance(g, Theta):
             return Q(-1, 2)
@@ -55,7 +64,7 @@ class WeightSystem:
             rat, params = g.square
             w = Q(0)
             for n, e in params:
-                w += e * Q(self.params[n])
+                w += e * self.param_weight(n)
             return w / 2
         return self.field_weight(g.fieldsym) + g.m + Q(g.d1 + g.d2, 2)
 
@@ -73,7 +82,7 @@ class WeightSystem:
                     "function factors are weighted only for weight-0 arguments"
                 )
         for n, e in params:
-            w += e * Q(self.params[n])
+            w += e * self.param_weight(n)
         return w
 
 
@@ -231,7 +240,7 @@ def weight_system_from_solution(sys, sol: WeightSolution, param_names=()) -> Wei
 class AnsatzItem:
     """One admissible factor for homogeneous enumeration."""
 
-    factor: object  # generator, or ("param", name)
+    factor: object  # a generator: Theta, Clifford or JetVar
     weight: Fraction
     parity: int
     max_exp: int  # 1 for odd factors
@@ -271,45 +280,64 @@ def jets_up_to_weight(ws: WeightSystem, fields, max_weight):
     return out
 
 
-def enumerate_monomials(items: Sequence[AnsatzItem], weight, parity, include_scalar=False):
-    """All canonical monomials of the exact weight and parity.
+def enumerate_monomials(items: Sequence[AnsatzItem], weight, parity):
+    """All monomials of the exact weight and parity with at least one factor.
 
-    Negative-weight factors are allowed only via parameters of negative
-    weight with ``max_exp`` caps supplied by the caller.
+    Each item's factor occurs at most ``max_exp`` times.  A monomial is the
+    product of its factors in the order of the items sorted by
+    ``(weight <= 0, str(factor))``, so its coefficient is the sign of
+    bringing the odd factors into canonical order, times the squares of
+    repeated Clifford factors; products that vanish are left out.  The
+    result is sorted by ``term_order_key``, ties in enumeration order.
     """
-    weight = Q(weight)
     items = sorted(items, key=lambda it: (it.weight <= 0, str(it.factor)))
-    results = []
+    weight = Q(weight)
+    scale = lcm(weight.denominator, *(it.weight.denominator for it in items))
+    target = int(weight * scale)
+    weights = [int(it.weight * scale) for it in items]
+    caps = [it.max_exp for it in items]
+    parities = [it.parity for it in items]
+    gen_keys = [next(iter(SuperPoly.from_gen(it.factor).terms)) for it in items]
+    n = len(items)
+    # the weight still to find before item i lies in lo[i]..hi[i]
+    lo, hi = [target], [target]
+    for w, cap in zip(weights, caps):
+        lo.append(lo[-1] - max(0, w * cap))
+        hi.append(hi[-1] - min(0, w * cap))
+    # reach[i]: the (weight, parity) pairs items i.. can add, within lo[i]..hi[i]
+    reach = [None] * n + [{(0, 0)}]
+    for i in range(n - 1, -1, -1):
+        w, q = weights[i], parities[i]
+        reach[i] = {
+            (s + w * e, (p + q * e) % 2)
+            for s, p in reach[i + 1]
+            for e in range(caps[i] + 1)
+            if lo[i] <= s + w * e <= hi[i]
+        }
+    found = []
 
-    def build(i, remaining, par, chosen):
-        if i == len(items):
-            if remaining == 0 and par == parity:
-                if chosen or include_scalar:
-                    results.append(tuple(chosen))
-            return
-        it = items[i]
-        max_e = it.max_exp
-        if it.weight > 0:
-            max_e = min(max_e, int(remaining // it.weight) if remaining >= it.weight else 0)
-        for e in range(0, max_e + 1):
-            if e and it.weight > 0 and it.weight * e > remaining:
+    def build(i, rest, par, chosen, scalar, key):
+        """Extend the product (scalar, key) of the factors before item i."""
+        while i < n:
+            w, q, after = weights[i], parities[i], reach[i + 1]
+            exps = [e for e in range(caps[i] + 1) if (rest - w * e, (par + q * e) % 2) in after]
+            if exps != [0]:
                 break
-            build(
-                i + 1,
-                remaining - it.weight * e,
-                (par + it.parity * e) % 2,
-                chosen + [(it.factor, e)] if e else chosen,
-            )
+            i += 1
+        else:
+            if chosen:
+                found.append((key, Q(scalar)))
+            return
+        for e in range(exps[-1] + 1):
+            if e:
+                s, key = _mul_keys(key, gen_keys[i])
+                if not s:
+                    return
+                scalar = _scaled(scalar, s)
+            if e in exps:
+                build(i + 1, rest - w * e, (par + q * e) % 2, chosen or e, scalar, key)
 
-    build(0, weight, 0, [])
-    out = []
-    for combo in results:
-        m = prod(
-            SuperPoly.param(f[1], e) if isinstance(f, tuple) else SuperPoly.from_gen(f) ** e
-            for f, e in combo
-        )
-        if not m.is_zero:
-            out.append(m)
-    # deterministic order
-    out.sort(key=lambda m: term_order_key(next(iter(m.terms))))
-    return out
+    if (target, parity) in reach[0]:
+        build(0, target, parity, 0, 1, _ONE_KEY)
+    found.sort(key=lambda kc: term_order_key(kc[0]))
+    return [_wrap({key: c}) for key, c in found]

@@ -186,6 +186,16 @@ def test_missing_weight_is_a_usage_error(capsys, tmp_path):
     assert code == 2
 
 
+def test_unweighted_parameter_is_a_usage_error(capsys, tmp_path):
+    doc = tmp_path / "doc.sj"
+    doc.write_text("field b even susy 1 weight 1;\nparam alpha;\n"
+                   "time weight -3;\nb_t = b_xxx;\n")
+    code = main(["integrate", "--file", str(doc), "--dir", "Dx",
+                 "--expr", "alpha*b*b_x"])
+    assert code == 2
+    assert "no weight assigned to parameter alpha" in capsys.readouterr().err
+
+
 def test_engine_fault_is_not_a_usage_error(capsys, monkeypatch):
     def broken(cov):
         raise KeyError("engine bug")

@@ -1,6 +1,7 @@
 """Randomized property suites for the graded calculus."""
 
 from fractions import Fraction
+from itertools import product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,13 +12,16 @@ from superjet.algebra import (
     D2,
     EVEN,
     ODD,
+    Clifford,
     FieldSymbol,
     JetVar,
     SuperPoly,
     Theta,
     prod,
+    term_order_key,
 )
 from superjet.jets import Flow, dt_apply, evolutionary_apply, super_derive
+from superjet.weights import AnsatzItem, enumerate_monomials
 
 from conftest import cached_entry
 
@@ -125,3 +129,51 @@ sys_polys = st.tuples(coeffs, sys_gens).map(lambda t: prod(t[1], t[0]))
 def test_time_and_space_derivations_commute(p):
     sys = _system()
     assert dt_apply(sys, super_derive(p, DX)) == super_derive(dt_apply(sys, p), DX)
+
+
+# generators for the enumeration oracle: odd jets, thetas, Clifford
+# auxiliaries with a rational and a parameter square, and even jets
+ENUM_GENS = (
+    [Theta(1), Theta(2), Clifford("c", (Q(-3), ())),
+     Clifford("k", (Q(2), (("alpha", 1), ("beta", -1))))]
+    + [JetVar(f, d1, 0, m) for d1 in (0, 1) for m in (0, 1)]
+    + [JetVar(b, d1, 0, m) for d1 in (0, 1) for m in (0, 1)]
+)
+ENUM_WEIGHTS = [Q(-1), Q(-1, 2), Q(0), Q(1, 3), Q(1, 2), Q(2, 3), Q(1), Q(3, 2)]
+
+
+def _oracle(items, weight, parity):
+    """Every exponent vector within the caps, multiplied out in item order."""
+    items = sorted(items, key=lambda it: (it.weight <= 0, str(it.factor)))
+    out = []
+    for exps in product(*(range(it.max_exp + 1) for it in items)):
+        if not any(exps):
+            continue
+        if sum(it.weight * e for it, e in zip(items, exps)) != weight:
+            continue
+        if sum(it.parity * e for it, e in zip(items, exps)) % 2 != parity:
+            continue
+        m = prod(SuperPoly.from_gen(it.factor) ** e for it, e in zip(items, exps))
+        if not m.is_zero:
+            out.append(m)
+    out.sort(key=lambda m: term_order_key(next(iter(m.terms))))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_monomial_enumeration_matches_brute_force(data):
+    gens = data.draw(st.lists(st.sampled_from(ENUM_GENS), min_size=1, max_size=5,
+                              unique=True))
+    items = [
+        AnsatzItem(g, data.draw(st.sampled_from(ENUM_WEIGHTS)), g.parity,
+                   data.draw(st.integers(1, 2 if g.parity else 3)))
+        for g in gens
+    ]
+    # aim at the weight and parity of some exponent vector within the caps
+    exps = [data.draw(st.integers(0, it.max_exp)) for it in items]
+    weight = sum((it.weight * e for it, e in zip(items, exps)), Q(0))
+    parity = sum(it.parity * e for it, e in zip(items, exps)) % 2
+    got = enumerate_monomials(items, weight, parity)
+    want = _oracle(items, weight, parity)
+    assert [list(m.terms.items()) for m in got] == [list(m.terms.items()) for m in want]

@@ -4,11 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from superjet import catalog
-from superjet.algebra import D1, DX, JetVar, SuperPoly, prod
+from superjet import catalog, recursion
+from superjet.algebra import D1, DX, EVEN, ODD, FieldSymbol, JetVar, SuperPoly, prod
+from superjet.determine import LinearEquation
+from superjet.grammar import parse_expression
 from superjet.jets import dt_apply, super_derive
 from superjet.recursion import (
     NotIntegrableError,
+    _forced_zero,
     Shadow,
     apply_shadow,
     compose,
@@ -21,6 +24,7 @@ from superjet.recursion import (
     shadow_power,
     verify_shadow,
 )
+from superjet.weights import WeightSystem
 
 from conftest import cached_entry
 
@@ -99,6 +103,58 @@ def test_non_integrable_density_raises():
     assert (super_derive(q, D1) - flux).is_zero
     with pytest.raises(NotIntegrableError):
         d_integrate(flux, DX, ws, sys.fields)
+
+
+def test_no_preimage_raises_after_every_unknown_is_forced_to_zero(monkeypatch):
+    doc = cached_entry("pskdv").doc
+    forced = []
+
+    def record(eqs):
+        zero = _forced_zero(eqs)
+        forced.append(({n for eq in eqs for n in eq.coeffs}, zero))
+        return zero
+
+    monkeypatch.setattr(recursion, "_forced_zero", record)
+    target = parse_expression("b_x^2", doc.scope)
+    with pytest.raises(NotIntegrableError):
+        d_integrate(target, DX, doc.weight_system(), doc.system().fields)
+    ((unknowns, zero),) = forced
+    assert unknowns and zero == unknowns
+
+
+def test_parametric_target_integrates():
+    b = FieldSymbol("b", EVEN, 1)
+    ws = WeightSystem({b: Q(1)}, {"alpha": Q(0)})
+    target = SuperPoly.param("alpha") * JetVar(b) * JetVar(b, 0, 0, 1)
+    q = d_integrate(target, DX, ws, [b])
+    assert q == SuperPoly.param("alpha") * JetVar(b) * JetVar(b) / 2
+    assert super_derive(q, DX) == target
+
+
+def test_mixed_parity_target_splits():
+    b = FieldSymbol("b", EVEN, 1)
+    f = FieldSymbol("f", ODD, 1)
+    ws = WeightSystem({b: Q(1), f: Q(1)})
+    pre = prod([JetVar(b), JetVar(b)]) + prod([JetVar(b), JetVar(f)])
+    target = super_derive(pre, DX)
+    assert target.parity() is None
+    assert d_integrate(target, DX, ws, [b, f]) == pre
+
+
+def test_forced_zero_needs_a_rational_coefficient_and_no_constant():
+    one, alpha = SuperPoly.one(), SuperPoly.param("alpha")
+    zero = SuperPoly.zero()
+    # c1 is forced, which leaves c0 alone in an equation, but only through alpha
+    eqs = [LinearEquation({"c0": alpha, "c1": one}, zero),
+           LinearEquation({"c1": 2 * one}, zero)]
+    assert _forced_zero(eqs) == {"c1"}
+    assert _forced_zero([LinearEquation({"c0": alpha}, zero)]) == set()
+    assert _forced_zero([LinearEquation({"c0": one}, one)]) == set()
+    # a chain: c2 forces c1, which forces c0
+    eqs = [LinearEquation({"c0": one, "c1": one}, zero),
+           LinearEquation({"c1": -one, "c2": 3 * one}, zero),
+           LinearEquation({"c2": one}, zero)]
+    assert _forced_zero(eqs) == {"c0", "c1", "c2"}
 
 
 def test_zero_order_shadows_square_to_zero():
