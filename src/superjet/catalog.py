@@ -9,6 +9,8 @@ checks and reports one line per check.
 
 from __future__ import annotations
 
+import os
+import traceback
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Callable, Optional
@@ -43,7 +45,7 @@ from .recursion import (
     shadow_power,
     verify_shadow,
 )
-from .variational import HamiltonianOperator, hamiltonian_flow, is_conserved
+from .variational import antidiagonal, hamiltonian_flow, is_conserved
 from .weights import infer_weights, weight_of
 
 Q = Fraction
@@ -454,11 +456,8 @@ flow burg: b = D1(D2(b_x)) + b*b_x;
     return e
 
 
-def _dbous_operator(f, b):
-    one = SuperPoly.one()
-    return HamiltonianOperator(
-        (f, b), {f: {b: [(one, (D1,))]}, b: {f: [(one, (D1,))]}},
-        name="odd-antidiagonal")
+def _dbous_operator(fields):
+    return antidiagonal(fields, D1, "odd-antidiagonal")
 
 
 def _dbous():
@@ -485,7 +484,7 @@ functional H2_1: 1/2*Df^2 + 1/6*b^3;
 functional H2_2: 1/6*Df^3 + 1/6*b^3*Df;
 """,
     })
-    e.extras["make_operator"] = lambda fields: _dbous_operator(*fields)
+    e.extras["make_operator"] = _dbous_operator
     e.add_check("covering", _covering_consistent(e))
     e.add_check("shadow-R", _shadow_valid(e, "R"))
     for nm in ("eq4_9_x", "eq4_9_t"):
@@ -514,7 +513,7 @@ functional H2_2: 1/6*Df^3 + 1/6*b^3*Df;
         doc = e.doc
         sys = doc.system()
         f, b = doc.fields["f"], doc.fields["b"]
-        op = _dbous_operator(f, b)
+        op = _dbous_operator((f, b))
         expected = {
             "H1_0": None, "H2_0": None,  # Casimirs
             "H1_1": doc.flows["seed_x"],
@@ -593,12 +592,7 @@ functional Hbar: 1/6*w1^3 + 1/2*w2^2 + 1/6*eps*w2^3;
     }
 
     def op0(fields):
-        one = SuperPoly.one()
-        n = len(fields)
-        return HamiltonianOperator(
-            tuple(fields),
-            {fields[i]: {fields[n - 1 - i]: [(one, (DX,))]} for i in range(n)},
-            name="antidiagonal-Dx")
+        return antidiagonal(fields, DX, "antidiagonal-Dx")
 
     e.extras["make_operator"] = op0
 
@@ -790,6 +784,8 @@ def verify(entry_id: str) -> list:
         try:
             ok, detail = fn()
         except Exception as exc:  # noqa: BLE001 - report, don't crash the sweep
-            ok, detail = False, f"error: {exc}"
+            where = traceback.extract_tb(exc.__traceback__)[-1]
+            ok, detail = False, (f"error: {type(exc).__name__}: {exc} "
+                                 f"at {os.path.basename(where.filename)}:{where.lineno}")
         out.append((name, ok, detail))
     return out

@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import catalog
-from .algebra import D1, D2, DX, EVEN, ODD, SuperPoly, UnknownNameError
+from .algebra import D1, D2, DX, EVEN, ODD, UnknownNameError
 from .coverings import check_covering
 from .determine import find_symmetries
 from .gardner import (
@@ -49,7 +49,7 @@ from .recursion import (
     nilpotency_order,
     verify_shadow,
 )
-from .variational import HamiltonianOperator, euler, hamiltonian_flow
+from .variational import antidiagonal, euler, hamiltonian_flow
 from .weights import infer_weights
 
 Q = Fraction
@@ -322,16 +322,6 @@ def cmd_conserved(args):
     return _emit(args, {"conserved": True, "flux": print_poly(flux)}, 0)
 
 
-def _default_operator(fields, kind):
-    op_dir = {"dx": (DX,), "susy": (D1,)}[kind]
-    n = len(fields)
-    entries = {
-        fields[i]: {fields[n - 1 - i]: [(SuperPoly.one(), op_dir)]}
-        for i in range(n)
-    }
-    return HamiltonianOperator(tuple(fields), entries)
-
-
 def cmd_hamiltonian_flow(args):
     doc, entry = _load_doc(args)
     if args.density in doc.functionals:
@@ -342,7 +332,7 @@ def cmd_hamiltonian_flow(args):
     if entry is not None and "make_operator" in entry.extras:
         op = entry.extras["make_operator"](tuple(sys.fields))
     else:
-        op = _default_operator(tuple(sys.fields), args.operator)
+        op = antidiagonal(sys.fields, {"dx": DX, "susy": D1}[args.operator])
     flow = hamiltonian_flow(op, H)
     res = check_symmetry(sys, flow)
     return _emit(
@@ -406,6 +396,8 @@ def cmd_gardner(args):
                 "density": print_poly(d.hamiltonian),
                 "free": list(d.free_params),
             })
+            if d.constraints:
+                out[-1]["constraints"] = [print_poly(c) for c in d.constraints]
         return _emit(args, {"deformations": out}, 0 if out else 1)
     raise UsageError("gardner action must be verify, densities or search")
 

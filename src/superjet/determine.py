@@ -3,17 +3,17 @@
 Unknown constants are carried inside expressions as distinguished
 parameter names, so building an ansatz, pushing it through the calculus
 and reading off the determining system needs no special data flow.  The
-system is solved by the sparse Gauss-Jordan elimination of ``linsolve``,
-over the rationals or, when parameters occur, over the Laurent ring in
-them, falling back to the field of rational functions at the first pivot
-that is not a monomial.  The numerator of every pivot whose non-vanishing is
-not guaranteed is recorded, and optional case splitting re-solves with
-such parameters pinned to zero.
+system is solved by the sparse Gauss-Jordan elimination of ``linsolve``
+over one domain, the Laurent ring in the parameters that occur (the
+rationals when there are none).  Only at the first pivot that is not a
+monomial does it fall back to the field of rational functions, whose
+sympy implementation is imported then and not before.  The numerator of
+every pivot whose non-vanishing is not guaranteed is recorded, and
+optional case splitting re-solves with such parameters pinned to zero.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
@@ -24,6 +24,7 @@ from .linsolve import (
     NonlinearSystemError,
     NotInvertible,
     clear_polynomial_denominators,
+    clearing_scale,
     domain_of,
     from_field,
     gauss_jordan,
@@ -211,23 +212,11 @@ def _solve_branch(eqs, unknowns, assume_nonzero, zero_params, constraint_params)
     )
 
 
-def clear_denominators(vec: Mapping[str, SuperPoly]) -> dict:
-    """Scale a solution vector so all parameter exponents are nonnegative."""
-    worst: dict = {}
-    denom = 1
-    for v in vec.values():
-        for key, c in v.terms.items():
-            for nm, e in key[3]:
-                if e < 0:
-                    worst[nm] = max(worst.get(nm, 0), -e)
-            denom = math.lcm(denom, c.denominator)
-    scale = SuperPoly({((), (), (), tuple(sorted(worst.items()))): Q(denom)})
-    return {u: scale * v for u, v in vec.items()}
-
-
 def normalize_vector(vec: Mapping[str, SuperPoly], order: Sequence[str]) -> dict:
-    """Clear denominators and make the leading coefficient equal to one."""
-    vec = clear_denominators(vec)
+    """Clear denominators and negative parameter exponents, and make the
+    leading coefficient equal to one."""
+    scale = clearing_scale(vec.values())
+    vec = {u: scale * v for u, v in vec.items()}
     for u in order:
         v = vec[u]
         if v.is_zero:

@@ -5,14 +5,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence
-
-import sympy
+from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence
 
 from .algebra import DX, EVEN, FieldSymbol, JetVar, SuperPoly, linear_ansatz
 from .jets import EvolutionSystem, dt_apply, substitute, substitute_params
 from .determine import extract_linear_system, solve_linear
-from .variational import HamiltonianOperator, hamiltonian_flow
+from .variational import antidiagonal, hamiltonian_flow
 from .weights import (
     WeightSystem,
     enumerate_monomials,
@@ -84,16 +82,79 @@ class GardnerDeformation:
     eps: str
     free_params: tuple = ()
     correspondence: tuple = ()
+    constraints: tuple = ()  # parameter conditions left unresolved, each == 0
 
 
-def _sympy_sol_to_values(sol: Mapping) -> Optional[dict]:
-    values = {}
-    for sym, v in sol.items():
-        v = sympy.nsimplify(v)
-        if not v.is_Rational:
-            return None
-        values[str(sym)] = Q(int(v.p), int(v.q))
-    return values
+def resolve_conditions(conditions: Iterable[SuperPoly], adjustable: Collection[str]) -> list:
+    """Branches ``(values, constraints)`` on which the conditions hold.
+
+    ``conditions`` are parameter-only polynomials that must vanish;
+    ``adjustable`` names the parameters that may be solved for, and none of
+    them may occur with a negative exponent.  One pass over the conditions
+    is repeated until nothing changes:
+
+    (a) a one-term condition with a single adjustable factor forces it to 0;
+    (b) the conditions linear in adjustable parameters, with rational
+        coefficients, go to ``solve_linear`` and the solution is
+        substituted, so a family keeps its free parameters;
+    (c) a one-term condition with several adjustable factors splits into
+        one branch per factor set to 0;
+    (d) what is left (nonlinear conditions with several terms, conditions
+        in other parameters) is the branch's ``constraints``.
+
+    ``values`` maps each solved parameter to a polynomial in the others.
+    A branch on which a nonzero rational would have to vanish is dropped,
+    and so is one that only specialises a branch without constraints.
+    """
+    adjustable = frozenset(adjustable)
+    out: dict = {}
+
+    def settle(values, conds):
+        conds = list(dict.fromkeys(c for c in conds if not c.is_zero))
+        if any(not c.param_names() for c in conds):
+            return
+        own = [c for c in conds if c.param_names() <= adjustable]
+        monomials = [[n for n, x in key[3] if x > 0]
+                     for c in own if len(c.terms) == 1 for key in c.terms]
+        forced = sorted({names[0] for names in monomials if len(names) == 1})
+        linear = [c for c in own if all(
+            not key[3] or (len(key[3]) == 1 and key[3][0][1] == 1) for key in c.terms)]
+        split = next((names for names in monomials if len(names) > 1), None)
+        if forced:
+            assign(values, conds, dict.fromkeys(forced, SuperPoly.zero()))
+        elif linear:
+            names = sorted(set().union(*(c.param_names() for c in linear)))
+            for sol in solve_linear(extract_linear_system(linear, names), names):
+                # a basis vector's own free unknown (entry 1) follows every
+                # pivot it touches in the reduced echelon form
+                frees = [next(n for n in reversed(names) if not vec[n].is_zero)
+                         for vec in sol.basis]
+                assign(values, conds, {u: v for u, v in _general_solution(sol, frees).items()
+                                       if u not in frees})
+        elif split:
+            for n in split:
+                assign(values, conds, {n: SuperPoly.zero()})
+        else:
+            out.setdefault(frozenset(values.items()), (values, conds))
+
+    def assign(values, conds, subst):
+        values = {n: substitute_params(v, subst) for n, v in values.items()}
+        values.update(subst)
+        settle(values, [substitute_params(c, subst) for c in conds])
+
+    settle({}, list(conditions))
+    found = list(out.values())
+    # a branch that only specialises an unconstrained one adds nothing
+    return [(v, c) for v, c in found
+            if not any(not c2 and v2.items() < v.items() for v2, c2 in found)]
+
+
+def _general_solution(sol, frees: Sequence[str]) -> dict:
+    """Each unknown of a ``solve_linear`` solution as its particular value
+    plus the basis vectors weighted by the parameters ``frees``."""
+    return {u: sum((SuperPoly.param(f) * vec[u] for f, vec in zip(frees, sol.basis)),
+                   sol.particular[u])
+            for u in sol.unknowns}
 
 
 def search_deformation(
@@ -114,8 +175,8 @@ def search_deformation(
     (negative-weight) parameter with homogeneous coefficients; each
     order is solved as a linear stage, with surviving freedoms carried
     symbolically and resolved by the final full-residual conditions.
-    Returns a list of deformations (possibly still carrying free
-    parameters).
+    Returns a list of deformations, possibly still carrying free
+    parameters and ``constraints`` on them (see ``resolve_conditions``).
     """
     eps_weight = Q(eps_weight)
     wfields = tuple(
@@ -125,15 +186,7 @@ def search_deformation(
     wsw = WeightSystem(
         {w: ws.field_weight(u) for u, w in corr}, {eps: eps_weight}, ws.t
     )
-    if make_op is None:
-        n = len(wfields)
-        entries = {
-            wfields[i]: {wfields[n - 1 - i]: [(SuperPoly.one(), (DX,))]}
-            for i in range(n)
-        }
-        op = HamiltonianOperator(wfields, entries)
-    else:
-        op = make_op(wfields)
+    op = antidiagonal(wfields, DX) if make_op is None else make_op(wfields)
 
     to_w = {u: SuperPoly.from_gen(JetVar(w)) for u, w in corr}
     miura = dict(to_w)
@@ -142,14 +195,15 @@ def search_deformation(
     frees: list = []
     counter = 0
 
+    def extension(h):
+        """The extended system that the density h generates."""
+        return EvolutionSystem(wfields, hamiltonian_flow(op, h).components,
+                               params=(eps,) + tuple(base.params))
+
     def stage_ansatz(target, names):
         """Ansatz of the given weight; its fresh unknowns are appended to names."""
         nonlocal counter
-        gens = [
-            JetVar(w, 0, 0, m)
-            for w in wfields
-            for m in range(max_jet_order + 1)
-        ]
+        gens = [JetVar(w, 0, 0, m) for w in wfields for m in range(max_jet_order + 1)]
         items = items_from_gens(wsw, gens, target)
         monos = enumerate_monomials(items, target, EVEN)
         new = [f"a{counter + i}" for i in range(len(monos))]
@@ -167,78 +221,36 @@ def search_deformation(
             u: miura[u] + SuperPoly.param(eps, k) * additions_m[u] for u, _w in corr
         }
         trial_h = hbar + SuperPoly.param(eps, k) * acc_h
-        ext = EvolutionSystem(
-            wfields,
-            hamiltonian_flow(op, trial_h).components,
-            params=(eps,) + tuple(base.params),
-        )
-        residuals = verify_deformation(base, ext, trial_miura)
+        residuals = verify_deformation(base, extension(trial_h), trial_miura)
         eqs = extract_linear_system(
-            [residuals[u].coefficient_of_param_power(eps, k) for u in base.fields],
-            names,
-        )
+            [residuals[u].coefficient_of_param_power(eps, k) for u in base.fields], names)
         branches = solve_linear(eqs, names, constraint_params=frees)
         if not branches:
             return []
-        sol = branches[0]
-        if sol.constraints:
-            # conditions on earlier freedoms; no adjustable ones left to tune
-            return []
-        values = dict(sol.particular)
-        for j, vec in enumerate(sol.basis):
-            tau = f"t{k}_{j}"
-            frees.append(tau)
-            for nm in names:
-                values[nm] = values.get(nm, SuperPoly.zero()) + SuperPoly.param(
-                    tau
-                ) * vec[nm]
+        taus = [f"t{k}_{j}" for j in range(branches[0].dim)]
+        frees += taus
+        values = _general_solution(branches[0], taus)
         miura = {u: substitute_params(trial_miura[u], values) for u, _w in corr}
         hbar = substitute_params(trial_h, values)
 
     # resolve leftover freedoms against the full residual
-    ext = EvolutionSystem(
-        wfields, hamiltonian_flow(op, hbar).components, params=(eps,) + tuple(base.params)
-    )
-    residuals = verify_deformation(base, ext, miura)
-    leftover = []
-    symtab: dict = {}
-    for u in base.fields:
-        r = residuals[u]
-        for kk in range(1, r.max_param_power(eps) + 1):
-            part = r.coefficient_of_param_power(eps, kk)
-            for key, c in part.terms.items():
-                e = sympy.Rational(c.numerator, c.denominator)
-                for n, x in key[3]:
-                    e *= symtab.setdefault(n, sympy.Symbol(n)) ** x
-                if {str(s) for s in e.free_symbols} <= set(frees):
-                    leftover.append(e)
-                else:
-                    return []
+    residuals = verify_deformation(base, extension(hbar), miura)
+    parts = [
+        residuals[u].coefficient_of_param_power(eps, kk)
+        for u in base.fields
+        for kk in range(1, residuals[u].max_param_power(eps) + 1)
+    ]
+    conditions = [eq.const for eq in extract_linear_system(parts, ())]
+    # a free that occurs inverted is nonzero by construction
+    inverted = {n for p in (hbar, *miura.values()) for key in p.terms
+                for n, x in key[3] if x < 0}
     results = []
-    if not leftover:
-        results.append(
-            GardnerDeformation(
-                base, wfields, miura, hbar, ext, eps, tuple(frees), corr
-            )
-        )
-        return results
-    syms = [sympy.Symbol(n) for n in frees]
-    sols = sympy.solve(leftover, syms, dict=True)
-    for s in sols:
-        values = _sympy_sol_to_values(s)
-        if values is None:
-            continue
+    for values, constraints in resolve_conditions(conditions, set(frees) - inverted):
         m2 = {u: substitute_params(p, values) for u, p in miura.items()}
         h2 = substitute_params(hbar, values)
-        ext2 = EvolutionSystem(
-            wfields,
-            hamiltonian_flow(op, h2).components,
-            params=(eps,) + tuple(base.params),
-        )
         rest_frees = tuple(n for n in frees if n not in values)
-        results.append(
-            GardnerDeformation(base, wfields, m2, h2, ext2, eps, rest_frees, corr)
-        )
+        results.append(GardnerDeformation(
+            base, wfields, m2, h2, extension(h2), eps, rest_frees, corr, tuple(constraints)))
     return results
 
 
@@ -253,4 +265,7 @@ def specialize_deformation(
         d.extended.params,
     )
     rest = tuple(n for n in d.free_params if n not in values)
-    return GardnerDeformation(d.base, d.fields, miura, h, ext, d.eps, rest, d.correspondence)
+    constraints = tuple(c for c in (substitute_params(c, values) for c in d.constraints)
+                        if not c.is_zero)
+    return GardnerDeformation(
+        d.base, d.fields, miura, h, ext, d.eps, rest, d.correspondence, constraints)

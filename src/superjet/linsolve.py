@@ -1,11 +1,13 @@
 """Exact linear algebra: one sparse Gauss-Jordan elimination.
 
-The domain ``K`` is chosen by the values: ``QQ`` when no parameter occurs,
-else the Laurent ring ``QQ[p1^±1, ..., pk^±1]`` (``LaurentRing``), whose
-elements are parameter-only ``SuperPoly`` values and whose one-term
-pivots invert exactly, with no gcd.  At the first pivot with more than
-one term the ring's ``revert`` raises ``NotInvertible``, and the caller
-re-solves the original rows over the field ``QQ(p1, ..., pk)``.
+The working domain is always the Laurent ring ``QQ[p1^±1, ..., pk^±1]``
+(``LaurentRing``) in the parameters that occur; with no parameters it is
+``QQ`` itself.  Its elements are parameter-only ``SuperPoly`` values, and
+its one-term pivots invert exactly, with no gcd.  At the first pivot with
+more than one term the ring's ``revert`` raises ``NotInvertible``, and the
+caller re-solves the original rows over the fraction field
+``QQ(p1, ..., pk)``.  That fallback is sympy's ``QQ.frac_field``, and it is
+the only place sympy is imported, when first needed.
 
 Rows are sparse maps from column index to nonzero element, so the loop
 costs nothing for the zero entries that dominate determining systems.
@@ -15,19 +17,21 @@ form, and hence every returned solution, canonical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
-
-from sympy import QQ
-from sympy.polys.polyerrors import NotInvertible
 
 from .algebra import SuperPoly, _accumulate, _merge_params, _wrap
 
 
 class NonlinearSystemError(ValueError):
     pass
+
+
+class NotInvertible(ArithmeticError):
+    """A Laurent-ring pivot that is not a monomial."""
 
 
 @dataclass
@@ -129,6 +133,8 @@ class LaurentRing:
 
     @cached_property
     def fraction_field(self):
+        from sympy import QQ  # the only sympy import: the fallback is rare
+
         return QQ.frac_field(*self.names)
 
     @staticmethod
@@ -160,10 +166,9 @@ class LaurentRing:
 # parameter-only SuperPoly values as domain elements
 
 
-def domain_of(names: Iterable[str]):
-    """``QQ`` without parameters, else the Laurent ring in them."""
-    names = sorted(set(names))
-    return LaurentRing(names) if names else QQ
+def domain_of(names: Iterable[str]) -> LaurentRing:
+    """The Laurent ring in the given parameters (``QQ`` itself when none)."""
+    return LaurentRing(sorted(set(names)))
 
 
 def to_field(p: SuperPoly, K):
@@ -171,32 +176,10 @@ def to_field(p: SuperPoly, K):
     itself in the Laurent ring)."""
     if isinstance(K, LaurentRing):
         return p
-    if K is QQ:
-        return from_fraction(p.terms.get(((), (), (), ()), 0))
-    index = {str(g): i for i, g in enumerate(K.symbols)}
-    exps = []
-    for (_e, _o, _f, params), c in p.terms.items():
-        vec = [0] * len(index)
-        for nm, x in params:
-            vec[index[nm]] = x
-        exps.append((vec, c))
-    shift = [max([0] + [-vec[i] for vec, _c in exps]) for i in range(len(index))]
-    ring = K.field.ring
-    numer = ring({
-        tuple(x + s for x, s in zip(vec, shift)): from_fraction(c)
-        for vec, c in exps
-    })
-    return K.field.new(numer, ring({tuple(shift): QQ.one}))
-
-
-def from_fraction(c):
-    """A Fraction as an element of QQ."""
-    return QQ.dtype(c.numerator, c.denominator)
-
-
-def to_fraction(c) -> Fraction:
-    """An element of QQ as a Fraction."""
-    return Fraction(int(c.numerator), int(c.denominator))
+    gens = dict(zip(map(str, K.symbols), K.field.gens))
+    return sum((K.field(K.domain.dtype(c.numerator, c.denominator))
+                * math.prod((gens[nm] ** x for nm, x in key[3]), start=K.field.one)
+                for key, c in p.terms.items()), K.field.zero)
 
 
 def _poly_of(numer, K, shift=None) -> SuperPoly:
@@ -208,7 +191,7 @@ def _poly_of(numer, K, shift=None) -> SuperPoly:
         if shift is not None:
             monom = [x - s for x, s in zip(monom, shift)]
         params = tuple((nm, x) for nm, x in zip(names, monom) if x)
-        terms[((), (), (), params)] = to_fraction(c)
+        terms[((), (), (), params)] = Fraction(int(c.numerator), int(c.denominator))
     return SuperPoly(terms)
 
 
@@ -219,28 +202,41 @@ def from_field(v, K) -> SuperPoly:
     """
     if isinstance(K, LaurentRing):
         return v
-    if K is QQ:
-        return SuperPoly.scalar(to_fraction(v))
     if len(v.denom) != 1:
         raise NonlinearSystemError(
             f"solution denominator {v.denom.as_expr()} is not a parameter monomial"
         )
     ((monom, c),) = v.denom.terms()
-    return _poly_of(v.numer, K, monom) / to_fraction(c)
+    return _poly_of(v.numer, K, monom) / Fraction(int(c.numerator), int(c.denominator))
 
 
 def numerator(v, K) -> SuperPoly:
-    """The numerator of ``v`` as an element of ``QQ`` or of the fraction
-    field, as a parameter-only SuperPoly."""
+    """The numerator of ``v`` as a parameter-only SuperPoly.
+
+    In the Laurent ring this is ``v`` times its ``clearing_scale``, which
+    is the numerator the fraction field keeps.
+    """
     if isinstance(K, LaurentRing):
-        return numerator(to_field(v, K.fraction_field), K.fraction_field)
-    return from_field(v, K) if K is QQ else _poly_of(v.numer, K)
+        return clearing_scale((v,)) * v
+    return _poly_of(v.numer, K)
+
+
+def clearing_scale(values: Iterable[SuperPoly]) -> SuperPoly:
+    """The lcm of the coefficient denominators of ``values`` times the
+    monomial that clears their negative parameter exponents."""
+    denom = 1
+    clear: dict = {}
+    for v in values:
+        for key, c in v.terms.items():
+            denom = math.lcm(denom, c.denominator)
+            for nm, x in key[3]:
+                if x < 0:
+                    clear[nm] = max(clear.get(nm, 0), -x)
+    return SuperPoly({((), (), (), tuple(sorted(clear.items()))): Fraction(denom)})
 
 
 def is_monomial_in(v, K, names: Sequence[str]) -> bool:
     """Whether numerator and denominator are single monomials in ``names``."""
-    if K is QQ:
-        return bool(v)
     if isinstance(K, LaurentRing):
         ((key, _c), *more) = v.terms.items()
         return not more and all(nm in names for nm, _x in key[3])
@@ -252,8 +248,9 @@ def is_monomial_in(v, K, names: Sequence[str]) -> bool:
 
 
 def clear_polynomial_denominators(vec: dict, K) -> dict:
-    """Scale a vector by the lcm of its non-monomial denominators."""
-    if K is QQ or isinstance(K, LaurentRing):
+    """Scale a vector of the fraction field by the lcm of its non-monomial
+    denominators."""
+    if isinstance(K, LaurentRing):
         return vec
     lcm = K.field.ring.one
     for v in vec.values():

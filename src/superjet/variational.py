@@ -132,6 +132,15 @@ class HamiltonianOperator:
         return comps
 
 
+def antidiagonal(fields: Sequence, direction, name: str = "") -> HamiltonianOperator:
+    """The operator whose flow of ``fields[i]`` is ``direction`` applied to
+    the gradient of ``fields[n-1-i]``."""
+    one, n = SuperPoly.one(), len(fields)
+    return HamiltonianOperator(
+        tuple(fields), {fields[i]: {fields[n - 1 - i]: [(one, (direction,))]} for i in range(n)},
+        name)
+
+
 def hamiltonian_flow(op: HamiltonianOperator, H: SuperPoly) -> Flow:
     """The evolutionary flow generated by a Hamiltonian density."""
     grads = euler(H, op.fields)

@@ -27,7 +27,7 @@ from .algebra import (
     _wrap,
     term_order_key,
 )
-from .linsolve import QQ, from_fraction, gauss_jordan, to_fraction
+from .linsolve import LaurentRing, gauss_jordan
 
 Q = Fraction
 
@@ -208,17 +208,17 @@ def infer_weights(sys, fixed: Mapping = None, param_names: Sequence[str] = ()):
             row = [Q(0)] * len(unknowns)
             row[index[nm]] = Q(1)
             rows.append((tuple(row), Q(v)))
+    scalar = SuperPoly.scalar
     red = gauss_jordan(
-        [({c: from_fraction(a) for c, a in enumerate(row) if a}, from_fraction(rhs))
-         for row, rhs in rows],
+        [({c: scalar(a) for c, a in enumerate(row) if a}, scalar(rhs)) for row, rhs in rows],
         len(unknowns),
-        QQ,
+        LaurentRing(()),
     )
     if red.leftover:
         return None
 
     def rational(vec):
-        return {unknowns[c]: to_fraction(v) for c, v in vec.items()}
+        return {unknowns[c]: v.terms.get(_ONE_KEY, Q(0)) for c, v in vec.items()}
 
     return WeightSolution(
         {**dict.fromkeys(unknowns, Q(0)), **rational(red.particular)},

@@ -29,3 +29,15 @@ def test_verify_reports_one_row_per_check():
     assert all(len(r) == 3 for r in rows)
     names = [r[0] for r in rows]
     assert "homogeneous" in names
+
+
+def test_verify_row_keeps_the_error_type_and_location(monkeypatch):
+    def lookup():
+        return {}["x"]
+
+    entry = catalog.CatalogEntry("broken", "an entry whose check raises", {})
+    entry.add_check("lookup", lookup)
+    monkeypatch.setitem(catalog._BUILDERS, "broken", lambda: entry)
+    line = lookup.__code__.co_firstlineno + 1
+    assert catalog.verify("broken") == [
+        ("lookup", False, f"error: KeyError: 'x' at test_catalog.py:{line}")]

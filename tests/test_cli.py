@@ -1,6 +1,11 @@
 """Command-line interface: exit codes, JSON output, fuzzy names."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -204,3 +209,30 @@ def test_engine_fault_is_not_a_usage_error(capsys, monkeypatch):
     code = main(["check-covering", "--catalog", "superburg"])
     assert code == 3
     assert "KeyError: 'engine bug'" in capsys.readouterr().err
+
+
+def test_commands_run_without_importing_sympy():
+    """sympy is imported only by the fraction-field fallback of the solver,
+    which none of these commands reaches; the weight scan without
+    --assume-nonzero records its assumptions through the ring's own
+    numerator."""
+    script = textwrap.dedent("""
+        import contextlib, io, sys
+        from superjet import cli
+        for argv in (
+            ["catalog", "verify", "--all"],
+            ["find-symmetries", "--catalog", "bous-embed", "--weight=-1/2..-5",
+             "--parity", "both"],
+            ["apply-recursion", "--catalog", "dbous", "--shadow", "R",
+             "--seed", "seed_x", "--iterations", "3"],
+        ):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0, argv
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "sympy")[:3])
+    """)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

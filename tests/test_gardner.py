@@ -2,15 +2,20 @@
 
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from superjet.algebra import JetVar, SuperPoly
 from superjet.gardner import (
     deformation_is_valid,
     density_recurrence,
+    resolve_conditions,
     search_deformation,
     specialize_deformation,
     verify_deformation,
 )
-from superjet.jets import substitute
+from superjet.jets import substitute, substitute_params
 from superjet.variational import is_conserved
 
 from conftest import cached_entry
@@ -82,3 +87,94 @@ def test_search_recovers_the_recorded_deformation():
             # the specialized extension must still satisfy the Miura condition
             assert deformation_is_valid(doc.system(), cand.extended, cand.miura)
     assert hit
+
+
+FREES = ("t1_0", "t2_0", "t3_0")
+t1, t2, t3 = (SuperPoly.param(n) for n in FREES)
+ZERO, TWO = SuperPoly.zero(), SuperPoly.scalar(2)
+
+
+def test_linear_family_keeps_its_free_parameter():
+    """t1_0 = 2*t2_0 is a one-parameter family, not a missing solution."""
+    assert resolve_conditions([t1 - TWO * t2], FREES) == [({"t1_0": TWO * t2}, [])]
+
+
+def test_linear_conditions_are_solved_together_and_repeated():
+    """t1_0 = 1 makes t1_0*t2_0 - 3 linear in the next pass."""
+    one, three = SuperPoly.one(), SuperPoly.scalar(3)
+    assert resolve_conditions([t1 - one, t1 * t2 - three], FREES) == [
+        ({"t1_0": one, "t2_0": three}, [])]
+
+
+def test_inconsistent_conditions_leave_no_branch():
+    assert resolve_conditions([t1, t1 - SuperPoly.one()], FREES) == []
+
+
+def test_one_free_monomial_forces_a_zero():
+    """144*t2_0**2 leaves no choice: t2_0 = 0 (the hydro-bous case)."""
+    conds = [SuperPoly.scalar(144) * t2 * t2, SuperPoly.scalar(72) * (t1 * t1 * t2 - t2 * t2)]
+    assert resolve_conditions(conds, FREES) == [({"t2_0": ZERO}, [])]
+
+
+def test_monomials_in_several_frees_split_into_branches():
+    """t1_0*t2_0 = t2_0*t3_0 = 0 holds on t2_0 = 0 and on t1_0 = t3_0 = 0;
+    the branch t1_0 = t2_0 = 0 only specialises the first and is dropped."""
+    assert resolve_conditions([t1 * t2, t2 * t3], FREES) == [
+        ({"t1_0": ZERO, "t3_0": ZERO}, []), ({"t2_0": ZERO}, [])]
+
+
+def test_irreducible_quadratic_is_kept_as_a_constraint():
+    cond = t1 * t1 - TWO
+    assert resolve_conditions([cond], FREES) == [({}, [cond])]
+
+
+def test_conditions_in_other_parameters_are_kept():
+    cond = SuperPoly.param("alpha") * t1
+    assert resolve_conditions([cond, t2], FREES) == [({"t2_0": ZERO}, [cond])]
+
+
+@st.composite
+def condition_systems(draw):
+    """One to four conditions, each a sum of up to three terms of degree
+    at most two in three frees."""
+    monomial = st.sampled_from([(), ((0, 1),), ((1, 1),), ((2, 1),), ((0, 2),),
+                                ((0, 1), (1, 1)), ((1, 1), (2, 1)), ((2, 2),)])
+    conds = []
+    for _ in range(draw(st.integers(1, 4))):
+        terms = {}
+        for mono in draw(st.lists(monomial, min_size=1, max_size=3)):
+            key = ((), (), (), tuple((FREES[i], x) for i, x in mono))
+            terms[key] = Q(draw(st.integers(-3, 3)))
+        conds.append(SuperPoly(terms))
+    return conds
+
+
+@settings(max_examples=200, deadline=None)
+@given(condition_systems())
+def test_every_branch_satisfies_the_conditions_up_to_its_constraints(conds):
+    """Substituting a branch's values zeroes every condition or leaves one of
+    its constraints; a branch with no constraints zeroes them all."""
+    for values, constraints in resolve_conditions(conds, FREES):
+        assert set(values) <= set(FREES)
+        for cond in conds:
+            rest = substitute_params(cond, values)
+            assert rest.is_zero or rest in constraints
+
+
+@pytest.fixture(scope="module")
+def hydro_search():
+    e = cached_entry("hydro-bous")
+    doc = e.doc
+    return doc.system(), search_deformation(
+        doc.system(), doc.weight_system(), doc.functionals["H"], "eps", Q(-3), 2)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.fractions(max_denominator=7))
+def test_unconstrained_deformations_verify_at_any_free_value(hydro_search, value):
+    base, found = hydro_search
+    assert found
+    for d in found:
+        assert not d.constraints
+        cand = specialize_deformation(d, dict.fromkeys(d.free_params, value))
+        assert all(r.is_zero for r in verify_deformation(base, cand.extended, cand.miura).values())
