@@ -16,12 +16,18 @@ from fractions import Fraction
 from pathlib import Path
 
 from superjet import catalog, recursion
-from superjet.algebra import EVEN, ODD
+from superjet.algebra import DX, EVEN, ODD
 from superjet.determine import build_flow_ansatz, find_symmetries
 from superjet.gardner import density_recurrence, search_deformation
 from superjet.grammar import print_flow, print_poly
 from superjet.recursion import apply_shadow
-from superjet.weights import infer_weights
+from superjet.weights import (
+    enumerate_monomials,
+    infer_weights,
+    items_from_gens,
+    jets_up_to_weight,
+    split_by_weight,
+)
 
 from conftest import cached_entry
 
@@ -77,25 +83,52 @@ def _flow_ansatz_monomials():
     return out
 
 
+def _integration_ansatzes(target, direction, ws, gens, zero_weight_cap=2):
+    """The full homogeneous ansatz of every weight and parity part of an
+    integration target, one list of printed monomials per part, in the
+    order ``d_integrate`` takes the parts (weights ascending, then even
+    before odd): all monomials of the preimage's weight and parity in the
+    admissible jets, whether or not they can reach the target."""
+    shift = Q(1) if direction == DX else Q(1, 2)
+    out = []
+    for wt, part in sorted(split_by_weight(ws, target).items()):
+        subs = [part] if part.parity() is not None else part.parity_report()
+        for sub in subs:
+            if sub.is_zero:
+                continue
+            par = sub.parity()
+            want_par = par if direction == DX else (par + 1) % 2
+            jets = [g for g in jets_up_to_weight(ws, gens, wt - shift)
+                    if recursion._is_new_coordinate(g)]
+            items = items_from_gens(ws, jets, wt - shift, zero_weight_cap)
+            out.append([print_poly(m) for m in
+                        enumerate_monomials(items, wt - shift, want_par)])
+    return out
+
+
 @contextmanager
 def _recorded_integration_ansatz(log):
-    """Append the printed monomials of every ``d_integrate`` ansatz to log."""
-    real = recursion.enumerate_monomials
+    """Extend log by the full ansatz of every ``d_integrate`` call."""
+    real = recursion.d_integrate
 
-    def enumerate_and_record(*args, **kwargs):
-        monos = real(*args, **kwargs)
-        log.append([print_poly(m) for m in monos])
-        return monos
+    def integrate_and_record(target, direction, ws, gens, zero_weight_cap=2,
+                             assume_nonzero=()):
+        log.extend(_integration_ansatzes(target, direction, ws, gens, zero_weight_cap))
+        recursion.d_integrate = real  # a nested call belongs to this one
+        try:
+            return real(target, direction, ws, gens, zero_weight_cap, assume_nonzero)
+        finally:
+            recursion.d_integrate = integrate_and_record
 
-    recursion.enumerate_monomials = enumerate_and_record
+    recursion.d_integrate = integrate_and_record
     try:
         yield
     finally:
-        recursion.enumerate_monomials = real
+        recursion.d_integrate = real
 
 
 def _shadow_steps():
-    """Three R steps from each seed, and the integration ansatz of the
+    """Four R steps from each seed, and the integration ansatz of the
     third step from seed_x."""
     doc = cached_entry("dbous").doc
     ws = doc.weight_system()
@@ -104,7 +137,7 @@ def _shadow_steps():
     for seed in ("seed_x", "seed_t"):
         flow = doc.flows[seed]
         steps[seed] = []
-        for step in (1, 2, 3):
+        for step in (1, 2, 3, 4):
             if (seed, step) == ("seed_x", 3):
                 with _recorded_integration_ansatz(ansatz):
                     flow = apply_shadow(doc.shadows["R"], flow, ws)
