@@ -319,7 +319,8 @@ def _wrap(terms: dict) -> "SuperPoly":
 
 
 class SuperPoly:
-    """A canonical graded differential polynomial (immutable)."""
+    """A canonical graded differential polynomial; its ``terms`` dict is
+    never mutated after ``__init__`` or ``_wrap`` has built it."""
 
     __slots__ = ("terms",)
 

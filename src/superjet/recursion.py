@@ -6,31 +6,41 @@ components are linear in the phantom jets.  Applying a shadow to a
 symmetry substitutes that symmetry for the phantoms; values of
 non-local phantoms are produced by exact term-wise integration of their
 linearized defining relations.
+
+Integration (``d_integrate``) costs what the target's part of the
+integration system costs, not what the whole weight space does.  The
+system pairs every homogeneous ansatz monomial with the monomials of its
+image, but only the connected component that touches the target carries
+a constant, so the ansatz is grown from the target's monomials through
+the images of single generators, computed once per call, and nothing
+else is enumerated or differentiated.  Solving the component with its
+columns in term order gives the same preimage as solving the whole
+system.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from math import ceil
+from math import ceil, lcm
 from typing import Iterable, Optional, Sequence
 
-from .algebra import D1, D2, DT, DX, JetVar, SuperPoly, linear_ansatz, poly_sum
+from .algebra import D1, D2, DT, DX, JetVar, SuperPoly, _wrap, poly_sum, term_order_key
 from .coverings import PhantomFrame, is_phantom
 from .jets import (
     EvolutionSystem,
     Flow,
     Nonlocality,
+    _derive,
+    _derive_gen,
     apply_ops,
     dt_apply,
     evolutionary_apply,
     nonlocal_jet,
-    super_derive,
 )
-from .determine import LinearEquation, extract_linear_system, solve_linear, unknown_names
+from .determine import LinearEquation, solve_linear, unknown_names
 from .weights import (
     WeightSystem,
-    enumerate_monomials,
     items_from_gens,
     jets_up_to_weight,
     split_by_weight,
@@ -110,10 +120,17 @@ def d_integrate(
 ) -> SuperPoly:
     """An exact preimage of the target under D1, D2 or Dx.
 
-    The preimage is sought as a homogeneous polynomial ansatz over jets
-    of the given symbols; raises NotIntegrableError when no polynomial
-    preimage exists.  Unknowns that the equations force to zero
-    (``_forced_zero``) are dropped before the rest are solved for.
+    The preimage is sought as a homogeneous polynomial ansatz over the
+    admissible jets of the given symbols (those of ``items_from_gens``);
+    raises NotIntegrableError when no such preimage exists.  Only the
+    target's component of the system is built (``_component``): the
+    ansatz monomials linked to the target through shared monomials of
+    their images.  Everything outside it is homogeneous and shares no
+    unknown or equation with it, and Gauss-Jordan takes pivots column by
+    column, so with the columns in term order, as the whole ansatz had
+    them, the preimage is the one the whole ansatz gives.  Unknowns that
+    the equations force to zero (``_forced_zero``) are dropped before
+    the rest are solved for.
     """
     if target.is_zero:
         return SuperPoly.zero()
@@ -133,14 +150,15 @@ def d_integrate(
         want_wt = wt - shift
         jets = [g for g in jets_up_to_weight(ws, gens, want_wt) if _is_new_coordinate(g)]
         items = items_from_gens(ws, jets, want_wt, zero_weight_cap)
-        monos = enumerate_monomials(items, want_wt, want_par)
-        if not monos:
+        component = _component(_by_monomial(part), direction, items, want_wt, want_par)
+        if not component:
             raise NotIntegrableError(
-                f"no ansatz monomials of weight {want_wt} for {direction}-integration"
+                f"no ansatz monomial of weight {want_wt} reaches the target "
+                f"under {direction}"
             )
+        monos = sorted(component, key=term_order_key)
         names = unknown_names(len(monos), "ci")
-        residual = super_derive(linear_ansatz(names, monos), direction) - part
-        eqs = extract_linear_system([residual], names)
+        eqs = _equations(part, dict(zip(names, map(component.get, monos))))
         zero = _forced_zero(eqs)
         kept = [n for n in names if n not in zero]
         eqs = [LinearEquation({n: c for n, c in eq.coeffs.items() if n not in zero}, eq.const)
@@ -152,9 +170,118 @@ def d_integrate(
             )
         mono_of = dict(zip(names, monos))
         parts.append(poly_sum(
-            v * mono_of[n] for n, v in branches[0].particular.items() if not v.is_zero
+            v * _wrap({mono_of[n]: Q(1)})
+            for n, v in branches[0].particular.items() if not v.is_zero
         ))
     return poly_sum(parts)
+
+
+def _by_monomial(p: SuperPoly) -> dict:
+    """The terms of p grouped by their key without the parameter part:
+    {monomial: {parameter-only key: coefficient}}."""
+    out: dict = {}
+    for (e, o, f, params), c in p.terms.items():
+        out.setdefault((e, o, f, ()), {})[((), (), (), params)] = c
+    return out
+
+
+def _component(target: dict, direction, items, weight, parity) -> dict:
+    """The ansatz monomials in the target's component of the integration
+    system, each with its image grouped by ``_by_monomial``.
+
+    The system has one unknown per admissible monomial of the given
+    weight and parity (every factor an item's, within its cap) and one
+    equation per monomial of the images and of the target.  The
+    component grows from the target's monomials.  A monomial m can have
+    the equation monomial e in its image only if e = (m / g) * t for a
+    factor g of m and a term t of the image of g, so the candidates for
+    e are the admissible (e / t) * g.  A candidate joins when e really
+    occurs in its image, and its image's monomials join the equations.
+    """
+    side = "left" if direction in (D1, D2) else "even"
+    caps = {it.factor: it.max_exp for it in items}
+    scale = lcm(Q(weight).denominator, *(it.weight.denominator for it in items))
+    weights = {it.factor: int(it.weight * scale) for it in items}
+    weight = int(weight * scale)
+    gen_image = {g: _derive_gen(g, direction) for g in caps}
+    steps: dict = {}  # a factor of t -> the (g, t) pairs, each filed under one factor
+    for g, img in gen_image.items():
+        for t in dict.fromkeys(key[:3] for key in img.terms):
+            factors = [h for h, _x in t[0]] + list(t[1]) + list(t[2])
+            steps.setdefault(factors[0] if factors else None, []).append((g, t))
+    image_of: dict = {}  # candidate -> grouped image, or None if not admissible
+    found: dict = {}
+    todo = list(target)
+    seen = set(todo)
+    while todo:
+        e = todo.pop()
+        for m in _predecessors(e, steps, caps):
+            if m in found:
+                continue
+            if m not in image_of:
+                admissible = (len(m[1]) % 2 == parity and weight == sum(
+                    x * weights[g] for g, x in m[0]) + sum(weights[g] for g in m[1]))
+                image_of[m] = (_by_monomial(_derive(_wrap({m: Q(1)}), gen_image.get, side))
+                               if admissible else None)
+            image = image_of[m]
+            if image is None or e not in image:
+                continue
+            found[m] = image
+            for e2 in image:
+                if e2 not in seen:
+                    seen.add(e2)
+                    todo.append(e2)
+    return found
+
+
+def _predecessors(e, steps, caps):
+    """The candidates (e / t) * g over the steps (g, t) filed under a
+    factor of e (or under no factor) whose t divides e."""
+    for h in (None, *(g for g, _x in e[0]), *e[1], *e[2]):
+        for g, t in steps.get(h, ()):
+            m = _quotient_times(e, t, g, caps)
+            if m is not None:
+                yield m
+
+
+def _quotient_times(e, t, g, caps):
+    """The monomial key (e / t) * g, or None unless t divides e and every
+    factor of the result is admissible within its cap."""
+    evens = dict(e[0])
+    for h, x in t[0]:
+        left = evens.get(h, 0) - x
+        if left < 0:
+            return None
+        if left:
+            evens[h] = left
+        else:
+            del evens[h]
+    if not set(t[1]) <= set(e[1]) or t[2] != e[2]:  # no item is a function factor
+        return None
+    odds = [h for h in e[1] if h not in t[1]]
+    if g.parity:
+        if g in odds:
+            return None
+        odds.append(g)
+    else:
+        evens[g] = evens.get(g, 0) + 1
+    if any(caps.get(h, 0) < x for h, x in evens.items()) or any(h not in caps for h in odds):
+        return None
+    return (tuple(sorted(evens.items(), key=lambda hx: hx[0]._sort_key)),
+            tuple(sorted(odds, key=lambda h: h._sort_key)), (), ())
+
+
+def _equations(target: SuperPoly, images: dict) -> list:
+    """One equation per monomial of the unknowns' images and the target:
+    the coefficients of sum(unknown * image) - target, in term order."""
+    rows: dict = {}
+    for n, image in images.items():
+        for e, coeff in image.items():
+            rows.setdefault(e, ({}, {}))[0][n] = _wrap(dict(coeff))
+    for e, coeff in _by_monomial(-target).items():
+        rows.setdefault(e, ({}, {}))[1].update(coeff)
+    return [LinearEquation(coeffs, _wrap(const))
+            for e, (coeffs, const) in sorted(rows.items(), key=lambda r: term_order_key(r[0]))]
 
 
 def _forced_zero(eqs) -> set:

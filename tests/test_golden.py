@@ -16,20 +16,14 @@ from fractions import Fraction
 from pathlib import Path
 
 from superjet import catalog, recursion
-from superjet.algebra import DX, EVEN, ODD
+from superjet.algebra import EVEN, ODD
 from superjet.determine import build_flow_ansatz, find_symmetries
 from superjet.gardner import density_recurrence, search_deformation
 from superjet.grammar import print_flow, print_poly
 from superjet.recursion import apply_shadow
-from superjet.weights import (
-    enumerate_monomials,
-    infer_weights,
-    items_from_gens,
-    jets_up_to_weight,
-    split_by_weight,
-)
+from superjet.weights import infer_weights
 
-from conftest import cached_entry
+from conftest import cached_entry, integration_ansatz_parts
 
 Q = Fraction
 
@@ -83,29 +77,6 @@ def _flow_ansatz_monomials():
     return out
 
 
-def _integration_ansatzes(target, direction, ws, gens, zero_weight_cap=2):
-    """The full homogeneous ansatz of every weight and parity part of an
-    integration target, one list of printed monomials per part, in the
-    order ``d_integrate`` takes the parts (weights ascending, then even
-    before odd): all monomials of the preimage's weight and parity in the
-    admissible jets, whether or not they can reach the target."""
-    shift = Q(1) if direction == DX else Q(1, 2)
-    out = []
-    for wt, part in sorted(split_by_weight(ws, target).items()):
-        subs = [part] if part.parity() is not None else part.parity_report()
-        for sub in subs:
-            if sub.is_zero:
-                continue
-            par = sub.parity()
-            want_par = par if direction == DX else (par + 1) % 2
-            jets = [g for g in jets_up_to_weight(ws, gens, wt - shift)
-                    if recursion._is_new_coordinate(g)]
-            items = items_from_gens(ws, jets, wt - shift, zero_weight_cap)
-            out.append([print_poly(m) for m in
-                        enumerate_monomials(items, wt - shift, want_par)])
-    return out
-
-
 @contextmanager
 def _recorded_integration_ansatz(log):
     """Extend log by the full ansatz of every ``d_integrate`` call."""
@@ -113,7 +84,8 @@ def _recorded_integration_ansatz(log):
 
     def integrate_and_record(target, direction, ws, gens, zero_weight_cap=2,
                              assume_nonzero=()):
-        log.extend(_integration_ansatzes(target, direction, ws, gens, zero_weight_cap))
+        log.extend([print_poly(m) for m in monos] for _part, monos in
+                   integration_ansatz_parts(target, direction, ws, gens, zero_weight_cap))
         recursion.d_integrate = real  # a nested call belongs to this one
         try:
             return real(target, direction, ws, gens, zero_weight_cap, assume_nonzero)

@@ -21,7 +21,8 @@ from superjet.algebra import (
     term_order_key,
 )
 from superjet.jets import Flow, dt_apply, evolutionary_apply, super_derive
-from superjet.weights import AnsatzItem, enumerate_monomials
+from superjet.recursion import NotIntegrableError, d_integrate
+from superjet.weights import AnsatzItem, WeightSystem, enumerate_monomials
 
 from conftest import cached_entry
 
@@ -97,6 +98,29 @@ def test_odd_evolutionary_right_leibniz_rule(a, c):
         evolutionary_apply(ODD_FLOW, a) * c
     )
     assert evolutionary_apply(ODD_FLOW, a * c) == rhs
+
+
+GENS_WEIGHTS = WeightSystem({b: Q(1), f: Q(1, 2), u2: Q(1)})
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys, polys, st.sampled_from((D1, D2, DX)))
+def test_operations_leave_their_operands_unchanged(a, c, direction):
+    """SuperPoly never mutates the ``terms`` of a value after construction."""
+    flow = Flow({b: a.parity_report()[0], f: c.parity_report()[1],
+                 u2: c.parity_report()[0]})
+    target = super_derive(a, DX) + c
+    operands = [a, c, target, *flow.components.values()]
+    before = [dict(p.terms) for p in operands]
+    _ = a + c, a * c, c * a
+    super_derive(a, direction)
+    evolutionary_apply(flow, a)
+    evolutionary_apply(ODD_FLOW, c)
+    try:
+        d_integrate(target, DX, GENS_WEIGHTS, [b, f, u2])
+    except NotIntegrableError:
+        pass
+    assert [p.terms for p in operands] == before
 
 
 SYS = None

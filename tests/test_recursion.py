@@ -3,12 +3,30 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superjet import catalog, recursion
-from superjet.algebra import D1, DX, EVEN, ODD, FieldSymbol, JetVar, SuperPoly, prod
-from superjet.determine import LinearEquation
+from superjet.algebra import (
+    D1,
+    DX,
+    EVEN,
+    ODD,
+    FieldSymbol,
+    JetVar,
+    SuperPoly,
+    linear_ansatz,
+    poly_sum,
+    prod,
+)
+from superjet.determine import (
+    LinearEquation,
+    extract_linear_system,
+    solve_linear,
+    unknown_names,
+)
 from superjet.grammar import parse_expression
-from superjet.jets import dt_apply, super_derive
+from superjet.jets import dt_apply, jet_poly, super_derive
 from superjet.recursion import (
     NotIntegrableError,
     _forced_zero,
@@ -19,6 +37,7 @@ from superjet.recursion import (
     differential_order,
     flow_order,
     is_local,
+    iterate,
     nilpotency_order,
     shadow_is_valid,
     shadow_power,
@@ -26,7 +45,7 @@ from superjet.recursion import (
 )
 from superjet.weights import WeightSystem
 
-from conftest import cached_entry
+from conftest import cached_entry, integration_ansatz_parts
 
 Q = Fraction
 
@@ -120,6 +139,162 @@ def test_no_preimage_raises_after_every_unknown_is_forced_to_zero(monkeypatch):
         d_integrate(target, DX, doc.weight_system(), doc.system().fields)
     ((unknowns, zero),) = forced
     assert unknowns and zero == unknowns
+
+
+# ---------------------------------------------------------------------------
+# d_integrate against the whole ansatz
+
+
+def _whole_ansatz_system(part, monos, direction):
+    names = unknown_names(len(monos), "c")
+    residual = super_derive(linear_ansatz(names, monos), direction) - part
+    return names, extract_linear_system([residual], names)
+
+
+def _reference_integrate(target, direction, ws, gens, zero_weight_cap=2,
+                         assume_nonzero=()):
+    """An exact preimage from the whole ansatz of every part: every
+    monomial of the preimage's weight and parity, differentiated and
+    solved at once, with no presolve."""
+    parts = []
+    for part, monos in integration_ansatz_parts(target, direction, ws, gens,
+                                                zero_weight_cap):
+        names, eqs = _whole_ansatz_system(part, monos, direction)
+        branches = solve_linear(eqs, names, assume_nonzero)
+        if not branches:
+            raise NotIntegrableError(f"no {direction}-preimage")
+        sol = branches[0].particular
+        parts.append(poly_sum(sol[n] * m for n, m in zip(names, monos)))
+    return poly_sum(parts)
+
+
+def _outcome(integrate, *args):
+    """The preimage, or NotIntegrableError when there is none."""
+    try:
+        return integrate(*args)
+    except NotIntegrableError:
+        return NotIntegrableError
+
+
+def _record_calls(monkeypatch):
+    """The arguments of every d_integrate call that goes through the module."""
+    calls = []
+    real = recursion.d_integrate
+
+    def record(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(recursion, "d_integrate", record)
+    return calls
+
+
+def test_integration_matches_the_whole_ansatz_on_shadow_steps_and_the_catalog(monkeypatch):
+    calls = _record_calls(monkeypatch)
+    doc = cached_entry("dbous").doc
+    ws = doc.weight_system()
+    for seed in ("seed_x", "seed_t"):
+        iterate(doc.shadows["R"], doc.flows[seed], 4, ws)
+    steps = len(calls)
+    for entry_id in catalog.ids():
+        assert all(ok for _check, ok, _detail in catalog.verify(entry_id)), entry_id
+    checked = []
+    for args in calls:
+        if args not in checked:  # the catalog repeats the four steps
+            checked.append(args)
+            assert _outcome(d_integrate, *args) == _outcome(_reference_integrate, *args)
+    assert steps == 16 and len(checked) > steps
+
+
+def _component_sizes(target, direction, ws, gens, zero_weight_cap):
+    """(unknowns, equations) of the target's connected component in the
+    whole-ansatz system of each part, found by a search over the graph
+    whose edges are the nonzero coefficients."""
+    out = []
+    for part, monos in integration_ansatz_parts(target, direction, ws, gens,
+                                                zero_weight_cap):
+        _names, eqs = _whole_ansatz_system(part, monos, direction)
+        rows_of: dict = {}
+        for i, eq in enumerate(eqs):
+            for n in eq.coeffs:
+                rows_of.setdefault(n, []).append(i)
+        rows = {i for i, eq in enumerate(eqs) if not eq.const.is_zero}
+        todo, unknowns = list(rows), set()
+        while todo:
+            for n in eqs[todo.pop()].coeffs:
+                if n not in unknowns:
+                    unknowns.add(n)
+                    todo += [j for j in rows_of[n] if j not in rows]
+                    rows.update(rows_of[n])
+        out.append((len(unknowns), len(rows)))
+    return out
+
+
+@pytest.mark.parametrize("seed, unknowns", [("seed_x", [35, 10]), ("seed_t", [56, 13])])
+def test_integration_builds_only_the_targets_component(monkeypatch, seed, unknowns):
+    doc = cached_entry("dbous").doc
+    ws = doc.weight_system()
+    flow = iterate(doc.shadows["R"], doc.flows[seed], 2, ws)[-1]
+    calls = _record_calls(monkeypatch)
+    systems = []
+
+    def record(eqs):
+        systems.append((len({n for eq in eqs for n in eq.coeffs}), len(eqs)))
+        return _forced_zero(eqs)
+
+    monkeypatch.setattr(recursion, "_forced_zero", record)
+    apply_shadow(doc.shadows["R"], flow, ws)
+    assert systems == [size for args in calls for size in _component_sizes(*args[:5])]
+    assert [n for n, _eqs in systems] == unknowns
+
+
+ORACLE_ENTRIES = ("skdv", "dbous", "pskdv", "skdv-a")
+
+
+@st.composite
+def integration_problems(draw):
+    """A target on a catalog entry's fields and non-local variables, with a
+    weight-0 parameter alpha: the image of a random polynomial, that image
+    plus a random term, or a random polynomial."""
+    doc = cached_entry(draw(st.sampled_from(ORACLE_ENTRIES))).doc
+    ws0 = doc.weight_system()
+    ws = WeightSystem(dict(ws0.fields), {**ws0.params, "alpha": Q(0)}, ws0.t)
+    gens = list(doc.system().fields)
+    for sh in doc.shadows.values():
+        gens += [w for w in sh.frame.covering.nonlocals if w not in gens]
+    jets = [jet_poly(u, d1, 0, m) for u in gens for d1 in (0, 1) for m in (0, 1, 2)]
+    factors = st.lists(st.sampled_from(jets), min_size=1, max_size=2)
+    scalars = st.sampled_from([SuperPoly.scalar(c) for c in (1, -2, Q(1, 3))]
+                              + [SuperPoly.param(n) for n in ws.params])
+    terms = st.tuples(scalars, factors).map(lambda t: prod(t[1], 1) * t[0])
+    polys = st.lists(terms, min_size=1, max_size=2).map(poly_sum)
+    direction = draw(st.sampled_from((DX, D1)))
+    kind = draw(st.sampled_from(("image", "image plus a term", "random")))
+    target = super_derive(draw(polys), direction) if kind != "random" else SuperPoly.zero()
+    if kind != "image":
+        target = target + draw(terms)
+    return target, direction, ws, gens
+
+
+@settings(max_examples=80, deadline=None)
+@given(integration_problems())
+def test_integration_matches_the_whole_ansatz_on_random_targets(problem):
+    assert _outcome(d_integrate, *problem) == _outcome(_reference_integrate, *problem)
+
+
+@pytest.mark.parametrize("weight, others", [(Q(0), 1), (Q(-1), 3)])
+def test_low_weight_factor_at_its_cap(weight, others):
+    """b weighs 0 or -1, so its cap is zero_weight_cap = 2: b^2 times the
+    other fields integrates, b^3 times them does not."""
+    b = FieldSymbol("b", EVEN, 1)
+    us = [FieldSymbol(f"u{i}", EVEN, 1) for i in range(others)]
+    ws = WeightSystem({b: weight, **dict.fromkeys(us, Q(1))})
+    for k in (2, 3):
+        pre = prod([JetVar(b)] * k + [JetVar(u) for u in us])
+        target = super_derive(pre, DX)
+        want = _outcome(_reference_integrate, target, DX, ws, [b, *us])
+        assert want == (pre if k == 2 else NotIntegrableError)
+        assert _outcome(d_integrate, target, DX, ws, [b, *us]) == want
 
 
 def test_parametric_target_integrates():
