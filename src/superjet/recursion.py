@@ -151,11 +151,6 @@ def d_integrate(
         jets = [g for g in jets_up_to_weight(ws, gens, want_wt) if _is_new_coordinate(g)]
         items = items_from_gens(ws, jets, want_wt, zero_weight_cap)
         component = _component(_by_monomial(part), direction, items, want_wt, want_par)
-        if not component:
-            raise NotIntegrableError(
-                f"no ansatz monomial of weight {want_wt} reaches the target "
-                f"under {direction}"
-            )
         monos = sorted(component, key=term_order_key)
         names = unknown_names(len(monos), "ci")
         eqs = _equations(part, dict(zip(names, map(component.get, monos))))
