@@ -153,11 +153,8 @@ def cmd_normalize(args):
 def cmd_derive(args):
     doc, _ = _load_doc(args)
     p = parse_expression(args.expr, doc.scope)
-    d = _DIRECTIONS.get(args.dir)
-    if d is None:
-        raise UsageError("--dir must be one of D, D1, D2, Dx")
     for _ in range(args.times):
-        p = super_derive(p, d)
+        p = super_derive(p, _DIRECTIONS[args.dir])
     return _emit(args, {"result": print_poly(p)}, 0)
 
 
@@ -293,12 +290,9 @@ def cmd_euler(args):
 def cmd_integrate(args):
     doc, _ = _load_doc(args)
     p = parse_expression(args.expr, doc.scope)
-    d = _DIRECTIONS.get(args.dir)
-    if d not in (D1, DX):
-        raise UsageError("--dir must be D or Dx")
     gens = list(doc.fields.values()) + list(doc.nonlocals.values())
     try:
-        out = d_integrate(p, d, doc.weight_system(), gens, args.max_degree)
+        out = d_integrate(p, _DIRECTIONS[args.dir], doc.weight_system(), gens, args.max_degree)
     except NotIntegrableError as exc:
         return _emit(args, {"error": str(exc)}, 1)
     return _emit(args, {"preimage": print_poly(out)}, 0)
@@ -310,13 +304,11 @@ def cmd_conserved(args):
         rho = doc.functionals[args.expr]
     else:
         rho = parse_expression(args.expr, doc.scope)
-    d = _DIRECTIONS.get(args.image)
-    if d not in (D1, DX):
-        raise UsageError("--image must be D or Dx")
     flux_src = dt_apply(doc.system(), rho)
     gens = list(doc.fields.values()) + list(doc.nonlocals.values())
     try:
-        flux = d_integrate(flux_src, d, doc.weight_system(), gens, args.max_degree)
+        flux = d_integrate(flux_src, _DIRECTIONS[args.image], doc.weight_system(), gens,
+                           args.max_degree)
     except NotIntegrableError as exc:
         return _emit(args, {"conserved": False, "error": str(exc)}, 1)
     return _emit(args, {"conserved": True, "flux": print_poly(flux)}, 0)
@@ -376,30 +368,28 @@ def cmd_gardner(args):
             for w, rho_list in rows.items()
         }
         return _emit(args, {"densities": out}, 0)
-    if args.action == "search":
-        doc, entry, base, _ext, _miura, _corr = _gardner_fixture(args)
-        H0 = next(iter(doc.functionals.values()), None)
-        if H0 is None:
-            raise UsageError("entry declares no functional to deform")
-        make_op = entry.extras.get("make_operator") if entry else None
-        eps_weight = doc.param_weights.get("eps")
-        if eps_weight is None:
-            raise UsageError("entry declares no weighted deformation parameter")
-        results = search_deformation(
-            base, doc.weight_system(), H0, "eps", eps_weight,
-            args.max_order, make_op=make_op,
-        )
-        out = []
-        for d in results:
-            out.append({
-                "miura": {u.name: print_poly(p) for u, p in d.miura.items()},
-                "density": print_poly(d.hamiltonian),
-                "free": list(d.free_params),
-            })
-            if d.constraints:
-                out[-1]["constraints"] = [print_poly(c) for c in d.constraints]
-        return _emit(args, {"deformations": out}, 0 if out else 1)
-    raise UsageError("gardner action must be verify, densities or search")
+    doc, entry, base, _ext, _miura, _corr = _gardner_fixture(args)  # search
+    H0 = next(iter(doc.functionals.values()), None)
+    if H0 is None:
+        raise UsageError("entry declares no functional to deform")
+    make_op = entry.extras.get("make_operator") if entry else None
+    eps_weight = doc.param_weights.get("eps")
+    if eps_weight is None:
+        raise UsageError("entry declares no weighted deformation parameter")
+    results = search_deformation(
+        base, doc.weight_system(), H0, "eps", eps_weight,
+        args.max_order, make_op=make_op,
+    )
+    out = []
+    for d in results:
+        out.append({
+            "miura": {u.name: print_poly(p) for u, p in d.miura.items()},
+            "density": print_poly(d.hamiltonian),
+            "free": list(d.free_params),
+        })
+        if d.constraints:
+            out[-1]["constraints"] = [print_poly(c) for c in d.constraints]
+    return _emit(args, {"deformations": out}, 0 if out else 1)
 
 
 def cmd_theta_expand(args):
@@ -452,24 +442,22 @@ def cmd_catalog(args):
             out["scales"] = {k: _fr(v) for k, v in e.scales.items()}
         out["checks"] = [name for name, _fn in e.checks]
         return _emit(args, out, 0)
-    if args.action == "verify":
-        ids = list(catalog.ids()) if (args.all or not args.id) else [args.id]
-        results = []
-        if args.jobs and args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                for cid, rows in zip(ids, pool.map(catalog.verify, ids)):
-                    results.extend((cid, *row) for row in rows)
-        else:
-            for cid in ids:
-                results.extend((cid, *row) for row in catalog.verify(cid))
-        lines = [
-            f"{'PASS' if ok else 'FAIL'} {cid}:{name} {detail}"
-            for cid, name, ok, detail in results
-        ]
-        failures = sum(1 for _c, _n, ok, _d in results if not ok)
-        return _emit(args, {"checks": lines, "failures": failures},
-                     0 if failures == 0 else 1)
-    raise UsageError("catalog action must be list, show or verify")
+    ids = list(catalog.ids()) if (args.all or not args.id) else [args.id]  # verify
+    results = []
+    if args.jobs and args.jobs > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            for cid, rows in zip(ids, pool.map(catalog.verify, ids)):
+                results.extend((cid, *row) for row in rows)
+    else:
+        for cid in ids:
+            results.extend((cid, *row) for row in catalog.verify(cid))
+    lines = [
+        f"{'PASS' if ok else 'FAIL'} {cid}:{name} {detail}"
+        for cid, name, ok, detail in results
+    ]
+    failures = sum(1 for _c, _n, ok, _d in results if not ok)
+    return _emit(args, {"checks": lines, "failures": failures},
+                 0 if failures == 0 else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -481,13 +469,13 @@ def _add_common(sp, expr=False):
     sp.add_argument("--doc", help="document name within the entry (default main)")
     sp.add_argument("--file", help="path to a source document")
     sp.add_argument("--json", action="store_true", help="structured output")
-    sp.add_argument("--jobs", type=int, default=1)
-    sp.add_argument("--max-degree", type=int, default=2, dest="max_degree",
-                    help="cap on powers of weight-zero factors in ansatze")
-    sp.add_argument("--case-split-limit", type=int, default=0,
-                    dest="case_split_limit")
     if expr:
         sp.add_argument("--expr", required=True)
+
+
+def _add_max_degree(sp):
+    sp.add_argument("--max-degree", type=int, default=2, dest="max_degree",
+                    help="cap on powers of weight-zero factors in ansatze")
 
 
 def build_parser():
@@ -535,6 +523,8 @@ def build_parser():
     sp.add_argument("--parity", choices=["even", "odd", "both"], default="even")
     sp.add_argument("--assume-nonzero", default="", dest="assume_nonzero",
                     help="comma-separated parameters taken to be nonzero")
+    _add_max_degree(sp)
+    sp.add_argument("--case-split-limit", type=int, default=0, dest="case_split_limit")
     sp.set_defaults(fn=cmd_find_symmetries)
 
     sp = sub.add_parser("check-covering", help="cross-derivative consistency")
@@ -551,6 +541,7 @@ def build_parser():
     sp.add_argument("--shadow", required=True)
     sp.add_argument("--seed", required=True)
     sp.add_argument("--iterations", type=int, default=1)
+    _add_max_degree(sp)
     sp.set_defaults(fn=cmd_apply_recursion)
 
     sp = sub.add_parser("nilpotency", help="least vanishing power of a shadow")
@@ -566,11 +557,13 @@ def build_parser():
     sp = sub.add_parser("integrate", help="exact preimage under D or Dx")
     _add_common(sp, expr=True)
     sp.add_argument("--dir", required=True, choices=["D", "Dx"])
+    _add_max_degree(sp)
     sp.set_defaults(fn=cmd_integrate)
 
     sp = sub.add_parser("conserved", help="check a density is conserved")
     _add_common(sp, expr=True)
     sp.add_argument("--image", required=True, choices=["D", "Dx"])
+    _add_max_degree(sp)
     sp.set_defaults(fn=cmd_conserved)
 
     sp = sub.add_parser("hamiltonian-flow", help="flow of a functional")

@@ -5,11 +5,13 @@ parameter names, so building an ansatz, pushing it through the calculus
 and reading off the determining system needs no special data flow.  The
 system is solved by the sparse Gauss-Jordan elimination of ``linsolve``
 over one domain, the Laurent ring in the parameters that occur (the
-rationals when there are none).  Only at the first pivot that is not a
-monomial does it fall back to the field of rational functions, whose
-sympy implementation is imported then and not before.  The numerator of
-every pivot whose non-vanishing is not guaranteed is recorded, and
-optional case splitting re-solves with such parameters pinned to zero.
+rationals when there are none).  The numerator of every pivot whose
+non-vanishing is not guaranteed is recorded, and optional case splitting
+re-solves with such parameters pinned to zero.  After a pivot with
+several terms the elimination is fraction-free, so the later ring pivots
+and leftovers, and with them ``assumptions`` and ``constraints``, may
+carry factors of that pivot; a basis vector is then the field's vector
+scaled by the numerator of the last such pivot.
 """
 
 from __future__ import annotations
@@ -22,15 +24,10 @@ from .algebra import SuperPoly, _accumulate, _wrap, linear_ansatz, term_order_ke
 from .jets import EvolutionSystem, Flow, check_symmetry, substitute_params
 from .linsolve import (
     NonlinearSystemError,
-    NotInvertible,
-    clear_polynomial_denominators,
     clearing_scale,
-    domain_of,
-    from_field,
     gauss_jordan,
     is_monomial_in,
     numerator,
-    to_field,
 )
 from .weights import WeightSystem, enumerate_monomials, items_from_gens, jets_up_to_weight
 
@@ -172,26 +169,13 @@ def _param_powers(eqs):
 def _solve_branch(eqs, unknowns, assume_nonzero, zero_params, constraint_params):
     """The generic solution of one branch, or None if it is inconsistent."""
     index = {u: i for i, u in enumerate(unknowns)}
-
-    def solve(K):
-        # equations read coeffs . x + const = 0
-        rows = [
-            ({index[u]: to_field(c, K) for u, c in eq.coeffs.items() if not c.is_zero},
-             -to_field(eq.const, K))
-            for eq in eqs
-        ]
-        return gauss_jordan(rows, len(unknowns), K,
-                            lambda v: is_monomial_in(v, K, assume_nonzero))
-
-    K = domain_of(n for n, _e in _param_powers(eqs))
-    try:
-        red = solve(K)
-    except NotInvertible:  # a pivot of the Laurent ring that is not a monomial
-        K = K.fraction_field
-        red = solve(K)
+    # equations read coeffs . x + const = 0
+    rows = [({index[u]: c for u, c in eq.coeffs.items() if not c.is_zero}, -eq.const)
+            for eq in eqs]
+    red = gauss_jordan(rows, len(unknowns), lambda v: is_monomial_in(v, assume_nonzero))
     constraints = []
     for rest in red.leftover:
-        cond = numerator(rest, K)
+        cond = numerator(rest)
         names = cond.param_names()
         if not names or not names <= constraint_params:
             return None
@@ -199,14 +183,14 @@ def _solve_branch(eqs, unknowns, assume_nonzero, zero_params, constraint_params)
 
     def values(vec):
         out = {u: SuperPoly.zero() for u in unknowns}
-        out.update((unknowns[c], from_field(v, K)) for c, v in vec.items())
+        out.update((unknowns[c], v) for c, v in vec.items())
         return out
 
     return LinearSolution(
         unknowns,
         values(red.particular),
-        [values(clear_polynomial_denominators(vec, K)) for vec in red.basis],
-        assumptions=[numerator(a, K) for a in red.assumed],
+        [values(vec) for vec in red.basis],
+        assumptions=[numerator(a) for a in red.assumed],
         zero_params=zero_params,
         constraints=constraints,
     )

@@ -165,24 +165,31 @@ def _flag_step(d1, d2, m, direction):
     raise ValueError(f"bad direction {direction!r}")
 
 
+def is_reducible(w: Nonlocality, d1=0, d2=0, m=0) -> bool:
+    """Whether D1^d1 D2^d2 Dx^m (w) reduces through the declared values of w:
+    it applies a declared D1 or D2, or it applies Dx, which any declared
+    direction yields (D1^2 = D2^2 = Dx)."""
+    defs = w.defs
+    return bool((d1 and D1 in defs) or (d2 and D2 in defs)
+                or (m and (DX in defs or D1 in defs or D2 in defs)))
+
+
 def nonlocal_jet(w: Nonlocality, d1=0, d2=0, m=0) -> SuperPoly:
     """D1^d1 D2^d2 Dx^m (w), reduced through the declared values of w."""
     defs = w.defs
+    if not is_reducible(w, d1, d2, m):
+        return SuperPoly.from_gen(JetVar(w, d1, d2, m))
     if d1 and D1 in defs:
-        return (-1 if d2 else 1) * apply_ops(defs[D1], [DX] * m + [D2] * d2)
+        return (-1 if d2 else 1) * prolong(defs[D1], 0, d2, m)
     if d2 and D2 in defs:
-        return apply_ops(defs[D2], [DX] * m + [D1] * d1)
-    if m:
-        if DX in defs:
-            e = defs[DX]
-        elif D1 in defs:
-            e = super_derive(defs[D1], D1)
-        elif D2 in defs:
-            e = super_derive(defs[D2], D2)
-        else:
-            return SuperPoly.from_gen(JetVar(w, d1, d2, m))
-        return apply_ops(e, _op_list(d1, d2, m - 1))
-    return SuperPoly.from_gen(JetVar(w, d1, d2, m))
+        return prolong(defs[D2], d1, 0, m)
+    if DX in defs:
+        e = defs[DX]
+    elif D1 in defs:
+        e = super_derive(defs[D1], D1)
+    else:
+        e = super_derive(defs[D2], D2)
+    return prolong(e, d1, d2, m - 1)
 
 
 def jet_poly(sym: FieldSymbol, d1=0, d2=0, m=0) -> SuperPoly:
@@ -205,9 +212,7 @@ def _derive_gen(g, direction) -> SuperPoly:
         # D_i = D_theta^i + theta^i Dx on a theta^i-independent field
         return SuperPoly.from_gen(Theta(idx)) * _derive_gen(g, DX)
     d1, d2, m, sign = _flag_step(g.d1, g.d2, g.m, direction)
-    if isinstance(sym, Nonlocality):
-        return sign * nonlocal_jet(sym, d1, d2, m)
-    return sign * SuperPoly.from_gen(JetVar(sym, d1, d2, m))
+    return sign * jet_poly(sym, d1, d2, m)
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +278,9 @@ def apply_ops(p: SuperPoly, ops) -> SuperPoly:
     return p
 
 
-def _op_list(d1, d2, m):
-    """Operator word for D1^d1 D2^d2 Dx^m, innermost (applied first) first."""
-    return [DX] * m + [D2] * d2 + [D1] * d1
+def prolong(p: SuperPoly, d1=0, d2=0, m=0) -> SuperPoly:
+    """D1^d1 D2^d2 Dx^m (p): the value at a jet of a field whose value is p."""
+    return apply_ops(p, [DX] * m + [D2] * d2 + [D1] * d1)
 
 
 def dt_apply(sys: EvolutionSystem, p: SuperPoly) -> SuperPoly:
@@ -295,7 +300,7 @@ def dt_apply(sys: EvolutionSystem, p: SuperPoly) -> SuperPoly:
             if sym not in sys.rhs:
                 raise MissingDerivativeError(f"no evolution declared for {sym.name}")
             e = sys.rhs[sym]
-        return apply_ops(e, _op_list(g.d1, g.d2, g.m))
+        return prolong(e, g.d1, g.d2, g.m)
 
     return _derive(p, image, side="even")
 
@@ -316,7 +321,7 @@ def evolutionary_apply(flow: Flow, p: SuperPoly) -> SuperPoly:
             raise MissingDerivativeError(
                 f"flow {flow.name or '?'} has no component for {sym.name}"
             )
-        return apply_ops(flow.components[sym], _op_list(g.d1, g.d2, g.m))
+        return prolong(flow.components[sym], g.d1, g.d2, g.m)
 
     return _derive(p, image, side="right" if q else "even")
 
@@ -365,10 +370,10 @@ def substitute(p: SuperPoly, mapping: Mapping) -> SuperPoly:
             return mapping[g]
         if isinstance(g, JetVar):
             if g.fieldsym in mapping:
-                return apply_ops(mapping[g.fieldsym], _op_list(g.d1, g.d2, g.m))
+                return prolong(mapping[g.fieldsym], g.d1, g.d2, g.m)
             base = JetVar(g.fieldsym)
             if base in mapping:
-                return apply_ops(mapping[base], _op_list(g.d1, g.d2, g.m))
+                return prolong(mapping[base], g.d1, g.d2, g.m)
         return SuperPoly.from_gen(g)
 
     out: dict = {}

@@ -1,18 +1,28 @@
-"""Exact linear algebra: one sparse Gauss-Jordan elimination.
+"""Exact linear algebra: one sparse, fraction-free Gauss-Jordan elimination.
 
-The working domain is always the Laurent ring ``QQ[p1^±1, ..., pk^±1]``
+The only domain is the Laurent ring ``QQ[p1^±1, ..., pk^±1]``
 (``LaurentRing``) in the parameters that occur; with no parameters it is
-``QQ`` itself.  Its elements are parameter-only ``SuperPoly`` values, and
-its one-term pivots invert exactly, with no gcd.  At the first pivot with
-more than one term the ring's ``revert`` raises ``NotInvertible``, and the
-caller re-solves the original rows over the fraction field
-``QQ(p1, ..., pk)``.  That fallback is sympy's ``QQ.frac_field``, and it is
-the only place sympy is imported, when first needed.
+``QQ`` itself.  Its elements are parameter-only ``SuperPoly`` values.  A
+one-term pivot is a unit of the ring, and its row is divided by it, so a
+system whose pivots are all monomials reduces exactly as over the field.
+A pivot with several terms is not a unit: it stays in its row, and from
+then on the elimination is fraction-free (Bareiss), with exact division
+by the previous such pivot and never a gcd.
+
+That fixes the canonical form of a solution once a pivot has several
+terms.  Every pivot row then has the last such pivot ``s`` in its pivot
+column.  A particular value is the exact quotient of its row's right-hand
+side by ``s``, and a quotient that is not a Laurent polynomial raises
+``NonlinearSystemError``.  A basis vector is the field's vector, with 1 in
+its free column, times the numerator of ``s`` if it reads any pivot row,
+so all its entries are Laurent polynomials.  The assumed pivots and the
+leftover right-hand sides are the ring's, and may carry factors of
+earlier pivots.
 
 Rows are sparse maps from column index to nonzero element, so the loop
 costs nothing for the zero entries that dominate determining systems.
-Pivots are taken in column order, which makes the reduced row echelon
-form, and hence every returned solution, canonical.
+Pivots are taken in column order, which makes every returned solution
+canonical.
 """
 
 from __future__ import annotations
@@ -20,8 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from operator import add, sub
+from typing import Callable, Iterable, Optional, Sequence
 
 from .algebra import SuperPoly, _accumulate, _merge_params, _wrap
 
@@ -30,112 +40,14 @@ class NonlinearSystemError(ValueError):
     pass
 
 
-class NotInvertible(ArithmeticError):
-    """A Laurent-ring pivot that is not a monomial."""
-
-
-@dataclass
-class Reduced:
-    """Solution set of ``sum(row[c] * x[c]) == rhs`` over all rows.
-
-    ``particular`` maps pivot columns to their value (free columns are
-    0); each ``basis`` vector maps columns to values and has 1 in its own
-    free column.  ``assumed`` lists the pivots that were not known to be
-    nonzero, in elimination order.  ``leftover`` holds the nonzero
-    right-hand sides of rows that reduced to ``0 == rhs``.
-    """
-
-    particular: dict
-    basis: list
-    assumed: list
-    leftover: list
-
-
-def gauss_jordan(
-    rows: Iterable[tuple],
-    n: int,
-    K,
-    sure_nonzero: Callable = lambda v: True,
-) -> Reduced:
-    """Reduce rows ``({column: value}, rhs)`` in ``n`` unknowns over ``K``.
-
-    For each column the pivot is the first remaining row (in input order)
-    whose entry satisfies ``sure_nonzero``, else the first remaining row
-    with any nonzero entry, which is then recorded in ``assumed``.  The loop
-    uses ``K``'s zero, one, is_zero, revert (which may raise NotInvertible),
-    mul and the update ``a - f*v``.
-    """
-    zero, is_zero, mul = K.zero, K.is_zero, K.mul
-    submul = K.submul if isinstance(K, LaurentRing) else (lambda a, f, v: a - f * v)
-    work = [(dict(row), rhs) for row, rhs in rows]
-    col_rows: dict = {}  # column -> indices of the rows with an entry there
-    for i, (row, _rhs) in enumerate(work):
-        for c in row:
-            col_rows.setdefault(c, set()).add(i)
-    pivot_row: dict = {}  # column -> index of its pivot row
-    used: set = set()
-    assumed = []
-    for c in range(n):
-        cands = sorted(i for i in col_rows.get(c, ()) if i not in used)
-        if not cands:
-            continue
-        p = next((i for i in cands if sure_nonzero(work[i][0][c])), None)
-        if p is None:
-            p = cands[0]
-            assumed.append(work[p][0][c])
-        row, rhs = work[p]
-        inv = K.revert(row[c])
-        row = {cc: mul(v, inv) for cc, v in row.items()}
-        rhs = mul(rhs, inv)
-        work[p] = (row, rhs)
-        used.add(p)
-        pivot_row[c] = p
-        for i in col_rows[c] - {p}:
-            orow, orhs = work[i]
-            f = orow[c]
-            for cc, v in row.items():
-                nv = submul(orow.get(cc, zero), f, v)
-                if not is_zero(nv):
-                    orow[cc] = nv
-                    col_rows.setdefault(cc, set()).add(i)
-                else:
-                    del orow[cc]
-                    col_rows[cc].discard(i)
-            work[i] = (orow, submul(orhs, f, rhs))
-    leftover = [rhs for i, (_row, rhs) in enumerate(work)
-                if i not in used and not is_zero(rhs)]
-    particular = {c: work[p][1] for c, p in pivot_row.items()}
-    basis = []
-    for fc in range(n):
-        if fc in pivot_row:
-            continue
-        vec = {fc: K.one}
-        for c, p in pivot_row.items():
-            v = work[p][0].get(fc)
-            if v is not None:
-                vec[c] = -v
-        basis.append(vec)
-    return Reduced(particular, basis, assumed, leftover)
-
-
 class LaurentRing:
     """``QQ[p1^±1, ..., pk^±1]`` with parameter-only SuperPolys as elements.
 
-    Products work on the parameter part of the monomial keys alone.  Only
-    monomials are invertible; ``revert`` raises ``NotInvertible`` on any
-    other value, and ``fraction_field`` is the field to fall back to.
+    Products work on the parameter part of the monomial keys alone, and
+    ``revert`` inverts a monomial, the ring's only units.
     """
 
     zero, one = SuperPoly.zero(), SuperPoly.one()
-
-    def __init__(self, names: Sequence[str]):
-        self.names = tuple(names)
-
-    @cached_property
-    def fraction_field(self):
-        from sympy import QQ  # the only sympy import: the fallback is rare
-
-        return QQ.frac_field(*self.names)
 
     @staticmethod
     def is_zero(a: SuperPoly) -> bool:
@@ -143,8 +55,6 @@ class LaurentRing:
 
     @staticmethod
     def revert(a: SuperPoly) -> SuperPoly:
-        if len(a.terms) != 1:
-            raise NotInvertible(f"{a} is not a Laurent monomial")
         ((key, c),) = a.terms.items()
         return _wrap({((), (), (), tuple((nm, -x) for nm, x in key[3])): 1 / c})
 
@@ -162,63 +72,169 @@ class LaurentRing:
         return _wrap(acc)
 
 
-# ---------------------------------------------------------------------------
-# parameter-only SuperPoly values as domain elements
+@dataclass
+class Reduced:
+    """Solution set of ``sum(row[c] * x[c]) == rhs`` over all rows.
 
-
-def domain_of(names: Iterable[str]) -> LaurentRing:
-    """The Laurent ring in the given parameters (``QQ`` itself when none)."""
-    return LaurentRing(sorted(set(names)))
-
-
-def to_field(p: SuperPoly, K):
-    """The element of ``K`` of a parameter-only polynomial (the polynomial
-    itself in the Laurent ring)."""
-    if isinstance(K, LaurentRing):
-        return p
-    gens = dict(zip(map(str, K.symbols), K.field.gens))
-    return sum((K.field(K.domain.dtype(c.numerator, c.denominator))
-                * math.prod((gens[nm] ** x for nm, x in key[3]), start=K.field.one)
-                for key, c in p.terms.items()), K.field.zero)
-
-
-def _poly_of(numer, K, shift=None) -> SuperPoly:
-    """A polynomial of ``K`` as a SuperPoly, with ``shift`` subtracted from
-    every exponent vector."""
-    names = [str(g) for g in K.symbols]
-    terms = {}
-    for monom, c in numer.terms():
-        if shift is not None:
-            monom = [x - s for x, s in zip(monom, shift)]
-        params = tuple((nm, x) for nm, x in zip(names, monom) if x)
-        terms[((), (), (), params)] = Fraction(int(c.numerator), int(c.denominator))
-    return SuperPoly(terms)
-
-
-def from_field(v, K) -> SuperPoly:
-    """An element of ``K`` as a parameter-only Laurent polynomial.
-
-    Raises NonlinearSystemError when the denominator is not a monomial.
+    ``solved`` maps each pivot column to its row's entry there and its
+    row's right-hand side.  Each ``basis`` vector maps columns to values
+    and is nonzero in its own free column only among the free columns.
+    ``assumed`` lists the pivots that were not known to be nonzero, in
+    elimination order.  ``leftover`` holds the nonzero right-hand sides of
+    rows that reduced to ``0 == rhs``.
     """
-    if isinstance(K, LaurentRing):
-        return v
-    if len(v.denom) != 1:
-        raise NonlinearSystemError(
-            f"solution denominator {v.denom.as_expr()} is not a parameter monomial"
-        )
-    ((monom, c),) = v.denom.terms()
-    return _poly_of(v.numer, K, monom) / Fraction(int(c.numerator), int(c.denominator))
+
+    solved: dict
+    basis: list
+    assumed: list
+    leftover: list
+
+    @property
+    def particular(self) -> dict:
+        """Pivot columns to their values (free columns are 0).
+
+        Raises NonlinearSystemError when a value is not a Laurent polynomial.
+        """
+        out = {}
+        for c, (pivot, rhs) in self.solved.items():
+            out[c] = quotient(rhs, pivot)
+            if out[c] is None:
+                raise NonlinearSystemError(
+                    f"solution {rhs} / ({pivot}) is not a Laurent polynomial"
+                )
+        return out
 
 
-def numerator(v, K) -> SuperPoly:
-    """The numerator of ``v`` as a parameter-only SuperPoly.
+def gauss_jordan(
+    rows: Iterable[tuple],
+    n: int,
+    sure_nonzero: Callable = lambda v: True,
+    K: LaurentRing = LaurentRing(),
+) -> Reduced:
+    """Reduce rows ``({column: value}, rhs)`` in ``n`` unknowns.
 
-    In the Laurent ring this is ``v`` times its ``clearing_scale``, which
-    is the numerator the fraction field keeps.
+    For each column the pivot is the first remaining row (in input order)
+    whose entry over the field satisfies ``sure_nonzero``, else the first
+    remaining row with any nonzero entry, whose entry in the ring is then
+    recorded in ``assumed``.  ``K`` supplies the ring operations;
+    ``revert`` is called on the monomial pivots alone.
+
+    Up to the first pivot that is not a monomial, every pivot row ``v``
+    is divided by its pivot and the rows ``a`` with an entry ``f`` in its
+    column become ``a - f*v``.  From that pivot on, each pivot ``p``,
+    monomial or not, turns every other row into ``(p*a - f*v) / s``, where
+    ``s`` is the previous pivot taken this way (1 at first).  This is
+    Bareiss's step: each row is then exactly the field's row times ``p``,
+    the division is exact, and entries stay the size of minors.
     """
-    if isinstance(K, LaurentRing):
-        return clearing_scale((v,)) * v
-    return _poly_of(v.numer, K)
+    zero, one, is_zero, mul, submul = K.zero, K.one, K.is_zero, K.mul, K.submul
+    work = [(dict(row), rhs) for row, rhs in rows]
+    col_rows: dict = {}  # column -> indices of the rows with an entry there
+    for i, (row, _rhs) in enumerate(work):
+        for c in row:
+            col_rows.setdefault(c, set()).add(i)
+    pivot_row: dict = {}  # column -> index of its pivot row
+    used: set = set()
+    assumed = []
+    scale = one  # the pivot of the last fraction-free step
+    for c in range(n):
+        cands = sorted(i for i in col_rows.get(c, ()) if i not in used)
+        if not cands:
+            continue
+        if scale is one:
+            p = next((i for i in cands if sure_nonzero(work[i][0][c])), None)
+        else:  # judge the field's entries, which are the ring's divided by scale
+            p = next((i for i in cands if (v := quotient(work[i][0][c], scale)) is not None
+                      and sure_nonzero(v)), None)
+        if p is None:
+            p = cands[0]
+            assumed.append(work[p][0][c])
+        row, rhs = work[p]
+        pivot = row[c]
+        unit = scale is one and len(pivot.terms) == 1
+        if unit:
+            inv = K.revert(pivot)
+            row = {cc: mul(v, inv) for cc, v in row.items()}
+            rhs = mul(rhs, inv)
+            work[p] = (row, rhs)
+        used.add(p)
+        pivot_row[c] = p
+        for i in col_rows[c] - {p} if unit else set(range(len(work))) - {p}:
+            orow, orhs = work[i]
+            f = orow.get(c)
+            if not unit:
+                orow = {cc: mul(pivot, v) for cc, v in orow.items()}
+                orhs = mul(pivot, orhs)
+            if f is not None:
+                for cc, v in row.items():
+                    nv = submul(orow.get(cc, zero), f, v)
+                    if not is_zero(nv):
+                        orow[cc] = nv
+                        col_rows.setdefault(cc, set()).add(i)
+                    else:
+                        del orow[cc]
+                        col_rows[cc].discard(i)
+                orhs = submul(orhs, f, rhs)
+            if scale is not one:
+                orow = {cc: quotient(v, scale) for cc, v in orow.items()}
+                orhs = quotient(orhs, scale)
+            work[i] = (orow, orhs)
+        if not unit:
+            scale = pivot
+    leftover = [rhs for i, (_row, rhs) in enumerate(work)
+                if i not in used and not is_zero(rhs)]
+    solved = {c: (work[p][0][c], work[p][1]) for c, p in pivot_row.items()}
+    # every pivot row now has ``scale`` in its pivot column
+    clear, head = clearing_scale((scale,)), numerator(scale)
+    basis = []
+    for fc in range(n):
+        if fc in pivot_row:
+            continue
+        reads = [(c, work[p][0][fc]) for c, p in pivot_row.items() if fc in work[p][0]]
+        vec = {fc: head if reads else one}
+        vec.update((c, mul(clear, -v)) for c, v in reads)
+        basis.append(vec)
+    return Reduced(solved, basis, assumed, leftover)
+
+
+def quotient(a: SuperPoly, b: SuperPoly) -> Optional[SuperPoly]:
+    """``a / b`` when it is a Laurent polynomial, else None.
+
+    Shifted by monomials to polynomials, with no monomial factor left in
+    ``b``, ``b`` divides ``a`` in the Laurent ring exactly when it does in
+    the polynomial ring.  Long division by the lex-leading term of ``b``
+    decides that, since one polynomial is a Groebner basis of its ideal.
+    """
+    if len(b.terms) == 1:
+        return LaurentRing.mul(a, LaurentRing.revert(b))
+    if not a.terms:
+        return a
+    names = sorted(a.param_names() | b.param_names())
+
+    def shifted(p):
+        vecs = [tuple(dict(key[3]).get(nm, 0) for nm in names) for key in p.terms]
+        low = [min(col) for col in zip(*vecs)]
+        return {tuple(map(sub, v, low)): c for v, c in zip(vecs, p.terms.values())}, low
+
+    (rest, low_a), (den, low_b) = shifted(a), shifted(b)
+    lead = max(den)
+    out = {}
+    while rest:
+        top = max(rest)
+        q = tuple(map(sub, top, lead))
+        if min(q) < 0:
+            return None
+        out[q] = qc = rest[top] / den[lead]
+        _accumulate(rest, ((tuple(map(add, q, v)), -qc * c) for v, c in den.items()))
+    shift = list(map(sub, low_a, low_b))
+    return _wrap({((), (), (), tuple((nm, x) for nm, x in zip(names, map(add, e, shift)) if x)):
+                  c for e, c in out.items()})
+
+
+def numerator(v: SuperPoly) -> SuperPoly:
+    """``v`` times its ``clearing_scale``: the numerator the fraction field
+    keeps for ``v``."""
+    return clearing_scale((v,)) * v
 
 
 def clearing_scale(values: Iterable[SuperPoly]) -> SuperPoly:
@@ -235,28 +251,7 @@ def clearing_scale(values: Iterable[SuperPoly]) -> SuperPoly:
     return SuperPoly({((), (), (), tuple(sorted(clear.items()))): Fraction(denom)})
 
 
-def is_monomial_in(v, K, names: Sequence[str]) -> bool:
-    """Whether numerator and denominator are single monomials in ``names``."""
-    if isinstance(K, LaurentRing):
-        ((key, _c), *more) = v.terms.items()
-        return not more and all(nm in names for nm, _x in key[3])
-    allowed = [str(g) in names for g in K.symbols]
-    return all(
-        len(part) == 1 and all(ok or not x for ok, x in zip(allowed, next(iter(part))))
-        for part in (v.numer, v.denom)
-    )
-
-
-def clear_polynomial_denominators(vec: dict, K) -> dict:
-    """Scale a vector of the fraction field by the lcm of its non-monomial
-    denominators."""
-    if isinstance(K, LaurentRing):
-        return vec
-    lcm = K.field.ring.one
-    for v in vec.values():
-        if len(v.denom) != 1:
-            lcm = lcm.lcm(v.denom)
-    if lcm == 1:
-        return vec
-    scale = K.field.new(lcm)
-    return {c: v * scale for c, v in vec.items()}
+def is_monomial_in(v: SuperPoly, names: Sequence[str]) -> bool:
+    """Whether ``v`` is a single monomial in ``names``."""
+    ((key, _c), *more) = v.terms.items()
+    return not more and all(nm in names for nm, _x in key[3])

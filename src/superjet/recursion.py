@@ -33,10 +33,10 @@ from .jets import (
     Nonlocality,
     _derive,
     _derive_gen,
-    apply_ops,
     dt_apply,
     evolutionary_apply,
-    nonlocal_jet,
+    is_reducible,
+    prolong,
 )
 from .determine import LinearEquation, solve_linear, unknown_names
 from .weights import (
@@ -316,9 +316,7 @@ def _forced_zero(eqs) -> set:
 def _is_new_coordinate(g: JetVar) -> bool:
     """Whether the jet is a genuine coordinate (not reducible by declarations)."""
     sym = g.fieldsym
-    if not isinstance(sym, Nonlocality):
-        return True
-    return nonlocal_jet(sym, g.d1, g.d2, g.m) == SuperPoly.from_gen(g)
+    return not (isinstance(sym, Nonlocality) and is_reducible(sym, g.d1, g.d2, g.m))
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +395,7 @@ def apply_shadow(
     values = _phantom_values(frame, flow, ws, zero_weight_cap, assume_nonzero)
 
     def value_of(g: JetVar):
-        base_val = values[g.fieldsym]
-        return apply_ops(base_val, [DX] * g.m + [D2] * g.d2 + [D1] * g.d1)
+        return prolong(values[g.fieldsym], g.d1, g.d2, g.m)
 
     comps = {}
     for u in frame.base.fields:
@@ -448,7 +445,7 @@ def compose(s1: Shadow, s2: Shadow) -> Shadow:
                     )
 
     def value_of(g: JetVar):
-        return apply_ops(values[g.fieldsym], [DX] * g.m + [D2] * g.d2 + [D1] * g.d1)
+        return prolong(values[g.fieldsym], g.d1, g.d2, g.m)
 
     comps = {
         u: _substitute_phantoms(s1.components[u], value_of) for u in frame.base.fields

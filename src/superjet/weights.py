@@ -27,7 +27,7 @@ from .algebra import (
     _wrap,
     term_order_key,
 )
-from .linsolve import LaurentRing, gauss_jordan
+from .linsolve import gauss_jordan
 
 Q = Fraction
 
@@ -212,7 +212,6 @@ def infer_weights(sys, fixed: Mapping = None, param_names: Sequence[str] = ()):
     red = gauss_jordan(
         [({c: scalar(a) for c, a in enumerate(row) if a}, scalar(rhs)) for row, rhs in rows],
         len(unknowns),
-        LaurentRing(()),
     )
     if red.leftover:
         return None

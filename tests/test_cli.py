@@ -211,14 +211,29 @@ def test_engine_fault_is_not_a_usage_error(capsys, monkeypatch):
     assert "KeyError: 'engine bug'" in capsys.readouterr().err
 
 
+def test_options_are_attached_where_they_are_read(capsys):
+    with pytest.raises(SystemExit) as ei:
+        main(["parse", "--catalog", "pskdv", "--jobs", "2"])
+    assert ei.value.code == 2
+    capsys.readouterr()
+    code, out = run(capsys, "find-symmetries", "--catalog", "bous-embed", "--weight=-2",
+                    "--max-degree", "2", "--case-split-limit", "1",
+                    "--assume-nonzero", "alpha", "--json")
+    assert code == 0
+    assert json.loads(out)["dimension"] == 1
+
+
 def test_commands_run_without_importing_sympy():
-    """sympy is imported only by the fraction-field fallback of the solver,
-    which none of these commands reaches; the weight scan without
-    --assume-nonzero records its assumptions through the ring's own
-    numerator."""
+    """No command and no solve imports sympy: not the weight scan without
+    --assume-nonzero, which records its assumptions through the ring's own
+    numerator, and not the systems whose pivots have several terms."""
     script = textwrap.dedent("""
         import contextlib, io, sys
+        from fractions import Fraction
         from superjet import cli
+        from superjet.algebra import SuperPoly
+        from superjet.determine import extract_linear_system, solve_linear
+        from superjet.jets import substitute_params
         for argv in (
             ["catalog", "verify", "--all"],
             ["find-symmetries", "--catalog", "bous-embed", "--weight=-1/2..-5",
@@ -228,6 +243,26 @@ def test_commands_run_without_importing_sympy():
         ):
             with contextlib.redirect_stdout(io.StringIO()):
                 assert cli.main(argv) == 0, argv
+        P = SuperPoly.param
+        alpha, beta, one = P("alpha"), P("beta"), SuperPoly.one()
+        names = ["c0", "c1", "c2"]
+        c0, c1, c2 = map(P, names)
+        eqs = extract_linear_system([alpha * c0 + c1, c0 + beta * c1 + c2], names)
+        (sol,) = solve_linear(eqs, names, assume_nonzero=("alpha", "beta"))
+        assert sol.basis == [{"c0": one, "c1": -alpha, "c2": alpha * beta - one}]
+
+        def entry(i, j):  # a Laurent monomial in alpha, beta and gamma
+            exps = ((i + j) % 3 - 1, (i * j) % 3 - 1, (i + 2 * j) % 3 - 1)
+            params = tuple((nm, e) for nm, e in zip(("alpha", "beta", "gamma"), exps) if e)
+            return SuperPoly({((), (), (), params): Fraction(i + j + 1, 2)})
+
+        names = [f"c{j}" for j in range(5)]
+        rows = [[entry(i, j) for j in range(5)] for i in range(4)]
+        rows[1][2] = rows[1][2] + alpha
+        polys = [sum((a * P(u) for a, u in zip(row, names)), SuperPoly.zero()) for row in rows]
+        (sol,) = solve_linear(extract_linear_system(polys, names), names)
+        assert sol.dim == 1 and len(sol.assumptions[-1].terms) > 1
+        assert all(substitute_params(p, sol.basis[0]).is_zero for p in polys)
         print(sorted(m for m in sys.modules if m.split(".")[0] == "sympy")[:3])
     """)
     src = Path(__file__).resolve().parents[1] / "src"

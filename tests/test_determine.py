@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from sympy.polys.matrices import DomainMatrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,12 +19,11 @@ from superjet.determine import (
 )
 from superjet.linsolve import (
     LaurentRing,
-    NotInvertible,
-    domain_of,
+    clearing_scale,
     gauss_jordan,
     is_monomial_in,
     numerator,
-    to_field,
+    quotient,
 )
 
 from conftest import cached_entry
@@ -197,10 +197,10 @@ def test_particular_solution_with_polynomial_denominator_raises():
         solve_linear(eqs, ["c0"])
 
 
-def test_binomial_pivot_mid_elimination_falls_back_to_the_field():
+def test_binomial_pivot_mid_elimination_stays_in_the_ring():
     """The first pivot (alpha) is a monomial; eliminating it leaves the
-    binomial beta - 1/alpha as the next pivot, so the solve restarts over
-    the fraction field and clears the polynomial denominator."""
+    binomial beta - 1/alpha as the next pivot.  It stays in its row, and
+    the basis vector is scaled by its numerator alpha*beta - 1."""
     names = ["c0", "c1", "c2"]
     alpha, beta = SuperPoly.param("alpha"), SuperPoly.param("beta")
     c0, c1, c2 = (SuperPoly.param(n) for n in names)
@@ -209,6 +209,17 @@ def test_binomial_pivot_mid_elimination_falls_back_to_the_field():
     one = SuperPoly.one()
     assert sol.basis == [{"c0": one, "c1": -alpha, "c2": alpha * beta - one}]
     assert sol.assumptions == [alpha * beta - one]
+
+
+def test_pivot_after_a_binomial_is_judged_over_the_field():
+    """After the binomial pivot alpha + beta every ring entry carries that
+    factor.  The next pivot is 1 over the field, so it is not assumed."""
+    names = ["c0", "c1", "c2"]
+    s = SuperPoly.param("alpha") + SuperPoly.param("beta")
+    c0, c1, c2 = (SuperPoly.param(n) for n in names)
+    eqs = extract_linear_system([s * c0 + c1, SuperPoly.param("gamma") * c2 + c1], names)
+    (sol,) = solve_linear(eqs, names, assume_nonzero=("alpha", "beta", "gamma"))
+    assert sol.assumptions == [s]
 
 
 LAURENT_PARAMS = ("alpha", "beta", "gamma")
@@ -242,32 +253,10 @@ def laurent_systems(draw):
     return rows, n, names, nonzero
 
 
-class _EnoughPivots(Exception):
-    """Stops a limited ``_PivotLog`` elimination."""
-
-
-class _PivotLog:
-    """A domain that records every pivot gauss_jordan inverts, and stops
-    the elimination by raising ``_EnoughPivots`` once ``limit`` are logged."""
-
-    def __init__(self, K, limit=None):
-        self.K = K
-        self.pivots = []
-        self.limit = limit
-
-    def __getattr__(self, name):
-        return getattr(self.K, name)
-
-    def revert(self, a):
-        self.pivots.append(a)
-        if len(self.pivots) == self.limit:
-            raise _EnoughPivots
-        return self.K.revert(a)
-
-
 class _LaurentPivotLog(LaurentRing):
-    def __init__(self, names):
-        super().__init__(names)
+    """The Laurent ring, recording every pivot gauss_jordan inverts."""
+
+    def __init__(self):
         self.pivots = []
 
     def revert(self, a):
@@ -275,51 +264,135 @@ class _LaurentPivotLog(LaurentRing):
         return LaurentRing.revert(a)
 
 
+def to_field(p, F):
+    """A Laurent polynomial as an element of sympy's fraction field ``F``."""
+    names = [str(g) for g in F.symbols]
+    vecs = [tuple(dict(key[3]).get(nm, 0) for nm in names) for key in p.terms]
+    low = [min(0, *col) for col in zip(*vecs)] or [0] * len(names)
+    numer = F.field.ring.from_dict({tuple(x - lo for x, lo in zip(v, low)):
+                                    sympy.QQ(c.numerator, c.denominator)
+                                    for v, c in zip(vecs, p.terms.values())})
+    return F.field.new(numer, F.field.ring({tuple(-lo for lo in low): 1}))
+
+
+def to_poly(p, R):
+    """A Laurent polynomial with no negative exponent as an element of ``R``."""
+    names = [str(g) for g in R.symbols]
+    return R.ring.from_dict({tuple(dict(key[3]).get(nm, 0) for nm in names):
+                             sympy.QQ(c.numerator, c.denominator)
+                             for key, c in p.terms.items()})
+
+
+def field_monomial_in(v, names):
+    """Whether numerator and denominator are single monomials in ``names``."""
+    allowed = [str(g) in names for g in v.field.symbols]
+    return all(len(part) == 1 and all(ok or not x for ok, x in zip(allowed, next(iter(part))))
+               for part in (v.numer, v.denom))
+
+
+def field_gauss_jordan(rows, n, sure_nonzero, F):
+    """Reference elimination over a field: each pivot row is divided by its
+    pivot, with the same choice of pivot rows as ``gauss_jordan``.  Returns
+    the pivots, the particular solution, the basis, the assumed pivots and
+    the leftover right-hand sides."""
+    zero, one = F.field.zero, F.field.one
+    work = [{**row, n: rhs} for row, rhs in rows]
+    pivot_row, pivots, assumed = {}, [], []
+    for c in range(n):
+        cands = [i for i, row in enumerate(work) if i not in pivot_row.values() and row.get(c)]
+        if not cands:
+            continue
+        p = next((i for i in cands if sure_nonzero(work[i][c])), None)
+        if p is None:
+            p = cands[0]
+            assumed.append(work[p][c])
+        pivots.append(work[p][c])
+        pivot_row[c] = p
+        work[p] = {cc: v / pivots[-1] for cc, v in work[p].items()}
+        for i, row in enumerate(work):
+            if i != p and row.get(c):
+                f = row[c]
+                work[i] = {cc: v for cc in row.keys() | work[p].keys()
+                           if (v := row.get(cc, zero) - f * work[p].get(cc, zero))}
+    particular = {c: work[p].get(n, zero) for c, p in pivot_row.items()}
+    basis = [{fc: one, **{c: -work[p][fc] for c, p in pivot_row.items() if fc in work[p]}}
+             for fc in range(n) if fc not in pivot_row]
+    leftover = [row[n] for i, row in enumerate(work)
+                if i not in pivot_row.values() and row.get(n)]
+    return pivots, particular, basis, assumed, leftover
+
+
 @settings(max_examples=200, deadline=None)
 @given(laurent_systems())
 def test_laurent_elimination_matches_the_fraction_field(system):
-    """Over the Laurent ring, gauss_jordan takes the pivots it takes over
-    the fraction field and gives the same results, or raises NotInvertible
-    at the first pivot that is not a monomial (the caller then re-solves
-    over the field).  The ring runs first, so that after NotInvertible the
-    field reference, whose gcds can take minutes on dense systems, stops
-    at the pivots the ring reached."""
+    """The ring never gives up, and agrees with sympy's fraction field.
+
+    When every pivot is a monomial, the ring takes the field's pivots and
+    gives the field's particular solution, basis, assumptions and
+    leftovers.  Otherwise the field's reduced row echelon form comes from
+    sympy's fraction-free ``rref_den`` over the polynomial ring, which
+    takes no gcd: the particular solutions are equal, or both
+    have a value that is not a Laurent polynomial; each basis vector is a
+    multiple of the field's; and the leftovers are empty together.  An
+    inconsistent system has no particular solution to compare.
+    """
     rows, n, names, nonzero = system
-    K = _LaurentPivotLog(domain_of(names).names)
-    try:
-        red = gauss_jordan(rows, n, K, lambda v: is_monomial_in(v, K, nonzero))
-    except NotInvertible:
-        red = None
-    F = _PivotLog(K.fraction_field, limit=None if red else len(K.pivots))
-    field_rows = [({c: to_field(v, F.K) for c, v in row.items()}, to_field(rhs, F.K))
-                  for row, rhs in rows]
-    try:
-        ref = gauss_jordan(field_rows, n, F, lambda v: is_monomial_in(v, F.K, nonzero))
-    except _EnoughPivots:
-        pass
+    K = _LaurentPivotLog()
+    red = gauss_jordan(rows, n, lambda v: is_monomial_in(v, nonzero), K)
+    F = sympy.QQ.frac_field(*names)
+    if len(K.pivots) == len(red.solved):
+        field_rows = [({c: to_field(v, F) for c, v in row.items()}, to_field(rhs, F))
+                      for row, rhs in rows]
+        pivots, particular, basis, assumed, leftover = field_gauss_jordan(
+            field_rows, n, lambda v: field_monomial_in(v, nonzero), F)
 
-    def over_f(vals):
-        return [to_field(v, F.K) for v in vals]
+        def over_f(vals):
+            return [to_field(v, F) for v in vals]
 
-    if red is None:
-        assert len(K.pivots[-1].terms) > 1
-        assert over_f(K.pivots) == F.pivots[:len(K.pivots)]
+        assert over_f(K.pivots) == pivots
+        assert {c: to_field(v, F) for c, v in red.particular.items()} == particular
+        assert [{c: to_field(v, F) for c, v in vec.items()} for vec in red.basis] == basis
+        assert over_f(red.assumed) == assumed
+        assert over_f(red.leftover) == leftover
         return
-    assert over_f(K.pivots) == F.pivots
-    assert {c: to_field(v, F.K) for c, v in red.particular.items()} == ref.particular
-    assert [{c: to_field(v, F.K) for c, v in vec.items()} for vec in red.basis] == ref.basis
-    assert over_f(red.assumed) == ref.assumed
-    assert over_f(red.leftover) == ref.leftover
+    R = sympy.QQ.poly_ring(*names)
+    augmented = [[to_poly(clearing_scale([*row.values(), rhs]) * v, R)
+                  for v in [row.get(c, SuperPoly.zero()) for c in range(n)] + [rhs]]
+                 for row, rhs in rows]
+    num, den, pivots = DomainMatrix(augmented, (len(rows), n + 1), R).rref_den(method="FF")
+    num = num.to_list()
+    assert bool(red.leftover) == (n in pivots)
+    assert list(red.solved) == [c for c in pivots if c < n]
+    free = [c for c in range(n) if c not in pivots]
+    assert len(red.basis) == len(free)
+    for fc, vec in zip(free, red.basis):
+        scale = clearing_scale(vec.values())
+        lead = to_poly(scale * vec[fc], R)
+        assert lead
+        for c in range(n):
+            value = to_poly(scale * vec.get(c, SuperPoly.zero()), R)
+            if c in pivots:
+                assert value * den == -lead * num[pivots.index(c)][fc]
+            else:
+                assert value == (lead if c == fc else 0)
+    if red.leftover:
+        return
+    field = {c: F.field(num[r][n]) / F.field(den) for r, c in enumerate(pivots)}
+    if any(len(v.denom) > 1 for v in field.values()):
+        with pytest.raises(NonlinearSystemError):
+            red.particular
+    else:
+        assert {c: to_field(v, F) for c, v in red.particular.items()} == field
 
 
 @st.composite
-def laurent_polynomials(draw):
+def laurent_polynomials(draw, coefficients=st.fractions(max_denominator=12).filter(bool)):
     """Sums of one to four Laurent monomials in alpha, beta and gamma."""
     terms = {}
     for _ in range(draw(st.integers(1, 4))):
         exps = draw(st.lists(st.integers(-3, 3), min_size=3, max_size=3))
         params = tuple((nm, e) for nm, e in zip(LAURENT_PARAMS, exps) if e)
-        terms[((), (), (), params)] = draw(st.fractions(max_denominator=12).filter(bool))
+        terms[((), (), (), params)] = draw(coefficients)
     return SuperPoly(terms)
 
 
@@ -328,9 +401,23 @@ def laurent_polynomials(draw):
 def test_ring_numerator_matches_the_fraction_field(v):
     """The Laurent ring computes numerators itself, with sympy's fraction
     field as the oracle."""
-    K = domain_of(LAURENT_PARAMS)
-    F = K.fraction_field
-    assert numerator(v, K) == numerator(to_field(v, F), F)
+    F = sympy.QQ.frac_field(*LAURENT_PARAMS)
+    R = sympy.QQ.poly_ring(*LAURENT_PARAMS)
+    assert to_poly(numerator(v), R) == to_field(v, F).numer
+
+
+@settings(max_examples=200, deadline=None)
+@given(*[laurent_polynomials(laurent_coefficients)] * 3)
+def test_exact_quotient(a, b, c):
+    """``quotient`` undoes a product, and it gives up exactly when sympy's
+    fraction field leaves a denominator that is not a monomial."""
+    assert quotient(a * b, b) == a
+    q = quotient(a * b + c, b)
+    F = sympy.QQ.frac_field(*LAURENT_PARAMS)
+    if q is None:
+        assert len((to_field(a * b + c, F) / to_field(b, F)).denom) > 1
+    else:
+        assert q * b == a * b + c
 
 
 def test_rational_system_keeps_its_solution():

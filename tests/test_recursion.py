@@ -1,6 +1,7 @@
 """Shadows of recursion operators: verification, application, nilpotency."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from superjet import catalog, recursion
 from superjet.algebra import (
     D1,
+    D2,
     DX,
     EVEN,
     ODD,
@@ -26,7 +28,7 @@ from superjet.determine import (
     unknown_names,
 )
 from superjet.grammar import parse_expression
-from superjet.jets import dt_apply, jet_poly, super_derive
+from superjet.jets import Nonlocality, apply_ops, dt_apply, jet_poly, super_derive
 from superjet.recursion import (
     NotIntegrableError,
     _forced_zero,
@@ -330,6 +332,41 @@ def test_forced_zero_needs_a_rational_coefficient_and_no_constant():
            LinearEquation({"c1": -one, "c2": 3 * one}, zero),
            LinearEquation({"c2": one}, zero)]
     assert _forced_zero(eqs) == {"c0", "c1", "c2"}
+
+
+def _reduced_jet(w, d1, d2, m):
+    """D1^d1 D2^d2 Dx^m (w) reduced through w's declarations by trying each
+    route in turn, as ``nonlocal_jet`` did before the structural rule."""
+    defs = w.defs
+    if d1 and D1 in defs:
+        return (-1 if d2 else 1) * apply_ops(defs[D1], [DX] * m + [D2] * d2)
+    if d2 and D2 in defs:
+        return apply_ops(defs[D2], [DX] * m + [D1] * d1)
+    for direction in (DX, D1, D2):
+        if m and direction in defs:
+            e = defs[DX] if direction == DX else super_derive(defs[direction], direction)
+            return apply_ops(e, [DX] * (m - 1) + [D2] * d2 + [D1] * d1)
+    return SuperPoly.from_gen(JetVar(w, d1, d2, m))
+
+
+def test_coordinate_rule_matches_the_reduced_value():
+    """A jet of a catalog non-local variable or phantom, or of an N=2
+    non-local declared by one direction, is a new coordinate exactly when
+    reducing it through the declarations leaves it as it is."""
+    f = SuperPoly.from_gen(JetVar(FieldSymbol("f", ODD, 2)))
+    syms = {Nonlocality(f"z{i}", EVEN, 2, defs={d: f}) for i, d in enumerate((D1, D2))}
+    for cid in catalog.ids():
+        for doc in catalog.get(cid).docs.values():
+            syms.update(doc.nonlocals.values())
+            for sh in doc.shadows.values():
+                syms.update(sh.frame.phantoms.values())
+                syms.update(sh.frame.phantom_nonlocals.values())
+    assert any(getattr(w, "defs", None) and w.base is not None for w in syms)
+    for w in syms:
+        for d1, d2, m in product(range(min(w.n_susy, 1) + 1), range(w.n_susy // 2 + 1), range(5)):
+            g = JetVar(w, d1, d2, m)
+            old = _reduced_jet(w, d1, d2, m) if isinstance(w, Nonlocality) else jet_poly(w, d1, d2, m)
+            assert recursion._is_new_coordinate(g) == (old == SuperPoly.from_gen(g)), g
 
 
 def test_zero_order_shadows_square_to_zero():
