@@ -8,10 +8,14 @@ over one domain, the Laurent ring in the parameters that occur (the
 rationals when there are none).  The numerator of every pivot whose
 non-vanishing is not guaranteed is recorded, and optional case splitting
 re-solves with such parameters pinned to zero.  After a pivot with
-several terms the elimination is fraction-free, so the later ring pivots
-and leftovers, and with them ``assumptions`` and ``constraints``, may
-carry factors of that pivot; a basis vector is then the field's vector
-scaled by the numerator of the last such pivot.
+several terms the elimination is fraction-free, so the later ring pivots,
+and with them ``assumptions``, may carry factors of that pivot; a basis
+vector is then the field's vector scaled by the numerator of the last
+such pivot.  ``constraints`` are the numerators of the field's leftovers,
+the ring's divided by the last pivot.  Where that division is not exact,
+nor is the particular solution, and the branch dies or raises
+``NonlinearSystemError`` as the ring's leftover decides, with the pivots
+of several terms divided out and the field's monomial factor put in.
 """
 
 from __future__ import annotations
@@ -25,9 +29,11 @@ from .jets import EvolutionSystem, Flow, check_symmetry, substitute_params
 from .linsolve import (
     NonlinearSystemError,
     clearing_scale,
+    content,
     gauss_jordan,
     is_monomial_in,
     numerator,
+    quotient,
 )
 from .weights import WeightSystem, enumerate_monomials, items_from_gens, jets_up_to_weight
 
@@ -175,7 +181,15 @@ def _solve_branch(eqs, unknowns, assume_nonzero, zero_params, constraint_params)
     red = gauss_jordan(rows, len(unknowns), lambda v: is_monomial_in(v, assume_nonzero))
     constraints = []
     for rest in red.leftover:
-        cond = numerator(rest)
+        cond = quotient(rest, red.scale)  # the field's leftover
+        if cond is None:  # then neither is the particular solution
+            cond = rest
+            for p in red.assumed:  # each nonzero on the branch
+                while len(p.terms) > 1 and (q := quotient(cond, p)) is not None:
+                    cond = q
+            # with the field's monomial factor, not the ring's
+            cond = quotient(cond, content(cond)) * quotient(content(rest), content(red.scale))
+        cond = numerator(cond)
         names = cond.param_names()
         if not names or not names <= constraint_params:
             return None

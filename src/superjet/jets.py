@@ -165,31 +165,31 @@ def _flag_step(d1, d2, m, direction):
     raise ValueError(f"bad direction {direction!r}")
 
 
-def is_reducible(w: Nonlocality, d1=0, d2=0, m=0) -> bool:
-    """Whether D1^d1 D2^d2 Dx^m (w) reduces through the declared values of w:
-    it applies a declared D1 or D2, or it applies Dx, which any declared
-    direction yields (D1^2 = D2^2 = Dx)."""
+def reduction(w: Nonlocality, d1=0, d2=0, m=0):
+    """The declared direction through which D1^d1 D2^d2 Dx^m (w) reduces,
+    or None for a coordinate: a declared D1 or D2 that it applies, else Dx
+    if it applies Dx and any direction is declared (D1^2 = D2^2 = Dx)."""
     defs = w.defs
-    return bool((d1 and D1 in defs) or (d2 and D2 in defs)
-                or (m and (DX in defs or D1 in defs or D2 in defs)))
+    if d1 and D1 in defs:
+        return D1
+    if d2 and D2 in defs:
+        return D2
+    if m and (DX in defs or D1 in defs or D2 in defs):
+        return DX
+    return None
 
 
 def nonlocal_jet(w: Nonlocality, d1=0, d2=0, m=0) -> SuperPoly:
     """D1^d1 D2^d2 Dx^m (w), reduced through the declared values of w."""
-    defs = w.defs
-    if not is_reducible(w, d1, d2, m):
+    defs, route = w.defs, reduction(w, d1, d2, m)
+    if route is None:
         return SuperPoly.from_gen(JetVar(w, d1, d2, m))
-    if d1 and D1 in defs:
+    if route == D1:
         return (-1 if d2 else 1) * prolong(defs[D1], 0, d2, m)
-    if d2 and D2 in defs:
+    if route == D2:
         return prolong(defs[D2], d1, 0, m)
-    if DX in defs:
-        e = defs[DX]
-    elif D1 in defs:
-        e = super_derive(defs[D1], D1)
-    else:
-        e = super_derive(defs[D2], D2)
-    return prolong(e, d1, d2, m - 1)
+    d = next(d for d in (DX, D1, D2) if d in defs)
+    return prolong(defs[d] if d == DX else super_derive(defs[d], d), d1, d2, m - 1)
 
 
 def jet_poly(sym: FieldSymbol, d1=0, d2=0, m=0) -> SuperPoly:

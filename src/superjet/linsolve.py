@@ -15,9 +15,9 @@ column.  A particular value is the exact quotient of its row's right-hand
 side by ``s``, and a quotient that is not a Laurent polynomial raises
 ``NonlinearSystemError``.  A basis vector is the field's vector, with 1 in
 its free column, times the numerator of ``s`` if it reads any pivot row,
-so all its entries are Laurent polynomials.  The assumed pivots and the
-leftover right-hand sides are the ring's, and may carry factors of
-earlier pivots.
+so all its entries are Laurent polynomials.  The assumed pivots are the
+ring's, and may carry factors of earlier pivots; a leftover right-hand
+side is the field's times ``s`` (``Reduced.scale``).
 
 Rows are sparse maps from column index to nonzero element, so the loop
 costs nothing for the zero entries that dominate determining systems.
@@ -88,6 +88,11 @@ class Reduced:
     basis: list
     assumed: list
     leftover: list
+
+    @property
+    def scale(self) -> SuperPoly:
+        """The last pivot once one had several terms, else 1."""
+        return next((pivot for pivot, _rhs in self.solved.values()), LaurentRing.one)
 
     @property
     def particular(self) -> dict:
@@ -235,6 +240,13 @@ def numerator(v: SuperPoly) -> SuperPoly:
     """``v`` times its ``clearing_scale``: the numerator the fraction field
     keeps for ``v``."""
     return clearing_scale((v,)) * v
+
+
+def content(v: SuperPoly) -> SuperPoly:
+    """The monomial of ``v``'s least exponent in each parameter."""
+    exps = [dict(key[3]) for key in v.terms]
+    low = ((nm, min(e.get(nm, 0) for e in exps)) for nm in sorted(v.param_names()))
+    return SuperPoly({((), (), (), tuple((nm, x) for nm, x in low if x)): Fraction(1)})
 
 
 def clearing_scale(values: Iterable[SuperPoly]) -> SuperPoly:

@@ -35,8 +35,8 @@ from .jets import (
     _derive_gen,
     dt_apply,
     evolutionary_apply,
-    is_reducible,
     prolong,
+    reduction,
 )
 from .determine import LinearEquation, solve_linear, unknown_names
 from .weights import (
@@ -316,7 +316,7 @@ def _forced_zero(eqs) -> set:
 def _is_new_coordinate(g: JetVar) -> bool:
     """Whether the jet is a genuine coordinate (not reducible by declarations)."""
     sym = g.fieldsym
-    return not (isinstance(sym, Nonlocality) and is_reducible(sym, g.d1, g.d2, g.m))
+    return not isinstance(sym, Nonlocality) or reduction(sym, g.d1, g.d2, g.m) is None
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from superjet.determine import (
 from superjet.linsolve import (
     LaurentRing,
     clearing_scale,
+    content,
     gauss_jordan,
     is_monomial_in,
     numerator,
@@ -222,6 +223,49 @@ def test_pivot_after_a_binomial_is_judged_over_the_field():
     assert sol.assumptions == [s]
 
 
+def test_constraint_after_a_binomial_pivot_is_the_fields_leftover():
+    """Every ring row carries the pivot alpha + beta as a factor, but the
+    constraint is the field's leftover 1 - eps, without it."""
+    names = ["c0", "c1"]
+    s, eps = SuperPoly.param("alpha") + SuperPoly.param("beta"), SuperPoly.param("eps")
+    c0, c1 = (SuperPoly.param(n) for n in names)
+    one = SuperPoly.one()
+    eqs = extract_linear_system([s * (c0 + c1), c1 - eps + one, c1], names)
+    (sol,) = solve_linear(eqs, names, constraint_params={"eps"})
+    assert sol.constraints == [one - eps]
+    assert sol.particular == {"c0": one - eps, "c1": eps - one}
+
+
+def test_inconsistent_row_after_a_binomial_pivot_kills_the_branch():
+    """The ring row for 1 = 0 reads t + 1 = 0, a condition on a constraint
+    parameter alone, but the branch assumes the pivot t + 1 nonzero."""
+    t, one = SuperPoly.param("t"), SuperPoly.one()
+    eqs = extract_linear_system([(t + one) * SuperPoly.param("c0"), one], ["c0"])
+    assert solve_linear(eqs, ["c0"], constraint_params={"t"}) == []
+
+
+def test_leftover_that_is_not_a_laurent_polynomial():
+    """The field's leftover eps - mu/(gamma + delta) is not a Laurent
+    polynomial.  Its numerator is the ring's leftover with the pivot
+    alpha + beta divided out, so the branch stands when its parameters are
+    adjustable, and then its particular value 1/(gamma + delta) raises.
+    The field's leftover -1/(4 + beta) never vanishes; the ring's is
+    -alpha^2, whose monomial factor comes from the pivot alpha^2 (4 + beta)
+    and is not in the field's numerator, so that branch is inconsistent."""
+    names = ["c0", "c1"]
+    c0, c1 = (SuperPoly.param(n) for n in names)
+    p, one = SuperPoly.param, SuperPoly.one()
+    eqs = extract_linear_system(
+        [(p("alpha") + p("beta")) * c0, (p("gamma") + p("delta")) * c1 - one,
+         p("mu") * c1 - p("eps")], names)
+    with pytest.raises(NonlinearSystemError):
+        solve_linear(eqs, names, constraint_params={"gamma", "delta", "mu", "eps"})
+    assert solve_linear(eqs, names, constraint_params={"eps"}) == []
+    a2 = p("alpha", 2)
+    eqs = extract_linear_system([a2 * (4 * one + p("beta")) * c0 - one, a2 * c0], ["c0"])
+    assert solve_linear(eqs, ["c0"], constraint_params={"alpha"}) == []
+
+
 LAURENT_PARAMS = ("alpha", "beta", "gamma")
 laurent_coefficients = st.sampled_from([Q(1), Q(-1), Q(2), Q(-3), Q(1, 2), Q(-5, 3)])
 
@@ -334,11 +378,18 @@ def test_laurent_elimination_matches_the_fraction_field(system):
     takes no gcd: the particular solutions are equal, or both
     have a value that is not a Laurent polynomial; each basis vector is a
     multiple of the field's; and the leftovers are empty together.  An
-    inconsistent system has no particular solution to compare.
+    inconsistent system has no particular solution to compare.  On every
+    draw each ring leftover is the field's times ``Reduced.scale``.
     """
     rows, n, names, nonzero = system
     K = _LaurentPivotLog()
     red = gauss_jordan(rows, n, lambda v: is_monomial_in(v, nonzero), K)
+    # each leftover is the field's, rhs - row . x for the particular x, times
+    # the last pivot; x times that pivot is the ring's right-hand sides
+    scale, zero = red.scale, SuperPoly.zero()
+    residues = [scale * rhs - sum((v * red.solved[c][1] for c, v in row.items()
+                                   if c in red.solved), zero) for row, rhs in rows]
+    assert [r for r in residues if not r.is_zero] == red.leftover
     F = sympy.QQ.frac_field(*names)
     if len(K.pivots) == len(red.solved):
         field_rows = [({c: to_field(v, F) for c, v in row.items()}, to_field(rhs, F))
@@ -418,6 +469,18 @@ def test_exact_quotient(a, b, c):
         assert len((to_field(a * b + c, F) / to_field(b, F)).denom) > 1
     else:
         assert q * b == a * b + c
+
+
+@settings(max_examples=100, deadline=None)
+@given(laurent_polynomials(laurent_coefficients))
+def test_content_is_the_monomial_factor(v):
+    """``content`` is the monomial of least exponents: what is left after
+    dividing it out has exponent 0 in some term for every parameter."""
+    m = content(v)
+    ((key, c),) = m.terms.items()
+    rest = quotient(v, m)
+    assert c == 1 and m * rest == v
+    assert all(min(dict(k[3]).get(nm, 0) for k in rest.terms) == 0 for nm in LAURENT_PARAMS)
 
 
 def test_rational_system_keeps_its_solution():
