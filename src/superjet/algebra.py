@@ -39,10 +39,6 @@ D1, D2, DX, DT = "D1", "D2", "Dx", "Dt"
 Rat = Union[int, Fraction]
 
 
-class UndeclaredGeneratorError(ValueError):
-    pass
-
-
 class ParityError(ValueError):
     pass
 
@@ -177,10 +173,6 @@ class JetVar(_Cached):
 
 
 Generator = Union[Theta, Clifford, JetVar]
-
-
-def jet(fieldsym: FieldSymbol, d1: int = 0, d2: int = 0, m: int = 0) -> JetVar:
-    return JetVar(fieldsym, d1, d2, m)
 
 
 def _merge_params(a, b):

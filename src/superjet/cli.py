@@ -12,7 +12,6 @@ import json
 import re
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import catalog
@@ -144,12 +143,6 @@ def cmd_parse(args):
     return _emit(args, out, 0)
 
 
-def cmd_normalize(args):
-    doc, _ = _load_doc(args)
-    p = parse_expression(args.expr, doc.scope)
-    return _emit(args, {"canonical": print_poly(p)}, 0)
-
-
 def cmd_derive(args):
     doc, _ = _load_doc(args)
     p = parse_expression(args.expr, doc.scope)
@@ -182,12 +175,24 @@ def cmd_check_symmetry(args):
     return _emit(args, {"residual": _flow_dict(res)}, code)
 
 
+def _rational(text: str) -> Fraction:
+    """A rational number such as ``-7/2``; anything else is a usage error."""
+    try:
+        return Q(text)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"bad rational number {text!r}") from None
+
+
+def _count(text: str) -> int:
+    """The argparse type of a count: a whole number, 0 or more."""
+    if not re.fullmatch(r"[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"expected a whole number >= 0, got {text!r}")
+    return int(text)
+
+
 def _weights(spec: str) -> list:
     """A weight ``A``, or every weight of the range ``A..B`` in steps of -1/2."""
-    try:
-        bounds = [Q(x) for x in spec.split("..")]
-    except ValueError:
-        raise UsageError(f"bad weight {spec!r}") from None
+    bounds = [_rational(x) for x in spec.split("..")]
     if len(bounds) > 2 or bounds[-1] > bounds[0]:
         raise UsageError(f"bad weight range {spec!r}: give A..B with A >= B, e.g. -1/2..-5")
     return [bounds[0] - Q(i, 2) for i in range(int(2 * (bounds[0] - bounds[-1])) + 1)]
@@ -412,7 +417,7 @@ def cmd_infer_weights(args):
         k, _, v = item.partition("=")
         if not v:
             raise UsageError("--fix needs name=value")
-        fixed[k] = Q(v)
+        fixed[k] = _rational(v)
     sol = infer_weights(doc.system(), fixed, tuple(doc.param_weights))
     if sol is None:
         return _emit(args, {"error": "weight balance unsatisfiable"}, 1)
@@ -443,14 +448,7 @@ def cmd_catalog(args):
         out["checks"] = [name for name, _fn in e.checks]
         return _emit(args, out, 0)
     ids = list(catalog.ids()) if (args.all or not args.id) else [args.id]  # verify
-    results = []
-    if args.jobs and args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for cid, rows in zip(ids, pool.map(catalog.verify, ids)):
-                results.extend((cid, *row) for row in rows)
-    else:
-        for cid in ids:
-            results.extend((cid, *row) for row in catalog.verify(cid))
+    results = [(cid, *row) for cid in ids for row in catalog.verify(cid)]
     lines = [
         f"{'PASS' if ok else 'FAIL'} {cid}:{name} {detail}"
         for cid, name, ok, detail in results
@@ -474,7 +472,7 @@ def _add_common(sp, expr=False):
 
 
 def _add_max_degree(sp):
-    sp.add_argument("--max-degree", type=int, default=2, dest="max_degree",
+    sp.add_argument("--max-degree", type=_count, default=2, dest="max_degree",
                     help="cap on powers of weight-zero factors in ansatze")
 
 
@@ -490,14 +488,10 @@ def build_parser():
     sp.add_argument("--expr", help="single expression instead of the document")
     sp.set_defaults(fn=cmd_parse)
 
-    sp = sub.add_parser("normalize", help="canonical form of an expression")
-    _add_common(sp, expr=True)
-    sp.set_defaults(fn=cmd_normalize)
-
     sp = sub.add_parser("derive", help="apply a derivation to an expression")
     _add_common(sp, expr=True)
     sp.add_argument("--dir", required=True, choices=list(_DIRECTIONS))
-    sp.add_argument("--times", type=int, default=1)
+    sp.add_argument("--times", type=_count, default=1)
     sp.set_defaults(fn=cmd_derive)
 
     sp = sub.add_parser("dt", help="t-derivative along the system")
@@ -524,7 +518,7 @@ def build_parser():
     sp.add_argument("--assume-nonzero", default="", dest="assume_nonzero",
                     help="comma-separated parameters taken to be nonzero")
     _add_max_degree(sp)
-    sp.add_argument("--case-split-limit", type=int, default=0, dest="case_split_limit")
+    sp.add_argument("--case-split-limit", type=_count, default=0, dest="case_split_limit")
     sp.set_defaults(fn=cmd_find_symmetries)
 
     sp = sub.add_parser("check-covering", help="cross-derivative consistency")
@@ -540,14 +534,14 @@ def build_parser():
     _add_common(sp)
     sp.add_argument("--shadow", required=True)
     sp.add_argument("--seed", required=True)
-    sp.add_argument("--iterations", type=int, default=1)
+    sp.add_argument("--iterations", type=_count, default=1)
     _add_max_degree(sp)
     sp.set_defaults(fn=cmd_apply_recursion)
 
     sp = sub.add_parser("nilpotency", help="least vanishing power of a shadow")
     _add_common(sp)
     sp.add_argument("--shadow", required=True)
-    sp.add_argument("--max", type=int, default=8)
+    sp.add_argument("--max", type=_count, default=8)
     sp.set_defaults(fn=cmd_nilpotency)
 
     sp = sub.add_parser("euler", help="variational derivative of a density")
@@ -576,8 +570,8 @@ def build_parser():
     sp = sub.add_parser("gardner", help="deformations of integrable systems")
     sp.add_argument("action", choices=["verify", "densities", "search"])
     _add_common(sp)
-    sp.add_argument("--order", type=int, default=2)
-    sp.add_argument("--max-order", type=int, default=2, dest="max_order")
+    sp.add_argument("--order", type=_count, default=2)
+    sp.add_argument("--max-order", type=_count, default=2, dest="max_order")
     sp.set_defaults(fn=cmd_gardner)
 
     sp = sub.add_parser("theta-expand", help="expand through a Clifford auxiliary")
@@ -597,7 +591,6 @@ def build_parser():
     sp.add_argument("id", nargs="?")
     sp.add_argument("--all", action="store_true")
     sp.add_argument("--json", action="store_true")
-    sp.add_argument("--jobs", type=int, default=1)
     sp.set_defaults(fn=cmd_catalog)
 
     return ap

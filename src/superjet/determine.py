@@ -242,9 +242,7 @@ def build_flow_ansatz(
     ws: WeightSystem,
     s_weight: Fraction,
     parameter_parity: int,
-    extra_fields: Sequence = (),
     zero_weight_cap: int = 2,
-    prefix: str = "c",
 ):
     """Homogeneous flow ansatz with fresh unknown coefficient names.
 
@@ -255,13 +253,12 @@ def build_flow_ansatz(
     names = []
     monos_by_field = {}
     idx = 0
-    all_fields = tuple(sys.fields) + tuple(extra_fields)
     for u in sys.fields:
         target = ws.field_weight(u) - Q(s_weight)
-        gens = jets_up_to_weight(ws, all_fields, target)
+        gens = jets_up_to_weight(ws, sys.fields, target)
         items = items_from_gens(ws, gens, target, zero_weight_cap)
         monos = enumerate_monomials(items, target, (u.parity + parameter_parity) % 2)
-        new = [f"{prefix}{idx + i}" for i in range(len(monos))]
+        new = [f"c{idx + i}" for i in range(len(monos))]
         idx += len(monos)
         names += new
         comps[u] = linear_ansatz(new, monos)
@@ -275,14 +272,11 @@ def find_symmetries(
     s_weight: Fraction,
     parameter_parity: int,
     assume_nonzero: Iterable[str] = (),
-    extra_fields: Sequence = (),
     zero_weight_cap: int = 2,
     case_split_limit: int = 0,
 ) -> SymmetrySearchResult:
     """All homogeneous symmetry flows of the given weight and parity."""
-    comps, names, _ = build_flow_ansatz(
-        sys, ws, s_weight, parameter_parity, extra_fields, zero_weight_cap
-    )
+    comps, names, _ = build_flow_ansatz(sys, ws, s_weight, parameter_parity, zero_weight_cap)
     if not names:
         return SymmetrySearchResult([], 0, None)
     flow = Flow(comps, parameter_parity)

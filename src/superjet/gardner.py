@@ -165,7 +165,6 @@ def search_deformation(
     eps_weight: Fraction,
     max_order: int,
     make_op: Optional[Callable] = None,
-    max_jet_order: int = 0,
 ) -> list:
     """Search for a Hamiltonian Gardner deformation up to the given order.
 
@@ -203,7 +202,7 @@ def search_deformation(
     def stage_ansatz(target, names):
         """Ansatz of the given weight; its fresh unknowns are appended to names."""
         nonlocal counter
-        gens = [JetVar(w, 0, 0, m) for w in wfields for m in range(max_jet_order + 1)]
+        gens = [JetVar(w) for w in wfields]
         items = items_from_gens(wsw, gens, target)
         monos = enumerate_monomials(items, target, EVEN)
         new = [f"a{counter + i}" for i in range(len(monos))]

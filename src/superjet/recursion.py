@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import ceil, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .algebra import D1, D2, DT, DX, JetVar, SuperPoly, _wrap, poly_sum, term_order_key
 from .coverings import PhantomFrame, is_phantom
@@ -80,14 +80,6 @@ class Shadow:
     def is_zero(self):
         return all(p.is_zero for p in self.components.values())
 
-    def scaled(self, c):
-        return Shadow(
-            self.frame,
-            {u: c * p for u, p in self.components.items()},
-            self.parameter_parity,
-            self.name,
-        )
-
 
 def verify_shadow(shadow: Shadow) -> dict:
     """Residual of the shadow condition on the phantom extension."""
@@ -116,7 +108,6 @@ def d_integrate(
     ws: WeightSystem,
     gens: Sequence,
     zero_weight_cap: int = 2,
-    assume_nonzero: Iterable[str] = (),
 ) -> SuperPoly:
     """An exact preimage of the target under D1, D2 or Dx.
 
@@ -142,9 +133,7 @@ def d_integrate(
             even, odd = part.parity_report()
             for sub in (even, odd):
                 if not sub.is_zero:
-                    parts.append(d_integrate(
-                        sub, direction, ws, gens, zero_weight_cap, assume_nonzero
-                    ))
+                    parts.append(d_integrate(sub, direction, ws, gens, zero_weight_cap))
             continue
         want_par = par if direction == DX else (par + 1) % 2
         want_wt = wt - shift
@@ -158,7 +147,7 @@ def d_integrate(
         kept = [n for n in names if n not in zero]
         eqs = [LinearEquation({n: c for n, c in eq.coeffs.items() if n not in zero}, eq.const)
                for eq in eqs]
-        branches = solve_linear([eq for eq in eqs if not eq.is_trivial()], kept, assume_nonzero)
+        branches = solve_linear([eq for eq in eqs if not eq.is_trivial()], kept)
         if not branches:
             raise NotIntegrableError(
                 f"no exact {direction}-preimage of weight {wt} part"
@@ -323,7 +312,7 @@ def _is_new_coordinate(g: JetVar) -> bool:
 # applying a shadow to a symmetry
 
 
-def _phantom_values(frame: PhantomFrame, flow: Flow, ws, zero_weight_cap, assume_nonzero):
+def _phantom_values(frame: PhantomFrame, flow: Flow, ws, zero_weight_cap):
     """Values of all phantoms when the linearization direction is the flow."""
     values = {}
     ext = dict(flow.components)
@@ -343,7 +332,7 @@ def _phantom_values(frame: PhantomFrame, flow: Flow, ws, zero_weight_cap, assume
             )
         rhs = evolutionary_apply(lflow, rel)
         try:
-            val = d_integrate(rhs, direction, ws, gens, zero_weight_cap, assume_nonzero)
+            val = d_integrate(rhs, direction, ws, gens, zero_weight_cap)
         except NotIntegrableError as exc:
             raise NotLocalError(
                 f"value of phantom for {w.name} is not local: {exc}", rhs
@@ -388,11 +377,10 @@ def apply_shadow(
     flow: Flow,
     ws: WeightSystem,
     zero_weight_cap: int = 2,
-    assume_nonzero: Iterable[str] = (),
 ) -> Flow:
     """Apply the shadow to a symmetry, producing a new flow."""
     frame = shadow.frame
-    values = _phantom_values(frame, flow, ws, zero_weight_cap, assume_nonzero)
+    values = _phantom_values(frame, flow, ws, zero_weight_cap)
 
     def value_of(g: JetVar):
         return prolong(values[g.fieldsym], g.d1, g.d2, g.m)
@@ -411,13 +399,12 @@ def iterate(
     steps: int,
     ws: WeightSystem,
     zero_weight_cap: int = 2,
-    assume_nonzero: Iterable[str] = (),
 ) -> list:
     """Repeatedly apply the shadow; returns the produced flows in order."""
     out = []
     cur = seed
     for _ in range(steps):
-        cur = apply_shadow(shadow, cur, ws, zero_weight_cap, assume_nonzero)
+        cur = apply_shadow(shadow, cur, ws, zero_weight_cap)
         out.append(cur)
     return out
 

@@ -46,15 +46,15 @@ class WeightSystem:
 
     def field_weight(self, sym: FieldSymbol) -> Fraction:
         if sym in self.fields:
-            return Q(self.fields[sym])
+            return self.fields[sym]
         w = getattr(sym, "weight", None)
         if w is not None:
-            return Q(w)
+            return w
         raise UnknownNameError(f"no weight assigned to {sym.name}")
 
     def param_weight(self, name: str) -> Fraction:
         if name in self.params:
-            return Q(self.params[name])
+            return self.params[name]
         raise UnknownNameError(f"no weight assigned to parameter {name}")
 
     def gen_weight(self, g) -> Fraction:
@@ -146,73 +146,36 @@ def infer_weights(sys, fixed: Mapping = None, param_names: Sequence[str] = ()):
     """Infer a weight system from the balance [term] = [u] - [t].
 
     Unknowns are the field weights, [t], and the weights of the named
-    parameters.  ``fixed`` may pin any of these (keys: field symbols,
-    the string "t", or parameter names).  Returns a WeightSolution whose
-    unknown names are field names, "t", and parameter names, or None if
-    the balance is unsatisfiable.
+    parameters.  ``fixed`` may pin any of these, or weigh another symbol
+    of the right-hand sides (keys: field symbols, their names, the string
+    "t", or parameter names).  Returns a WeightSolution whose unknown
+    names are field names, "t", and parameter names, or None if the
+    balance is unsatisfiable.
+
+    Each unknown weighs the linear form ``SuperPoly.param(name)``, so the
+    rules of ``WeightSystem`` turn every monomial into a linear form in
+    the unknowns; other symbols weigh their ``fixed`` or declared values.
     """
-    fixed = dict(fixed or {})
+    fixed = {getattr(k, "name", k): v for k, v in (fixed or {}).items()}
     unknowns = [u.name for u in sys.fields] + ["t"] + list(param_names)
     index = {n: i for i, n in enumerate(unknowns)}
-    field_by_name = {u.name: u for u in sys.fields}
+    forms = {n: SuperPoly.param(n) for n in unknowns}
+    values = {**fixed, **forms}
+    syms = {g.fieldsym for p in sys.rhs.values() for g in p.generators()
+            if isinstance(g, JetVar)}
+    ws = WeightSystem({s: values[s.name] for s in syms if s.name in values}, values)
+    balances = [ws.key_weight(key) - forms[u.name] + forms["t"]
+                for u in sys.fields for key in sys.rhs[u].terms]
+    pins = [forms[n] - v for n, v in fixed.items() if n in forms]
 
-    def accum(key, row):
-        """Add the weight of a monomial key into a coefficient row; return const part."""
-        const = Q(0)
-        evens, odds, funcs, params = key
-        items = [(g, x) for g, x in evens] + [(g, 1) for g in odds]
-        for g, x in items:
-            if isinstance(g, Theta):
-                const += x * Q(-1, 2)
-            elif isinstance(g, Clifford):
-                _rat, sq = g.square
-                for n, e in sq:
-                    if n in index:
-                        row[index[n]] += Q(x * e, 2)
-                    else:
-                        const += Q(x * e, 2) * Q(fixed[n])
-            else:
-                sym = g.fieldsym
-                nm = sym.name
-                if nm in index:
-                    row[index[nm]] += Q(x)
-                elif sym in fixed or nm in fixed:
-                    const += Q(x) * Q(fixed.get(sym, fixed.get(nm)))
-                else:
-                    w = getattr(sym, "weight", None)
-                    if w is None:
-                        raise UnknownNameError(f"no weight for {nm}")
-                    const += Q(x) * Q(w)
-                const += x * (g.m + Q(g.d1 + g.d2, 2))
-        if funcs:
-            raise InhomogeneousError("cannot infer weights through function factors")
-        for n, e in params:
-            if n in index:
-                row[index[n]] += Q(e)
-            else:
-                const += Q(e) * Q(fixed[n])
-        return const
+    def row(form):
+        """The equation ``form == 0`` as ({column: coefficient}, right-hand side)."""
+        const = form.terms.get(_ONE_KEY, Q(0))
+        return ({index[key[3][0][0]]: SuperPoly.scalar(c)
+                 for key, c in form.terms.items() if key != _ONE_KEY},
+                SuperPoly.scalar(-const))
 
-    rows = []
-    for u in sys.fields:
-        for key in sys.rhs[u].terms:
-            row = [Q(0)] * len(unknowns)
-            const = accum(key, row)
-            # [monomial] - [u] + [t] = 0
-            row[index[u.name]] -= 1
-            row[index["t"]] += 1
-            rows.append((tuple(row), -const))
-    for k, v in fixed.items():
-        nm = k.name if isinstance(k, FieldSymbol) else k
-        if nm in index:
-            row = [Q(0)] * len(unknowns)
-            row[index[nm]] = Q(1)
-            rows.append((tuple(row), Q(v)))
-    scalar = SuperPoly.scalar
-    red = gauss_jordan(
-        [({c: scalar(a) for c, a in enumerate(row) if a}, scalar(rhs)) for row, rhs in rows],
-        len(unknowns),
-    )
+    red = gauss_jordan(map(row, balances + pins), len(unknowns))
     if red.leftover:
         return None
 
@@ -265,17 +228,16 @@ def jets_up_to_weight(ws: WeightSystem, fields, max_weight):
     """All jet variables of the given fields with weight <= max_weight."""
     out = []
     for u in fields:
-        base = ws.field_weight(u)
         flags = [(0, 0)]
         if u.n_susy >= 1:
             flags.append((1, 0))
         if u.n_susy >= 2:
             flags += [(0, 1), (1, 1)]
         for d1, d2 in flags:
-            m = 0
-            while base + m + Q(d1 + d2, 2) <= Q(max_weight):
-                out.append(JetVar(u, d1, d2, m))
-                m += 1
+            g = JetVar(u, d1, d2)
+            while ws.gen_weight(g) <= max_weight:
+                out.append(g)
+                g = JetVar(u, d1, d2, g.m + 1)
     return out
 
 

@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -26,7 +28,7 @@ def test_parse_expression(capsys):
 
 
 def test_normalize_to_zero(capsys):
-    code, out = run(capsys, "normalize", "--catalog", "skdv", "--expr", "f*f")
+    code, out = run(capsys, "parse", "--catalog", "skdv", "--expr", "f*f")
     assert code == 0
     assert "0" in out
 
@@ -176,11 +178,27 @@ def test_find_symmetries_assume_nonzero(capsys):
     assert payload["branches"] == [{"zero_params": [], "dimension": 1}]
 
 
-@pytest.mark.parametrize("weight", ["-1..0", "-1..-2..-3", "one"])
+@pytest.mark.parametrize("weight", ["-1..0", "-1..-2..-3", "one", "1/0"])
 def test_bad_weight_is_a_usage_error(capsys, weight):
-    code, _ = run(capsys, "find-symmetries", "--catalog", "bous-embed",
-                  f"--weight={weight}")
+    code = main(["find-symmetries", "--catalog", "bous-embed", f"--weight={weight}"])
     assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["infer-weights", "--catalog", "skdv", "--fix", "t=abc"],
+    ["infer-weights", "--catalog", "skdv", "--fix", "t=1/0"],
+    ["derive", "--catalog", "skdv", "--expr", "f", "--dir", "D", "--times", "-1"],
+    ["apply-recursion", "--catalog", "skdv-a", "--shadow", "R", "--seed", "seed_x",
+     "--iterations", "-2"],
+])
+def test_bad_number_is_a_usage_error(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # rejected by the argument parser
+        code = exc.code
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_missing_weight_is_a_usage_error(capsys, tmp_path):
@@ -213,7 +231,7 @@ def test_engine_fault_is_not_a_usage_error(capsys, monkeypatch):
 
 def test_options_are_attached_where_they_are_read(capsys):
     with pytest.raises(SystemExit) as ei:
-        main(["parse", "--catalog", "pskdv", "--jobs", "2"])
+        main(["parse", "--catalog", "pskdv", "--all"])
     assert ei.value.code == 2
     capsys.readouterr()
     code, out = run(capsys, "find-symmetries", "--catalog", "bous-embed", "--weight=-2",
@@ -221,6 +239,22 @@ def test_options_are_attached_where_they_are_read(capsys):
                     "--assume-nonzero", "alpha", "--json")
     assert code == 0
     assert json.loads(out)["dimension"] == 1
+
+
+def test_readme_commands_parse(capsys):
+    """Every ``superjet`` line of the README's sh blocks is a valid command line."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = "".join(re.findall(r"```sh\n(.*?)```", readme, re.S)).replace("\\\n", " ")
+    commands = [shlex.split(line)[1:] for line in text.splitlines()
+                if line.startswith("superjet ")]
+    assert len(commands) > 10
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: superjet {shlex.join(argv)}\n"
+                        f"{capsys.readouterr().err}")
 
 
 def test_commands_run_without_importing_sympy():

@@ -437,7 +437,8 @@ def test_laurent_elimination_matches_the_fraction_field(system):
 
 
 @st.composite
-def laurent_polynomials(draw, coefficients=st.fractions(max_denominator=12).filter(bool)):
+def laurent_polynomials(draw, coefficients=st.builds(
+        Q, st.integers(-10**6, 10**6).filter(bool), st.integers(1, 12))):
     """Sums of one to four Laurent monomials in alpha, beta and gamma."""
     terms = {}
     for _ in range(draw(st.integers(1, 4))):

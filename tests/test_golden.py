@@ -82,13 +82,12 @@ def _recorded_integration_ansatz(log):
     """Extend log by the full ansatz of every ``d_integrate`` call."""
     real = recursion.d_integrate
 
-    def integrate_and_record(target, direction, ws, gens, zero_weight_cap=2,
-                             assume_nonzero=()):
+    def integrate_and_record(target, direction, ws, gens, zero_weight_cap=2):
         log.extend([print_poly(m) for m in monos] for _part, monos in
                    integration_ansatz_parts(target, direction, ws, gens, zero_weight_cap))
         recursion.d_integrate = real  # a nested call belongs to this one
         try:
-            return real(target, direction, ws, gens, zero_weight_cap, assume_nonzero)
+            return real(target, direction, ws, gens, zero_weight_cap)
         finally:
             recursion.d_integrate = integrate_and_record
 

@@ -153,8 +153,7 @@ def _whole_ansatz_system(part, monos, direction):
     return names, extract_linear_system([residual], names)
 
 
-def _reference_integrate(target, direction, ws, gens, zero_weight_cap=2,
-                         assume_nonzero=()):
+def _reference_integrate(target, direction, ws, gens, zero_weight_cap=2):
     """An exact preimage from the whole ansatz of every part: every
     monomial of the preimage's weight and parity, differentiated and
     solved at once, with no presolve."""
@@ -162,7 +161,7 @@ def _reference_integrate(target, direction, ws, gens, zero_weight_cap=2,
     for part, monos in integration_ansatz_parts(target, direction, ws, gens,
                                                 zero_weight_cap):
         names, eqs = _whole_ansatz_system(part, monos, direction)
-        branches = solve_linear(eqs, names, assume_nonzero)
+        branches = solve_linear(eqs, names)
         if not branches:
             raise NotIntegrableError(f"no {direction}-preimage")
         sol = branches[0].particular

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 from superjet.algebra import EVEN, ODD, FieldSymbol, JetVar, SuperPoly
+from superjet.grammar import parse_document
 import pytest
 
 from superjet.weights import (
@@ -62,6 +63,48 @@ def test_weight_system_from_solution_round_trip():
     ws = weight_system_from_solution(sys, sol, param_names=("alpha",))
     for u in sys.fields:
         assert weight_of(ws, sys.rhs[u]) == ws.field_weight(u) - ws.t
+
+
+def test_clifford_square_weighs_an_inferred_parameter():
+    """[th] is half the weight of its square alpha^2, so the balance fixes alpha."""
+    sys = parse_document(
+        "param alpha;\naux th clifford alpha^2;\n"
+        "field b even susy 0;\nfield f odd susy 0;\n"
+        "b_t = b_xx + th*f_x;\nf_t = f_xx + th*b_x;\n").system()
+    sol = infer_weights(sys, param_names=("alpha",))
+    assert sol is not None and len(sol.basis) == 1
+    assert sol.satisfies({"alpha": Q(1)}, Q(1))
+    assert sol.satisfies({"t": Q(1)}, Q(-2))
+    assert sol.satisfies({"b": Q(1), "f": Q(-1)}, Q(0))
+
+
+def test_pin_keyed_by_field_symbol():
+    doc = cached_entry("dbous").doc
+    sys = doc.system()
+    f = doc.fields["f"]
+    sol = infer_weights(sys, fixed={f: doc.field_weights[f]})
+    assert sol is not None and sol.unique
+    assert sol.particular == {**{u.name: w for u, w in doc.field_weights.items()},
+                              "t": doc.t_weight}
+
+
+def test_declared_nonlocal_weight_enters_the_balance():
+    sys = parse_document(
+        "field b even susy 0;\nfield c even susy 0;\n"
+        "nonlocal w even susy 0 weight 2: Dx(w) = b;\n"
+        "b_t = b_xx;\nc_t = c_xx + w*b_x;\n").system()
+    sol = infer_weights(sys)
+    assert sol is not None and len(sol.basis) == 1
+    assert sol.satisfies({"t": Q(1)}, Q(-2))
+    assert sol.satisfies({"c": Q(1), "b": Q(-1)}, Q(1))  # [c] = [w] + [b] - 1
+    pinned = infer_weights(sys, fixed={"w": Q(0)})  # a pin replaces the declared weight
+    assert pinned.satisfies({"c": Q(1), "b": Q(-1)}, Q(-1))
+
+
+def test_function_factor_blocks_inference():
+    sys = parse_document("field b even susy 0;\nfn Q of b;\nb_t = Q(b)*b_x;\n").system()
+    with pytest.raises(InhomogeneousError):
+        infer_weights(sys)
 
 
 def test_mutated_equation_is_inhomogeneous():
