@@ -13,12 +13,12 @@ import os
 import traceback
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable
 
 from .algebra import (
-    D1, DX, EVEN, ODD, Clifford, FieldSymbol, JetVar, SuperPoly, UnknownNameError,
+    D1, DX, EVEN, Clifford, FieldSymbol, JetVar, SuperPoly, UnknownNameError,
 )
-from .coverings import covering_is_consistent, derived_equation_check, linearize
+from .coverings import covering_is_consistent, derived_equation_check
 from .gardner import (
     deformation_is_valid,
     density_recurrence,
@@ -28,7 +28,6 @@ from .gardner import (
 from .grammar import SourceDocument, parse_document, parse_expression
 from .jets import (
     EvolutionSystem,
-    Flow,
     check_symmetry,
     clifford_expand,
     component_expand,
@@ -36,14 +35,12 @@ from .jets import (
 )
 from .recursion import (
     apply_shadow,
-    differential_order,
     flow_order,
     is_local,
     iterate,
     nilpotency_order,
     shadow_is_valid,
     shadow_power,
-    verify_shadow,
 )
 from .variational import antidiagonal, hamiltonian_flow, is_conserved
 from .weights import infer_weights, weight_of

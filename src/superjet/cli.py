@@ -32,13 +32,11 @@ from .grammar import (
     print_poly,
 )
 from .jets import (
-    JetVar,
     check_symmetry,
     clifford_expand,
     commutator,
     dt_apply,
     super_derive,
-    substitute,
 )
 from .recursion import (
     NotIntegrableError,

@@ -3,9 +3,9 @@ consistency checks, and linearization (phantom) extensions."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping
 
 from .algebra import D1, D2, DT, DX, EVEN, JetVar, Phantom, SuperPoly
 from .jets import (

@@ -3,7 +3,7 @@ recurrence for conserved densities, and staged deformation search."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Optional
 
 from .algebra import (
     D1,
@@ -39,7 +39,7 @@ from .algebra import (
     term_order_key,
 )
 from .coverings import Covering, linearize
-from .jets import EvolutionSystem, Flow, Nonlocality, jet_poly, super_derive
+from .jets import EvolutionSystem, Flow, Nonlocality, jet_poly, prolong, super_derive
 from .recursion import Shadow
 from .weights import WeightSystem
 
@@ -145,11 +145,7 @@ class Scope:
             else:
                 return None
         p = self._resolve_jet(base)
-        if p is None:
-            return None
-        for _ in range(m):
-            p = super_derive(p, DX)
-        return p
+        return None if p is None else prolong(p, m=m)
 
     def _resolve_jet(self, base: str) -> Optional[SuperPoly]:
         if base in self.symbols:
@@ -285,8 +281,9 @@ class _Parser:
         num = int(self.expect("int").text)
         if self.at("op", "/") and self.toks[self.i + 1].kind == "int":
             self.advance()
-            den = int(self.advance().text)
-            return Q(num, den)
+            if not int(self.cur.text):
+                self.error("zero denominator")
+            return Q(num, int(self.advance().text))
         return Q(num)
 
 

@@ -27,12 +27,10 @@ from .algebra import (
     DT,
     DX,
     EVEN,
-    ODD,
     Clifford,
     FieldSymbol,
     JetVar,
     ParityError,
-    Phantom,
     SuperPoly,
     Theta,
     _accumulate,
@@ -283,26 +281,34 @@ def prolong(p: SuperPoly, d1=0, d2=0, m=0) -> SuperPoly:
     return apply_ops(p, [DX] * m + [D2] * d2 + [D1] * d1)
 
 
-def dt_apply(sys: EvolutionSystem, p: SuperPoly) -> SuperPoly:
-    """Total t-derivative along the system (an even derivation)."""
+def _prolonged(value_of):
+    """The generator images of an evolutionary derivation: thetas and
+    Clifford auxiliaries go to 0, a jet to the prolonged value
+    ``value_of(sym)`` of its symbol."""
 
     def image(g):
         if isinstance(g, (Theta, Clifford)):
             return SuperPoly.zero()
-        sym = g.fieldsym
+        return prolong(value_of(g.fieldsym), g.d1, g.d2, g.m)
+
+    return image
+
+
+def dt_apply(sys: EvolutionSystem, p: SuperPoly) -> SuperPoly:
+    """Total t-derivative along the system (an even derivation)."""
+
+    def value_of(sym):
         if isinstance(sym, Nonlocality):
             if DT not in sym.defs:
                 raise MissingDerivativeError(
                     f"no t-derivative declared for non-local variable {sym.name}"
                 )
-            e = sym.defs[DT]
-        else:
-            if sym not in sys.rhs:
-                raise MissingDerivativeError(f"no evolution declared for {sym.name}")
-            e = sys.rhs[sym]
-        return prolong(e, g.d1, g.d2, g.m)
+            return sym.defs[DT]
+        if sym not in sys.rhs:
+            raise MissingDerivativeError(f"no evolution declared for {sym.name}")
+        return sys.rhs[sym]
 
-    return _derive(p, image, side="even")
+    return _derive(p, _prolonged(value_of), side="even")
 
 
 def evolutionary_apply(flow: Flow, p: SuperPoly) -> SuperPoly:
@@ -311,19 +317,16 @@ def evolutionary_apply(flow: Flow, p: SuperPoly) -> SuperPoly:
     Odd-parameter derivations follow the right Leibniz convention and
     commute with the super derivatives: X(D^kappa u) = D^kappa(phi_u).
     """
-    q = flow.parameter_parity
 
-    def image(g):
-        if isinstance(g, (Theta, Clifford)):
-            return SuperPoly.zero()
-        sym = g.fieldsym
+    def value_of(sym):
         if sym not in flow.components:
             raise MissingDerivativeError(
                 f"flow {flow.name or '?'} has no component for {sym.name}"
             )
-        return prolong(flow.components[sym], g.d1, g.d2, g.m)
+        return flow.components[sym]
 
-    return _derive(p, image, side="right" if q else "even")
+    side = "right" if flow.parameter_parity else "even"
+    return _derive(p, _prolonged(value_of), side)
 
 
 def commutator(phi: Flow, psi: Flow) -> Flow:
@@ -457,48 +460,39 @@ def component_expand(sys: EvolutionSystem) -> tuple:
     """
     th1, th2 = SuperPoly.from_gen(Theta(1)), SuperPoly.from_gen(Theta(2))
     mapping = {}
-    comp_fields = []
     for u in sys.fields:
         if u.n_susy != 2:
             raise ValueError(f"field {u.name} is not an N=2 superfield")
         u0, u1, u2, u12 = component_fields(u)
-        comp_fields += [u0, u1, u2, u12]
         mapping[u] = (
             SuperPoly.from_gen(JetVar(u0))
             + th1 * JetVar(u1)
             + th2 * JetVar(u2)
             + th1 * th2 * JetVar(u12)
         )
-    rhs = {}
-    for u in sys.fields:
-        expanded = substitute(sys.rhs[u], mapping)
-        buckets = collect_odd_prefix(expanded, (Theta,))
-        u0, u1, u2, u12 = component_fields(u)
-        slots = {(): u0, (Theta(1),): u1, (Theta(2),): u2, (Theta(1), Theta(2)): u12}
-        for word, value in buckets.items():
-            if word not in slots:
-                raise ValueError(f"unexpected theta word {word!r} in expansion")
-        for word, comp in slots.items():
-            rhs[comp] = buckets.get(word, SuperPoly.zero())
-    return (
-        EvolutionSystem(tuple(comp_fields), rhs, sys.params, name=sys.name + "-components"),
-        mapping,
-    )
+    return _read_components(sys, mapping, Theta, "-components"), mapping
 
 
 def clifford_expand(sys: EvolutionSystem, mapping: Mapping) -> EvolutionSystem:
     """Expand a system along a Clifford auxiliary, e.g. u = b + theta f.
 
-    ``mapping`` sends each field of ``sys`` to its expansion; component
-    fields are read off as left coefficients of the Clifford words.
+    ``mapping`` sends each field of ``sys`` to its expansion.
     """
+    return _read_components(sys, mapping, Clifford, "-expanded")
+
+
+def _read_components(sys, mapping, odd_class, suffix) -> EvolutionSystem:
+    """The system of the component fields of an expansion along the odd
+    generators of ``odd_class``: each field's image names one component
+    field per word of those generators (its left coefficient), and the
+    same word's left coefficient in the expanded right-hand side is that
+    component's evolution."""
     rhs = {}
     fields = []
     for u in sys.fields:
-        img = mapping[u]
         expanded = substitute(sys.rhs[u], mapping)
-        lhs_buckets = collect_odd_prefix(img, (Clifford,))
-        rhs_buckets = collect_odd_prefix(expanded, (Clifford,))
+        lhs_buckets = collect_odd_prefix(mapping[u], (odd_class,))
+        rhs_buckets = collect_odd_prefix(expanded, (odd_class,))
         for word in set(rhs_buckets) - set(lhs_buckets):
             raise ValueError(f"expansion produced unmatched word {word!r}")
         for word, comp_poly in lhs_buckets.items():
@@ -511,4 +505,4 @@ def clifford_expand(sys: EvolutionSystem, mapping: Mapping) -> EvolutionSystem:
             comp = g.fieldsym
             fields.append(comp)
             rhs[comp] = rhs_buckets.get(word, SuperPoly.zero())
-    return EvolutionSystem(tuple(fields), rhs, sys.params, name=sys.name + "-expanded")
+    return EvolutionSystem(tuple(fields), rhs, sys.params, name=sys.name + suffix)

@@ -20,22 +20,20 @@ system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, lcm
 from typing import Optional, Sequence
 
-from .algebra import D1, D2, DT, DX, JetVar, SuperPoly, _wrap, poly_sum, term_order_key
+from .algebra import D1, D2, DX, JetVar, SuperPoly, _wrap, poly_sum, term_order_key
 from .coverings import PhantomFrame, is_phantom
 from .jets import (
-    EvolutionSystem,
     Flow,
     Nonlocality,
     _derive,
     _derive_gen,
     dt_apply,
     evolutionary_apply,
-    prolong,
     reduction,
 )
 from .determine import LinearEquation, solve_linear, unknown_names
@@ -342,34 +340,31 @@ def _phantom_values(frame: PhantomFrame, flow: Flow, ws, zero_weight_cap):
     return values
 
 
-def _substitute_phantoms(expr: SuperPoly, value_of) -> SuperPoly:
-    """Replace the single phantom jet of every monomial by its value.
+def _substitute_phantoms(comps: dict, values: dict, parity: int) -> dict:
+    """Shadow components with every phantom jet replaced by its value.
 
-    The phantom factor is moved to the rightmost slot of the odd word
-    (collecting signs) and the remaining monomial right-multiplies the
-    value; ``value_of(jetvar)`` supplies the replacement.
+    The components are linear in the phantoms, so this is the
+    evolutionary derivation, of the values' parameter parity, that sends
+    each phantom to its value and every other symbol to 0.
     """
-    def phantom(g):
-        return isinstance(g, JetVar) and is_phantom(g.fieldsym)
+    symbols = set()
+    for p in comps.values():
+        for evens, odds, _funcs, _params in p.terms:
+            found = ([x for g, x in evens if _is_phantom_jet(g)]
+                     + [1 for g in odds if _is_phantom_jet(g)])
+            if len(found) != 1:
+                raise NotLinearInPhantomsError(
+                    f"monomial has {len(found)} phantom factors; shadows must be linear"
+                )
+            if found != [1]:
+                raise NotLinearInPhantomsError("phantom factor occurs squared")
+        symbols.update(g.fieldsym for g in p.generators() if isinstance(g, JetVar))
+    flow = Flow({**dict.fromkeys(symbols, SuperPoly.zero()), **values}, parity)
+    return {u: evolutionary_apply(flow, p) for u, p in comps.items()}
 
-    parts = []
-    for (evens, odds, funcs, params), c in expr.terms.items():
-        found = [(None, g, x) for g, x in evens if phantom(g)]
-        found += [(j, g, 1) for j, g in enumerate(odds) if phantom(g)]
-        if len(found) != 1:
-            raise NotLinearInPhantomsError(
-                f"monomial has {len(found)} phantom factors; shadows must be linear"
-            )
-        j, g, x = found[0]
-        if x != 1:
-            raise NotLinearInPhantomsError("phantom factor occurs squared")
-        if j is None:
-            key = (tuple(ge for ge in evens if ge[0] != g), odds, funcs, params)
-        else:
-            key = (evens, odds[:j] + odds[j + 1 :], funcs, params)
-            c = -c if (len(odds) - 1 - j) % 2 else c
-        parts.append(SuperPoly({key: c}) * value_of(g))
-    return poly_sum(parts)
+
+def _is_phantom_jet(g) -> bool:
+    return isinstance(g, JetVar) and is_phantom(g.fieldsym)
 
 
 def apply_shadow(
@@ -381,13 +376,8 @@ def apply_shadow(
     """Apply the shadow to a symmetry, producing a new flow."""
     frame = shadow.frame
     values = _phantom_values(frame, flow, ws, zero_weight_cap)
-
-    def value_of(g: JetVar):
-        return prolong(values[g.fieldsym], g.d1, g.d2, g.m)
-
-    comps = {}
-    for u in frame.base.fields:
-        comps[u] = _substitute_phantoms(shadow.components[u], value_of)
+    comps = _substitute_phantoms({u: shadow.components[u] for u in frame.base.fields},
+                                 values, flow.parameter_parity)
     return Flow(
         comps, (shadow.parameter_parity + flow.parameter_parity) % 2
     )
@@ -431,12 +421,8 @@ def compose(s1: Shadow, s2: Shadow) -> Shadow:
                         "is not supported"
                     )
 
-    def value_of(g: JetVar):
-        return prolong(values[g.fieldsym], g.d1, g.d2, g.m)
-
-    comps = {
-        u: _substitute_phantoms(s1.components[u], value_of) for u in frame.base.fields
-    }
+    comps = _substitute_phantoms({u: s1.components[u] for u in frame.base.fields},
+                                 values, s2.parameter_parity)
     return Shadow(
         frame,
         comps,

@@ -7,23 +7,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .algebra import (
-    D1,
-    D2,
-    DX,
-    EVEN,
-    ODD,
-    Clifford,
-    FieldSymbol,
-    JetVar,
-    SuperPoly,
-    Theta,
-    _accumulate,
-    _sorted_funcs,
-    _wrap,
-    poly_sum,
-)
-from .jets import EvolutionSystem, Flow, apply_ops, dt_apply
+from .algebra import EVEN, FieldSymbol, JetVar, SuperPoly, poly_sum
+from .jets import EvolutionSystem, Flow, _derive, apply_ops, dt_apply, prolong
 
 Q = Fraction
 
@@ -31,35 +16,14 @@ Q = Fraction
 def graded_partial(p: SuperPoly, v) -> SuperPoly:
     """Left partial derivative with respect to a single generator.
 
-    For an odd generator the factor is anticommuted to the leftmost slot
-    (collecting signs) and removed; for an even generator the exponent
-    rule applies.  Function factors differentiate to their next
-    derivative when v is their argument.
+    It is the derivation, of v's parity and with the left Leibniz
+    convention, that sends v to 1 and every other generator to 0: an odd
+    v is anticommuted to the leftmost slot and removed, an even one
+    follows the exponent rule, and function factors differentiate to
+    their next derivative when v is their argument.
     """
-    out: dict = {}
-    add = lambda key, c: _accumulate(out, ((key, c),))
-    odd = isinstance(v, (Theta, Clifford)) or (isinstance(v, JetVar) and v.parity)
-    for (evens, odds, funcs, params), c in p.terms.items():
-        if odd:
-            for j, g in enumerate(odds):
-                if g == v:
-                    sign = -1 if j % 2 else 1
-                    add((evens, odds[:j] + odds[j + 1 :], funcs, params), c * sign)
-                    break
-        else:
-            for i, (g, x) in enumerate(evens):
-                if g == v:
-                    rest = list(evens)
-                    rest[i] = (g, x - 1)
-                    rest = tuple(ge for ge in rest if ge[1])
-                    add((rest, odds, funcs, params), c * x)
-                    break
-            for i, (n, k, arg) in enumerate(funcs):
-                if arg == v:
-                    rest = list(funcs)
-                    rest[i] = (n, k + 1, arg)
-                    add((evens, odds, _sorted_funcs(rest), params), c)
-    return _wrap(out)
+    one, zero = SuperPoly.one(), SuperPoly.zero()
+    return _derive(p, lambda g: one if g == v else zero, "left")
 
 
 def euler(H: SuperPoly, fields: Sequence[FieldSymbol]) -> dict:
@@ -85,7 +49,7 @@ def euler(H: SuperPoly, fields: Sequence[FieldSymbol]) -> dict:
                 sign *= (-1) ** (1 + u.parity)
             if g.d2:
                 sign *= (-1) ** (1 + u.parity)
-            parts.append(Q(sign) * apply_ops(pd, [D2] * g.d2 + [D1] * g.d1 + [DX] * g.m))
+            parts.append(Q(sign) * prolong(pd, g.d1, g.d2, g.m))
         out[u] = poly_sum(parts)
     return out
 

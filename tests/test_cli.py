@@ -201,6 +201,22 @@ def test_bad_number_is_a_usage_error(capsys, argv):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source, argv", [
+    ("field b even susy 1 weight 1/0;\n", ["parse", "--file"]),
+    (None, ["parse", "--catalog", "pskdv", "--expr", "1/0*b"]),
+])
+def test_zero_denominator_is_a_parse_error(capsys, tmp_path, source, argv):
+    if source is not None:
+        doc = tmp_path / "doc.sj"
+        doc.write_text(source)
+        argv = argv + [str(doc)]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "zero denominator" in err
+    assert "Traceback" not in err
+
+
 def test_missing_weight_is_a_usage_error(capsys, tmp_path):
     doc = tmp_path / "doc.sj"
     doc.write_text("field b even susy 0;\nfield c even susy 0 weight 1;\n"

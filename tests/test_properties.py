@@ -15,13 +15,20 @@ from superjet.algebra import (
     Clifford,
     FieldSymbol,
     JetVar,
+    Phantom,
     SuperPoly,
     Theta,
+    _accumulate,
+    _sorted_funcs,
+    _wrap,
+    poly_sum,
     prod,
     term_order_key,
 )
-from superjet.jets import Flow, dt_apply, evolutionary_apply, super_derive
-from superjet.recursion import NotIntegrableError, d_integrate
+from superjet.coverings import is_phantom
+from superjet.jets import Flow, dt_apply, evolutionary_apply, prolong, super_derive
+from superjet.recursion import NotIntegrableError, _substitute_phantoms, d_integrate
+from superjet.variational import graded_partial
 from superjet.weights import AnsatzItem, WeightSystem, enumerate_monomials
 
 from conftest import cached_entry
@@ -201,3 +208,92 @@ def test_monomial_enumeration_matches_brute_force(data):
     got = enumerate_monomials(items, weight, parity)
     want = _oracle(items, weight, parity)
     assert [list(m.terms.items()) for m in got] == [list(m.terms.items()) for m in want]
+
+
+# ---------------------------------------------------------------------------
+# graded partials and phantom substitution against the key walkers they
+# replaced, kept here as reference oracles
+
+
+def _partial_oracle(p, v):
+    """Left partial derivative by walking the keys: an odd v is moved to
+    the leftmost slot and removed, an even one follows the exponent rule,
+    and a function factor of v steps to its next derivative."""
+    out: dict = {}
+    add = lambda key, c: _accumulate(out, ((key, c),))
+    odd = isinstance(v, (Theta, Clifford)) or (isinstance(v, JetVar) and v.parity)
+    for (evens, odds, funcs, params), c in p.terms.items():
+        if odd:
+            for j, g in enumerate(odds):
+                if g == v:
+                    sign = -1 if j % 2 else 1
+                    add((evens, odds[:j] + odds[j + 1 :], funcs, params), c * sign)
+                    break
+        else:
+            for i, (g, x) in enumerate(evens):
+                if g == v:
+                    rest = list(evens)
+                    rest[i] = (g, x - 1)
+                    rest = tuple(ge for ge in rest if ge[1])
+                    add((rest, odds, funcs, params), c * x)
+                    break
+            for i, (n, k, arg) in enumerate(funcs):
+                if arg == v:
+                    rest = list(funcs)
+                    rest[i] = (n, k + 1, arg)
+                    add((evens, odds, _sorted_funcs(rest), params), c)
+    return _wrap(out)
+
+
+def _phantom_oracle(expr, values):
+    """Each monomial's single phantom jet moved to the rightmost slot of
+    the odd word (collecting signs) and replaced by its prolonged value."""
+    parts = []
+    for (evens, odds, funcs, params), c in expr.terms.items():
+        found = [(None, g) for g, _x in evens if is_phantom(g.fieldsym)]
+        found += [(j, g) for j, g in enumerate(odds)
+                  if isinstance(g, JetVar) and is_phantom(g.fieldsym)]
+        ((j, g),) = found
+        if j is None:
+            key = (tuple(ge for ge in evens if ge[0] != g), odds, funcs, params)
+        else:
+            key = (evens, odds[:j] + odds[j + 1 :], funcs, params)
+            c = -c if (len(odds) - 1 - j) % 2 else c
+        parts.append(SuperPoly({key: c}) * prolong(values[g.fieldsym], g.d1, g.d2, g.m))
+    return poly_sum(parts)
+
+
+with_functions = st.tuples(monomials, st.sampled_from((None, 0, 1, 2))).map(
+    lambda t: t[0] if t[1] is None else t[0] * SuperPoly.func("h", t[1], JetVar(b)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(with_functions, min_size=1, max_size=3), st.sampled_from(GENS))
+def test_graded_partial_matches_the_key_walk(ms, v):
+    p = sum(ms, SuperPoly.zero())
+    assert graded_partial(p, v) == _partial_oracle(p, v)
+
+
+PHANTOMS = {u: Phantom(u.name.upper(), u.parity, u.n_susy, base=u) for u in (b, f, u2)}
+PHANTOM_JETS = [JetVar(PHANTOMS[g.fieldsym], g.d1, g.d2, g.m)
+                for g in GENS if isinstance(g, JetVar)]
+
+
+@st.composite
+def linear_in_phantoms(draw):
+    """A sum of monomials, each with one phantom jet in a random slot."""
+    out = SuperPoly.zero()
+    for _ in range(draw(st.integers(1, 3))):
+        factors = draw(st.lists(st.sampled_from(GENS), max_size=3))
+        factors.insert(draw(st.integers(0, len(factors))), draw(st.sampled_from(PHANTOM_JETS)))
+        out = out + prod(factors, draw(coeffs))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((EVEN, ODD)), linear_in_phantoms(), st.data())
+def test_phantom_substitution_matches_the_key_walk(parity, expr, data):
+    values = {U: data.draw(polys).parity_report()[(u.parity + parity) % 2]
+              for u, U in PHANTOMS.items()}
+    (got,) = _substitute_phantoms({b: expr}, values, parity).values()
+    assert got == _phantom_oracle(expr, values)

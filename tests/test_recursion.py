@@ -28,9 +28,10 @@ from superjet.determine import (
     unknown_names,
 )
 from superjet.grammar import parse_expression
-from superjet.jets import Nonlocality, apply_ops, dt_apply, jet_poly, super_derive
+from superjet.jets import Flow, Nonlocality, apply_ops, dt_apply, jet_poly, super_derive
 from superjet.recursion import (
     NotIntegrableError,
+    NotLinearInPhantomsError,
     _forced_zero,
     Shadow,
     apply_shadow,
@@ -386,6 +387,28 @@ def test_compose_matches_power():
     sq = compose(r2, r2)
     for u, p in shadow_power(r2, 2).components.items():
         assert (p - sq.components[u]).is_zero
+
+
+@pytest.mark.parametrize("b_component, message", [
+    ("B + b", "0 phantom factors"),
+    ("b*B^2", "squared"),
+    ("Db*F*B", "2 phantom factors"),
+])
+def test_shadow_not_linear_in_the_phantoms_raises(b_component, message):
+    doc = cached_entry("hospital-1").doc
+    r1 = doc.shadows["R1"]
+    frame = r1.frame
+    scope = doc.scope.child()
+    for U in frame.phantoms.values():
+        scope.symbols[U.name] = U
+    b, f = doc.fields["b"], doc.fields["f"]
+    bad = Shadow(frame, {f: parse_expression("Db*f*F", scope),
+                         b: parse_expression(b_component, scope)})
+    seed = Flow({u: jet_poly(u, 0, 0, 1) for u in (f, b)})
+    with pytest.raises(NotLinearInPhantomsError, match=message):
+        apply_shadow(bad, seed, doc.weight_system())
+    with pytest.raises(NotLinearInPhantomsError, match=message):
+        compose(bad, r1)
 
 
 def test_order_helpers():
