@@ -1,6 +1,6 @@
 """Golden canonical outputs of catalog computations: symmetry searches
 (with the generic pivots assumed nonzero, and as the CLI runs them),
-the signed monomials of a flow ansatz and of an integration ansatz,
+the pivots those searches assume nonzero, the signed monomials of a flow ansatz and of an integration ansatz,
 shadow iteration, the Gardner deformation search, the Gardner density
 recurrence and weight inference.
 
@@ -30,8 +30,9 @@ Q = Fraction
 SNAPSHOT = Path(__file__).parent / "golden" / "solver_outputs.json"
 
 SEARCHES = ((Q(-1), EVEN), (Q(-2), EVEN), (Q(-4), EVEN), (Q(-7, 2), ODD))
-CLI_SEARCHES = ((Q(-1), EVEN), (Q(-2), EVEN), (Q(-3), EVEN), (Q(-4), EVEN),
-                (Q(-7, 2), ODD))
+# every weight from -1/2 down, in both parities
+ASSUMED_SEARCHES = tuple((Q(-k, 2), parity) for k in range(1, 13) for parity in (EVEN, ODD))
+CLI_SEARCHES = tuple((Q(-k, 2), parity) for k in range(1, 11) for parity in (EVEN, ODD))
 ANSATZ_SEARCHES = ((Q(-4), EVEN), (Q(-7, 2), ODD))
 
 
@@ -44,6 +45,20 @@ def _symmetry_searches():
                               assume_nonzero=("alpha", "beta", "gamma"))
         out[f"{weight} {'odd' if parity else 'even'}"] = [
             print_flow(f) for f in res.flows]
+    return out
+
+
+def _assumed_pivots():
+    """The pivots the searches with alpha, beta and gamma nonzero still
+    assume nonzero, or None where the search has no ansatz."""
+    doc = cached_entry("bous-embed").doc
+    sys, ws = doc.system(), doc.weight_system()
+    out = {}
+    for weight, parity in ASSUMED_SEARCHES:
+        res = find_symmetries(sys, ws, weight, parity,
+                              assume_nonzero=("alpha", "beta", "gamma"))
+        out[f"{weight} {'odd' if parity else 'even'}"] = (
+            [print_poly(a) for a in res.solution.assumptions] if res.solution else None)
     return out
 
 
@@ -159,6 +174,7 @@ def snapshot():
     steps, ansatz = _shadow_steps()
     return {
         "bous-embed find_symmetries": _symmetry_searches(),
+        "bous-embed find_symmetries, assumed pivots": _assumed_pivots(),
         "bous-embed find_symmetries, case split 1": _cli_symmetry_searches(),
         "bous-embed flow ansatz monomials": _flow_ansatz_monomials(),
         "dbous R steps from seed_x": steps["seed_x"],
