@@ -274,7 +274,10 @@ def cmd_apply_recursion(args):
 def cmd_nilpotency(args):
     doc, _ = _load_doc(args)
     sh = _lookup(doc.shadows, args.shadow, "shadow")
-    k = nilpotency_order(sh, args.max)
+    try:
+        k = nilpotency_order(sh, args.max)
+    except NotLocalError as exc:
+        return _emit(args, {"error": str(exc)}, 1)
     if k is None:
         return _emit(args, {"order": f"not nilpotent up to power {args.max}"}, 1)
     return _emit(args, {"order": k}, 0)

@@ -21,8 +21,15 @@ side is the field's times ``s`` (``Reduced.scale``).
 
 Rows are sparse maps from column index to nonzero element, so the loop
 costs nothing for the zero entries that dominate determining systems.
-Pivots are taken in column order, which makes every returned solution
-canonical.
+Pivot columns are taken in order.  While every pivot is a monomial, the
+pivot row of a column is the sparsest eligible one: Markowitz's
+fill-reducing choice (Management Science, 1957) with the column order
+fixed.  Over the field the reduced row echelon form, and with it the
+pivot columns, the particular solution and the basis, does not depend on
+which rows are taken, so a system whose pivots are all monomials gets
+its canonical solution whatever the order of its rows.  Which pivots are
+assumed, which rows are left over and the scale ``s`` may depend on the
+rows taken; the rule fixes them from the order of the input rows.
 """
 
 from __future__ import annotations
@@ -118,10 +125,13 @@ def gauss_jordan(
 ) -> Reduced:
     """Reduce rows ``({column: value}, rhs)`` in ``n`` unknowns.
 
-    For each column the pivot is the first remaining row (in input order)
-    whose entry over the field satisfies ``sure_nonzero``, else the first
-    remaining row with any nonzero entry, whose entry in the ring is then
-    recorded in ``assumed``.  ``K`` supplies the ring operations;
+    For each column the pivot row is taken among the remaining rows whose
+    entry over the field satisfies ``sure_nonzero``: the one with the
+    fewest entries, the lower index on a tie, while every pivot so far is
+    a monomial, and the first one from then on, since there the row taken
+    sets the scale of the canonical form.  With no such row it is the
+    first remaining row with any nonzero entry, whose entry in the ring is
+    then recorded in ``assumed``.  ``K`` supplies the ring operations;
     ``revert`` is called on the monomial pivots alone.
 
     Up to the first pivot that is not a monomial, every pivot row ``v``
@@ -146,8 +156,9 @@ def gauss_jordan(
         cands = sorted(i for i in col_rows.get(c, ()) if i not in used)
         if not cands:
             continue
-        if scale is one:
-            p = next((i for i in cands if sure_nonzero(work[i][0][c])), None)
+        if scale is one:  # the sparsest eligible row, to keep the fill down
+            p = min((i for i in cands if sure_nonzero(work[i][0][c])),
+                    key=lambda i: len(work[i][0]), default=None)
         else:  # judge the field's entries, which are the ring's divided by scale
             p = next((i for i in cands if (v := quotient(work[i][0][c], scale)) is not None
                       and sure_nonzero(v)), None)

@@ -100,6 +100,15 @@ def test_nilpotency(capsys):
     assert "2" in out
 
 
+def test_nilpotency_through_nonlocal_phantoms_is_an_error(capsys):
+    """Composing shadows through non-local phantoms is not supported: the
+    command reports it and exits 1, not with the engine-fault code."""
+    code, out = run(capsys, "nilpotency", "--catalog", "superburg",
+                    "--shadow", "R2", "--json")
+    assert code == 1
+    assert "non-local phantoms" in json.loads(out)["error"]
+
+
 def test_apply_recursion(capsys):
     code, out = run(capsys, "apply-recursion", "--catalog", "skdv-a",
                     "--shadow", "R", "--seed", "seed_x", "--iterations", "1")

@@ -8,6 +8,7 @@ from sympy.polys.matrices import DomainMatrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from superjet import determine
 from superjet.algebra import EVEN, ODD, FieldSymbol, JetVar, SuperPoly
 from superjet.determine import (
     LinearEquation,
@@ -336,9 +337,12 @@ def field_monomial_in(v, names):
 
 def field_gauss_jordan(rows, n, sure_nonzero, F):
     """Reference elimination over a field: each pivot row is divided by its
-    pivot, with the same choice of pivot rows as ``gauss_jordan``.  Returns
-    the pivots, the particular solution, the basis, the assumed pivots and
-    the leftover right-hand sides."""
+    pivot, with the choice of pivot rows ``gauss_jordan`` makes while its
+    pivots are monomials: the eligible row with the fewest entries in the
+    unknowns (the right-hand side, under key ``n``, is not counted), the
+    lower index on a tie.  Returns the pivots, the particular
+    solution, the basis, the assumed pivots and the leftover right-hand
+    sides."""
     zero, one = F.field.zero, F.field.one
     work = [{**row, n: rhs} for row, rhs in rows]
     pivot_row, pivots, assumed = {}, [], []
@@ -346,7 +350,8 @@ def field_gauss_jordan(rows, n, sure_nonzero, F):
         cands = [i for i, row in enumerate(work) if i not in pivot_row.values() and row.get(c)]
         if not cands:
             continue
-        p = next((i for i in cands if sure_nonzero(work[i][c])), None)
+        p = min((i for i in cands if sure_nonzero(work[i][c])),
+                key=lambda i: len(work[i].keys() - {n}), default=None)
         if p is None:
             p = cands[0]
             assumed.append(work[p][c])
@@ -434,6 +439,60 @@ def test_laurent_elimination_matches_the_fraction_field(system):
             red.particular
     else:
         assert {c: to_field(v, F) for c, v in red.particular.items()} == field
+
+
+@settings(max_examples=200, deadline=None)
+@given(laurent_systems(), st.data())
+def test_row_order_leaves_a_monomial_elimination_unchanged(system, data):
+    """Which rows ``gauss_jordan`` takes as pivots depends on their order.
+    When it assumes no pivot and every pivot is a monomial, the basis and,
+    for a consistent system, the particular solution are the field's
+    reduced row echelon form, which does not."""
+    rows, n, _names, nonzero = system
+    order = data.draw(st.permutations(range(len(rows))))
+    reds = []
+    for permuted in (rows, [rows[i] for i in order]):
+        K = _LaurentPivotLog()
+        red = gauss_jordan(permuted, n, lambda v: is_monomial_in(v, nonzero), K)
+        if red.assumed or len(K.pivots) < len(red.solved):
+            return
+        reds.append(red)
+    a, b = reds
+    assert a.basis == b.basis
+    assert bool(a.leftover) == bool(b.leftover)
+    if not a.leftover:
+        assert a.particular == b.particular
+
+
+class _LaurentWorkCount(LaurentRing):
+    """The Laurent ring, counting every ``submul``, products included."""
+
+    def __init__(self):
+        self.submuls = 0
+
+    def submul(self, a, f, v):
+        self.submuls += 1
+        return LaurentRing.submul(a, f, v)
+
+    def mul(self, a, b):
+        return self.submul(self.zero, a, -b)
+
+
+def test_sparse_pivot_rows_bound_the_elimination_work(embed, monkeypatch):
+    """Taking the sparsest eligible row as pivot keeps the fill down: the
+    106 x 38 elimination of the weight -5 even search makes 3349 ring
+    products, where taking the first eligible row made 25 522."""
+    _doc, sys, ws = embed
+    rings = []
+
+    def counted(rows, n, sure_nonzero):
+        rings.append(_LaurentWorkCount())
+        return gauss_jordan(rows, n, sure_nonzero, rings[-1])
+
+    monkeypatch.setattr(determine, "gauss_jordan", counted)
+    find_symmetries(sys, ws, Q(-5), EVEN, assume_nonzero=NONZERO)
+    (ring,) = rings
+    assert ring.submuls <= 4000
 
 
 @st.composite
