@@ -266,20 +266,104 @@ def test_options_are_attached_where_they_are_read(capsys):
     assert json.loads(out)["dimension"] == 1
 
 
-def test_readme_commands_parse(capsys):
-    """Every ``superjet`` line of the README's sh blocks is a valid command line."""
+def test_readme_commands_run(capsys):
+    """Every ``superjet`` line of the README's sh blocks runs and exits 0."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     text = "".join(re.findall(r"```sh\n(.*?)```", readme, re.S)).replace("\\\n", " ")
     commands = [shlex.split(line)[1:] for line in text.splitlines()
                 if line.startswith("superjet ")]
     assert len(commands) > 10
-    parser = cli.build_parser()
     for argv in commands:
-        try:
-            parser.parse_args(argv)
-        except SystemExit:
-            pytest.fail(f"README command does not parse: superjet {shlex.join(argv)}\n"
-                        f"{capsys.readouterr().err}")
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 0, f"superjet {shlex.join(argv)}\n{captured.out}{captured.err}"
+
+
+def test_parse_whole_document_with_a_shadow(capsys):
+    code, out = run(capsys, "parse", "--catalog", "dbous", "--json")
+    assert code == 0
+    assert json.loads(out) == {
+        "equations": {"b_t": "Df_x", "f_t": "b*Db"},
+        "flows": {
+            "eq4_9_t": "b = 1/2*b^2*b_x + Df*Df_x, f = b*Df*Db + 1/2*b^2*f_x",
+            "eq4_9_x": "b = b*Df_x + b_x*Df, f = b^2*Db + Df*f_x",
+            "seed_t": "b = Df_x, f = b*Db",
+            "seed_x": "b = b_x, f = f_x",
+        },
+        "functionals": {
+            "H1_0": "b",
+            "H1_1": "b*Df",
+            "H1_2": "1/2*b*Df^2 + 1/12*b^4",
+            "H2_0": "Df",
+            "H2_1": "1/6*b^3 + 1/2*Df^2",
+            "H2_2": "1/6*b^3*Df + 1/6*Df^3",
+        },
+        "shadows": {
+            "R": "b = 3/4*B*Df + 1/2*DF*b + V*Df_x + 3/4*W*b_x, "
+                 "f = 3/4*Df*F + 1/2*b^2*DV + V*b*Db + 3/4*W*f_x",
+        },
+        "status": "ok",
+    }
+
+
+def test_dt(capsys):
+    code, out = run(capsys, "dt", "--catalog", "dbous", "--expr", "b*Df", "--json")
+    assert code == 0
+    assert json.loads(out)["result"] == "b^2*b_x + Df*Df_x"
+
+
+def test_hamiltonian_flow(capsys):
+    code, out = run(capsys, "hamiltonian-flow", "--catalog", "dbous",
+                    "--density", "H1_1", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["flow"] == {"b": "b_x", "f": "f_x"}
+    assert payload["is_symmetry"] is True
+
+
+def test_gardner_densities(capsys):
+    code, out = run(capsys, "gardner", "densities", "--catalog", "hydro-bous",
+                    "--order", "2", "--json")
+    assert code == 0
+    assert json.loads(out)["densities"] == {
+        "w1": ["b", "-b*c", "2*b*c^2 + 1/3*b^4"],
+        "w2": ["c", "-1/3*b^3 - c^2", "5/3*b^3*c + 5/3*c^3"],
+    }
+
+
+def test_theta_expand(capsys, tmp_path):
+    doc = tmp_path / "doc.sj"
+    doc.write_text("param alpha;\naux th clifford alpha;\n"
+                   "field u even susy 0 weight 1;\nfield b even susy 0 weight 1;\n"
+                   "field f odd susy 0 weight 1;\ntime weight -2;\n"
+                   "u_t = u_xx + u*u_x;\nb_t = b_xx;\nf_t = f_xx;\n")
+    code, out = run(capsys, "theta-expand", "--file", str(doc), "--field", "u",
+                    "--map", "b + th*f", "--json")
+    assert code == 0
+    assert json.loads(out)["components"] == {
+        "b_t": "b*b_x + b_xx - alpha*f*f_x",
+        "f_t": "b_x*f + b*f_x + f_xx",
+    }
+
+
+def test_integrate_along_d(capsys):
+    code, out = run(capsys, "integrate", "--catalog", "pskdv", "--dir", "D",
+                    "--expr", "b*b_x", "--json")
+    assert code == 0
+    assert json.loads(out)["preimage"] == "b*Db"
+
+
+def test_apply_recursion_to_a_seed_with_a_nonlocal_image(capsys, tmp_path):
+    """A seed whose phantom value has no local preimage: the command
+    reports it and exits 1."""
+    from superjet import catalog
+
+    doc = tmp_path / "doc.sj"
+    doc.write_text(catalog.get("skdv-a").sources["main"] + "flow bad1: f = f*Df;\n")
+    code, out = run(capsys, "apply-recursion", "--file", str(doc),
+                    "--shadow", "R", "--seed", "bad1")
+    assert code == 1
+    assert "error: value of phantom for v is not local" in out
 
 
 def test_commands_run_without_importing_sympy():
