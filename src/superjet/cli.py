@@ -15,7 +15,7 @@ import traceback
 from fractions import Fraction
 
 from . import catalog
-from .algebra import D1, D2, DX, EVEN, ODD, UnknownNameError
+from .algebra import D1, D2, DX, EVEN, ODD, ParityError, UnknownNameError
 from .coverings import check_covering
 from .determine import find_symmetries
 from .gardner import (
@@ -201,6 +201,10 @@ def cmd_find_symmetries(args):
     sys_, ws = doc.system(), doc.weight_system()
     parities = {"even": (EVEN,), "odd": (ODD,), "both": (EVEN, ODD)}[args.parity]
     nonzero = tuple(n for n in args.assume_nonzero.split(",") if n)
+    for n in nonzero:
+        if n not in sys_.params:
+            raise UsageError(f"--assume-nonzero: {n!r} is not a declared parameter; "
+                             f"declared: {', '.join(sys_.params) or 'none'}")
     rows = []
     for weight in _weights(args.weight):
         for parity in parities:
@@ -331,7 +335,10 @@ def cmd_hamiltonian_flow(args):
         op = entry.extras["make_operator"](tuple(sys.fields))
     else:
         op = antidiagonal(sys.fields, {"dx": DX, "susy": D1}[args.operator])
-    flow = hamiltonian_flow(op, H)
+    try:
+        flow = hamiltonian_flow(op, H)
+    except ParityError as exc:
+        raise UsageError(f"operator {args.operator} does not fit the fields: {exc}") from None
     res = check_symmetry(sys, flow)
     return _emit(
         args,

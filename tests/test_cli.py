@@ -187,6 +187,30 @@ def test_find_symmetries_assume_nonzero(capsys):
     assert payload["branches"] == [{"zero_params": [], "dimension": 1}]
 
 
+@pytest.mark.parametrize("entry, names, declared", [
+    ("bous-embed", "alpah,beta,gamma", "declared: alpha, beta, gamma"),
+    ("pskdv", "alpha", "declared: none"),
+])
+def test_assume_nonzero_of_an_undeclared_name_is_a_usage_error(capsys, entry, names, declared):
+    code = main(["find-symmetries", "--catalog", entry, "--weight=-4",
+                 "--assume-nonzero", names])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert repr(names.split(",")[0]) in err and declared in err
+
+
+def test_hamiltonian_operator_of_the_wrong_parity_is_a_usage_error(capsys):
+    """The odd antidiagonal operator on one even field gives an odd
+    component for an even field."""
+    code = main(["hamiltonian-flow", "--catalog", "pskdv", "--density", "rho2",
+                 "--operator", "susy"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("weight", ["-1..0", "-1..-2..-3", "one", "1/0"])
 def test_bad_weight_is_a_usage_error(capsys, weight):
     code = main(["find-symmetries", "--catalog", "bous-embed", f"--weight={weight}"])
