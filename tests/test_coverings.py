@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from superjet import catalog, coverings
-from superjet.algebra import D1, DX, DT, EVEN, FieldSymbol, ParityError, SuperPoly, JetVar, Theta
+from superjet.algebra import D1, D2, DX, DT, EVEN, FieldSymbol, ParityError, SuperPoly, JetVar, Theta
 from superjet.coverings import (
     Covering,
     check_covering,
@@ -14,6 +14,7 @@ from superjet.coverings import (
     linearize,
     phantom_name,
 )
+from superjet.grammar import parse_document
 from superjet.jets import Nonlocality, check_definition
 
 from conftest import cached_entry
@@ -46,6 +47,38 @@ def test_mutated_covering_is_detected():
     w_bad = Nonlocality(w.name, w.parity, w.n_susy, weight=w.weight, defs=bad_defs)
     cov = Covering(doc.system(), (w_bad,))
     assert not covering_is_consistent(cov)
+
+
+def _covering_of(source):
+    doc = parse_document(source)
+    return doc, check_covering(doc.covering())
+
+
+def test_covering_identities_of_d_and_dx():
+    """D(w) and w_x declared together: D(D(w)) = w_x and D commutes with
+    Dx; a z_x off by a factor 2 breaks both and the Dx-Dt identity."""
+    doc, res = _covering_of(
+        "field u even susy 1 weight 1;\ntime weight -3;\nu_t = u_xxx;\n"
+        "nonlocal w odd weight 1/2: D(w) = u, w_x = Du, w_t = Du_xx;\n"
+        "nonlocal z odd weight 1/2: D(z) = u, z_x = 2*Du, z_t = Du_xx;\n")
+    assert set(res) == {(n, a, b) for n in "wz" for a, b in
+                        ((D1, DT), (DX, DT), (D1, DX), (DX, D1))}
+    bad = {key for key, r in res.items() if not r.is_zero}
+    assert bad == {("z", D1, DX), ("z", DX, D1), ("z", DX, DT)}
+    u = doc.fields["u"]
+    assert res[("z", D1, DX)] == -SuperPoly.from_gen(JetVar(u, 1, 0, 0))
+    assert res[("z", DX, D1)] == SuperPoly.from_gen(JetVar(u, 0, 0, 1))
+
+
+def test_covering_identity_of_d1_and_d2():
+    """D1(p) and D2(p) declared together must anticommute: D2 D1 p + D1 D2 p = 0."""
+    doc, res = _covering_of(
+        "field b even susy 2 weight 1;\ntime weight -2;\nb_t = b_xx;\n"
+        "nonlocal p even susy 2 weight 1: D1(p) = D1b, D2(p) = D2b;\n"
+        "nonlocal q even susy 2 weight 1: D1(q) = D1b, D2(q) = 2*D2b;\n")
+    assert set(res) == {("p", D1, D2), ("q", D1, D2)}
+    assert res[("p", D1, D2)].is_zero
+    assert res[("q", D1, D2)] == SuperPoly.from_gen(JetVar(doc.fields["b"], 1, 1, 0))
 
 
 def test_phantom_names():

@@ -20,6 +20,7 @@ from superjet.algebra import (
 from superjet.jets import (
     Flow,
     Nonlocality,
+    apply_ops,
     check_symmetry,
     commutator,
     dt_apply,
@@ -223,3 +224,17 @@ def test_nonlocal_bare_jet_stays_symbolic():
     doc = cached_entry("skdv-a").doc
     for w in doc.nonlocals.values():
         assert nonlocal_jet(w) == SuperPoly.from_gen(JetVar(w))
+
+
+def test_nonlocal_jets_reduce_through_a_declared_d2():
+    """A non-local variable with only D2 declared: a jet that applies D2
+    reduces through that value, with D2 D1 = -D1 D2 and D2^2 = Dx."""
+    value = SuperPoly.from_gen(JetVar(u2)) * JetVar(u2, 0, 1, 0)
+    r = Nonlocality("r", EVEN, 2, defs={D2: value})
+    jet_r = jet_poly(r)
+    assert super_derive(jet_r, D2) == value
+    assert super_derive(super_derive(jet_r, D2), D1) == super_derive(value, D1)
+    assert super_derive(super_derive(jet_r, D1), D2) == -super_derive(value, D1)
+    assert super_derive(jet_r, DX) == super_derive(value, D2)
+    assert nonlocal_jet(r, d1=1, d2=1, m=1) == apply_ops(value, [DX, D1])
+    assert nonlocal_jet(r, d1=1) == SuperPoly.from_gen(JetVar(r, 1, 0, 0))

@@ -27,7 +27,7 @@ from superjet.determine import (
     solve_linear,
     unknown_names,
 )
-from superjet.grammar import parse_expression
+from superjet.grammar import parse_document, parse_expression
 from superjet.jets import Flow, Nonlocality, apply_ops, dt_apply, jet_poly, super_derive
 from superjet.recursion import (
     NotIntegrableError,
@@ -282,6 +282,24 @@ def integration_problems(draw):
 @given(integration_problems())
 def test_integration_matches_the_whole_ansatz_on_random_targets(problem):
     assert _outcome(d_integrate, *problem) == _outcome(_reference_integrate, *problem)
+
+
+DEGENERATE_COVERING = parse_document(
+    "field u even weight 1;\nnonlocal v odd weight 3/2: D(v) = 0;\n"
+    "nonlocal w even weight 1: D(w) = v;\nu_t = u_xxx;\n")
+
+
+@pytest.mark.parametrize("target, preimage", [
+    ("v", "w"), ("v + D(u)", "u + w"), ("D(w*u)", "u*w"), ("u*v", None)])
+def test_integration_on_a_degenerate_covering_matches_the_whole_ansatz(target, preimage):
+    """D(v) = 0 and D(w) = v, so v and w have zero x-derivatives; D1 still
+    integrates v to w."""
+    doc = DEGENERATE_COVERING
+    args = (doc.poly(target), D1, doc.weight_system(),
+            [*doc.fields.values(), *doc.nonlocals.values()])
+    want = NotIntegrableError if preimage is None else doc.poly(preimage)
+    assert _outcome(_reference_integrate, *args) == want
+    assert _outcome(d_integrate, *args) == want
 
 
 @pytest.mark.parametrize("weight, others", [(Q(0), 1), (Q(-1), 3)])

@@ -2,7 +2,9 @@
 
 from fractions import Fraction
 
-from superjet.algebra import D1, DX, JetVar, SuperPoly, prod
+import pytest
+
+from superjet.algebra import D1, D2, DX, JetVar, SuperPoly, prod
 from superjet.jets import check_symmetry, super_derive
 from superjet.variational import (
     conservation_residuals,
@@ -45,6 +47,24 @@ def test_euler_annihilates_super_derivatives(rng):
     while count < 100:
         p = _random_density(rng, fields)
         dp = super_derive(p, D1)
+        if dp.is_zero:
+            continue
+        count += 1
+        assert all(v.is_zero for v in euler(dp, fields).values())
+
+
+@pytest.mark.parametrize("direction", [D1, D2, DX])
+def test_euler_annihilates_divergences_of_n2_fields(rng, direction):
+    """On an N=2 superfield the Euler operator's D1, D2 and Dx signs
+    annihilate the image of each direction."""
+    fields = cached_entry("n2burgers").doc.system().fields
+    gens = [JetVar(u, d1, d2, m) for u in fields
+            for d1 in (0, 1) for d2 in (0, 1) for m in (0, 1, 2)]
+    count = 0
+    while count < 60:
+        word = [rng.choice(gens) for _ in range(rng.randint(1, 3))]
+        dp = super_derive(prod(word, Q(rng.randint(-4, 4) or 1, rng.randint(1, 3))),
+                          direction)
         if dp.is_zero:
             continue
         count += 1
