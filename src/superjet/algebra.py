@@ -525,16 +525,6 @@ def _key_repr(key):
     return "*".join(bits) if bits else "1"
 
 
-def normalize(raw_terms: Iterable[tuple]) -> SuperPoly:
-    """Canonicalize a list of raw terms ``(coeff, factors)``.
-
-    Factors are generators in written order; repeated odd factors
-    annihilate, Clifford squares reduce, and reordering signs are
-    absorbed into the coefficient.
-    """
-    return poly_sum(prod(factors, coeff) for coeff, factors in raw_terms)
-
-
 def poly_sum(polys: Iterable[SuperPoly]) -> SuperPoly:
     """Sum of polynomials, accumulated in place."""
     acc: dict = {}
@@ -560,10 +550,3 @@ def prod(factors: Sequence, coeff: Rat = 1) -> SuperPoly:
         out = out * _coerce(g)
     return out
 
-
-def parity_of(p: SuperPoly):
-    """Common parity of all terms, or a (even part, odd part) mixed report."""
-    q = p.parity()
-    if q is not None or p.is_zero:
-        return q if not p.is_zero else EVEN
-    return p.parity_report()

@@ -129,13 +129,7 @@ def cmd_parse(args):
     if doc.flows:
         out["flows"] = {n: print_flow(f) for n, f in doc.flows.items()}
     if doc.shadows:
-        out["shadows"] = {
-            n: ", ".join(
-                f"{u.name} = {print_poly(p)}"
-                for u, p in sorted(s.components.items(), key=lambda kv: kv[0].name)
-            )
-            for n, s in doc.shadows.items()
-        }
+        out["shadows"] = {n: print_flow(s) for n, s in doc.shadows.items()}
     if doc.functionals:
         out["functionals"] = {n: print_poly(p) for n, p in doc.functionals.items()}
     return _emit(args, out, 0)

@@ -32,10 +32,6 @@ class Covering:
     def __post_init__(self):
         self.nonlocals = tuple(self.nonlocals)
 
-    @property
-    def symbols(self):
-        return tuple(self.system.fields) + self.nonlocals
-
 
 def check_covering(cov: Covering) -> dict:
     """Residuals of all compatibility conditions; all zero iff consistent.
@@ -103,7 +99,6 @@ class PhantomFrame:
     phantoms: dict  # field -> Phantom
     phantom_nonlocals: dict  # nonlocality -> phantom Nonlocality
     system: EvolutionSystem  # fields + phantom fields
-    lin_flow: Flow  # u -> U, w -> W (the linearization direction)
 
     @property
     def base(self) -> EvolutionSystem:
@@ -157,4 +152,4 @@ def linearize(cov: Covering) -> PhantomFrame:
         sys.params,
         name=(sys.name or "system") + "-linearized",
     )
-    return PhantomFrame(cov, phantoms, pn, psys, flow)
+    return PhantomFrame(cov, phantoms, pn, psys)

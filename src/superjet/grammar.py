@@ -583,7 +583,8 @@ def print_poly(p: SuperPoly) -> str:
     return " ".join(parts)
 
 
-def print_flow(flow: Flow, order=None) -> str:
+def print_flow(flow) -> str:
+    """The components of a flow or a shadow, in the order of the field names."""
     comps = flow.components
-    keys = order or sorted(comps, key=lambda u: u.name)
-    return ", ".join(f"{u.name} = {print_poly(comps[u])}" for u in keys)
+    return ", ".join(f"{u.name} = {print_poly(comps[u])}"
+                     for u in sorted(comps, key=lambda u: u.name))

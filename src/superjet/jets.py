@@ -356,10 +356,11 @@ def check_symmetry(sys: EvolutionSystem, phi: Flow) -> Flow:
 
 
 def substitute(p: SuperPoly, mapping: Mapping) -> SuperPoly:
-    """Graded homomorphic substitution; keys are fields or single generators.
+    """Graded homomorphic substitution; keys are fields or non-local
+    variables.
 
-    Field images are prolonged to all jets.  Each image must have the
-    parity of the symbol it replaces.
+    Each image is prolonged to all jets of its key and must have the
+    key's parity.
     """
     for sym, img in mapping.items():
         q = img.parity()
@@ -369,20 +370,14 @@ def substitute(p: SuperPoly, mapping: Mapping) -> SuperPoly:
             )
 
     def image_of(g):
-        if g in mapping:
-            return mapping[g]
-        if isinstance(g, JetVar):
-            if g.fieldsym in mapping:
-                return prolong(mapping[g.fieldsym], g.d1, g.d2, g.m)
-            base = JetVar(g.fieldsym)
-            if base in mapping:
-                return prolong(mapping[base], g.d1, g.d2, g.m)
+        if isinstance(g, JetVar) and g.fieldsym in mapping:
+            return prolong(mapping[g.fieldsym], g.d1, g.d2, g.m)
         return SuperPoly.from_gen(g)
 
     out: dict = {}
     for (evens, odds, funcs, params), c in p.terms.items():
         for n, _k, arg in funcs:
-            if arg in mapping or arg.fieldsym in mapping:
+            if arg.fieldsym in mapping:
                 raise ValueError(
                     f"cannot substitute into the argument of function factor {n}"
                 )
@@ -430,7 +425,7 @@ def substitute_params(p: SuperPoly, values: Mapping) -> SuperPoly:
 # component expansions
 
 
-def collect_odd_prefix(p: SuperPoly, classes=(Theta,)) -> dict:
+def collect_odd_prefix(p: SuperPoly, classes) -> dict:
     """Group terms by their leading odd factors of the given classes.
 
     Returns {word: coefficient polynomial} with the word removed; the

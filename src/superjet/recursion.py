@@ -56,13 +56,7 @@ class NotLinearInPhantomsError(ValueError):
 
 
 class NotLocalError(ValueError):
-    """Raised when applying a shadow cannot produce a local flow.
-
-    Carries the expression whose exact preimage could not be found."""
-
-    def __init__(self, message, failing_integral=None):
-        super().__init__(message)
-        self.failing_integral = failing_integral
+    """Raised when applying a shadow cannot produce a local flow."""
 
 
 @dataclass
@@ -125,36 +119,32 @@ def d_integrate(
         return SuperPoly.zero()
     shift = Q(1) if direction == DX else Q(1, 2)
     parts = []
-    for wt, part in sorted(split_by_weight(ws, target).items()):
-        par = part.parity()
-        if par is None:
-            even, odd = part.parity_report()
-            for sub in (even, odd):
-                if not sub.is_zero:
-                    parts.append(d_integrate(sub, direction, ws, gens, zero_weight_cap))
-            continue
-        want_par = par if direction == DX else (par + 1) % 2
+    for wt, whole in sorted(split_by_weight(ws, target).items()):
         want_wt = wt - shift
         jets = [g for g in jets_up_to_weight(ws, gens, want_wt) if _is_new_coordinate(g)]
         items = items_from_gens(ws, jets, want_wt, zero_weight_cap)
-        component = _component(_by_monomial(part), direction, items, want_wt, want_par)
-        monos = sorted(component, key=term_order_key)
-        names = unknown_names(len(monos), "ci")
-        eqs = _equations(part, dict(zip(names, map(component.get, monos))))
-        zero = _forced_zero(eqs)
-        kept = [n for n in names if n not in zero]
-        eqs = [LinearEquation({n: c for n, c in eq.coeffs.items() if n not in zero}, eq.const)
-               for eq in eqs]
-        branches = solve_linear([eq for eq in eqs if not eq.is_trivial()], kept)
-        if not branches:
-            raise NotIntegrableError(
-                f"no exact {direction}-preimage of weight {wt} part"
-            )
-        mono_of = dict(zip(names, monos))
-        parts.append(poly_sum(
-            v * _wrap({mono_of[n]: Q(1)})
-            for n, v in branches[0].particular.items() if not v.is_zero
-        ))
+        for par, part in enumerate(whole.parity_report()):
+            if part.is_zero:
+                continue
+            want_par = par if direction == DX else (par + 1) % 2
+            component = _component(_by_monomial(part), direction, items, want_wt, want_par)
+            monos = sorted(component, key=term_order_key)
+            names = unknown_names(len(monos), "ci")
+            eqs = _equations(part, dict(zip(names, map(component.get, monos))))
+            zero = _forced_zero(eqs)
+            kept = [n for n in names if n not in zero]
+            eqs = [LinearEquation({n: c for n, c in eq.coeffs.items() if n not in zero},
+                                  eq.const) for eq in eqs]
+            branches = solve_linear([eq for eq in eqs if not eq.is_trivial()], kept)
+            if not branches:
+                raise NotIntegrableError(
+                    f"no exact {direction}-preimage of weight {wt} part"
+                )
+            mono_of = dict(zip(names, monos))
+            parts.append(poly_sum(
+                v * _wrap({mono_of[n]: Q(1)})
+                for n, v in branches[0].particular.items() if not v.is_zero
+            ))
     return poly_sum(parts)
 
 
@@ -333,7 +323,7 @@ def _phantom_values(frame: PhantomFrame, flow: Flow, ws, zero_weight_cap):
             val = d_integrate(rhs, direction, ws, gens, zero_weight_cap)
         except NotIntegrableError as exc:
             raise NotLocalError(
-                f"value of phantom for {w.name} is not local: {exc}", rhs
+                f"value of phantom for {w.name} is not local: {exc}"
             ) from exc
         values[W] = val
         ext[w] = val

@@ -64,10 +64,6 @@ def is_conserved(sys: EvolutionSystem, rho: SuperPoly) -> bool:
     return all(v.is_zero for v in euler(dtr, sys.fields).values())
 
 
-def conservation_residuals(sys: EvolutionSystem, rho: SuperPoly) -> dict:
-    return euler(dt_apply(sys, rho), sys.fields)
-
-
 # ---------------------------------------------------------------------------
 # Hamiltonian structures
 

@@ -96,14 +96,6 @@ def weight_of(ws: WeightSystem, p: SuperPoly) -> Optional[Fraction]:
     return seen.pop()
 
 
-def is_homogeneous(ws: WeightSystem, p: SuperPoly) -> bool:
-    try:
-        weight_of(ws, p)
-        return True
-    except InhomogeneousError:
-        return False
-
-
 def split_by_weight(ws: WeightSystem, p: SuperPoly) -> dict:
     """Split into weight-homogeneous parts {weight: polynomial}."""
     parts: dict = {}
@@ -186,12 +178,6 @@ def infer_weights(sys, fixed: Mapping = None, param_names: Sequence[str] = ()):
         {**dict.fromkeys(unknowns, Q(0)), **rational(red.particular)},
         [rational(vec) for vec in red.basis],
     )
-
-
-def weight_system_from_solution(sys, sol: WeightSolution, param_names=()) -> WeightSystem:
-    fields = {u: sol.particular[u.name] for u in sys.fields}
-    params = {n: sol.particular[n] for n in param_names if n in sol.particular}
-    return WeightSystem(fields, params, sol.particular["t"])
 
 
 # ---------------------------------------------------------------------------

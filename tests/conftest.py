@@ -40,12 +40,10 @@ def integration_ansatz_parts(target, direction, ws, gens, zero_weight_cap=2):
     can reach the part."""
     shift = Fraction(1) if direction == DX else Fraction(1, 2)
     out = []
-    for wt, part in sorted(split_by_weight(ws, target).items()):
-        subs = [part] if part.parity() is not None else part.parity_report()
-        for sub in subs:
+    for wt, whole in sorted(split_by_weight(ws, target).items()):
+        for par, sub in enumerate(whole.parity_report()):
             if sub.is_zero:
                 continue
-            par = sub.parity()
             want_par = par if direction == DX else (par + 1) % 2
             jets = [g for g in jets_up_to_weight(ws, gens, wt - shift)
                     if recursion._is_new_coordinate(g)]

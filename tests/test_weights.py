@@ -11,12 +11,10 @@ from superjet.weights import (
     WeightSystem,
     enumerate_monomials,
     infer_weights,
-    is_homogeneous,
     items_from_gens,
     jets_up_to_weight,
     split_by_weight,
     weight_of,
-    weight_system_from_solution,
 )
 
 from conftest import cached_entry
@@ -60,7 +58,8 @@ def test_weight_system_from_solution_round_trip():
     sys = doc.system()
     sol = infer_weights(sys, fixed={"alpha": Q(0)}, param_names=("alpha",))
     assert sol is not None and sol.unique
-    ws = weight_system_from_solution(sys, sol, param_names=("alpha",))
+    ws = WeightSystem({u: sol.particular[u.name] for u in sys.fields},
+                      {"alpha": sol.particular["alpha"]}, sol.particular["t"])
     for u in sys.fields:
         assert weight_of(ws, sys.rhs[u]) == ws.field_weight(u) - ws.t
 
@@ -112,9 +111,10 @@ def test_mutated_equation_is_inhomogeneous():
     ws = doc.weight_system()
     sys = doc.system()
     (f,) = sys.fields
-    assert is_homogeneous(ws, sys.rhs[f])
+    assert weight_of(ws, sys.rhs[f]) == ws.field_weight(f) - ws.t
     bad = sys.rhs[f] + SuperPoly.from_gen(JetVar(f, 0, 0, 1))
-    assert not is_homogeneous(ws, bad)
+    with pytest.raises(InhomogeneousError):
+        weight_of(ws, bad)
     parts = split_by_weight(ws, bad)
     assert len(parts) == 2
     assert sum(parts.values(), SuperPoly.zero()) == bad
