@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from superjet import cli
+from superjet import catalog, cli
 from superjet.cli import main
 
 
@@ -380,8 +380,6 @@ def test_integrate_along_d(capsys):
 def test_apply_recursion_to_a_seed_with_a_nonlocal_image(capsys, tmp_path):
     """A seed whose phantom value has no local preimage: the command
     reports it and exits 1."""
-    from superjet import catalog
-
     doc = tmp_path / "doc.sj"
     doc.write_text(catalog.get("skdv-a").sources["main"] + "flow bad1: f = f*Df;\n")
     code, out = run(capsys, "apply-recursion", "--file", str(doc),
