@@ -407,18 +407,25 @@ def cmd_theta_expand(args):
     sub = type(sys)(
         (field,), {field: sys.rhs[field]}, params=sys.params, name=sys.name
     )
-    comp = clifford_expand(sub, mapping)
+    try:
+        comp = clifford_expand(sub, mapping)
+    except ParityError as exc:
+        raise UsageError(f"--map does not fit field {field.name}: {exc}") from None
     out = {u.name + "_t": print_poly(rhs) for u, rhs in comp.rhs.items()}
     return _emit(args, {"components": out}, 0)
 
 
 def cmd_infer_weights(args):
     doc, _ = _load_doc(args)
+    declared = [*doc.fields, "t", *doc.param_weights]
     fixed = {}
     for item in args.fix or ():
         k, _, v = item.partition("=")
         if not v:
             raise UsageError("--fix needs name=value")
+        if k not in declared:
+            raise UsageError(f"--fix: {k!r} is not a declared field, t or parameter; "
+                             f"declared: {', '.join(declared)}")
         fixed[k] = _rational(v)
     sol = infer_weights(doc.system(), fixed, tuple(doc.param_weights))
     if sol is None:

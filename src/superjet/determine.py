@@ -5,17 +5,14 @@ parameter names, so building an ansatz, pushing it through the calculus
 and reading off the determining system needs no special data flow.  The
 system is solved by the sparse Gauss-Jordan elimination of ``linsolve``
 over one domain, the Laurent ring in the parameters that occur (the
-rationals when there are none).  The numerator of every pivot whose
-non-vanishing is not guaranteed is recorded, and optional case splitting
-re-solves with such parameters pinned to zero.  After a pivot with
-several terms the elimination is fraction-free, so the later ring pivots,
-and with them ``assumptions``, may carry factors of that pivot; a basis
-vector is then the field's vector scaled by the numerator of the last
-such pivot.  ``constraints`` are the numerators of the field's leftovers,
-the ring's divided by the last pivot.  Where that division is not exact,
-nor is the particular solution, and the branch dies or raises
-``NonlinearSystemError`` as the ring's leftover decides, with the pivots
-of several terms divided out and the field's monomial factor put in.
+rationals when there are none).  Parameters are arbitrary symbols, so a
+row left over with a nonzero right-hand side ends the branch.  The
+numerator of every pivot whose non-vanishing is not guaranteed is
+recorded, and optional case splitting re-solves with such parameters
+pinned to zero.  After a pivot with several terms the elimination is
+fraction-free, so the later ring pivots, and with them ``assumptions``,
+may carry factors of that pivot; a basis vector is then the field's
+vector scaled by the numerator of the last such pivot.
 """
 
 from __future__ import annotations
@@ -26,22 +23,10 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .algebra import SuperPoly, _accumulate, _wrap, linear_ansatz, term_order_key
 from .jets import EvolutionSystem, Flow, check_symmetry, substitute_params
-from .linsolve import (
-    NonlinearSystemError,
-    clearing_scale,
-    content,
-    gauss_jordan,
-    is_monomial_in,
-    numerator,
-    quotient,
-)
+from .linsolve import NonlinearSystemError, clearing_scale, gauss_jordan, is_monomial_in, numerator
 from .weights import WeightSystem, enumerate_monomials, items_from_gens, jets_up_to_weight
 
 Q = Fraction
-
-
-def unknown_names(n: int, prefix: str = "c") -> list:
-    return [f"{prefix}{i}" for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -99,15 +84,10 @@ class LinearSolution:
     basis: list  # list of {unknown: SuperPoly}
     assumptions: list = dc_field(default_factory=list)  # numerators of pivots assumed nonzero
     zero_params: frozenset = frozenset()  # parameters pinned to 0 in this branch
-    constraints: list = dc_field(default_factory=list)  # residual conditions on free parameters
 
     @property
     def dim(self):
         return len(self.basis)
-
-    @property
-    def is_trivial(self):
-        return not self.basis and all(v.is_zero for v in self.particular.values())
 
 
 def solve_linear(
@@ -115,9 +95,8 @@ def solve_linear(
     unknowns: Sequence[str],
     assume_nonzero: Iterable[str] = (),
     case_split_limit: int = 0,
-    constraint_params: Iterable[str] = (),
 ) -> list:
-    """Solve exactly; returns a list of solution branches.
+    """Solve exactly; returns the list of consistent solution branches.
 
     With ``case_split_limit == 0`` only the generic branch is returned
     (pivots recorded in ``assumptions``).  Otherwise each parameter whose
@@ -126,16 +105,12 @@ def solve_linear(
     that occurs with a negative power is nonzero by construction and is
     never pinned.
 
-    Ordinary parameters are treated as arbitrary symbols, so a leftover
-    equation without unknowns kills the branch unless it vanishes
-    identically.  Parameters listed in ``constraint_params`` are instead
-    adjustable: leftover equations built from them alone are returned in
-    ``constraints`` for the caller to resolve.
+    Parameters are arbitrary symbols, so a leftover equation without
+    unknowns that does not vanish identically ends its branch.
     """
     unknowns = tuple(unknowns)
     nonzero = frozenset(assume_nonzero)
-    cp = frozenset(constraint_params)
-    branches = [_solve_branch(eqs, unknowns, nonzero, frozenset(), cp)]
+    branches = [_solve_branch(eqs, unknowns, nonzero, frozenset())]
     inverted = {n for n, e in _param_powers(eqs) if e < 0}
     seen = {frozenset()}
     frontier = branches
@@ -158,7 +133,7 @@ def solve_linear(
                     )
                     for eq in eqs
                 ]
-                new.append(_solve_branch(sub, unknowns, nonzero, zp, cp))
+                new.append(_solve_branch(sub, unknowns, nonzero, zp))
         branches.extend(new)
         frontier = new
     return [b for b in branches if b is not None]
@@ -172,28 +147,15 @@ def _param_powers(eqs):
                 yield from key[3]
 
 
-def _solve_branch(eqs, unknowns, assume_nonzero, zero_params, constraint_params):
+def _solve_branch(eqs, unknowns, assume_nonzero, zero_params):
     """The generic solution of one branch, or None if it is inconsistent."""
     index = {u: i for i, u in enumerate(unknowns)}
     # equations read coeffs . x + const = 0
     rows = [({index[u]: c for u, c in eq.coeffs.items() if not c.is_zero}, -eq.const)
             for eq in eqs]
     red = gauss_jordan(rows, len(unknowns), lambda v: is_monomial_in(v, assume_nonzero))
-    constraints = []
-    for rest in red.leftover:
-        cond = quotient(rest, red.scale)  # the field's leftover
-        if cond is None:  # then neither is the particular solution
-            cond = rest
-            for p in red.assumed:  # each nonzero on the branch
-                while len(p.terms) > 1 and (q := quotient(cond, p)) is not None:
-                    cond = q
-            # with the field's monomial factor, not the ring's
-            cond = quotient(cond, content(cond)) * quotient(content(rest), content(red.scale))
-        cond = numerator(cond)
-        names = cond.param_names()
-        if not names or not names <= constraint_params:
-            return None
-        constraints.append(cond)
+    if red.leftover:
+        return None
 
     def values(vec):
         out = {u: SuperPoly.zero() for u in unknowns}
@@ -206,7 +168,6 @@ def _solve_branch(eqs, unknowns, assume_nonzero, zero_params, constraint_params)
         [values(vec) for vec in red.basis],
         assumptions=[numerator(a) for a in red.assumed],
         zero_params=zero_params,
-        constraints=constraints,
     )
 
 

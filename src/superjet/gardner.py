@@ -9,7 +9,8 @@ from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence
 
 from .algebra import DX, EVEN, FieldSymbol, JetVar, SuperPoly, linear_ansatz
 from .jets import EvolutionSystem, dt_apply, substitute, substitute_params
-from .determine import extract_linear_system, solve_linear
+from .determine import extract_linear_system
+from .linsolve import gauss_jordan, is_monomial_in
 from .variational import antidiagonal, hamiltonian_flow
 from .weights import (
     WeightSystem,
@@ -95,8 +96,8 @@ def resolve_conditions(conditions: Iterable[SuperPoly], adjustable: Collection[s
 
     (a) a one-term condition with a single adjustable factor forces it to 0;
     (b) the conditions linear in adjustable parameters, with rational
-        coefficients, go to ``solve_linear`` and the solution is
-        substituted, so a family keeps its free parameters;
+        coefficients, are eliminated and the solution is substituted, so
+        a family keeps its free parameters;
     (c) a one-term condition with several adjustable factors splits into
         one branch per factor set to 0;
     (d) what is left (nonlinear conditions with several terms, conditions
@@ -124,13 +125,11 @@ def resolve_conditions(conditions: Iterable[SuperPoly], adjustable: Collection[s
             assign(values, conds, dict.fromkeys(forced, SuperPoly.zero()))
         elif linear:
             names = sorted(set().union(*(c.param_names() for c in linear)))
-            for sol in solve_linear(extract_linear_system(linear, names), names):
-                # a basis vector's own free unknown (entry 1) follows every
-                # pivot it touches in the reduced echelon form
-                frees = [next(n for n in reversed(names) if not vec[n].is_zero)
-                         for vec in sol.basis]
-                assign(values, conds, {u: v for u, v in _general_solution(sol, frees).items()
-                                       if u not in frees})
+            red = _reduce(linear, names)
+            if not red.leftover:
+                frees = [n for c, n in enumerate(names) if c not in red.solved]
+                general = _general_solution(red, names, frees)
+                assign(values, conds, {u: general[u] for u in names if u not in frees})
         elif split:
             for n in split:
                 assign(values, conds, {n: SuperPoly.zero()})
@@ -149,12 +148,24 @@ def resolve_conditions(conditions: Iterable[SuperPoly], adjustable: Collection[s
             if not any(not c2 and v2.items() < v.items() for v2, c2 in found)]
 
 
-def _general_solution(sol, frees: Sequence[str]) -> dict:
-    """Each unknown of a ``solve_linear`` solution as its particular value
-    plus the basis vectors weighted by the parameters ``frees``."""
-    return {u: sum((SuperPoly.param(f) * vec[u] for f, vec in zip(frees, sol.basis)),
-                   sol.particular[u])
-            for u in sol.unknowns}
+def _reduce(residuals: Iterable[SuperPoly], names: Sequence[str]):
+    """The linear system that the residuals pose in the unknowns ``names``,
+    eliminated with only its rational entries taken as sure to be nonzero."""
+    index = {u: i for i, u in enumerate(names)}
+    rows = [({index[u]: c for u, c in eq.coeffs.items()}, -eq.const)
+            for eq in extract_linear_system(residuals, names)]
+    return gauss_jordan(rows, len(names), lambda v: is_monomial_in(v, ()))
+
+
+def _general_solution(red, names: Sequence[str], frees: Sequence[str]) -> dict:
+    """Each unknown of ``names`` as its particular value in the reduced
+    system ``red`` plus the basis vectors weighted by the parameters
+    ``frees``."""
+    zero = SuperPoly.zero()
+    particular = red.particular
+    return {u: sum((SuperPoly.param(f) * vec.get(c, zero) for f, vec in zip(frees, red.basis)),
+                   particular.get(c, zero))
+            for c, u in enumerate(names)}
 
 
 def search_deformation(
@@ -174,8 +185,13 @@ def search_deformation(
     (negative-weight) parameter with homogeneous coefficients; each
     order is solved as a linear stage, with surviving freedoms carried
     symbolically and resolved by the final full-residual conditions.
-    Returns a list of deformations, possibly still carrying free
-    parameters and ``constraints`` on them (see ``resolve_conditions``).
+    A stage does not stop on a row that its elimination leaves over: such
+    a row is a condition on the freedoms of earlier stages, and the final
+    conditions, which expand the same residual, contain it again.  A
+    condition there in parameters that are not freedoms becomes a
+    constraint.  Returns a list of deformations, possibly still carrying
+    free parameters and ``constraints`` on them (see
+    ``resolve_conditions``).
     """
     eps_weight = Q(eps_weight)
     wfields = tuple(
@@ -221,14 +237,11 @@ def search_deformation(
         }
         trial_h = hbar + SuperPoly.param(eps, k) * acc_h
         residuals = verify_deformation(base, extension(trial_h), trial_miura)
-        eqs = extract_linear_system(
-            [residuals[u].coefficient_of_param_power(eps, k) for u in base.fields], names)
-        branches = solve_linear(eqs, names, constraint_params=frees)
-        if not branches:
-            return []
-        taus = [f"t{k}_{j}" for j in range(branches[0].dim)]
+        red = _reduce([residuals[u].coefficient_of_param_power(eps, k) for u in base.fields],
+                      names)
+        taus = [f"t{k}_{j}" for j in range(len(red.basis))]
         frees += taus
-        values = _general_solution(branches[0], taus)
+        values = _general_solution(red, names, taus)
         miura = {u: substitute_params(trial_miura[u], values) for u, _w in corr}
         hbar = substitute_params(trial_h, values)
 

@@ -340,10 +340,19 @@ class SourceDocument:
 
 
 def parse_document(text: str, name: str = "") -> SourceDocument:
+    """The document's declarations and objects.  A statement that does not
+    hold together (a parity that does not match, a repeated name) is a
+    parse error at its first token."""
     doc = SourceDocument(name=name)
     p = _Parser(tokenize(text), doc.scope)
     while not p.at("end"):
-        _statement(p, doc)
+        start = p.cur
+        try:
+            _statement(p, doc)
+        except SyntaxErrorWithPos:
+            raise
+        except ValueError as exc:  # ParityError among them
+            raise SyntaxErrorWithPos(str(exc), start.line, start.col) from None
     return doc
 
 
@@ -437,6 +446,7 @@ def _statement(p: _Parser, doc: SourceDocument) -> None:
         p.expect("op", "=")
         rhs = p.expression()
         p.expect("op", ";")
+        EvolutionSystem((sym,), {sym: rhs})  # checks the parity of the right-hand side
         doc.equations[sym] = rhs
     else:
         p.i -= 1

@@ -253,13 +253,6 @@ def numerator(v: SuperPoly) -> SuperPoly:
     return clearing_scale((v,)) * v
 
 
-def content(v: SuperPoly) -> SuperPoly:
-    """The monomial of ``v``'s least exponent in each parameter."""
-    exps = [dict(key[3]) for key in v.terms]
-    low = ((nm, min(e.get(nm, 0) for e in exps)) for nm in sorted(v.param_names()))
-    return SuperPoly({((), (), (), tuple((nm, x) for nm, x in low if x)): Fraction(1)})
-
-
 def clearing_scale(values: Iterable[SuperPoly]) -> SuperPoly:
     """The lcm of the coefficient denominators of ``values`` times the
     monomial that clears their negative parameter exponents."""

@@ -36,7 +36,7 @@ from .jets import (
     evolutionary_apply,
     reduction,
 )
-from .determine import LinearEquation, solve_linear, unknown_names
+from .linsolve import NonlinearSystemError, gauss_jordan, is_monomial_in
 from .weights import (
     WeightSystem,
     items_from_gens,
@@ -112,8 +112,8 @@ def d_integrate(
     unknown or equation with it, and Gauss-Jordan takes pivots column by
     column, so with the columns in term order, as the whole ansatz had
     them, the preimage is the one the whole ansatz gives.  Unknowns that
-    the equations force to zero (``_forced_zero``) are dropped before
-    the rest are solved for.
+    the equations force to zero (``_forced_zero``) are dropped from the
+    rows before the rest are solved for.
     """
     if target.is_zero:
         return SuperPoly.zero()
@@ -129,21 +129,24 @@ def d_integrate(
             want_par = par if direction == DX else (par + 1) % 2
             component = _component(_by_monomial(part), direction, items, want_wt, want_par)
             monos = sorted(component, key=term_order_key)
-            names = unknown_names(len(monos), "ci")
-            eqs = _equations(part, dict(zip(names, map(component.get, monos))))
-            zero = _forced_zero(eqs)
-            kept = [n for n in names if n not in zero]
-            eqs = [LinearEquation({n: c for n, c in eq.coeffs.items() if n not in zero},
-                                  eq.const) for eq in eqs]
-            branches = solve_linear([eq for eq in eqs if not eq.is_trivial()], kept)
-            if not branches:
+            rows = _equations(part, [component[m] for m in monos])
+            zero = _forced_zero(rows)
+            red = gauss_jordan([({c: v for c, v in row.items() if c not in zero}, rhs)
+                                for row, rhs in rows], len(monos),
+                               lambda v: is_monomial_in(v, ()))
+            if red.leftover:
                 raise NotIntegrableError(
                     f"no exact {direction}-preimage of weight {wt} part"
                 )
-            mono_of = dict(zip(names, monos))
+            try:
+                values = red.particular
+            except NonlinearSystemError:
+                raise NotIntegrableError(
+                    f"the {direction}-preimage of weight {wt} part has a coefficient "
+                    "that is not a Laurent polynomial in the parameters"
+                ) from None
             parts.append(poly_sum(
-                v * _wrap({mono_of[n]: Q(1)})
-                for n, v in branches[0].particular.items() if not v.is_zero
+                v * _wrap({monos[c]: Q(1)}) for c, v in values.items() if not v.is_zero
             ))
     return poly_sum(parts)
 
@@ -243,49 +246,50 @@ def _quotient_times(e, t, g, caps):
             tuple(sorted(odds, key=lambda h: h._sort_key)), (), ())
 
 
-def _equations(target: SuperPoly, images: dict) -> list:
-    """One equation per monomial of the unknowns' images and the target:
-    the coefficients of sum(unknown * image) - target, in term order."""
+def _equations(target: SuperPoly, images: list) -> list:
+    """One row ``({column: coefficient}, rhs)`` per monomial of the
+    images and the target, in term order: the coefficients of
+    sum(x[column] * images[column]) == target."""
     rows: dict = {}
-    for n, image in images.items():
+    for c, image in enumerate(images):
         for e, coeff in image.items():
-            rows.setdefault(e, ({}, {}))[0][n] = _wrap(dict(coeff))
-    for e, coeff in _by_monomial(-target).items():
+            rows.setdefault(e, ({}, {}))[0][c] = _wrap(dict(coeff))
+    for e, coeff in _by_monomial(target).items():
         rows.setdefault(e, ({}, {}))[1].update(coeff)
-    return [LinearEquation(coeffs, _wrap(const))
-            for e, (coeffs, const) in sorted(rows.items(), key=lambda r: term_order_key(r[0]))]
+    return [(row, _wrap(rhs))
+            for e, (row, rhs) in sorted(rows.items(), key=lambda r: term_order_key(r[0]))]
 
 
-def _forced_zero(eqs) -> set:
-    """Unknowns that vanish in every solution, found by propagation.
+def _forced_zero(rows) -> set:
+    """Columns that vanish in every solution, found by propagation.
 
-    An unknown is forced to zero when, once the unknowns already forced
-    are dropped, it is the only one left in an equation with no constant
-    part and a rational coefficient.  A worklist of such equations keeps
-    the pass linear in the size of the system.  The unit vector of every
-    forced unknown lies in the row space, so it is a row of the reduced
-    row echelon form, and the other rows are 0 in its column: solving
-    for the remaining unknowns alone gives the same solution.
+    A column is forced to zero when, once the columns already forced are
+    dropped, it is the only one left in a row with a zero right-hand side
+    and a rational coefficient.  A worklist of such rows keeps the pass
+    linear in the size of the system.  The unit vector of every forced
+    column lies in the row space, so it is a row of the reduced row
+    echelon form, and the other rows are 0 in its column: solving for the
+    remaining columns alone gives the same solution.
     """
-    left = [len(eq.coeffs) for eq in eqs]
+    left = [len(row) for row, _rhs in rows]
     where: dict = {}
-    for i, eq in enumerate(eqs):
-        for n in eq.coeffs:
-            where.setdefault(n, []).append(i)
-    todo = [i for i, eq in enumerate(eqs) if left[i] == 1 and eq.const.is_zero]
+    for i, (row, _rhs) in enumerate(rows):
+        for c in row:
+            where.setdefault(c, []).append(i)
+    todo = [i for i, (_row, rhs) in enumerate(rows) if left[i] == 1 and rhs.is_zero]
     zero: set = set()
     while todo:
         i = todo.pop()
-        if left[i] != 1:  # its last unknown was forced meanwhile
+        if left[i] != 1:  # its last column was forced meanwhile
             continue
-        coeffs = eqs[i].coeffs
-        n = next(n for n in coeffs if n not in zero)
-        if coeffs[n].param_names():
+        row = rows[i][0]
+        c = next(c for c in row if c not in zero)
+        if row[c].param_names():
             continue
-        zero.add(n)
-        for j in where[n]:
+        zero.add(c)
+        for j in where[c]:
             left[j] -= 1
-            if left[j] == 1 and eqs[j].const.is_zero:
+            if left[j] == 1 and rows[j][1].is_zero:
                 todo.append(j)
     return zero
 
@@ -310,15 +314,12 @@ def _phantom_values(frame: PhantomFrame, flow: Flow, ws, zero_weight_cap):
     for w in frame.covering.nonlocals:
         W = frame.phantom_nonlocals[w]
         lflow = Flow(dict(ext), flow.parameter_parity)
-        if D1 in w.defs:
-            direction, rel = D1, w.defs[D1]
-        elif DX in w.defs:
-            direction, rel = DX, w.defs[DX]
-        else:
-            raise NotIntegrableError(
+        direction = next((d for d in (D1, D2, DX) if d in w.defs), None)
+        if direction is None:
+            raise NotLocalError(
                 f"non-local variable {w.name} has no space-direction declaration"
             )
-        rhs = evolutionary_apply(lflow, rel)
+        rhs = evolutionary_apply(lflow, w.defs[direction])
         try:
             val = d_integrate(rhs, direction, ws, gens, zero_weight_cap)
         except NotIntegrableError as exc:

@@ -250,6 +250,76 @@ def test_zero_denominator_is_a_parse_error(capsys, tmp_path, source, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("source, argv, line", [
+    ("field b even susy 1 weight 1;\nnonlocal w even weight 1: D(w) = b;\n",
+     ["parse"], 2),
+    ("field b even susy 1 weight 1;\nfield b even susy 1 weight 1;\n", ["parse"], 2),
+    ("field b even susy 1 weight 1;\nflow s: b = Db;\n", ["parse"], 2),
+    ("field b even susy 1 weight 1;\nfield f odd susy 1 weight 3/2;\ntime weight -2;\n"
+     "b_t = b_xx;\nf_t = b_xx;\n", ["find-symmetries", "--weight=-1"], 5),
+], ids=["nonlocal-parity", "duplicate", "flow-parity", "equation-parity"])
+def test_an_inconsistent_statement_is_a_parse_error(capsys, tmp_path, source, argv, line):
+    doc = tmp_path / "doc.sj"
+    doc.write_text(source)
+    code = main(argv + ["--file", str(doc)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"parse error: line {line}, column 1: ") and err.count("\n") == 1
+
+
+def test_theta_expand_map_of_the_wrong_parity_is_a_usage_error(capsys, tmp_path):
+    doc = tmp_path / "doc.sj"
+    doc.write_text("field u even susy 0 weight 1;\nfield f odd susy 0 weight 1;\n"
+                   "time weight -2;\nu_t = u_xx + u*u_x;\nf_t = f_xx;\n")
+    code = main(["theta-expand", "--file", str(doc), "--field", "u", "--map", "f"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_infer_weights_pin_of_an_undeclared_name_is_a_usage_error(capsys):
+    code = main(["infer-weights", "--catalog", "pskdv", "--fix", "nosuch=1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "'nosuch'" in err and "declared: b, t" in err
+
+
+def test_integrate_with_a_denominator_is_not_integrable(capsys, tmp_path):
+    """The Dx-preimage of u would be w/(a + 1), which is not a Laurent
+    polynomial in a."""
+    doc = tmp_path / "doc.sj"
+    doc.write_text("param a weight 0;\nfield u even susy 0 weight 1;\ntime weight -2;\n"
+                   "u_t = u_xx;\n"
+                   "nonlocal w even susy 0 weight 0: w_x = a*u + u, w_t = a*u_x + u_x;\n")
+    code, out = run(capsys, "integrate", "--file", str(doc), "--dir", "Dx", "--expr", "u",
+                    "--json")
+    assert code == 1
+    assert "not a Laurent polynomial" in json.loads(out)["error"]
+    code, out = run(capsys, "integrate", "--file", str(doc), "--dir", "Dx",
+                    "--expr", "a*u + u", "--json")
+    assert code == 0 and json.loads(out)["preimage"] == "w"
+
+
+def test_apply_recursion_integrates_along_a_declared_d2(capsys, tmp_path):
+    """The phantom of a non-local variable with only D2 declared is
+    integrated along D2; with no space direction at all the seed's image
+    is not local."""
+    doc = tmp_path / "doc.sj"
+    head = "field b even susy 2 weight 1;\ntime weight -2;\nb_t = b_xx;\n"
+    doc.write_text(head + "nonlocal w even susy 2 weight 1: D2(w) = D2b, w_t = b_xx;\n"
+                   "shadow R: b = B_x;\nflow seed_x: b = b_x;\n")
+    code, out = run(capsys, "apply-recursion", "--file", str(doc), "--shadow", "R",
+                    "--seed", "seed_x", "--iterations", "2", "--json")
+    assert code == 0
+    assert json.loads(out)["flows"] == [{"b": "b_xx"}, {"b": "b_xxx"}]
+    doc.write_text(head + "nonlocal w even susy 2 weight 1: w_t = b_xx;\n"
+                   "shadow R: b = B_x + W*b_x;\nflow seed_x: b = b_x;\n")
+    code, out = run(capsys, "apply-recursion", "--file", str(doc), "--shadow", "R",
+                    "--seed", "seed_x", "--json")
+    assert code == 1
+    assert "has no space-direction declaration" in json.loads(out)["error"]
+
+
 def test_missing_weight_is_a_usage_error(capsys, tmp_path):
     doc = tmp_path / "doc.sj"
     doc.write_text("field b even susy 0;\nfield c even susy 0 weight 1;\n"

@@ -21,7 +21,6 @@ from superjet.determine import (
 from superjet.linsolve import (
     LaurentRing,
     clearing_scale,
-    content,
     gauss_jordan,
     is_monomial_in,
     numerator,
@@ -150,7 +149,7 @@ def test_solutions_of_random_rational_systems(rows):
         return
     (sol,) = branches
     assert sol.dim == n - coeffs.rank()
-    assert not sol.assumptions and not sol.constraints
+    assert not sol.assumptions
 
     def value(eq, vec, const):
         total = const
@@ -224,47 +223,30 @@ def test_pivot_after_a_binomial_is_judged_over_the_field():
     assert sol.assumptions == [s]
 
 
-def test_constraint_after_a_binomial_pivot_is_the_fields_leftover():
-    """Every ring row carries the pivot alpha + beta as a factor, but the
-    constraint is the field's leftover 1 - eps, without it."""
-    names = ["c0", "c1"]
-    s, eps = SuperPoly.param("alpha") + SuperPoly.param("beta"), SuperPoly.param("eps")
-    c0, c1 = (SuperPoly.param(n) for n in names)
-    one = SuperPoly.one()
-    eqs = extract_linear_system([s * (c0 + c1), c1 - eps + one, c1], names)
-    (sol,) = solve_linear(eqs, names, constraint_params={"eps"})
-    assert sol.constraints == [one - eps]
-    assert sol.particular == {"c0": one - eps, "c1": eps - one}
-
-
 def test_inconsistent_row_after_a_binomial_pivot_kills_the_branch():
-    """The ring row for 1 = 0 reads t + 1 = 0, a condition on a constraint
-    parameter alone, but the branch assumes the pivot t + 1 nonzero."""
+    """The ring row for 1 = 0 reads t + 1 = 0 after the pivot t + 1: a
+    leftover, so the branch ends."""
     t, one = SuperPoly.param("t"), SuperPoly.one()
     eqs = extract_linear_system([(t + one) * SuperPoly.param("c0"), one], ["c0"])
-    assert solve_linear(eqs, ["c0"], constraint_params={"t"}) == []
+    assert solve_linear(eqs, ["c0"]) == []
 
 
 def test_leftover_that_is_not_a_laurent_polynomial():
     """The field's leftover eps - mu/(gamma + delta) is not a Laurent
-    polynomial.  Its numerator is the ring's leftover with the pivot
-    alpha + beta divided out, so the branch stands when its parameters are
-    adjustable, and then its particular value 1/(gamma + delta) raises.
-    The field's leftover -1/(4 + beta) never vanishes; the ring's is
-    -alpha^2, whose monomial factor comes from the pivot alpha^2 (4 + beta)
-    and is not in the field's numerator, so that branch is inconsistent."""
+    polynomial, and neither is the particular value 1/(gamma + delta): the
+    leftover ends the branch before the particular solution is read.  The
+    field's leftover -1/(4 + beta) never vanishes; the ring's is -alpha^2,
+    and that branch ends too."""
     names = ["c0", "c1"]
     c0, c1 = (SuperPoly.param(n) for n in names)
     p, one = SuperPoly.param, SuperPoly.one()
     eqs = extract_linear_system(
         [(p("alpha") + p("beta")) * c0, (p("gamma") + p("delta")) * c1 - one,
          p("mu") * c1 - p("eps")], names)
-    with pytest.raises(NonlinearSystemError):
-        solve_linear(eqs, names, constraint_params={"gamma", "delta", "mu", "eps"})
-    assert solve_linear(eqs, names, constraint_params={"eps"}) == []
+    assert solve_linear(eqs, names) == []
     a2 = p("alpha", 2)
     eqs = extract_linear_system([a2 * (4 * one + p("beta")) * c0 - one, a2 * c0], ["c0"])
-    assert solve_linear(eqs, ["c0"], constraint_params={"alpha"}) == []
+    assert solve_linear(eqs, ["c0"]) == []
 
 
 LAURENT_PARAMS = ("alpha", "beta", "gamma")
@@ -531,18 +513,6 @@ def test_exact_quotient(a, b, c):
         assert q * b == a * b + c
 
 
-@settings(max_examples=100, deadline=None)
-@given(laurent_polynomials(laurent_coefficients))
-def test_content_is_the_monomial_factor(v):
-    """``content`` is the monomial of least exponents: what is left after
-    dividing it out has exponent 0 in some term for every parameter."""
-    m = content(v)
-    ((key, c),) = m.terms.items()
-    rest = quotient(v, m)
-    assert c == 1 and m * rest == v
-    assert all(min(dict(k[3]).get(nm, 0) for k in rest.terms) == 0 for nm in LAURENT_PARAMS)
-
-
 def test_rational_system_keeps_its_solution():
     """A parameter-free system is solved over the ring with no parameters;
     its particular solution and basis are the ones the rational path gave."""
@@ -558,4 +528,4 @@ def test_rational_system_keeps_its_solution():
     assert sol.particular == {"c0": s(Q(-11, 6)), "c1": s(Q(2, 3)), "c2": s(0),
                               "c3": s(-9), "c4": s(Q(-27, 2))}
     assert sol.basis == [{"c0": s(1), "c1": s(0), "c2": s(1), "c3": s(0), "c4": s(0)}]
-    assert not sol.assumptions and not sol.constraints
+    assert not sol.assumptions

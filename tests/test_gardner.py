@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from superjet.algebra import JetVar, SuperPoly
 from superjet.gardner import (
+    _general_solution,
+    _reduce,
     deformation_is_valid,
     density_recurrence,
     resolve_conditions,
@@ -131,6 +133,19 @@ def test_irreducible_quadratic_is_kept_as_a_constraint():
 def test_conditions_in_other_parameters_are_kept():
     cond = SuperPoly.param("alpha") * t1
     assert resolve_conditions([cond, t2], FREES) == [({"t2_0": ZERO}, [cond])]
+
+
+def test_a_stage_keeps_its_generic_solution_past_a_leftover_row():
+    """The stage rows a0 = t1_0 and a0 = 1 leave the row 0 = 1 - t1_0 over,
+    a condition on the earlier free t1_0.  The stage still takes its
+    generic solution, a0 = t1_0 with a1 free, and the final pass, whose
+    conditions contain that row again, resolves it."""
+    a0, one = SuperPoly.param("a0"), SuperPoly.one()
+    names = ["a0", "a1"]
+    red = _reduce([a0 - t1, a0 - one], names)
+    assert red.leftover == [one - t1]
+    assert _general_solution(red, names, ["t2_0"]) == {"a0": t1, "a1": SuperPoly.param("t2_0")}
+    assert resolve_conditions(red.leftover, FREES) == [({"t1_0": one}, [])]
 
 
 @st.composite

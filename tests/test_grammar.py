@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from superjet import catalog
-from superjet.algebra import D1, JetVar, SuperPoly
+from superjet.algebra import D1, JetVar, SuperPoly, Theta
 from superjet.grammar import (
     SyntaxErrorWithPos,
     UndeclaredSymbolError,
@@ -97,3 +97,26 @@ def test_print_flow_lists_components():
     flow = doc.flows["eq3_4_x"]
     text = print_flow(flow)
     assert "f = " in text and "b = " in text
+
+
+def test_negative_powers_are_for_parameters_only(doc):
+    assert doc.poly("alpha^-1*b") == SuperPoly.param("alpha", -1) * doc.poly("b")
+    assert doc.poly("(alpha^2)^-1") == SuperPoly.param("alpha", -2)
+    for text in ("b^-1", "(alpha + b)^-1", "(2*alpha)^-1"):
+        with pytest.raises(SyntaxErrorWithPos, match="negative power"):
+            doc.poly(text)
+
+
+def test_theta_names_parse_and_print(doc):
+    assert doc.poly("theta") == doc.poly("theta1") == SuperPoly.from_gen(Theta(1))
+    assert doc.poly("theta2") == SuperPoly.from_gen(Theta(2))
+    p = doc.poly("theta2*b + theta*f")
+    assert print_poly(p) == "theta1*f + b*theta2"
+    assert doc.poly(print_poly(p)) == p
+
+
+def test_function_factors_print_and_parse_back():
+    d = parse_document("field b even susy 1 weight 0;\nfn Q of b;\n")
+    p = d.poly("Q'(b)*b_x + 2*Q(b)")
+    assert print_poly(p) == "2*Q(b) + b_x*Q'(b)"
+    assert d.poly(print_poly(p)) == p

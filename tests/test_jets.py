@@ -15,6 +15,7 @@ from superjet.algebra import (
     ParityError,
     Phantom,
     SuperPoly,
+    Theta,
     prod,
 )
 from superjet.jets import (
@@ -205,6 +206,34 @@ def test_substitute_params():
         Q(1, 4)
     )
     assert out == want
+
+
+def test_substitute_passes_unmapped_generators_through():
+    """Only the jets of mapped keys change; theta and other fields stay."""
+    theta = SuperPoly.from_gen(Theta(1))
+    p = theta * SuperPoly.from_gen(JetVar(f, m=1)) + SuperPoly.from_gen(JetVar(b, d1=1))
+    mapping = {b: SuperPoly.scalar(2) * SuperPoly.from_gen(JetVar(b))}
+    assert substitute(p, mapping) == (
+        theta * SuperPoly.from_gen(JetVar(f, m=1)) + 2 * SuperPoly.from_gen(JetVar(b, d1=1)))
+
+
+def test_substitute_refuses_a_function_argument():
+    p = SuperPoly.func("Q", 0, JetVar(b)) * SuperPoly.from_gen(JetVar(f))
+    assert substitute(p, {f: SuperPoly.from_gen(JetVar(f, m=1))}) == (
+        SuperPoly.func("Q", 0, JetVar(b)) * SuperPoly.from_gen(JetVar(f, m=1)))
+    with pytest.raises(ValueError, match="argument of function factor Q"):
+        substitute(p, {b: SuperPoly.from_gen(JetVar(b, m=1))})
+
+
+def test_substitute_params_negative_powers():
+    """A negative power takes a nonzero rational value; 0 and a value with
+    parameters are refused."""
+    p = SuperPoly.param("alpha", -2) * SuperPoly.from_gen(JetVar(b))
+    assert substitute_params(p, {"alpha": Q(1, 2)}) == 4 * SuperPoly.from_gen(JetVar(b))
+    with pytest.raises(ZeroDivisionError):
+        substitute_params(p, {"alpha": 0})
+    with pytest.raises(ValueError, match="non-scalar"):
+        substitute_params(p, {"alpha": SuperPoly.param("beta")})
 
 
 def test_nonlocal_jets_reduce_to_declared_values():

@@ -21,12 +21,7 @@ from superjet.algebra import (
     poly_sum,
     prod,
 )
-from superjet.determine import (
-    LinearEquation,
-    extract_linear_system,
-    solve_linear,
-    unknown_names,
-)
+from superjet.determine import extract_linear_system, solve_linear
 from superjet.grammar import parse_document, parse_expression
 from superjet.jets import Flow, Nonlocality, apply_ops, dt_apply, jet_poly, super_derive
 from superjet.recursion import (
@@ -131,9 +126,9 @@ def test_no_preimage_raises_after_every_unknown_is_forced_to_zero(monkeypatch):
     doc = cached_entry("pskdv").doc
     forced = []
 
-    def record(eqs):
-        zero = _forced_zero(eqs)
-        forced.append(({n for eq in eqs for n in eq.coeffs}, zero))
+    def record(rows):
+        zero = _forced_zero(rows)
+        forced.append(({c for row, _rhs in rows for c in row}, zero))
         return zero
 
     monkeypatch.setattr(recursion, "_forced_zero", record)
@@ -149,7 +144,7 @@ def test_no_preimage_raises_after_every_unknown_is_forced_to_zero(monkeypatch):
 
 
 def _whole_ansatz_system(part, monos, direction):
-    names = unknown_names(len(monos), "c")
+    names = [f"c{i}" for i in range(len(monos))]
     residual = super_derive(linear_ansatz(names, monos), direction) - part
     return names, extract_linear_system([residual], names)
 
@@ -240,9 +235,9 @@ def test_integration_builds_only_the_targets_component(monkeypatch, seed, unknow
     calls = _record_calls(monkeypatch)
     systems = []
 
-    def record(eqs):
-        systems.append((len({n for eq in eqs for n in eq.coeffs}), len(eqs)))
-        return _forced_zero(eqs)
+    def record(rows):
+        systems.append((len({c for row, _rhs in rows for c in row}), len(rows)))
+        return _forced_zero(rows)
 
     monkeypatch.setattr(recursion, "_forced_zero", record)
     apply_shadow(doc.shadows["R"], flow, ws)
@@ -339,17 +334,15 @@ def test_mixed_parity_target_splits():
 def test_forced_zero_needs_a_rational_coefficient_and_no_constant():
     one, alpha = SuperPoly.one(), SuperPoly.param("alpha")
     zero = SuperPoly.zero()
-    # c1 is forced, which leaves c0 alone in an equation, but only through alpha
-    eqs = [LinearEquation({"c0": alpha, "c1": one}, zero),
-           LinearEquation({"c1": 2 * one}, zero)]
-    assert _forced_zero(eqs) == {"c1"}
-    assert _forced_zero([LinearEquation({"c0": alpha}, zero)]) == set()
-    assert _forced_zero([LinearEquation({"c0": one}, one)]) == set()
-    # a chain: c2 forces c1, which forces c0
-    eqs = [LinearEquation({"c0": one, "c1": one}, zero),
-           LinearEquation({"c1": -one, "c2": 3 * one}, zero),
-           LinearEquation({"c2": one}, zero)]
-    assert _forced_zero(eqs) == {"c0", "c1", "c2"}
+    # column 1 is forced, which leaves column 0 alone in a row, but only
+    # through alpha
+    rows = [({0: alpha, 1: one}, zero), ({1: 2 * one}, zero)]
+    assert _forced_zero(rows) == {1}
+    assert _forced_zero([({0: alpha}, zero)]) == set()
+    assert _forced_zero([({0: one}, one)]) == set()
+    # a chain: column 2 forces column 1, which forces column 0
+    rows = [({0: one, 1: one}, zero), ({1: -one, 2: 3 * one}, zero), ({2: one}, zero)]
+    assert _forced_zero(rows) == {0, 1, 2}
 
 
 def _reduced_jet(w, d1, d2, m):

@@ -1,11 +1,14 @@
 """Static checks on the engine's source."""
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "superjet").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "superjet").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -23,3 +26,40 @@ def test_every_imported_name_is_used(path):
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     unused = {n: line for n, line in imported.items() if n not in used}
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+# public definitions that only the tests call
+ONLY_TESTS_USE = {"algebra.prod"}
+
+
+def _identifiers(node):
+    """Every name a syntax tree refers to: variables, attributes, imported
+    names and identifier-like string constants (tables of names)."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.alias):
+            yield n.name.rpartition(".")[2]
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value.isidentifier():
+            yield n.value
+
+
+def test_every_public_definition_has_a_caller():
+    """A public top-level function or class of the engine is referred to
+    somewhere in the engine, the benchmark or the README outside its own
+    definition, unless it is listed as used by the tests alone."""
+    trees = {path: ast.parse(path.read_text(), str(path))
+             for path in SOURCES + sorted((ROOT / "perfbench").glob("*.py"))}
+    refs = Counter(name for tree in trees.values() for name in _identifiers(tree))
+    readme = (ROOT / "README.md").read_text()
+    unused = set()
+    for path in SOURCES:
+        for node in trees[path].body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                own = Counter(_identifiers(node))[node.name]
+                if refs[node.name] == own and not re.search(rf"\b{node.name}\b", readme):
+                    unused.add(f"{path.stem}.{node.name}")
+    assert unused == ONLY_TESTS_USE, f"used by the tests alone: {sorted(unused)}"
