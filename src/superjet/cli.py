@@ -47,7 +47,7 @@ from .recursion import (
     verify_shadow,
 )
 from .variational import antidiagonal, euler, hamiltonian_flow
-from .weights import infer_weights
+from .weights import InhomogeneousError, infer_weights
 
 Q = Fraction
 
@@ -619,7 +619,7 @@ def main(argv=None):
     except (SyntaxErrorWithPos, UndeclaredSymbolError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, UnknownNameError) as exc:
+    except (FileNotFoundError, UnknownNameError, InhomogeneousError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:  # an engine fault, not a usage error

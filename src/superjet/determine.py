@@ -3,16 +3,17 @@
 Unknown constants are carried inside expressions as distinguished
 parameter names, so building an ansatz, pushing it through the calculus
 and reading off the determining system needs no special data flow.  The
-system is solved by the sparse Gauss-Jordan elimination of ``linsolve``
-over one domain, the Laurent ring in the parameters that occur (the
-rationals when there are none).  Parameters are arbitrary symbols, so a
-row left over with a nonzero right-hand side ends the branch.  The
-numerator of every pivot whose non-vanishing is not guaranteed is
-recorded, and optional case splitting re-solves with such parameters
-pinned to zero.  After a pivot with several terms the elimination is
-fraction-free, so the later ring pivots, and with them ``assumptions``,
-may carry factors of that pivot; a basis vector is then the field's
-vector scaled by the numerator of the last such pivot.
+system is a list of ``linsolve.LinearEquation``s keyed by those names,
+solved by the sparse Gauss-Jordan elimination of ``linsolve`` over one
+domain, the Laurent ring in the parameters that occur (the rationals
+when there are none).  Parameters are arbitrary symbols, so a row left
+over with a nonzero right-hand side ends the branch.  The numerator of
+every pivot whose non-vanishing is not guaranteed is recorded, and
+optional case splitting re-solves with such parameters pinned to zero.
+After a pivot with several terms the elimination is fraction-free, so
+the later ring pivots, and with them ``assumptions``, may carry factors
+of that pivot; a basis vector is then the field's vector scaled by the
+numerator of the last such pivot.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .algebra import SuperPoly, _accumulate, _wrap, linear_ansatz, term_order_key
 from .jets import EvolutionSystem, Flow, check_symmetry, substitute_params
-from .linsolve import NonlinearSystemError, clearing_scale, gauss_jordan, is_monomial_in, numerator
+from .linsolve import LinearEquation, NonlinearSystemError, clearing_scale, gauss_jordan, numerator
 from .weights import WeightSystem, enumerate_monomials, items_from_gens, jets_up_to_weight
 
 Q = Fraction
@@ -31,17 +32,6 @@ Q = Fraction
 
 # ---------------------------------------------------------------------------
 # extraction
-
-# a "coefficient" below is a SuperPoly containing only parameter factors
-
-
-@dataclass
-class LinearEquation:
-    coeffs: dict  # unknown name -> SuperPoly in parameters
-    const: SuperPoly
-
-    def is_trivial(self):
-        return self.const.is_zero and all(c.is_zero for c in self.coeffs.values())
 
 
 def extract_linear_system(
@@ -65,9 +55,9 @@ def extract_linear_system(
         for mono in sorted(grouped, key=lambda k: term_order_key((k[0], k[1], k[2], ()))):
             parts = {n: _wrap(t) for n, t in grouped[mono].items()}
             const = parts.pop(None, SuperPoly.zero())
-            eq = LinearEquation({n: v for n, v in parts.items() if not v.is_zero}, const)
-            if not eq.is_trivial():
-                eqs.append(eq)
+            coeffs = {n: v for n, v in parts.items() if not v.is_zero}
+            if coeffs or not const.is_zero:
+                eqs.append(LinearEquation(coeffs, const))
     return eqs
 
 
@@ -149,23 +139,14 @@ def _param_powers(eqs):
 
 def _solve_branch(eqs, unknowns, assume_nonzero, zero_params):
     """The generic solution of one branch, or None if it is inconsistent."""
-    index = {u: i for i, u in enumerate(unknowns)}
-    # equations read coeffs . x + const = 0
-    rows = [({index[u]: c for u, c in eq.coeffs.items() if not c.is_zero}, -eq.const)
-            for eq in eqs]
-    red = gauss_jordan(rows, len(unknowns), lambda v: is_monomial_in(v, assume_nonzero))
+    red = gauss_jordan(eqs, unknowns, assume_nonzero)
     if red.leftover:
         return None
-
-    def values(vec):
-        out = {u: SuperPoly.zero() for u in unknowns}
-        out.update((unknowns[c], v) for c, v in vec.items())
-        return out
-
+    zero = dict.fromkeys(unknowns, SuperPoly.zero())
     return LinearSolution(
         unknowns,
-        values(red.particular),
-        [values(vec) for vec in red.basis],
+        {**zero, **red.particular},
+        [{**zero, **vec} for vec in red.basis],
         assumptions=[numerator(a) for a in red.assumed],
         zero_params=zero_params,
     )
@@ -205,7 +186,8 @@ def build_flow_ansatz(
     parameter_parity: int,
     zero_weight_cap: int = 2,
 ):
-    """Homogeneous flow ansatz with fresh unknown coefficient names.
+    """Homogeneous flow ansatz with unknown coefficients ``_c0``, ``_c1``,
+    ..., names that no document can declare.
 
     Returns (components dict with unknown-laden values, unknown names,
     monomials per field).
@@ -219,7 +201,7 @@ def build_flow_ansatz(
         gens = jets_up_to_weight(ws, sys.fields, target)
         items = items_from_gens(ws, gens, target, zero_weight_cap)
         monos = enumerate_monomials(items, target, (u.parity + parameter_parity) % 2)
-        new = [f"c{idx + i}" for i in range(len(monos))]
+        new = [f"_c{idx + i}" for i in range(len(monos))]
         idx += len(monos)
         names += new
         comps[u] = linear_ansatz(new, monos)

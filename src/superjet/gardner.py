@@ -10,7 +10,7 @@ from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence
 from .algebra import DX, EVEN, FieldSymbol, JetVar, SuperPoly, linear_ansatz
 from .jets import EvolutionSystem, dt_apply, substitute, substitute_params
 from .determine import extract_linear_system
-from .linsolve import gauss_jordan, is_monomial_in
+from .linsolve import gauss_jordan
 from .variational import antidiagonal, hamiltonian_flow
 from .weights import (
     WeightSystem,
@@ -125,11 +125,10 @@ def resolve_conditions(conditions: Iterable[SuperPoly], adjustable: Collection[s
             assign(values, conds, dict.fromkeys(forced, SuperPoly.zero()))
         elif linear:
             names = sorted(set().union(*(c.param_names() for c in linear)))
-            red = _reduce(linear, names)
+            red = gauss_jordan(extract_linear_system(linear, names), names)
             if not red.leftover:
-                frees = [n for c, n in enumerate(names) if c not in red.solved]
-                general = _general_solution(red, names, frees)
-                assign(values, conds, {u: general[u] for u in names if u not in frees})
+                general = _general_solution(red, names, [n for n in names if n not in red.solved])
+                assign(values, conds, {u: general[u] for u in red.solved})
         elif split:
             for n in split:
                 assign(values, conds, {n: SuperPoly.zero()})
@@ -148,24 +147,15 @@ def resolve_conditions(conditions: Iterable[SuperPoly], adjustable: Collection[s
             if not any(not c2 and v2.items() < v.items() for v2, c2 in found)]
 
 
-def _reduce(residuals: Iterable[SuperPoly], names: Sequence[str]):
-    """The linear system that the residuals pose in the unknowns ``names``,
-    eliminated with only its rational entries taken as sure to be nonzero."""
-    index = {u: i for i, u in enumerate(names)}
-    rows = [({index[u]: c for u, c in eq.coeffs.items()}, -eq.const)
-            for eq in extract_linear_system(residuals, names)]
-    return gauss_jordan(rows, len(names), lambda v: is_monomial_in(v, ()))
-
-
 def _general_solution(red, names: Sequence[str], frees: Sequence[str]) -> dict:
     """Each unknown of ``names`` as its particular value in the reduced
     system ``red`` plus the basis vectors weighted by the parameters
     ``frees``."""
     zero = SuperPoly.zero()
     particular = red.particular
-    return {u: sum((SuperPoly.param(f) * vec.get(c, zero) for f, vec in zip(frees, red.basis)),
-                   particular.get(c, zero))
-            for c, u in enumerate(names)}
+    return {u: sum((SuperPoly.param(f) * vec.get(u, zero) for f, vec in zip(frees, red.basis)),
+                   particular.get(u, zero))
+            for u in names}
 
 
 def search_deformation(
@@ -182,9 +172,12 @@ def search_deformation(
     The base system must be Hamiltonian with density ``H0`` for the
     operator produced by ``make_op`` (default: the antidiagonal Dx
     matrix).  The Miura map and the deformed density are expanded in the
-    (negative-weight) parameter with homogeneous coefficients; each
-    order is solved as a linear stage, with surviving freedoms carried
-    symbolically and resolved by the final full-residual conditions.
+    (negative-weight) parameter with homogeneous coefficients that are
+    polynomials in the undifferentiated extended fields only, so a map
+    with derivatives (such as skdv's ``chi + eps*chi_x - eps^2*chi*Dchi``)
+    is out of reach.  Each order is solved as a linear stage, with
+    surviving freedoms carried symbolically and resolved by the final
+    full-residual conditions.
     A stage does not stop on a row that its elimination leaves over: such
     a row is a condition on the freedoms of earlier stages, and the final
     conditions, which expand the same residual, contain it again.  A
@@ -216,12 +209,13 @@ def search_deformation(
                                params=(eps,) + tuple(base.params))
 
     def stage_ansatz(target, names):
-        """Ansatz of the given weight; its fresh unknowns are appended to names."""
+        """Ansatz of the given weight; its unknowns ``_a0``, ``_a1``, ...,
+        names that no document can declare, are appended to names."""
         nonlocal counter
         gens = [JetVar(w) for w in wfields]
         items = items_from_gens(wsw, gens, target)
         monos = enumerate_monomials(items, target, EVEN)
-        new = [f"a{counter + i}" for i in range(len(monos))]
+        new = [f"_a{counter + i}" for i in range(len(monos))]
         counter += len(monos)
         names += new
         return linear_ansatz(new, monos)
@@ -237,8 +231,8 @@ def search_deformation(
         }
         trial_h = hbar + SuperPoly.param(eps, k) * acc_h
         residuals = verify_deformation(base, extension(trial_h), trial_miura)
-        red = _reduce([residuals[u].coefficient_of_param_power(eps, k) for u in base.fields],
-                      names)
+        red = gauss_jordan(extract_linear_system(
+            [residuals[u].coefficient_of_param_power(eps, k) for u in base.fields], names), names)
         taus = [f"t{k}_{j}" for j in range(len(red.basis))]
         frees += taus
         values = _general_solution(red, names, taus)

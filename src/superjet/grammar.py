@@ -374,10 +374,16 @@ def _opt_weight(p: _Parser) -> Optional[Fraction]:
     return None
 
 
-def _register(doc: SourceDocument, name: str, sym) -> None:
+def _register(doc: SourceDocument, name: str, sym=None) -> None:
+    """Declare a symbol, a Clifford auxiliary or, with ``sym`` None, a
+    parameter.  ``t`` names the time variable and cannot be declared."""
     if name in doc.scope.symbols or name in doc.scope.params or name in doc.scope.cliffords:
         raise ValueError(f"duplicate declaration of {name!r}")
-    if isinstance(sym, Clifford):
+    if name == "t":
+        raise ValueError("'t' is reserved for the time variable")
+    if sym is None:
+        doc.scope.params.add(name)
+    elif isinstance(sym, Clifford):
         doc.scope.cliffords[name] = sym
     else:
         doc.scope.symbols[name] = sym
@@ -403,7 +409,7 @@ def _statement(p: _Parser, doc: SourceDocument) -> None:
         name = p.expect("name").text
         w = _opt_weight(p)
         p.expect("op", ";")
-        doc.scope.params.add(name)
+        _register(doc, name)
         doc.param_weights[name] = w
     elif head == "aux":
         name = p.expect("name").text

@@ -19,17 +19,20 @@ so all its entries are Laurent polynomials.  The assumed pivots are the
 ring's, and may carry factors of earlier pivots; a leftover right-hand
 side is the field's times ``s`` (``Reduced.scale``).
 
-Rows are sparse maps from column index to nonzero element, so the loop
-costs nothing for the zero entries that dominate determining systems.
-Pivot columns are taken in order.  While every pivot is a monomial, the
-pivot row of a column is the sparsest eligible one: Markowitz's
-fill-reducing choice (Management Science, 1957) with the column order
-fixed.  Over the field the reduced row echelon form, and with it the
-pivot columns, the particular solution and the basis, does not depend on
-which rows are taken, so a system whose pivots are all monomials gets
-its canonical solution whatever the order of its rows.  Which pivots are
-assumed, which rows are left over and the scale ``s`` may depend on the
-rows taken; the rule fixes them from the order of the input rows.
+The one system type is ``LinearEquation``, keyed by its unknowns, and
+the solution comes back keyed by them too.  The caller lists the
+unknowns in column order.  Inside, each equation is a sparse row from
+column index to nonzero element, so the loop costs nothing for the zero
+entries that dominate determining systems.  Pivot columns are taken in
+order.  While every pivot is a monomial, the pivot row of a column is
+the sparsest eligible one: Markowitz's fill-reducing choice (Management
+Science, 1957) with the column order fixed.  Over the field the reduced
+row echelon form, and with it the pivot columns, the particular solution
+and the basis, does not depend on which rows are taken, so a system
+whose pivots are all monomials gets its canonical solution whatever the
+order of its rows.  Which pivots are assumed, which rows are left over
+and the scale ``s`` may depend on the rows taken; the rule fixes them
+from the order of the input rows.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, sub
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .algebra import SuperPoly, _accumulate, _merge_params, _wrap
 
@@ -80,15 +83,23 @@ class LaurentRing:
 
 
 @dataclass
-class Reduced:
-    """Solution set of ``sum(row[c] * x[c]) == rhs`` over all rows.
+class LinearEquation:
+    """``sum(coeffs[u] * u) + const == 0`` over parameter-only coefficients."""
 
-    ``solved`` maps each pivot column to its row's entry there and its
-    row's right-hand side.  Each ``basis`` vector maps columns to values
-    and is nonzero in its own free column only among the free columns.
-    ``assumed`` lists the pivots that were not known to be nonzero, in
-    elimination order.  ``leftover`` holds the nonzero right-hand sides of
-    rows that reduced to ``0 == rhs``.
+    coeffs: dict  # unknown -> SuperPoly in parameters
+    const: SuperPoly
+
+
+@dataclass
+class Reduced:
+    """Solution set of a list of ``LinearEquation``s, keyed by their unknowns.
+
+    ``solved`` maps each pivot unknown to its row's entry there and its
+    row's right-hand side, ``-const`` reduced.  Each ``basis`` vector maps
+    unknowns to values and is nonzero in its own free unknown only among
+    the free ones.  ``assumed`` lists the pivots that were not known to be
+    nonzero, in elimination order.  ``leftover`` holds the nonzero
+    right-hand sides of rows that reduced to ``0 == rhs``.
     """
 
     solved: dict
@@ -103,14 +114,14 @@ class Reduced:
 
     @property
     def particular(self) -> dict:
-        """Pivot columns to their values (free columns are 0).
+        """Pivot unknowns to their values (free unknowns are 0).
 
         Raises NonlinearSystemError when a value is not a Laurent polynomial.
         """
         out = {}
-        for c, (pivot, rhs) in self.solved.items():
-            out[c] = quotient(rhs, pivot)
-            if out[c] is None:
+        for u, (pivot, rhs) in self.solved.items():
+            out[u] = quotient(rhs, pivot)
+            if out[u] is None:
                 raise NonlinearSystemError(
                     f"solution {rhs} / ({pivot}) is not a Laurent polynomial"
                 )
@@ -118,21 +129,24 @@ class Reduced:
 
 
 def gauss_jordan(
-    rows: Iterable[tuple],
-    n: int,
-    sure_nonzero: Callable = lambda v: True,
+    eqs: Iterable[LinearEquation],
+    unknowns: Sequence,
+    assume_nonzero: Sequence[str] = (),
     K: LaurentRing = LaurentRing(),
 ) -> Reduced:
-    """Reduce rows ``({column: value}, rhs)`` in ``n`` unknowns.
+    """Reduce the equations, with ``unknowns`` (any hashable values) as the
+    columns in order.  Zero coefficients are skipped.
 
-    For each column the pivot row is taken among the remaining rows whose
-    entry over the field satisfies ``sure_nonzero``: the one with the
-    fewest entries, the lower index on a tie, while every pivot so far is
-    a monomial, and the first one from then on, since there the row taken
-    sets the scale of the canonical form.  With no such row it is the
-    first remaining row with any nonzero entry, whose entry in the ring is
-    then recorded in ``assumed``.  ``K`` supplies the ring operations;
-    ``revert`` is called on the monomial pivots alone.
+    An entry is sure to be nonzero when it is one monomial in the
+    parameters ``assume_nonzero`` (with none, a rational).  For each
+    column the pivot row is taken among the remaining rows whose entry
+    over the field is sure: the one with the fewest entries, the lower
+    index on a tie, while every pivot so far is a monomial, and the first
+    one from then on, since there the row taken sets the scale of the
+    canonical form.  With no such row it is the first remaining row with
+    any nonzero entry, whose entry in the ring is then recorded in
+    ``assumed``.  ``K`` supplies the ring operations; ``revert`` is called
+    on the monomial pivots alone.
 
     Up to the first pivot that is not a monomial, every pivot row ``v``
     is divided by its pivot and the rows ``a`` with an entry ``f`` in its
@@ -143,7 +157,9 @@ def gauss_jordan(
     the division is exact, and entries stay the size of minors.
     """
     zero, one, is_zero, mul, submul = K.zero, K.one, K.is_zero, K.mul, K.submul
-    work = [(dict(row), rhs) for row, rhs in rows]
+    index = {u: c for c, u in enumerate(unknowns)}
+    work = [({index[u]: v for u, v in eq.coeffs.items() if not is_zero(v)}, -eq.const)
+            for eq in eqs]
     col_rows: dict = {}  # column -> indices of the rows with an entry there
     for i, (row, _rhs) in enumerate(work):
         for c in row:
@@ -152,16 +168,16 @@ def gauss_jordan(
     used: set = set()
     assumed = []
     scale = one  # the pivot of the last fraction-free step
-    for c in range(n):
+    for c in range(len(unknowns)):
         cands = sorted(i for i in col_rows.get(c, ()) if i not in used)
         if not cands:
             continue
         if scale is one:  # the sparsest eligible row, to keep the fill down
-            p = min((i for i in cands if sure_nonzero(work[i][0][c])),
+            p = min((i for i in cands if is_monomial_in(work[i][0][c], assume_nonzero)),
                     key=lambda i: len(work[i][0]), default=None)
         else:  # judge the field's entries, which are the ring's divided by scale
             p = next((i for i in cands if (v := quotient(work[i][0][c], scale)) is not None
-                      and sure_nonzero(v)), None)
+                      and is_monomial_in(v, assume_nonzero)), None)
         if p is None:
             p = cands[0]
             assumed.append(work[p][0][c])
@@ -199,16 +215,16 @@ def gauss_jordan(
             scale = pivot
     leftover = [rhs for i, (_row, rhs) in enumerate(work)
                 if i not in used and not is_zero(rhs)]
-    solved = {c: (work[p][0][c], work[p][1]) for c, p in pivot_row.items()}
+    solved = {unknowns[c]: (work[p][0][c], work[p][1]) for c, p in pivot_row.items()}
     # every pivot row now has ``scale`` in its pivot column
     clear, head = clearing_scale((scale,)), numerator(scale)
     basis = []
-    for fc in range(n):
+    for fc, fu in enumerate(unknowns):
         if fc in pivot_row:
             continue
         reads = [(c, work[p][0][fc]) for c, p in pivot_row.items() if fc in work[p][0]]
-        vec = {fc: head if reads else one}
-        vec.update((c, mul(clear, -v)) for c, v in reads)
+        vec = {fu: head if reads else one}
+        vec.update((unknowns[c], mul(clear, -v)) for c, v in reads)
         basis.append(vec)
     return Reduced(solved, basis, assumed, leftover)
 

@@ -36,7 +36,7 @@ from .jets import (
     evolutionary_apply,
     reduction,
 )
-from .linsolve import NonlinearSystemError, gauss_jordan, is_monomial_in
+from .linsolve import LinearEquation, NonlinearSystemError, gauss_jordan
 from .weights import (
     WeightSystem,
     items_from_gens,
@@ -129,11 +129,11 @@ def d_integrate(
             want_par = par if direction == DX else (par + 1) % 2
             component = _component(_by_monomial(part), direction, items, want_wt, want_par)
             monos = sorted(component, key=term_order_key)
-            rows = _equations(part, [component[m] for m in monos])
-            zero = _forced_zero(rows)
-            red = gauss_jordan([({c: v for c, v in row.items() if c not in zero}, rhs)
-                                for row, rhs in rows], len(monos),
-                               lambda v: is_monomial_in(v, ()))
+            eqs = _equations(part, [component[m] for m in monos])
+            zero = _forced_zero(eqs)
+            red = gauss_jordan([LinearEquation({c: v for c, v in eq.coeffs.items()
+                                                if c not in zero}, eq.const) for eq in eqs],
+                               range(len(monos)))
             if red.leftover:
                 raise NotIntegrableError(
                     f"no exact {direction}-preimage of weight {wt} part"
@@ -247,20 +247,20 @@ def _quotient_times(e, t, g, caps):
 
 
 def _equations(target: SuperPoly, images: list) -> list:
-    """One row ``({column: coefficient}, rhs)`` per monomial of the
-    images and the target, in term order: the coefficients of
-    sum(x[column] * images[column]) == target."""
+    """One LinearEquation keyed by column per monomial of the images and
+    the target, in term order: the coefficients of
+    sum(x[column] * images[column]) - target == 0."""
     rows: dict = {}
     for c, image in enumerate(images):
         for e, coeff in image.items():
             rows.setdefault(e, ({}, {}))[0][c] = _wrap(dict(coeff))
     for e, coeff in _by_monomial(target).items():
         rows.setdefault(e, ({}, {}))[1].update(coeff)
-    return [(row, _wrap(rhs))
+    return [LinearEquation(row, -_wrap(rhs))
             for e, (row, rhs) in sorted(rows.items(), key=lambda r: term_order_key(r[0]))]
 
 
-def _forced_zero(rows) -> set:
+def _forced_zero(eqs) -> set:
     """Columns that vanish in every solution, found by propagation.
 
     A column is forced to zero when, once the columns already forced are
@@ -271,25 +271,25 @@ def _forced_zero(rows) -> set:
     echelon form, and the other rows are 0 in its column: solving for the
     remaining columns alone gives the same solution.
     """
-    left = [len(row) for row, _rhs in rows]
+    left = [len(eq.coeffs) for eq in eqs]
     where: dict = {}
-    for i, (row, _rhs) in enumerate(rows):
-        for c in row:
+    for i, eq in enumerate(eqs):
+        for c in eq.coeffs:
             where.setdefault(c, []).append(i)
-    todo = [i for i, (_row, rhs) in enumerate(rows) if left[i] == 1 and rhs.is_zero]
+    todo = [i for i, eq in enumerate(eqs) if left[i] == 1 and eq.const.is_zero]
     zero: set = set()
     while todo:
         i = todo.pop()
         if left[i] != 1:  # its last column was forced meanwhile
             continue
-        row = rows[i][0]
+        row = eqs[i].coeffs
         c = next(c for c in row if c not in zero)
         if row[c].param_names():
             continue
         zero.add(c)
         for j in where[c]:
             left[j] -= 1
-            if left[j] == 1 and rows[j][1].is_zero:
+            if left[j] == 1 and eqs[j].const.is_zero:
                 todo.append(j)
     return zero
 

@@ -27,7 +27,7 @@ from .algebra import (
     _wrap,
     term_order_key,
 )
-from .linsolve import gauss_jordan
+from .linsolve import LinearEquation, gauss_jordan
 
 Q = Fraction
 
@@ -75,11 +75,12 @@ class WeightSystem:
             w += x * self.gen_weight(g)
         for g in odds:
             w += self.gen_weight(g)
-        for _n, k, arg in funcs:
+        for n, _k, arg in funcs:
             aw = self.gen_weight(arg)
             if aw != 0:
                 raise InhomogeneousError(
-                    "function factors are weighted only for weight-0 arguments"
+                    f"function factor {n} has no weight: its argument weighs {aw}, "
+                    "and only weight-0 arguments are weighted"
                 )
         for n, e in params:
             w += e * self.param_weight(n)
@@ -123,16 +124,6 @@ class WeightSolution:
     def unique(self) -> bool:
         return not self.basis
 
-    def satisfies(self, relation: Mapping[str, Fraction], rhs: Fraction) -> bool:
-        """Whether sum(coeff * weight) == rhs holds on every solution."""
-        tot = sum(Q(c) * Q(self.particular[n]) for n, c in relation.items())
-        if tot != Q(rhs):
-            return False
-        for vec in self.basis:
-            if sum(Q(c) * Q(vec.get(n, 0)) for n, c in relation.items()) != 0:
-                return False
-        return True
-
 
 def infer_weights(sys, fixed: Mapping = None, param_names: Sequence[str] = ()):
     """Infer a weight system from the balance [term] = [u] - [t].
@@ -150,7 +141,6 @@ def infer_weights(sys, fixed: Mapping = None, param_names: Sequence[str] = ()):
     """
     fixed = {getattr(k, "name", k): v for k, v in (fixed or {}).items()}
     unknowns = [u.name for u in sys.fields] + ["t"] + list(param_names)
-    index = {n: i for i, n in enumerate(unknowns)}
     forms = {n: SuperPoly.param(n) for n in unknowns}
     values = {**fixed, **forms}
     syms = {g.fieldsym for p in sys.rhs.values() for g in p.generators()
@@ -160,19 +150,18 @@ def infer_weights(sys, fixed: Mapping = None, param_names: Sequence[str] = ()):
                 for u in sys.fields for key in sys.rhs[u].terms]
     pins = [forms[n] - v for n, v in fixed.items() if n in forms]
 
-    def row(form):
-        """The equation ``form == 0`` as ({column: coefficient}, right-hand side)."""
-        const = form.terms.get(_ONE_KEY, Q(0))
-        return ({index[key[3][0][0]]: SuperPoly.scalar(c)
-                 for key, c in form.terms.items() if key != _ONE_KEY},
-                SuperPoly.scalar(-const))
+    def equation(form):
+        """The equation ``form == 0``."""
+        return LinearEquation({key[3][0][0]: SuperPoly.scalar(c)
+                               for key, c in form.terms.items() if key != _ONE_KEY},
+                              SuperPoly.scalar(form.terms.get(_ONE_KEY, Q(0))))
 
-    red = gauss_jordan(map(row, balances + pins), len(unknowns))
+    red = gauss_jordan(map(equation, balances + pins), unknowns)
     if red.leftover:
         return None
 
     def rational(vec):
-        return {unknowns[c]: v.terms.get(_ONE_KEY, Q(0)) for c, v in vec.items()}
+        return {n: v.terms.get(_ONE_KEY, Q(0)) for n, v in vec.items()}
 
     return WeightSolution(
         {**dict.fromkeys(unknowns, Q(0)), **rational(red.particular)},

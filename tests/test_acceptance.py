@@ -49,6 +49,7 @@ from superjet.variational import euler, hamiltonian_flow, is_conserved
 from superjet.weights import infer_weights
 
 from conftest import cached_entry
+from test_weights import satisfies
 
 Q = Fraction
 NONZERO = ("alpha", "beta", "gamma")
@@ -323,7 +324,7 @@ def test_criterion_09_weights():
     sols = infer_weights(cached_entry("superburg").doc.system(),
                          param_names=("alpha",))
     ok = ok and sols is not None
-    ok = ok and sols.satisfies({"f": Q(1), "alpha": Q(1, 2)}, Q(1))
+    ok = ok and satisfies(sols, {"f": Q(1), "alpha": Q(1, 2)}, Q(1))
     _report(9, "weight-inference", ok)
 
 

@@ -257,7 +257,13 @@ def test_zero_denominator_is_a_parse_error(capsys, tmp_path, source, argv):
     ("field b even susy 1 weight 1;\nflow s: b = Db;\n", ["parse"], 2),
     ("field b even susy 1 weight 1;\nfield f odd susy 1 weight 3/2;\ntime weight -2;\n"
      "b_t = b_xx;\nf_t = b_xx;\n", ["find-symmetries", "--weight=-1"], 5),
-], ids=["nonlocal-parity", "duplicate", "flow-parity", "equation-parity"])
+    ("field b even susy 1 weight 1;\nparam b weight 0;\ntime weight -2;\nb_t = b_xx;\n",
+     ["dt", "--expr", "b"], 2),
+    ("param a weight 0;\nparam a weight 1;\n", ["parse"], 2),
+    ("field b even susy 1 weight 1;\nparam t weight 0;\ntime weight -2;\nb_t = t*b_xx;\n",
+     ["infer-weights"], 2),
+], ids=["nonlocal-parity", "duplicate", "flow-parity", "equation-parity",
+        "param-shadows-field", "duplicate-param", "reserved-t"])
 def test_an_inconsistent_statement_is_a_parse_error(capsys, tmp_path, source, argv, line):
     doc = tmp_path / "doc.sj"
     doc.write_text(source)
@@ -336,6 +342,34 @@ def test_unweighted_parameter_is_a_usage_error(capsys, tmp_path):
                  "--expr", "alpha*b*b_x"])
     assert code == 2
     assert "no weight assigned to parameter alpha" in capsys.readouterr().err
+
+
+def test_parameter_named_like_an_engine_unknown(capsys, tmp_path):
+    """The symmetry-search unknowns cannot clash with a document's names:
+    a parameter c0 gives what the same parameter named k gives."""
+    outs = []
+    for name in ("c0", "k"):
+        doc = tmp_path / f"{name}.sj"
+        doc.write_text(f"param {name} weight 0;\nfield b even susy 1 weight 1;\n"
+                       f"time weight -2;\nb_t = {name}*b_xx + b*b_x;\n")
+        code, out = run(capsys, "find-symmetries", "--file", str(doc), "--weight=-1", "--json")
+        assert code == 0
+        outs.append(json.loads(out))
+    assert outs[0] == outs[1]
+    assert outs[0]["dimension"] == 1 and outs[0]["flows"] == [{"b": "b_x"}]
+
+
+@pytest.mark.parametrize("argv", [
+    ["integrate", "--dir", "Dx", "--expr", "Q'(b)*b_x"],
+    ["conserved", "--expr", "Q(b)", "--image", "Dx"],
+])
+def test_function_factor_of_a_weighted_field_is_a_usage_error(capsys, tmp_path, argv):
+    doc = tmp_path / "doc.sj"
+    doc.write_text("field b even susy 1 weight 1;\nfn Q of b;\ntime weight -2;\nb_t = b_xx;\n")
+    code = main(argv + ["--file", str(doc)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: function factor Q has no weight") and err.count("\n") == 1
 
 
 def test_engine_fault_is_not_a_usage_error(capsys, monkeypatch):

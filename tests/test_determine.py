@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from superjet import determine
 from superjet.algebra import EVEN, ODD, FieldSymbol, JetVar, SuperPoly
 from superjet.determine import (
-    LinearEquation,
     NonlinearSystemError,
     extract_linear_system,
     find_symmetries,
@@ -20,9 +19,9 @@ from superjet.determine import (
 )
 from superjet.linsolve import (
     LaurentRing,
+    LinearEquation,
     clearing_scale,
     gauss_jordan,
-    is_monomial_in,
     numerator,
     quotient,
 )
@@ -370,7 +369,7 @@ def test_laurent_elimination_matches_the_fraction_field(system):
     """
     rows, n, names, nonzero = system
     K = _LaurentPivotLog()
-    red = gauss_jordan(rows, n, lambda v: is_monomial_in(v, nonzero), K)
+    red = gauss_jordan([LinearEquation(row, -rhs) for row, rhs in rows], range(n), nonzero, K)
     # each leftover is the field's, rhs - row . x for the particular x, times
     # the last pivot; x times that pivot is the ring's right-hand sides
     scale, zero = red.scale, SuperPoly.zero()
@@ -435,7 +434,8 @@ def test_row_order_leaves_a_monomial_elimination_unchanged(system, data):
     reds = []
     for permuted in (rows, [rows[i] for i in order]):
         K = _LaurentPivotLog()
-        red = gauss_jordan(permuted, n, lambda v: is_monomial_in(v, nonzero), K)
+        red = gauss_jordan([LinearEquation(row, -rhs) for row, rhs in permuted], range(n),
+                           nonzero, K)
         if red.assumed or len(K.pivots) < len(red.solved):
             return
         reds.append(red)
@@ -467,9 +467,9 @@ def test_sparse_pivot_rows_bound_the_elimination_work(embed, monkeypatch):
     _doc, sys, ws = embed
     rings = []
 
-    def counted(rows, n, sure_nonzero):
+    def counted(eqs, unknowns, assume_nonzero):
         rings.append(_LaurentWorkCount())
-        return gauss_jordan(rows, n, sure_nonzero, rings[-1])
+        return gauss_jordan(eqs, unknowns, assume_nonzero, rings[-1])
 
     monkeypatch.setattr(determine, "gauss_jordan", counted)
     find_symmetries(sys, ws, Q(-5), EVEN, assume_nonzero=NONZERO)
@@ -529,3 +529,47 @@ def test_rational_system_keeps_its_solution():
                               "c3": s(-9), "c4": s(Q(-27, 2))}
     assert sol.basis == [{"c0": s(1), "c1": s(0), "c2": s(1), "c3": s(0), "c4": s(0)}]
     assert not sol.assumptions
+
+
+def test_unknowns_of_any_hashable_kind_key_the_solution_in_their_order():
+    """Integers and monomial keys work as unknowns, and the pivots come
+    back in the order the unknowns were given, not a sorted one."""
+    b = FieldSymbol("b", EVEN, 1)
+    keys = [next(iter(SuperPoly.from_gen(JetVar(b, m=m)).terms)) for m in (2, 0, 1)]
+    zero, one = SuperPoly.zero(), SuperPoly.one()
+    for unknowns in ([3, 1, 2], keys):
+        x, y, z = unknowns
+        # x + 2y - 1 = 0 and 3z = 0
+        red = gauss_jordan([LinearEquation({y: 2 * one, x: one}, -one),
+                            LinearEquation({z: 3 * one}, zero)], unknowns)
+        assert list(red.solved) == [x, z]
+        assert red.particular == {x: one, z: zero}
+        assert red.basis == [{y: one, x: -2 * one}]
+        assert not red.assumed and not red.leftover
+
+
+def test_a_zero_coefficient_is_skipped():
+    """Pinning a parameter to zero can leave a zero coefficient; it is no
+    entry of the system, not an entry to judge or pivot on."""
+    zero, one = SuperPoly.zero(), SuperPoly.one()
+    red = gauss_jordan([LinearEquation({"x": zero, "y": one}, -one),
+                        LinearEquation({"x": zero}, zero)], ["x", "y"], ("alpha",))
+    assert red.particular == {"y": one}
+    assert red.basis == [{"x": one}]
+    assert not red.assumed and not red.leftover
+
+
+P = SuperPoly.param
+
+
+@pytest.mark.parametrize("pivot, nonzero, assumed", [
+    (2 * SuperPoly.one(), (), False),
+    (P("alpha"), (), True),
+    (P("alpha") * P("beta"), ("alpha", "beta"), False),
+    (P("alpha") * P("beta"), ("alpha",), True),
+    (P("alpha", -1) * P("beta"), ("alpha", "beta"), False),
+    (P("alpha") + P("beta"), ("alpha", "beta"), True),
+], ids=["rational", "unnamed", "product", "half-named-product", "inverse", "sum"])
+def test_a_pivot_is_sure_when_it_is_one_monomial_in_the_assumed_names(pivot, nonzero, assumed):
+    red = gauss_jordan([LinearEquation({"x": pivot}, SuperPoly.zero())], ["x"], nonzero)
+    assert red.assumed == ([pivot] if assumed else [])

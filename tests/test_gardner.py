@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superjet.algebra import JetVar, SuperPoly
+from superjet.determine import extract_linear_system
 from superjet.gardner import (
     _general_solution,
-    _reduce,
     deformation_is_valid,
     density_recurrence,
     resolve_conditions,
@@ -17,7 +17,9 @@ from superjet.gardner import (
     specialize_deformation,
     verify_deformation,
 )
+from superjet.grammar import parse_document
 from superjet.jets import substitute, substitute_params
+from superjet.linsolve import gauss_jordan
 from superjet.variational import is_conserved
 
 from conftest import cached_entry
@@ -142,7 +144,7 @@ def test_a_stage_keeps_its_generic_solution_past_a_leftover_row():
     conditions contain that row again, resolves it."""
     a0, one = SuperPoly.param("a0"), SuperPoly.one()
     names = ["a0", "a1"]
-    red = _reduce([a0 - t1, a0 - one], names)
+    red = gauss_jordan(extract_linear_system([a0 - t1, a0 - one], names), names)
     assert red.leftover == [one - t1]
     assert _general_solution(red, names, ["t2_0"]) == {"a0": t1, "a1": SuperPoly.param("t2_0")}
     assert resolve_conditions(red.leftover, FREES) == [({"t1_0": one}, [])]
@@ -193,3 +195,18 @@ def test_unconstrained_deformations_verify_at_any_free_value(hydro_search, value
         assert not d.constraints
         cand = specialize_deformation(d, dict.fromkeys(d.free_params, value))
         assert all(r.is_zero for r in verify_deformation(base, cand.extended, cand.miura).values())
+
+
+def test_a_parameter_named_like_a_stage_unknown():
+    """The stage unknowns cannot clash with a parameter of the base
+    system: a parameter a0 gives what the same parameter named k gives."""
+    found = []
+    for name in ("k", "a0"):
+        doc = parse_document(
+            f"field b even susy 0 weight 2;\nfield c even susy 0 weight 3;\n"
+            f"param eps weight -3;\nparam {name} weight 0;\ntime weight -2;\n"
+            f"b_t = c_x;\nc_t = {name}*b*b_x;\n")
+        H0 = doc.poly(f"1/6*{name}*b^3 + 1/2*c^2")
+        (d,) = search_deformation(doc.system(), doc.weight_system(), H0, "eps", Q(-3), 2)
+        found.append([substitute_params(p, {name: Q(5)}) for p in d.miura.values()])
+    assert found[0] == found[1]

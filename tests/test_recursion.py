@@ -24,6 +24,7 @@ from superjet.algebra import (
 from superjet.determine import extract_linear_system, solve_linear
 from superjet.grammar import parse_document, parse_expression
 from superjet.jets import Flow, Nonlocality, apply_ops, dt_apply, jet_poly, super_derive
+from superjet.linsolve import LinearEquation
 from superjet.recursion import (
     NotIntegrableError,
     NotLinearInPhantomsError,
@@ -126,9 +127,9 @@ def test_no_preimage_raises_after_every_unknown_is_forced_to_zero(monkeypatch):
     doc = cached_entry("pskdv").doc
     forced = []
 
-    def record(rows):
-        zero = _forced_zero(rows)
-        forced.append(({c for row, _rhs in rows for c in row}, zero))
+    def record(eqs):
+        zero = _forced_zero(eqs)
+        forced.append(({c for eq in eqs for c in eq.coeffs}, zero))
         return zero
 
     monkeypatch.setattr(recursion, "_forced_zero", record)
@@ -235,9 +236,9 @@ def test_integration_builds_only_the_targets_component(monkeypatch, seed, unknow
     calls = _record_calls(monkeypatch)
     systems = []
 
-    def record(rows):
-        systems.append((len({c for row, _rhs in rows for c in row}), len(rows)))
-        return _forced_zero(rows)
+    def record(eqs):
+        systems.append((len({c for eq in eqs for c in eq.coeffs}), len(eqs)))
+        return _forced_zero(eqs)
 
     monkeypatch.setattr(recursion, "_forced_zero", record)
     apply_shadow(doc.shadows["R"], flow, ws)
@@ -336,13 +337,14 @@ def test_forced_zero_needs_a_rational_coefficient_and_no_constant():
     zero = SuperPoly.zero()
     # column 1 is forced, which leaves column 0 alone in a row, but only
     # through alpha
-    rows = [({0: alpha, 1: one}, zero), ({1: 2 * one}, zero)]
-    assert _forced_zero(rows) == {1}
-    assert _forced_zero([({0: alpha}, zero)]) == set()
-    assert _forced_zero([({0: one}, one)]) == set()
+    eqs = [LinearEquation({0: alpha, 1: one}, zero), LinearEquation({1: 2 * one}, zero)]
+    assert _forced_zero(eqs) == {1}
+    assert _forced_zero([LinearEquation({0: alpha}, zero)]) == set()
+    assert _forced_zero([LinearEquation({0: one}, -one)]) == set()
     # a chain: column 2 forces column 1, which forces column 0
-    rows = [({0: one, 1: one}, zero), ({1: -one, 2: 3 * one}, zero), ({2: one}, zero)]
-    assert _forced_zero(rows) == {0, 1, 2}
+    eqs = [LinearEquation({0: one, 1: one}, zero), LinearEquation({1: -one, 2: 3 * one}, zero),
+           LinearEquation({2: one}, zero)]
+    assert _forced_zero(eqs) == {0, 1, 2}
 
 
 def _reduced_jet(w, d1, d2, m):

@@ -46,20 +46,32 @@ def _identifiers(node):
             yield n.value
 
 
+def _public_definitions(tree):
+    """The public top-level functions and classes of a module, and the
+    public methods and properties of its classes, as (qualified name,
+    node) pairs."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield f"{node.name}.{item.name}", item
+
+
 def test_every_public_definition_has_a_caller():
-    """A public top-level function or class of the engine is referred to
-    somewhere in the engine, the benchmark or the README outside its own
-    definition, unless it is listed as used by the tests alone."""
+    """A public top-level function or class of the engine, or a public
+    method or property of one of its classes, is referred to somewhere in
+    the engine, the benchmark or the README outside its own definition,
+    unless it is listed as used by the tests alone."""
     trees = {path: ast.parse(path.read_text(), str(path))
              for path in SOURCES + sorted((ROOT / "perfbench").glob("*.py"))}
     refs = Counter(name for tree in trees.values() for name in _identifiers(tree))
     readme = (ROOT / "README.md").read_text()
     unused = set()
     for path in SOURCES:
-        for node in trees[path].body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
-                own = Counter(_identifiers(node))[node.name]
-                if refs[node.name] == own and not re.search(rf"\b{node.name}\b", readme):
-                    unused.add(f"{path.stem}.{node.name}")
+        for qualified, node in _public_definitions(trees[path]):
+            own = Counter(_identifiers(node))[node.name]
+            if refs[node.name] == own and not re.search(rf"\b{node.name}\b", readme):
+                unused.add(f"{path.stem}.{qualified}")
     assert unused == ONLY_TESTS_USE, f"used by the tests alone: {sorted(unused)}"

@@ -22,6 +22,13 @@ from conftest import cached_entry
 Q = Fraction
 
 
+def satisfies(sol, relation, rhs) -> bool:
+    """Whether sum(coeff * weight) == rhs holds on every weight solution."""
+    if sum(c * sol.particular[n] for n, c in relation.items()) != rhs:
+        return False
+    return all(sum(c * vec.get(n, 0) for n, c in relation.items()) == 0 for vec in sol.basis)
+
+
 def test_unique_inference_for_odd_burgers_representation():
     sys = cached_entry("burgers-repr").doc.system()
     sol = infer_weights(sys)
@@ -48,9 +55,9 @@ def test_dimensional_parameter_relation_in_fermionic_burgers():
     sol = infer_weights(sys, param_names=("alpha",))
     assert sol is not None and not sol.unique
     # every admissible assignment satisfies [f] + 1/2 [alpha] = 1
-    assert sol.satisfies({"f": Q(1), "alpha": Q(1, 2)}, Q(1))
+    assert satisfies(sol, {"f": Q(1), "alpha": Q(1, 2)}, Q(1))
     # but [f] alone is not fixed
-    assert not sol.satisfies({"f": Q(1)}, Q(1))
+    assert not satisfies(sol, {"f": Q(1)}, Q(1))
 
 
 def test_weight_system_from_solution_round_trip():
@@ -72,9 +79,9 @@ def test_clifford_square_weighs_an_inferred_parameter():
         "b_t = b_xx + th*f_x;\nf_t = f_xx + th*b_x;\n").system()
     sol = infer_weights(sys, param_names=("alpha",))
     assert sol is not None and len(sol.basis) == 1
-    assert sol.satisfies({"alpha": Q(1)}, Q(1))
-    assert sol.satisfies({"t": Q(1)}, Q(-2))
-    assert sol.satisfies({"b": Q(1), "f": Q(-1)}, Q(0))
+    assert satisfies(sol, {"alpha": Q(1)}, Q(1))
+    assert satisfies(sol, {"t": Q(1)}, Q(-2))
+    assert satisfies(sol, {"b": Q(1), "f": Q(-1)}, Q(0))
 
 
 def test_pin_keyed_by_field_symbol():
@@ -94,10 +101,10 @@ def test_declared_nonlocal_weight_enters_the_balance():
         "b_t = b_xx;\nc_t = c_xx + w*b_x;\n").system()
     sol = infer_weights(sys)
     assert sol is not None and len(sol.basis) == 1
-    assert sol.satisfies({"t": Q(1)}, Q(-2))
-    assert sol.satisfies({"c": Q(1), "b": Q(-1)}, Q(1))  # [c] = [w] + [b] - 1
+    assert satisfies(sol, {"t": Q(1)}, Q(-2))
+    assert satisfies(sol, {"c": Q(1), "b": Q(-1)}, Q(1))  # [c] = [w] + [b] - 1
     pinned = infer_weights(sys, fixed={"w": Q(0)})  # a pin replaces the declared weight
-    assert pinned.satisfies({"c": Q(1), "b": Q(-1)}, Q(-1))
+    assert satisfies(pinned, {"c": Q(1), "b": Q(-1)}, Q(-1))
 
 
 def test_function_factor_blocks_inference():
