@@ -1,7 +1,12 @@
 """Canonical arithmetic for Grassmann-graded differential polynomials.
 
 Values are sparse sums of monomials with exact rational coefficients.  A
-monomial collects four kinds of data:
+coefficient is an ``int`` when it is integral and a ``Fraction`` only when
+its denominator is greater than 1 (``rat``), since ``int`` arithmetic is
+many times cheaper; ``Fraction(3) == 3``, with equal hashes and ``str``,
+so the canonical output is the same either way.  Coefficients are divided
+only by ``rat_div``: ``/`` on two ints gives a float.  A monomial collects
+four kinds of data:
 
 * even factors with positive integer exponents,
 * an ordered word of distinct odd factors (the canonical order is
@@ -127,7 +132,7 @@ class Clifford(_Cached):
 
     __hash__ = _Cached.__hash__
     name: str
-    square: tuple = (Fraction(1), ())
+    square: tuple = (1, ())
 
     @property
     def parity(self):
@@ -279,6 +284,21 @@ def _mul_keys(k1, k2):
     return coeff, (_merge_evens(e1, e2), odds, _merge_funcs(f1, f2), params)
 
 
+def rat(c) -> Rat:
+    """The canonical coefficient of the exact rational c: an int when it is
+    integral, else a Fraction.  Anything else (a float, a bool) is a TypeError."""
+    if type(c) is int:
+        return c
+    if type(c) is Fraction:
+        return c.numerator if c.denominator == 1 else c
+    raise TypeError(f"a coefficient must be an int or a Fraction, got {c!r}")
+
+
+def rat_div(a: Rat, b: Rat) -> Rat:
+    """The exact quotient a / b of two coefficients, as ``rat`` gives it."""
+    return rat(Fraction(a, b))
+
+
 def _scaled(c, s):
     """Coefficient c times the scalar s of a key product."""
     if s == 1:
@@ -287,19 +307,19 @@ def _scaled(c, s):
 
 
 def _accumulate(acc: dict, items) -> dict:
-    """Add (key, coefficient) pairs into acc in place, dropping zero sums."""
+    """Add (key, coefficient) pairs into acc in place, dropping zero sums
+    and storing an integral Fraction as an int (``rat``, inlined)."""
     get = acc.get
     for key, c in items:
         c0 = get(key)
-        if c0 is None:
-            if c:
-                acc[key] = c
-        else:
-            c0 = c0 + c
-            if c0:
-                acc[key] = c0
-            else:
+        if c0 is not None:
+            c = c0 + c
+            if not c:
                 del acc[key]
+                continue
+        elif not c:
+            continue
+        acc[key] = c if type(c) is int or c.denominator != 1 else c.numerator
     return acc
 
 
@@ -317,7 +337,8 @@ class SuperPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping = ()):
-        t = {k: c for k, c in dict(terms).items() if c}
+        d = dict(terms)
+        t = {k: c for k, c in zip(d, map(rat, d.values())) if c}
         object.__setattr__(self, "terms", t)
 
     # -- constructors ------------------------------------------------
@@ -328,8 +349,8 @@ class SuperPoly:
 
     @staticmethod
     def scalar(c: Rat) -> "SuperPoly":
-        c = Fraction(c)
-        return SuperPoly({_ONE_KEY: c} if c else {})
+        c = rat(c)
+        return _wrap({_ONE_KEY: c} if c else {})
 
     @staticmethod
     def one() -> "SuperPoly":
@@ -338,13 +359,13 @@ class SuperPoly:
     @staticmethod
     def from_gen(g: Generator) -> "SuperPoly":
         key = ((), (g,), (), ()) if g.parity == ODD else (((g, 1),), (), (), ())
-        return _wrap({key: Fraction(1)})
+        return _wrap({key: 1})
 
     @staticmethod
     def param(name: str, exp: int = 1) -> "SuperPoly":
         if exp == 0:
             return SuperPoly.one()
-        return SuperPoly({((), (), (), ((name, exp),)): Fraction(1)})
+        return _wrap({((), (), (), ((name, exp),)): 1})
 
     @staticmethod
     def func(name: str, order: int, arg: JetVar) -> "SuperPoly":
@@ -353,7 +374,7 @@ class SuperPoly:
             raise ValueError(
                 f"function {name} needs an even zeroth-order jet argument, got {arg!r}"
             )
-        return SuperPoly({((), (), ((name, order, arg),), ()): Fraction(1)})
+        return _wrap({((), (), ((name, order, arg),), ()): 1})
 
     # -- predicates --------------------------------------------------
 
@@ -414,7 +435,7 @@ class SuperPoly:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return SuperPoly({k: c / Fraction(other) for k, c in self.terms.items()})
+            return SuperPoly({k: rat_div(c, other) for k, c in self.terms.items()})
         return NotImplemented
 
     def __pow__(self, n: int):

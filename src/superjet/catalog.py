@@ -382,7 +382,7 @@ shadow R2 using w, v:
     def theta_expansion():
         doc = e.doc
         f, b = doc.fields["f"], doc.fields["b"]
-        th = Clifford("vartheta", (Q(1), (("alpha", 1),)))
+        th = Clifford("vartheta", (1, (("alpha", 1),)))
         u = FieldSymbol("u", EVEN, 0)
         ux = SuperPoly.from_gen(JetVar(u, 0, 0, 1))
         uu = SuperPoly.from_gen(JetVar(u))

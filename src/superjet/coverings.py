@@ -4,7 +4,6 @@ consistency checks, and linearization (phantom) extensions."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping
 
 from .algebra import D1, D2, DT, DX, EVEN, JetVar, Phantom, SuperPoly
@@ -17,8 +16,6 @@ from .jets import (
     evolutionary_apply,
     super_derive,
 )
-
-Q = Fraction
 
 
 @dataclass

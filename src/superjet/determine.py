@@ -22,7 +22,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .algebra import SuperPoly, _accumulate, _wrap, linear_ansatz, term_order_key
+from .algebra import SuperPoly, _accumulate, _wrap, linear_ansatz, rat_div, term_order_key
 from .jets import EvolutionSystem, Flow, check_symmetry, substitute_params
 from .linsolve import LinearEquation, NonlinearSystemError, clearing_scale, gauss_jordan, numerator
 from .weights import WeightSystem, enumerate_monomials, items_from_gens, jets_up_to_weight
@@ -249,7 +249,7 @@ def proportional(a: SuperPoly, b: SuperPoly):
         return None
     if set(a.terms) != set(b.terms):
         return None
-    ratios = {a.terms[k] / b.terms[k] for k in a.terms}
+    ratios = {rat_div(a.terms[k], b.terms[k]) for k in a.terms}
     return ratios.pop() if len(ratios) == 1 else None
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, islice
 from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence
 
 from .algebra import DX, EVEN, FieldSymbol, JetVar, SuperPoly, linear_ansatz
@@ -184,7 +185,8 @@ def search_deformation(
     condition there in parameters that are not freedoms becomes a
     constraint.  Returns a list of deformations, possibly still carrying
     free parameters and ``constraints`` on them (see
-    ``resolve_conditions``).
+    ``resolve_conditions``).  The free parameters of order k are named
+    ``t{k}_0``, ``t{k}_1``, ..., skipping the parameters of ``base``.
     """
     eps_weight = Q(eps_weight)
     wfields = tuple(
@@ -233,7 +235,8 @@ def search_deformation(
         residuals = verify_deformation(base, extension(trial_h), trial_miura)
         red = gauss_jordan(extract_linear_system(
             [residuals[u].coefficient_of_param_power(eps, k) for u in base.fields], names), names)
-        taus = [f"t{k}_{j}" for j in range(len(red.basis))]
+        taus = list(islice((t for j in count() if (t := f"t{k}_{j}") not in base.params),
+                           len(red.basis)))
         frees += taus
         values = _general_solution(red, names, taus)
         miura = {u: substitute_params(trial_miura[u], values) for u, _w in corr}

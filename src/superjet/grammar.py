@@ -374,19 +374,23 @@ def _opt_weight(p: _Parser) -> Optional[Fraction]:
     return None
 
 
-def _register(doc: SourceDocument, name: str, sym=None) -> None:
-    """Declare a symbol, a Clifford auxiliary or, with ``sym`` None, a
-    parameter.  ``t`` names the time variable and cannot be declared."""
-    if name in doc.scope.symbols or name in doc.scope.params or name in doc.scope.cliffords:
+def _register(doc: SourceDocument, name: str, sym=None, fn_of=None) -> None:
+    """Declare a symbol, a Clifford auxiliary, a function of the field
+    ``fn_of`` or, with ``sym`` and ``fn_of`` None, a parameter.  ``t``
+    names the time variable and cannot be declared."""
+    scope = doc.scope
+    if any(name in t for t in (scope.symbols, scope.params, scope.cliffords, scope.functions)):
         raise ValueError(f"duplicate declaration of {name!r}")
     if name == "t":
         raise ValueError("'t' is reserved for the time variable")
-    if sym is None:
-        doc.scope.params.add(name)
+    if fn_of is not None:
+        scope.functions[name] = fn_of
+    elif sym is None:
+        scope.params.add(name)
     elif isinstance(sym, Clifford):
-        doc.scope.cliffords[name] = sym
+        scope.cliffords[name] = sym
     else:
-        doc.scope.symbols[name] = sym
+        scope.symbols[name] = sym
 
 
 def _statement(p: _Parser, doc: SourceDocument) -> None:
@@ -428,7 +432,7 @@ def _statement(p: _Parser, doc: SourceDocument) -> None:
         p.expect("op", ";")
         if arg not in doc.fields:
             p.error(f"function argument {arg!r} is not a declared field")
-        doc.scope.functions[name] = doc.fields[arg]
+        _register(doc, name, fn_of=doc.fields[arg])
     elif head == "nonlocal":
         _nonlocal_statement(p, doc)
     elif head == "time":

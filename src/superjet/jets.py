@@ -337,7 +337,7 @@ def commutator(phi: Flow, psi: Flow) -> Flow:
     for u in fields:
         a = evolutionary_apply(phi, psi.components.get(u, SuperPoly.zero()))
         b = evolutionary_apply(psi, phi.components.get(u, SuperPoly.zero()))
-        comps[u] = a - Fraction(sign) * b
+        comps[u] = a - sign * b
     return Flow(comps, (phi.parameter_parity + psi.parameter_parity) % 2)
 
 
@@ -414,7 +414,7 @@ def substitute_params(p: SuperPoly, values: Mapping) -> SuperPoly:
                 raise ZeroDivisionError(f"parameter {n} set to 0 with exponent {x}")
             elif not v.param_names():
                 (r,) = v.terms.values()
-                val = val * SuperPoly.scalar(r**x)
+                val = val * SuperPoly.scalar(Fraction(r) ** x)
             else:
                 raise ValueError(f"negative power of non-scalar value for {n}")
         _accumulate(out, (((evens, odds, funcs, k[3]), cc) for k, cc in val.terms.items()))
@@ -493,7 +493,7 @@ def _read_components(sys, mapping, odd_class, suffix) -> EvolutionSystem:
         for word, comp_poly in lhs_buckets.items():
             gens = comp_poly.generators()
             if len(gens) != 1 or comp_poly.terms != {
-                next(iter(comp_poly.terms)): Fraction(1)
+                next(iter(comp_poly.terms)): 1
             }:
                 raise ValueError("expansion images must be linear with unit coefficients")
             (g,) = gens

@@ -39,11 +39,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import add, sub
 from typing import Iterable, Optional, Sequence
 
-from .algebra import SuperPoly, _accumulate, _merge_params, _wrap
+from .algebra import SuperPoly, _accumulate, _merge_params, _wrap, rat_div
 
 
 class NonlinearSystemError(ValueError):
@@ -66,7 +65,7 @@ class LaurentRing:
     @staticmethod
     def revert(a: SuperPoly) -> SuperPoly:
         ((key, c),) = a.terms.items()
-        return _wrap({((), (), (), tuple((nm, -x) for nm, x in key[3])): 1 / c})
+        return _wrap({((), (), (), tuple((nm, -x) for nm, x in key[3])): rat_div(1, c)})
 
     @staticmethod
     def mul(a: SuperPoly, b: SuperPoly) -> SuperPoly:
@@ -256,7 +255,7 @@ def quotient(a: SuperPoly, b: SuperPoly) -> Optional[SuperPoly]:
         q = tuple(map(sub, top, lead))
         if min(q) < 0:
             return None
-        out[q] = qc = rest[top] / den[lead]
+        out[q] = qc = rat_div(rest[top], den[lead])
         _accumulate(rest, ((tuple(map(add, q, v)), -qc * c) for v, c in den.items()))
     shift = list(map(sub, low_a, low_b))
     return _wrap({((), (), (), tuple((nm, x) for nm, x in zip(names, map(add, e, shift)) if x)):
@@ -280,7 +279,7 @@ def clearing_scale(values: Iterable[SuperPoly]) -> SuperPoly:
             for nm, x in key[3]:
                 if x < 0:
                     clear[nm] = max(clear.get(nm, 0), -x)
-    return SuperPoly({((), (), (), tuple(sorted(clear.items()))): Fraction(denom)})
+    return SuperPoly({((), (), (), tuple(sorted(clear.items()))): denom})
 
 
 def is_monomial_in(v: SuperPoly, names: Sequence[str]) -> bool:

@@ -146,7 +146,7 @@ def d_integrate(
                     "that is not a Laurent polynomial in the parameters"
                 ) from None
             parts.append(poly_sum(
-                v * _wrap({monos[c]: Q(1)}) for c, v in values.items() if not v.is_zero
+                v * _wrap({monos[c]: 1}) for c, v in values.items() if not v.is_zero
             ))
     return poly_sum(parts)
 
@@ -196,7 +196,7 @@ def _component(target: dict, direction, items, weight, parity) -> dict:
             if m not in image_of:
                 admissible = (len(m[1]) % 2 == parity and weight == sum(
                     x * weights[g] for g, x in m[0]) + sum(weights[g] for g in m[1]))
-                image_of[m] = (_by_monomial(_derive(_wrap({m: Q(1)}), gen_image.get, side))
+                image_of[m] = (_by_monomial(_derive(_wrap({m: 1}), gen_image.get, side))
                                if admissible else None)
             image = image_of[m]
             if image is None or e not in image:

@@ -4,13 +4,10 @@ conserved-density tests and Hamiltonian structures."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .algebra import EVEN, FieldSymbol, JetVar, SuperPoly, poly_sum
 from .jets import EvolutionSystem, Flow, _derive, apply_ops, dt_apply, prolong
-
-Q = Fraction
 
 
 def graded_partial(p: SuperPoly, v) -> SuperPoly:
@@ -49,7 +46,7 @@ def euler(H: SuperPoly, fields: Sequence[FieldSymbol]) -> dict:
                 sign *= (-1) ** (1 + u.parity)
             if g.d2:
                 sign *= (-1) ** (1 + u.parity)
-            parts.append(Q(sign) * prolong(pd, g.d1, g.d2, g.m))
+            parts.append(sign * prolong(pd, g.d1, g.d2, g.m))
         out[u] = poly_sum(parts)
     return out
 

@@ -25,6 +25,7 @@ from .algebra import (
     _mul_keys,
     _scaled,
     _wrap,
+    rat,
     term_order_key,
 )
 from .linsolve import LinearEquation, gauss_jordan
@@ -43,6 +44,7 @@ class WeightSystem:
     fields: Mapping[FieldSymbol, Fraction]
     params: Mapping[str, Fraction] = dc_field(default_factory=dict)
     t: Optional[Fraction] = None
+    _gen_weights: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def field_weight(self, sym: FieldSymbol) -> Fraction:
         if sym in self.fields:
@@ -58,6 +60,13 @@ class WeightSystem:
         raise UnknownNameError(f"no weight assigned to parameter {name}")
 
     def gen_weight(self, g) -> Fraction:
+        """The weight of a generator, computed once per generator."""
+        w = self._gen_weights.get(g)
+        if w is None:
+            w = self._gen_weights[g] = self._weigh(g)
+        return w
+
+    def _weigh(self, g) -> Fraction:
         if isinstance(g, Theta):
             return Q(-1, 2)
         if isinstance(g, Clifford):
@@ -113,8 +122,9 @@ def split_by_weight(ws: WeightSystem, p: SuperPoly) -> dict:
 class WeightSolution:
     """Affine solution set of a weight-balance system.
 
-    ``particular`` maps unknown names to weights; ``basis`` spans the
-    homogeneous solutions (empty basis means the system is unique).
+    ``particular`` maps unknown names to weights (Fractions); ``basis``
+    spans the homogeneous solutions (empty basis means the system is
+    unique).
     """
 
     particular: dict
@@ -154,14 +164,14 @@ def infer_weights(sys, fixed: Mapping = None, param_names: Sequence[str] = ()):
         """The equation ``form == 0``."""
         return LinearEquation({key[3][0][0]: SuperPoly.scalar(c)
                                for key, c in form.terms.items() if key != _ONE_KEY},
-                              SuperPoly.scalar(form.terms.get(_ONE_KEY, Q(0))))
+                              SuperPoly.scalar(form.terms.get(_ONE_KEY, 0)))
 
     red = gauss_jordan(map(equation, balances + pins), unknowns)
     if red.leftover:
         return None
 
     def rational(vec):
-        return {n: v.terms.get(_ONE_KEY, Q(0)) for n, v in vec.items()}
+        return {n: Q(v.terms.get(_ONE_KEY, 0)) for n, v in vec.items()}
 
     return WeightSolution(
         {**dict.fromkeys(unknowns, Q(0)), **rational(red.particular)},
@@ -262,7 +272,7 @@ def enumerate_monomials(items: Sequence[AnsatzItem], weight, parity):
             i += 1
         else:
             if chosen:
-                found.append((key, Q(scalar)))
+                found.append((key, rat(scalar)))
             return
         for e in range(exps[-1] + 1):
             if e:

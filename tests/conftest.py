@@ -1,5 +1,6 @@
 """Shared fixtures: cached catalog entries and deterministic RNG helpers."""
 
+import contextlib
 import functools
 import random
 from fractions import Fraction
@@ -7,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from superjet import catalog, recursion
-from superjet.algebra import DX
+from superjet.algebra import DX, SuperPoly
 from superjet.weights import (
     enumerate_monomials,
     items_from_gens,
@@ -50,3 +51,29 @@ def integration_ansatz_parts(target, direction, ws, gens, zero_weight_cap=2):
             items = items_from_gens(ws, jets, wt - shift, zero_weight_cap)
             out.append((sub, enumerate_monomials(items, wt - shift, want_par)))
     return out
+
+
+def is_canonical(c) -> bool:
+    """Whether c is stored as the engine stores a coefficient: a nonzero
+    int, or a Fraction whose denominator is greater than 1; never a float,
+    a bool or a Fraction with denominator 1."""
+    return type(c) is int and c != 0 or type(c) is Fraction and c.denominator > 1
+
+
+@contextlib.contextmanager
+def stray_coefficients():
+    """Collect the coefficients that break ``is_canonical`` in every
+    SuperPoly built inside the block.  ``__init__`` and ``_wrap`` both set
+    the ``terms`` slot, which a checking property replaces meanwhile."""
+    slot = SuperPoly.__dict__["terms"]
+    stray = []
+
+    def check(p, terms):
+        stray.extend(c for c in terms.values() if not is_canonical(c))
+        slot.__set__(p, terms)
+
+    SuperPoly.terms = property(slot.__get__, check)
+    try:
+        yield stray
+    finally:
+        SuperPoly.terms = slot

@@ -12,7 +12,9 @@ from fractions import Fraction
 
 import pytest
 
+from superjet import catalog
 from superjet.algebra import (
+    _ONE_KEY,
     EVEN,
     ODD,
     Clifford,
@@ -20,9 +22,13 @@ from superjet.algebra import (
     JetVar,
     SuperPoly,
     Theta,
+    _wrap,
     poly_sum,
     prod,
 )
+from superjet.recursion import apply_shadow
+
+from conftest import stray_coefficients
 
 Q = Fraction
 
@@ -233,3 +239,45 @@ def test_cached_hash_and_sort_key_stay_out_of_pickles():
     assert "_hash" not in vars(clone) and "_sort_key" not in vars(clone)
     assert "_hash" not in vars(clone.fieldsym)
     assert clone == g and hash(clone) == h and clone.sort_key() == key
+
+
+# ---------------------------------------------------------------------------
+# the coefficient invariant
+
+
+@pytest.mark.parametrize("value", [0.5, 0.0, True, "1", None])
+def test_a_coefficient_is_an_int_or_a_fraction(value):
+    with pytest.raises(TypeError):
+        SuperPoly.scalar(value)
+    with pytest.raises(TypeError):
+        SuperPoly({_ONE_KEY: value})
+
+
+def test_integral_coefficients_are_ints():
+    """An integral coefficient is stored as an int, whatever built it; a
+    Fraction stays only where its denominator is greater than 1."""
+    half = SuperPoly.scalar(Q(1, 2)) * jp(b)
+    for p, want in [(SuperPoly.scalar(Q(6, 3)), 2), (half + half, 1), (2 * half, 1),
+                    (SuperPoly.scalar(4) / 2, 2), (SuperPoly.scalar(3) / 2, Q(3, 2)),
+                    (half * half, Q(1, 4)), (half - 3 * half, -1)]:
+        (c,) = p.terms.values()
+        assert c == want and type(c) is type(want)
+
+
+def test_the_catalog_builds_canonical_coefficients_only():
+    """Every value built while the catalog parses its documents, runs its
+    self-checks and applies the dbous recursion three times from both
+    seeds keeps int coefficients where they are integral."""
+    with stray_coefficients() as stray:
+        _wrap({_ONE_KEY: Q(1)})  # the check sees values that skip __init__
+        assert stray == [Q(1)]
+        stray.clear()
+        for cid in catalog.ids():
+            assert all(ok for _name, ok, _detail in catalog.verify(cid)), cid
+        doc = catalog.get("dbous").doc
+        ws = doc.weight_system()
+        for seed in ("seed_x", "seed_t"):
+            cur = doc.flows[seed]
+            for _step in range(3):
+                cur = apply_shadow(doc.shadows["R"], cur, ws)
+    assert stray == []

@@ -262,8 +262,14 @@ def test_zero_denominator_is_a_parse_error(capsys, tmp_path, source, argv):
     ("param a weight 0;\nparam a weight 1;\n", ["parse"], 2),
     ("field b even susy 1 weight 1;\nparam t weight 0;\ntime weight -2;\nb_t = t*b_xx;\n",
      ["infer-weights"], 2),
+    ("field b even susy 0 weight 0;\nfn Q of b;\nfn Q of b;\nparam Q weight 0;\n"
+     "time weight -2;\nb_t = b_xx + Q*b;\n", ["parse"], 3),
+    ("field b even susy 0 weight 0;\nfn Q of b;\nparam Q weight 0;\n", ["parse"], 3),
+    ("field b even susy 0 weight 0;\nfn b of b;\ntime weight -2;\nb_t = b_xx;\n",
+     ["dt", "--expr", "b"], 2),
 ], ids=["nonlocal-parity", "duplicate", "flow-parity", "equation-parity",
-        "param-shadows-field", "duplicate-param", "reserved-t"])
+        "param-shadows-field", "duplicate-param", "reserved-t", "duplicate-fn",
+        "param-shadows-fn", "fn-shadows-field"])
 def test_an_inconsistent_statement_is_a_parse_error(capsys, tmp_path, source, argv, line):
     doc = tmp_path / "doc.sj"
     doc.write_text(source)

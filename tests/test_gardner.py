@@ -210,3 +210,24 @@ def test_a_parameter_named_like_a_stage_unknown():
         (d,) = search_deformation(doc.system(), doc.weight_system(), H0, "eps", Q(-3), 2)
         found.append([substitute_params(p, {name: Q(5)}) for p in d.miura.values()])
     assert found[0] == found[1]
+
+
+def test_a_parameter_named_like_a_freedom_of_the_search():
+    """The search names its freedoms t1_0, t1_1, ... and skips the names a
+    document declares: a parameter t1_0 gives what the same parameter
+    named k gives, up to the renaming."""
+    found = {}
+    for name in ("k", "t1_0"):
+        doc = parse_document(
+            f"field b even susy 0 weight 2;\nfield c even susy 0 weight 3;\n"
+            f"param eps weight -3;\nparam {name} weight 0;\ntime weight -2;\n"
+            f"b_t = c_x;\nc_t = {name}*b*b_x;\n")
+        H0 = doc.poly(f"1/6*{name}*b^3 + 1/2*c^2")
+        (found[name],) = search_deformation(doc.system(), doc.weight_system(), H0, "eps",
+                                            Q(-3), 2)
+    k, t = found["k"], found["t1_0"]
+    assert k.free_params and "t1_0" not in t.free_params
+    rename = {"t1_0": SuperPoly.param("k"),
+              **{a: SuperPoly.param(b) for a, b in zip(t.free_params, k.free_params, strict=True)}}
+    assert {u: substitute_params(p, rename) for u, p in t.miura.items()} == k.miura
+    assert substitute_params(t.hamiltonian, rename) == k.hamiltonian

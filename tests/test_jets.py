@@ -267,3 +267,13 @@ def test_nonlocal_jets_reduce_through_a_declared_d2():
     assert super_derive(jet_r, DX) == super_derive(value, D2)
     assert nonlocal_jet(r, d1=1, d2=1, m=1) == apply_ops(value, [DX, D1])
     assert nonlocal_jet(r, d1=1) == SuperPoly.from_gen(JetVar(r, 1, 0, 0))
+
+
+@pytest.mark.parametrize("exp, value, want", [
+    (-1, 3, Q(1, 3)), (-2, Q(2, 3), Q(9, 4)), (-3, -2, Q(-1, 8)), (-1, Q(1, 3), 3)])
+def test_a_negative_power_of_a_rational_is_exact(exp, value, want):
+    """A negative power of an int value is a Fraction, never a float, and an
+    integral result is an int."""
+    p = SuperPoly.param("a", exp) * SuperPoly.from_gen(JetVar(b))
+    (c,) = substitute_params(p, {"a": value}).terms.values()
+    assert c == want and type(c) is type(want)

@@ -27,11 +27,12 @@ from superjet.algebra import (
 )
 from superjet.coverings import is_phantom
 from superjet.jets import Flow, dt_apply, evolutionary_apply, prolong, super_derive
+from superjet.linsolve import LinearEquation, NonlinearSystemError, gauss_jordan, quotient
 from superjet.recursion import NotIntegrableError, _substitute_phantoms, d_integrate
 from superjet.variational import graded_partial
 from superjet.weights import AnsatzItem, WeightSystem, enumerate_monomials
 
-from conftest import cached_entry
+from conftest import cached_entry, is_canonical
 
 Q = Fraction
 
@@ -128,6 +129,40 @@ def test_operations_leave_their_operands_unchanged(a, c, direction):
     except NotIntegrableError:
         pass
     assert [p.terms for p in operands] == before
+
+
+def _canonical(values):
+    return all(is_canonical(c) for p in values for c in p.terms.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys, polys, st.integers(-6, 6).filter(bool), st.sampled_from((D1, D2, DX)))
+def test_arithmetic_stores_integral_coefficients_as_ints(a, c, n, direction):
+    assert _canonical([a, c, a + c, a - c, a * c, a / n, super_derive(a * c, direction)])
+
+
+# Laurent polynomials in alpha and beta with one or two terms
+laurent = st.lists(st.builds(
+    lambda c, i, j: SuperPoly({((), (), (), tuple((n, e) for n, e in (("alpha", i), ("beta", j))
+                                                  if e)): c}),
+    st.sampled_from([Q(1), Q(-2), Q(3), Q(1, 2), Q(-5, 3), Q(4, 3)]), st.integers(-2, 2),
+    st.integers(-2, 2)), min_size=1, max_size=2).map(poly_sum)
+laurent_rows = st.lists(st.tuples(st.dictionaries(st.integers(0, 3), laurent, max_size=4), laurent),
+                        min_size=1, max_size=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(laurent_rows, laurent, laurent.filter(lambda p: not p.is_zero))
+def test_the_solver_stores_integral_coefficients_as_ints(rows, x, y):
+    red = gauss_jordan([LinearEquation(row, rhs) for row, rhs in rows], range(4))
+    values = [v for pair in red.solved.values() for v in pair] + red.assumed + red.leftover
+    values += [v for vec in red.basis for v in vec.values()]
+    try:
+        values += red.particular.values()
+    except NonlinearSystemError:
+        pass
+    values += [q for q in (quotient(x * y, y), quotient(x, y)) if q is not None]
+    assert _canonical(values)
 
 
 SYS = None
