@@ -51,6 +51,8 @@ class ParityError(ValueError):
 class UnknownNameError(KeyError):
     """A name given by the user (a catalog entry, a weight) is not defined."""
 
+    __str__ = Exception.__str__  # the message, without the quotes KeyError adds
+
 
 class _Cached:
     """Hash (of the fields equality compares) and sort key, computed once.

@@ -3,8 +3,10 @@
 Each entry bundles one or more grammar documents (system, coverings,
 flows, shadows, functionals), any extra structures that the grammar
 does not express (Hamiltonian operators, deformation data, recorded
-rational scales), and a list of self-checks.  ``verify(id)`` runs the
-checks and reports one line per check.
+rational scales), and a list of self-checks.  ``get(id)`` builds an
+entry once per process and hands every caller that same entry, so
+nothing may write to an entry after its builder returns.  ``verify(id)``
+runs the checks and reports one line per check.
 """
 
 from __future__ import annotations
@@ -767,10 +769,17 @@ def ids():
     return list(_BUILDERS)
 
 
+_ENTRIES: dict = {}  # id -> entry, built on first use
+
+
 def get(entry_id: str) -> CatalogEntry:
+    """The shared, read-only entry ``entry_id``, built on first use."""
     if entry_id not in _BUILDERS:
         raise UnknownNameError(f"unknown catalog entry {entry_id!r}")
-    return _BUILDERS[entry_id]()
+    entry = _ENTRIES.get(entry_id)
+    if entry is None:
+        entry = _ENTRIES[entry_id] = _BUILDERS[entry_id]()
+    return entry
 
 
 def verify(entry_id: str) -> list:

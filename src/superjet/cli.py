@@ -605,9 +605,14 @@ def build_parser():
     return ap
 
 
+_PARSER = None  # built by the first main() call, reused by every later one
+
+
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     if getattr(args, "command", None) == "commute" and len(args.flows or ()) != 2:
         print("commute needs exactly two --flow arguments", file=sys.stderr)
         return 2

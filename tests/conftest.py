@@ -1,13 +1,13 @@
-"""Shared fixtures: cached catalog entries and deterministic RNG helpers."""
+"""Shared fixtures and helpers: a deterministic RNG, integration ansatz
+parts and a check on how coefficients are stored."""
 
 import contextlib
-import functools
 import random
 from fractions import Fraction
 
 import pytest
 
-from superjet import catalog, recursion
+from superjet import recursion
 from superjet.algebra import DX, SuperPoly
 from superjet.weights import (
     enumerate_monomials,
@@ -15,17 +15,6 @@ from superjet.weights import (
     jets_up_to_weight,
     split_by_weight,
 )
-
-
-@functools.lru_cache(maxsize=None)
-def cached_entry(entry_id: str):
-    return catalog.get(entry_id)
-
-
-@pytest.fixture(scope="session")
-def entry():
-    """Accessor for catalog entries, built at most once per session."""
-    return cached_entry
 
 
 @pytest.fixture()

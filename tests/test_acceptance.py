@@ -48,7 +48,6 @@ from superjet.recursion import (
 from superjet.variational import euler, hamiltonian_flow, is_conserved
 from superjet.weights import infer_weights
 
-from conftest import cached_entry
 from test_weights import satisfies
 
 Q = Fraction
@@ -85,15 +84,15 @@ def _function_symbol_flows():
 
 def test_criterion_01_symmetry_verifications():
     ok = True
-    br = cached_entry("burgers-repr").doc
+    br = catalog.get("burgers-repr").doc
     for nm in ("eq3_4_x", "eq3_4_t", "eq3_5"):
         ok = ok and check_symmetry(br.system(), br.flows[nm]).is_zero
-    be = cached_entry("bous-embed").doc
+    be = catalog.get("bous-embed").doc
     for nm in ("eq5_4", "eq5_5"):
         ok = ok and check_symmetry(be.system(), be.flows[nm]).is_zero
-    n2 = cached_entry("n2burgers").doc
+    n2 = catalog.get("n2burgers").doc
     ok = ok and check_symmetry(n2.system(), n2.flows["skdv4"]).is_zero
-    s4 = cached_entry("skdv4").doc
+    s4 = catalog.get("skdv4").doc
     ok = ok and check_symmetry(s4.system(), s4.flows["burg"]).is_zero
     fq, fs = _function_symbol_flows()
     ok = ok and commutator(fq, fs).is_zero
@@ -116,7 +115,7 @@ def test_criterion_02_shadow_verifications():
         ("hospital-1", "main", ("R1", "R2", "R3")),
         ("dbous", "main", ("R",)),
     ):
-        doc = cached_entry(entry_id).docs[doc_name]
+        doc = catalog.get(entry_id).docs[doc_name]
         for nm in names:
             ok = ok and shadow_is_valid(doc.shadows[nm])
     _report(2, "shadow-verifications", ok)
@@ -128,7 +127,7 @@ def test_criterion_02_shadow_verifications():
 
 def test_criterion_03_recursion_application():
     ok = True
-    e = cached_entry("burgers-repr")
+    e = catalog.get("burgers-repr")
     doc = e.doc
     ws = doc.weight_system()
     for seed, target, fixture in (
@@ -138,7 +137,7 @@ def test_criterion_03_recursion_application():
     ):
         out = apply_shadow(doc.shadows["R"], doc.flows[seed], ws)
         ok = ok and (out - doc.flows[target].scaled(e.scales[fixture])).is_zero
-    ea = cached_entry("skdv-a")
+    ea = catalog.get("skdv-a")
     da = ea.doc
     out = apply_shadow(da.shadows["R"], da.flows["seed_x"], da.weight_system())
     ok = ok and ea.scales["R-on-fx"] == Q(3)
@@ -151,7 +150,7 @@ def test_criterion_03_recursion_application():
 
 
 def test_criterion_04_constant_order_iteration():
-    e = cached_entry("dbous")
+    e = catalog.get("dbous")
     doc = e.doc
     ws = doc.weight_system()
     sys = doc.system()
@@ -170,7 +169,7 @@ def test_criterion_04_constant_order_iteration():
 
 
 def test_criterion_05_nilpotency():
-    doc = cached_entry("hospital-1").doc
+    doc = catalog.get("hospital-1").doc
     r1, r2, r3 = doc.shadows["R1"], doc.shadows["R2"], doc.shadows["R3"]
     ok = shadow_power(r1, 4).is_zero and shadow_power(r3, 4).is_zero
     # these zero-order shadows already square to zero, so the least
@@ -188,11 +187,11 @@ def test_criterion_05_nilpotency():
 
 def test_criterion_06_gardner():
     ok = True
-    es = cached_entry("skdv")
+    es = catalog.get("skdv")
     ok = ok and deformation_is_valid(
         es.doc.system(), es.extras["extended"], es.extras["miura"]
     )
-    eh = cached_entry("hydro-bous")
+    eh = catalog.get("hydro-bous")
     main = eh.doc
     ok = ok and deformation_is_valid(
         main.system(), eh.extras["extended"], eh.extras["miura"]
@@ -231,7 +230,7 @@ def test_criterion_06_gardner():
 
 def test_criterion_07_variational():
     rng = random.Random(7)
-    fields = cached_entry("dbous").doc.system().fields
+    fields = catalog.get("dbous").doc.system().fields
     gens = [
         JetVar(u, d1, 0, m)
         for u in fields
@@ -249,12 +248,12 @@ def test_criterion_07_variational():
         for direction in (DX, D1):
             dp = super_derive(p, direction)
             ok = ok and all(v.is_zero for v in euler(dp, fields).values())
-    eh = cached_entry("hydro-bous")
+    eh = catalog.get("hydro-bous")
     sysh = eh.doc.system()
     fl = hamiltonian_flow(eh.extras["make_operator"](sysh.fields),
                           eh.doc.functionals["H"])
     ok = ok and all((fl.components[u] - sysh.rhs[u]).is_zero for u in sysh.fields)
-    ed = cached_entry("dbous")
+    ed = catalog.get("dbous")
     dd = ed.doc
     sysd = dd.system()
     op = ed.extras["make_operator"](tuple(dd.fields[n] for n in ("f", "b")))
@@ -277,7 +276,7 @@ def test_criterion_07_variational():
 
 
 def test_criterion_08_symmetry_search():
-    doc = cached_entry("bous-embed").doc
+    doc = catalog.get("bous-embed").doc
     sys, ws = doc.system(), doc.weight_system()
     res4 = find_symmetries(sys, ws, Q(-4), EVEN, assume_nonzero=NONZERO)
     ok = len(res4.flows) == 1 and flows_proportional(res4.flows[0], doc.flows["eq5_4"])
@@ -313,15 +312,15 @@ def test_criterion_08_symmetry_search():
 
 def test_criterion_09_weights():
     ok = True
-    sol = infer_weights(cached_entry("burgers-repr").doc.system())
+    sol = infer_weights(catalog.get("burgers-repr").doc.system())
     ok = ok and sol is not None and sol.unique
     ok = ok and sol.particular == {"f": Q(1, 2), "b": Q(1, 2), "t": Q(-1, 2)}
-    dd = cached_entry("dbous").doc
+    dd = catalog.get("dbous").doc
     sold = infer_weights(dd.system(), fixed={"t": dd.t_weight})
     declared = {u.name: w for u, w in dd.field_weights.items()}
     declared["t"] = dd.t_weight
     ok = ok and sold is not None and sold.unique and sold.particular == declared
-    sols = infer_weights(cached_entry("superburg").doc.system(),
+    sols = infer_weights(catalog.get("superburg").doc.system(),
                          param_names=("alpha",))
     ok = ok and sols is not None
     ok = ok and satisfies(sols, {"f": Q(1), "alpha": Q(1, 2)}, Q(1))
@@ -335,11 +334,11 @@ def test_criterion_09_weights():
 def test_criterion_10_coverings_and_components():
     ok = True
     for entry_id in catalog.ids():
-        e = cached_entry(entry_id)
+        e = catalog.get(entry_id)
         for doc in e.docs.values():
             if doc.nonlocals:
                 ok = ok and covering_is_consistent(doc.covering())
-    sb = cached_entry("superburg").doc
+    sb = catalog.get("superburg").doc
     w, vt = sb.nonlocals["w"], sb.nonlocals["vt"]
     rhs = {
         w: sb.poly("Dx(Dx(w)) + Dx(vt)*Dx(w)"),
@@ -366,7 +365,7 @@ def test_criterion_11_engine_properties():
     from superjet.grammar import parse_expression, print_poly
 
     for entry_id in catalog.ids():
-        e = cached_entry(entry_id)
+        e = catalog.get(entry_id)
         for doc in e.docs.values():
             polys = list(doc.equations.values()) + list(doc.functionals.values())
             for wsym in doc.nonlocals.values():
@@ -408,7 +407,7 @@ def test_criterion_11_engine_properties():
         ok = ok and super_derive(super_derive(p, D1), D1) == super_derive(p, DX)
 
     # evolution commutes with Dx (200 cases)
-    sys = cached_entry("burgers-repr").doc.system()
+    sys = catalog.get("burgers-repr").doc.system()
     sgens = [
         JetVar(u, d1, 0, m) for u in sys.fields for d1 in (0, 1) for m in (0, 1)
     ]

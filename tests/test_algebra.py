@@ -26,6 +26,7 @@ from superjet.algebra import (
     poly_sum,
     prod,
 )
+from superjet.grammar import parse_document
 from superjet.recursion import apply_shadow
 
 from conftest import stray_coefficients
@@ -264,11 +265,21 @@ def test_integral_coefficients_are_ints():
         assert c == want and type(c) is type(want)
 
 
-def test_the_catalog_builds_canonical_coefficients_only():
+def test_the_catalog_builds_canonical_coefficients_only(monkeypatch):
     """Every value built while the catalog parses its documents, runs its
     self-checks and applies the dbous recursion three times from both
-    seeds keeps int coefficients where they are integral."""
+    seeds keeps int coefficients where they are integral.  An empty memo
+    makes every entry parse its documents inside the block, however warm
+    the shared one is."""
+    parsed = set()
+
+    def parse(text, name):
+        parsed.add(name.partition(":")[0])
+        return parse_document(text, name=name)
+
+    monkeypatch.setattr(catalog, "parse_document", parse)
     with stray_coefficients() as stray:
+        monkeypatch.setattr(catalog, "_ENTRIES", {})
         _wrap({_ONE_KEY: Q(1)})  # the check sees values that skip __init__
         assert stray == [Q(1)]
         stray.clear()
@@ -281,3 +292,4 @@ def test_the_catalog_builds_canonical_coefficients_only():
             for _step in range(3):
                 cur = apply_shadow(doc.shadows["R"], cur, ws)
     assert stray == []
+    assert parsed == set(catalog.ids())

@@ -7,12 +7,14 @@ import shlex
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from superjet import catalog, cli
 from superjet.cli import main
+from superjet.grammar import print_poly
 
 
 def run(capsys, *argv):
@@ -119,6 +121,23 @@ def test_infer_weights(capsys):
     code, out = run(capsys, "infer-weights", "--catalog", "burgers-repr")
     assert code == 0
     assert "1/2" in out
+
+
+def test_a_reused_parser_keeps_calls_independent(capsys, monkeypatch):
+    for a, b in (("eq3_4_x", "eq3_4_t"), ("eq3_4_t", "eq3_4_x")):
+        assert main(["commute", "--catalog", "burgers-repr", "--flow", a, "--flow", b]) == 0
+        assert capsys.readouterr().err == ""
+    fixes = []
+    monkeypatch.setattr(cli, "infer_weights",
+                        lambda system, fixed, params: fixes.append(fixed))
+    for pin in ("alpha=1", "f=1/2"):
+        main(["infer-weights", "--catalog", "superburg", "--fix", pin])
+    assert fixes == [{"alpha": 1}, {"f": Fraction(1, 2)}]
+    capsys.readouterr()
+    code, out = run(capsys, "verify-shadow", "--catalog", "dbous", "--shadow", "R", "--json")
+    assert code == 0 and json.loads(out)["status"] == "ok"
+    code, out = run(capsys, "verify-shadow", "--catalog", "dbous", "--shadow", "R")
+    assert code == 0 and "status: ok" in out.splitlines()
 
 
 def test_catalog_list_and_show(capsys):
@@ -347,7 +366,13 @@ def test_unweighted_parameter_is_a_usage_error(capsys, tmp_path):
     code = main(["integrate", "--file", str(doc), "--dir", "Dx",
                  "--expr", "alpha*b*b_x"])
     assert code == 2
-    assert "no weight assigned to parameter alpha" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: no weight assigned to parameter alpha\n"
+
+
+def test_unknown_catalog_id_is_a_usage_error(capsys):
+    code = main(["catalog", "show", "nosuch"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: unknown catalog entry 'nosuch'\n"
 
 
 def test_parameter_named_like_an_engine_unknown(capsys, tmp_path):
@@ -400,17 +425,40 @@ def test_options_are_attached_where_they_are_read(capsys):
     assert json.loads(out)["dimension"] == 1
 
 
+def _catalog_snapshot():
+    """What every shared catalog entry holds, in printed form."""
+    def polys(table):
+        return {getattr(k, "name", k): print_poly(p) for k, p in table.items()}
+
+    def doc_snapshot(doc):
+        return (polys(doc.equations),
+                {n: polys(fl.components) for n, fl in doc.flows.items()},
+                {n: polys(sh.components) for n, sh in doc.shadows.items()},
+                polys(doc.functionals))
+
+    out = {}
+    for cid in catalog.ids():
+        e = catalog.get(cid)
+        out[cid] = ({n: doc_snapshot(d) for n, d in e.docs.items()},
+                    dict(e.scales), [n for n, _fn in e.checks])
+    return out
+
+
 def test_readme_commands_run(capsys):
-    """Every ``superjet`` line of the README's sh blocks runs and exits 0."""
+    """Every ``superjet`` line of the README's sh blocks runs and exits 0,
+    and leaves the shared catalog entries as it found them."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     text = "".join(re.findall(r"```sh\n(.*?)```", readme, re.S)).replace("\\\n", " ")
     commands = [shlex.split(line)[1:] for line in text.splitlines()
                 if line.startswith("superjet ")]
     assert len(commands) > 10
+    assert ["catalog", "verify", "--all"] in commands
+    before = _catalog_snapshot()
     for argv in commands:
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 0, f"superjet {shlex.join(argv)}\n{captured.out}{captured.err}"
+    assert _catalog_snapshot() == before
 
 
 def test_parse_whole_document_with_a_shadow(capsys):

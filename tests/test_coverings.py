@@ -17,7 +17,6 @@ from superjet.coverings import (
 from superjet.grammar import parse_document
 from superjet.jets import Nonlocality, check_definition
 
-from conftest import cached_entry
 
 Q = Fraction
 
@@ -25,7 +24,7 @@ Q = Fraction
 def test_every_catalog_covering_is_consistent():
     checked = 0
     for entry_id in catalog.ids():
-        e = cached_entry(entry_id)
+        e = catalog.get(entry_id)
         for doc in e.docs.values():
             if not doc.nonlocals:
                 continue
@@ -39,7 +38,7 @@ def test_every_catalog_covering_is_consistent():
 
 
 def test_mutated_covering_is_detected():
-    doc = cached_entry("superburg").doc
+    doc = catalog.get("superburg").doc
     w = doc.nonlocals["w"]
     bad_defs = dict(w.defs)
     b = doc.fields["b"]
@@ -88,7 +87,7 @@ def test_phantom_names():
 
 
 def test_linearization_builds_even_flow_of_matching_parities():
-    doc = cached_entry("burgers-repr").doc
+    doc = catalog.get("burgers-repr").doc
     frame = linearize(doc.covering())
     base = frame.base
     # one phantom per field and per nonlocality, same parity as its source
@@ -113,7 +112,7 @@ def test_derived_cross_derivatives_commute_on_nonlocal_jets():
     """Dt(Dx(w)) computed through the covering equals Dx(Dt(w))."""
     from superjet.jets import dt_apply, super_derive
 
-    doc = cached_entry("superburg").doc
+    doc = catalog.get("superburg").doc
     cov = doc.covering()
     sys = cov.system
     for w in cov.nonlocals:
@@ -135,4 +134,4 @@ def test_definitions_of_the_wrong_parity_are_rejected(monkeypatch):
     flip = SuperPoly.from_gen(Theta(1))
     monkeypatch.setattr(coverings, "evolutionary_apply", lambda flow, e: e * flip)
     with pytest.raises(ParityError, match="must have parity"):
-        linearize(cached_entry("superburg").doc.covering())
+        linearize(catalog.get("superburg").doc.covering())

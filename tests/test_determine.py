@@ -8,7 +8,7 @@ from sympy.polys.matrices import DomainMatrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superjet import determine
+from superjet import catalog, determine
 from superjet.algebra import EVEN, ODD, FieldSymbol, JetVar, SuperPoly
 from superjet.determine import (
     NonlinearSystemError,
@@ -26,7 +26,6 @@ from superjet.linsolve import (
     quotient,
 )
 
-from conftest import cached_entry
 
 Q = Fraction
 
@@ -35,7 +34,7 @@ NONZERO = ("alpha", "beta", "gamma")
 
 @pytest.fixture(scope="module")
 def embed():
-    doc = cached_entry("bous-embed").doc
+    doc = catalog.get("bous-embed").doc
     return doc, doc.system(), doc.weight_system()
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from superjet import catalog
 from superjet.algebra import JetVar, SuperPoly
 from superjet.determine import extract_linear_system
 from superjet.gardner import (
@@ -22,25 +23,24 @@ from superjet.jets import substitute, substitute_params
 from superjet.linsolve import gauss_jordan
 from superjet.variational import is_conserved
 
-from conftest import cached_entry
 
 Q = Fraction
 
 
 def test_susy_kdv_deformation_is_valid():
-    e = cached_entry("skdv")
+    e = catalog.get("skdv")
     base = e.doc.system()
     assert deformation_is_valid(base, e.extras["extended"], e.extras["miura"])
 
 
 def test_hydrodynamic_deformation_is_valid():
-    e = cached_entry("hydro-bous")
+    e = catalog.get("hydro-bous")
     base = e.doc.system()
     assert deformation_is_valid(base, e.extras["extended"], e.extras["miura"])
 
 
 def test_perturbed_miura_map_fails():
-    e = cached_entry("hydro-bous")
+    e = catalog.get("hydro-bous")
     base = e.doc.system()
     miura = dict(e.extras["miura"])
     (b, w1), (c, w2) = e.extras["correspondence"]
@@ -50,7 +50,7 @@ def test_perturbed_miura_map_fails():
 
 
 def test_density_recurrence_matches_recorded_table():
-    e = cached_entry("hydro-bous")
+    e = catalog.get("hydro-bous")
     (b, w1), (c, w2) = e.extras["correspondence"]
     rows = density_recurrence(e.extras["miura"], e.extras["correspondence"], "eps", 2)
     for wf, nm in ((w1, "w1"), (w2, "w2")):
@@ -60,7 +60,7 @@ def test_density_recurrence_matches_recorded_table():
 
 
 def test_recurrence_densities_are_conserved_through_order_four():
-    e = cached_entry("hydro-bous")
+    e = catalog.get("hydro-bous")
     sys = e.doc.system()
     rows = density_recurrence(e.extras["miura"], e.extras["correspondence"], "eps", 4)
     for row in rows.values():
@@ -70,7 +70,7 @@ def test_recurrence_densities_are_conserved_through_order_four():
 
 
 def test_search_recovers_the_recorded_deformation():
-    e = cached_entry("hydro-bous")
+    e = catalog.get("hydro-bous")
     doc = e.doc
     ws = doc.weight_system()
     found = search_deformation(doc.system(), ws, doc.functionals["H"], "eps", Q(-3), 2)
@@ -180,7 +180,7 @@ def test_every_branch_satisfies_the_conditions_up_to_its_constraints(conds):
 
 @pytest.fixture(scope="module")
 def hydro_search():
-    e = cached_entry("hydro-bous")
+    e = catalog.get("hydro-bous")
     doc = e.doc
     return doc.system(), search_deformation(
         doc.system(), doc.weight_system(), doc.functionals["H"], "eps", Q(-3), 2)

@@ -23,7 +23,7 @@ from superjet.grammar import print_flow, print_poly
 from superjet.recursion import apply_shadow
 from superjet.weights import infer_weights
 
-from conftest import cached_entry, integration_ansatz_parts
+from conftest import integration_ansatz_parts
 
 Q = Fraction
 
@@ -37,7 +37,7 @@ ANSATZ_SEARCHES = ((Q(-4), EVEN), (Q(-7, 2), ODD))
 
 
 def _symmetry_searches():
-    doc = cached_entry("bous-embed").doc
+    doc = catalog.get("bous-embed").doc
     sys, ws = doc.system(), doc.weight_system()
     out = {}
     for weight, parity in SEARCHES:
@@ -51,7 +51,7 @@ def _symmetry_searches():
 def _assumed_pivots():
     """The pivots the searches with alpha, beta and gamma nonzero still
     assume nonzero, or None where the search has no ansatz."""
-    doc = cached_entry("bous-embed").doc
+    doc = catalog.get("bous-embed").doc
     sys, ws = doc.system(), doc.weight_system()
     out = {}
     for weight, parity in ASSUMED_SEARCHES:
@@ -66,7 +66,7 @@ def _cli_symmetry_searches():
     """No parameter assumed nonzero and one level of case splits, so the
     outputs depend on the pivot order and on how assumed pivots are
     normalised."""
-    doc = cached_entry("bous-embed").doc
+    doc = catalog.get("bous-embed").doc
     sys, ws = doc.system(), doc.weight_system()
     out = {}
     for weight, parity in CLI_SEARCHES:
@@ -82,7 +82,7 @@ def _cli_symmetry_searches():
 
 def _flow_ansatz_monomials():
     """The signed monomials of each component, in enumeration order."""
-    doc = cached_entry("bous-embed").doc
+    doc = catalog.get("bous-embed").doc
     sys, ws = doc.system(), doc.weight_system()
     out = {}
     for weight, parity in ANSATZ_SEARCHES:
@@ -116,7 +116,7 @@ def _recorded_integration_ansatz(log):
 def _shadow_steps():
     """Four R steps from each seed, and the integration ansatz of the
     third step from seed_x."""
-    doc = cached_entry("dbous").doc
+    doc = catalog.get("dbous").doc
     ws = doc.weight_system()
     steps = {}
     ansatz = []
@@ -134,7 +134,7 @@ def _shadow_steps():
 
 
 def _deformation_search():
-    main = cached_entry("hydro-bous").doc
+    main = catalog.get("hydro-bous").doc
     found = search_deformation(main.system(), main.weight_system(),
                                main.functionals["H"], "eps", Q(-3), 2)
     return [
@@ -149,7 +149,7 @@ def _deformation_search():
 
 
 def _density_recurrence():
-    extras = cached_entry("hydro-bous").extras
+    extras = catalog.get("hydro-bous").extras
     rows = density_recurrence(extras["miura"], extras["correspondence"], "eps", 4)
     return {w.name: [print_poly(rho) for rho in rhos] for w, rhos in rows.items()}
 
@@ -157,7 +157,7 @@ def _density_recurrence():
 def _weight_inference():
     out = {}
     for entry_id in catalog.ids():
-        doc = cached_entry(entry_id).doc
+        doc = catalog.get(entry_id).doc
         try:
             sol = infer_weights(doc.system(), param_names=tuple(doc.param_weights))
         except (KeyError, ValueError) as exc:

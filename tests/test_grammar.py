@@ -16,7 +16,6 @@ from superjet.grammar import (
 )
 from superjet.jets import super_derive
 
-from conftest import cached_entry
 
 Q = Fraction
 
@@ -78,7 +77,7 @@ def test_round_trip_over_catalog_expressions():
     """print -> parse must be the identity on every catalog expression."""
     checked = 0
     for entry_id in catalog.ids():
-        e = cached_entry(entry_id)
+        e = catalog.get(entry_id)
         for doc in e.docs.values():
             polys = list(doc.equations.values()) + list(doc.functionals.values())
             for w in doc.nonlocals.values():
@@ -93,7 +92,7 @@ def test_round_trip_over_catalog_expressions():
 
 
 def test_print_flow_lists_components():
-    doc = cached_entry("burgers-repr").doc
+    doc = catalog.get("burgers-repr").doc
     flow = doc.flows["eq3_4_x"]
     text = print_flow(flow)
     assert "f = " in text and "b = " in text

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from superjet import catalog
 from superjet.algebra import (
     D1,
     D2,
@@ -33,7 +34,6 @@ from superjet.jets import (
     super_derive,
 )
 
-from conftest import cached_entry
 
 Q = Fraction
 
@@ -105,7 +105,7 @@ def test_dx_commutes_with_d1(rng):
 
 
 def test_time_derivation_commutes_with_dx(rng):
-    sys = cached_entry("burgers-repr").doc.system()
+    sys = catalog.get("burgers-repr").doc.system()
     gens = [JetVar(u, d1, 0, m) for u in sys.fields for d1 in (0, 1) for m in (0, 1)]
     for _ in range(60):
         p = random_poly(rng, gens)
@@ -113,7 +113,7 @@ def test_time_derivation_commutes_with_dx(rng):
 
 
 def test_time_derivation_commutes_with_d1(rng):
-    sys = cached_entry("skdv").doc.system()
+    sys = catalog.get("skdv").doc.system()
     gens = [JetVar(u, d1, 0, m) for u in sys.fields for d1 in (0, 1) for m in (0, 1)]
     for _ in range(60):
         p = random_poly(rng, gens)
@@ -135,7 +135,7 @@ def test_function_factors_of_two_arguments():
 
 
 def test_check_symmetry_matches_commutator():
-    doc = cached_entry("burgers-repr").doc
+    doc = catalog.get("burgers-repr").doc
     sys = doc.system()
     good = doc.flows["eq3_4_x"]
     assert check_symmetry(sys, good).is_zero
@@ -166,7 +166,7 @@ def test_generator_equality_and_hash_fields():
 
 
 def test_evolutionary_derivation_is_even_leibniz(rng):
-    flow = cached_entry("burgers-repr").doc.flows["eq3_4_x"]
+    flow = catalog.get("burgers-repr").doc.flows["eq3_4_x"]
     gens = [JetVar(u, d1, 0, m) for u in flow.components for d1 in (0, 1) for m in (0, 1)]
     for _ in range(60):
         a = random_monomial(rng, gens)
@@ -237,7 +237,7 @@ def test_substitute_params_negative_powers():
 
 
 def test_nonlocal_jets_reduce_to_declared_values():
-    doc = cached_entry("skdv-a").doc
+    doc = catalog.get("skdv-a").doc
     for w in doc.nonlocals.values():
         for direction, value in w.defs.items():
             if direction == DX:
@@ -250,7 +250,7 @@ def test_nonlocal_jets_reduce_to_declared_values():
 
 
 def test_nonlocal_bare_jet_stays_symbolic():
-    doc = cached_entry("skdv-a").doc
+    doc = catalog.get("skdv-a").doc
     for w in doc.nonlocals.values():
         assert nonlocal_jet(w) == SuperPoly.from_gen(JetVar(w))
 

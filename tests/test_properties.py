@@ -6,6 +6,7 @@ from itertools import product
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from superjet import catalog
 from superjet.algebra import (
     DX,
     D1,
@@ -32,7 +33,7 @@ from superjet.recursion import NotIntegrableError, _substitute_phantoms, d_integ
 from superjet.variational import graded_partial
 from superjet.weights import AnsatzItem, WeightSystem, enumerate_monomials
 
-from conftest import cached_entry, is_canonical
+from conftest import is_canonical
 
 Q = Fraction
 
@@ -171,7 +172,7 @@ SYS = None
 def _system():
     global SYS
     if SYS is None:
-        SYS = cached_entry("burgers-repr").doc.system()
+        SYS = catalog.get("burgers-repr").doc.system()
     return SYS
 
 
@@ -179,7 +180,7 @@ sys_gens = st.lists(
     st.sampled_from(
         [
             JetVar(u, d1, 0, m)
-            for u in cached_entry("burgers-repr").doc.system().fields
+            for u in catalog.get("burgers-repr").doc.system().fields
             for d1 in (0, 1)
             for m in (0, 1)
         ]

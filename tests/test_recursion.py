@@ -44,7 +44,7 @@ from superjet.recursion import (
 )
 from superjet.weights import WeightSystem
 
-from conftest import cached_entry, integration_ansatz_parts
+from conftest import integration_ansatz_parts
 
 Q = Fraction
 
@@ -52,7 +52,7 @@ Q = Fraction
 def test_every_catalog_shadow_verifies():
     checked = 0
     for entry_id in catalog.ids():
-        e = cached_entry(entry_id)
+        e = catalog.get(entry_id)
         for doc in e.docs.values():
             for name, sh in doc.shadows.items():
                 residuals = verify_shadow(sh)
@@ -63,7 +63,7 @@ def test_every_catalog_shadow_verifies():
 
 
 def test_perturbed_shadow_fails():
-    doc = cached_entry("burgers-repr").doc
+    doc = catalog.get("burgers-repr").doc
     sh = doc.shadows["R"]
     f = doc.fields["f"]
     ph = sh.frame.phantoms[f]
@@ -74,7 +74,7 @@ def test_perturbed_shadow_fails():
 
 
 def test_application_reproduces_recorded_targets():
-    e = cached_entry("burgers-repr")
+    e = catalog.get("burgers-repr")
     doc = e.doc
     ws = doc.weight_system()
     for seed, target, fixture in (
@@ -87,7 +87,7 @@ def test_application_reproduces_recorded_targets():
 
 
 def test_application_with_rational_scale():
-    e = cached_entry("skdv-a")
+    e = catalog.get("skdv-a")
     doc = e.doc
     out = apply_shadow(doc.shadows["R"], doc.flows["seed_x"], doc.weight_system())
     assert e.scales["R-on-fx"] == Q(3)
@@ -95,7 +95,7 @@ def test_application_with_rational_scale():
 
 
 def test_exact_integration_round_trip(rng):
-    doc = cached_entry("skdv").doc
+    doc = catalog.get("skdv").doc
     ws = doc.weight_system()
     sys = doc.system()
     (f,) = sys.fields
@@ -112,7 +112,7 @@ def test_exact_integration_round_trip(rng):
 
 
 def test_non_integrable_density_raises():
-    doc = cached_entry("pskdv").doc
+    doc = catalog.get("pskdv").doc
     sys = doc.system()
     flux = dt_apply(sys, doc.functionals["rho2"])
     ws = doc.weight_system()
@@ -124,7 +124,7 @@ def test_non_integrable_density_raises():
 
 
 def test_no_preimage_raises_after_every_unknown_is_forced_to_zero(monkeypatch):
-    doc = cached_entry("pskdv").doc
+    doc = catalog.get("pskdv").doc
     forced = []
 
     def record(eqs):
@@ -189,7 +189,7 @@ def _record_calls(monkeypatch):
 
 def test_integration_matches_the_whole_ansatz_on_shadow_steps_and_the_catalog(monkeypatch):
     calls = _record_calls(monkeypatch)
-    doc = cached_entry("dbous").doc
+    doc = catalog.get("dbous").doc
     ws = doc.weight_system()
     for seed in ("seed_x", "seed_t"):
         iterate(doc.shadows["R"], doc.flows[seed], 4, ws)
@@ -230,7 +230,7 @@ def _component_sizes(target, direction, ws, gens, zero_weight_cap):
 
 @pytest.mark.parametrize("seed, unknowns", [("seed_x", [35, 10]), ("seed_t", [56, 13])])
 def test_integration_builds_only_the_targets_component(monkeypatch, seed, unknowns):
-    doc = cached_entry("dbous").doc
+    doc = catalog.get("dbous").doc
     ws = doc.weight_system()
     flow = iterate(doc.shadows["R"], doc.flows[seed], 2, ws)[-1]
     calls = _record_calls(monkeypatch)
@@ -254,7 +254,7 @@ def integration_problems(draw):
     """A target on a catalog entry's fields and non-local variables, with a
     weight-0 parameter alpha: the image of a random polynomial, that image
     plus a random term, or a random polynomial."""
-    doc = cached_entry(draw(st.sampled_from(ORACLE_ENTRIES))).doc
+    doc = catalog.get(draw(st.sampled_from(ORACLE_ENTRIES))).doc
     ws0 = doc.weight_system()
     ws = WeightSystem(dict(ws0.fields), {**ws0.params, "alpha": Q(0)}, ws0.t)
     gens = list(doc.system().fields)
@@ -383,7 +383,7 @@ def test_coordinate_rule_matches_the_reduced_value():
 
 
 def test_zero_order_shadows_square_to_zero():
-    doc = cached_entry("hospital-1").doc
+    doc = catalog.get("hospital-1").doc
     r1, r2, r3 = doc.shadows["R1"], doc.shadows["R2"], doc.shadows["R3"]
     for sh in (r1, r3):
         assert shadow_power(sh, 2).is_zero
@@ -394,7 +394,7 @@ def test_zero_order_shadows_square_to_zero():
 
 
 def test_compose_matches_power():
-    doc = cached_entry("hospital-1").doc
+    doc = catalog.get("hospital-1").doc
     r2 = doc.shadows["R2"]
     assert not compose(r2, r2).is_zero
     sq = compose(r2, r2)
@@ -408,7 +408,7 @@ def test_compose_matches_power():
     ("Db*F*B", "2 phantom factors"),
 ])
 def test_shadow_not_linear_in_the_phantoms_raises(b_component, message):
-    doc = cached_entry("hospital-1").doc
+    doc = catalog.get("hospital-1").doc
     r1 = doc.shadows["R1"]
     frame = r1.frame
     scope = doc.scope.child()
@@ -425,7 +425,7 @@ def test_shadow_not_linear_in_the_phantoms_raises(b_component, message):
 
 
 def test_order_helpers():
-    doc = cached_entry("burgers-repr").doc
+    doc = catalog.get("burgers-repr").doc
     flow = doc.flows["eq3_4_x"]
     assert flow_order(flow) == 2
     assert is_local(flow)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from superjet import catalog
 from superjet.algebra import D1, D2, DX, JetVar, SuperPoly, prod
 from superjet.jets import check_symmetry, dt_apply, super_derive
 from superjet.variational import (
@@ -12,7 +13,6 @@ from superjet.variational import (
     is_conserved,
 )
 
-from conftest import cached_entry
 
 Q = Fraction
 
@@ -29,7 +29,7 @@ def _random_density(rng, fields, max_len=3):
 
 
 def test_euler_annihilates_total_x_derivatives(rng):
-    fields = cached_entry("dbous").doc.system().fields
+    fields = catalog.get("dbous").doc.system().fields
     count = 0
     while count < 100:
         p = _random_density(rng, fields)
@@ -41,7 +41,7 @@ def test_euler_annihilates_total_x_derivatives(rng):
 
 
 def test_euler_annihilates_super_derivatives(rng):
-    fields = cached_entry("dbous").doc.system().fields
+    fields = catalog.get("dbous").doc.system().fields
     count = 0
     while count < 100:
         p = _random_density(rng, fields)
@@ -56,7 +56,7 @@ def test_euler_annihilates_super_derivatives(rng):
 def test_euler_annihilates_divergences_of_n2_fields(rng, direction):
     """On an N=2 superfield the Euler operator's D1, D2 and Dx signs
     annihilate the image of each direction."""
-    fields = cached_entry("n2burgers").doc.system().fields
+    fields = catalog.get("n2burgers").doc.system().fields
     gens = [JetVar(u, d1, d2, m) for u in fields
             for d1 in (0, 1) for d2 in (0, 1) for m in (0, 1, 2)]
     count = 0
@@ -71,7 +71,7 @@ def test_euler_annihilates_divergences_of_n2_fields(rng, direction):
 
 
 def test_euler_on_directed_examples():
-    doc = cached_entry("pskdv").doc
+    doc = catalog.get("pskdv").doc
     b = doc.fields["b"]
     grad = euler(doc.poly("1/2*b^2"), (b,))
     assert grad[b] == doc.poly("b")
@@ -82,7 +82,7 @@ def test_euler_on_directed_examples():
 
 
 def test_conserved_densities_of_potential_equation():
-    doc = cached_entry("pskdv").doc
+    doc = catalog.get("pskdv").doc
     sys = doc.system()
     assert is_conserved(sys, doc.functionals["rho1"])
     assert is_conserved(sys, doc.functionals["rho2"])
@@ -92,7 +92,7 @@ def test_conserved_densities_of_potential_equation():
 
 
 def test_hydrodynamic_system_is_hamiltonian():
-    e = cached_entry("hydro-bous")
+    e = catalog.get("hydro-bous")
     doc = e.doc
     sys = doc.system()
     op = e.extras["make_operator"](sys.fields)
@@ -102,7 +102,7 @@ def test_hydrodynamic_system_is_hamiltonian():
 
 
 def test_hamiltonian_hierarchy_of_susy_boussinesq():
-    e = cached_entry("dbous")
+    e = catalog.get("dbous")
     doc = e.doc
     sys = doc.system()
     op = e.extras["make_operator"](tuple(doc.fields[n] for n in ("f", "b")))

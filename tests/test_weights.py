@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+from superjet import catalog
 from superjet.algebra import EVEN, ODD, FieldSymbol, JetVar, SuperPoly
 from superjet.grammar import parse_document
 import pytest
@@ -17,7 +18,6 @@ from superjet.weights import (
     weight_of,
 )
 
-from conftest import cached_entry
 
 Q = Fraction
 
@@ -30,14 +30,14 @@ def satisfies(sol, relation, rhs) -> bool:
 
 
 def test_unique_inference_for_odd_burgers_representation():
-    sys = cached_entry("burgers-repr").doc.system()
+    sys = catalog.get("burgers-repr").doc.system()
     sol = infer_weights(sys)
     assert sol is not None and sol.unique
     assert sol.particular == {"f": Q(1, 2), "b": Q(1, 2), "t": Q(-1, 2)}
 
 
 def test_inference_recovers_declared_weights_of_boussinesq_system():
-    doc = cached_entry("dbous").doc
+    doc = catalog.get("dbous").doc
     sys = doc.system()
     # the unconstrained solution space is one-dimensional ...
     sol = infer_weights(sys)
@@ -51,7 +51,7 @@ def test_inference_recovers_declared_weights_of_boussinesq_system():
 
 
 def test_dimensional_parameter_relation_in_fermionic_burgers():
-    sys = cached_entry("superburg").doc.system()
+    sys = catalog.get("superburg").doc.system()
     sol = infer_weights(sys, param_names=("alpha",))
     assert sol is not None and not sol.unique
     # every admissible assignment satisfies [f] + 1/2 [alpha] = 1
@@ -61,7 +61,7 @@ def test_dimensional_parameter_relation_in_fermionic_burgers():
 
 
 def test_weight_system_from_solution_round_trip():
-    doc = cached_entry("superburg").doc
+    doc = catalog.get("superburg").doc
     sys = doc.system()
     sol = infer_weights(sys, fixed={"alpha": Q(0)}, param_names=("alpha",))
     assert sol is not None and sol.unique
@@ -85,7 +85,7 @@ def test_clifford_square_weighs_an_inferred_parameter():
 
 
 def test_pin_keyed_by_field_symbol():
-    doc = cached_entry("dbous").doc
+    doc = catalog.get("dbous").doc
     sys = doc.system()
     f = doc.fields["f"]
     sol = infer_weights(sys, fixed={f: doc.field_weights[f]})
@@ -114,7 +114,7 @@ def test_function_factor_blocks_inference():
 
 
 def test_mutated_equation_is_inhomogeneous():
-    doc = cached_entry("skdv").doc
+    doc = catalog.get("skdv").doc
     ws = doc.weight_system()
     sys = doc.system()
     (f,) = sys.fields
@@ -141,7 +141,7 @@ def test_weight_of_respects_products_and_parameters():
 
 
 def test_monomial_enumeration_is_homogeneous_and_graded():
-    doc = cached_entry("bous-embed").doc
+    doc = catalog.get("bous-embed").doc
     ws = doc.weight_system()
     sys = doc.system()
     for target, parity in ((Q(4), EVEN), (Q(9, 2), ODD), (Q(6), EVEN), (Q(11, 2), ODD)):
@@ -155,7 +155,7 @@ def test_monomial_enumeration_is_homogeneous_and_graded():
 
 
 def test_enumeration_has_no_duplicates():
-    doc = cached_entry("dbous").doc
+    doc = catalog.get("dbous").doc
     ws = doc.weight_system()
     sys = doc.system()
     gens = jets_up_to_weight(ws, sys.fields, Q(4))
