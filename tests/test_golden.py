@@ -1,6 +1,8 @@
 """Golden canonical outputs of catalog computations: symmetry searches
 (with the generic pivots assumed nonzero, and as the CLI runs them),
-the pivots those searches assume nonzero, the signed monomials of a flow ansatz and of an integration ansatz,
+the pivots those searches assume nonzero, the one-parameter searches of
+``quad-alpha`` and ``hospital-alpha``, the signed monomials of a flow
+ansatz and of an integration ansatz,
 shadow iteration, the Gardner deformation search, the Gardner density
 recurrence and weight inference.
 
@@ -34,6 +36,7 @@ SEARCHES = ((Q(-1), EVEN), (Q(-2), EVEN), (Q(-4), EVEN), (Q(-7, 2), ODD))
 ASSUMED_SEARCHES = tuple((Q(-k, 2), parity) for k in range(1, 13) for parity in (EVEN, ODD))
 CLI_SEARCHES = tuple((Q(-k, 2), parity) for k in range(1, 11) for parity in (EVEN, ODD))
 ANSATZ_SEARCHES = ((Q(-4), EVEN), (Q(-7, 2), ODD))
+PARAMETRIC_SEARCHES = tuple((Q(-k, 2), parity) for k in range(1, 7) for parity in (EVEN, ODD))
 
 
 def _symmetry_searches():
@@ -77,6 +80,27 @@ def _cli_symmetry_searches():
                             (res.solution.assumptions if res.solution else [])],
             "branches": [[sorted(b.zero_params), b.dim] for b in res.branches],
         }
+    return out
+
+
+def _parametric_searches(entry_id):
+    """Each search with alpha assumed nonzero, and with one level of case
+    splits, whose generic branch is the search with no assumption."""
+    doc = catalog.get(entry_id).doc
+    sys, ws = doc.system(), doc.weight_system()
+    out = {}
+    for weight, parity in PARAMETRIC_SEARCHES:
+        for mode, options in (("alpha assumed", {"assume_nonzero": ("alpha",)}),
+                              ("case split 1", {"case_split_limit": 1})):
+            res = find_symmetries(sys, ws, weight, parity, **options)
+            out[f"{weight} {'odd' if parity else 'even'}, {mode}"] = {
+                "flows": [print_flow(f) for f in res.flows],
+                "assumptions": [print_poly(a) for a in
+                                (res.solution.assumptions if res.solution else [])],
+                "branches": [[sorted(b.zero_params), b.dim,
+                              [print_poly(a) for a in b.assumptions]]
+                             for b in res.branches],
+            }
     return out
 
 
@@ -177,6 +201,8 @@ def snapshot():
         "bous-embed find_symmetries, assumed pivots": _assumed_pivots(),
         "bous-embed find_symmetries, case split 1": _cli_symmetry_searches(),
         "bous-embed flow ansatz monomials": _flow_ansatz_monomials(),
+        "quad-alpha find_symmetries": _parametric_searches("quad-alpha"),
+        "hospital-alpha find_symmetries": _parametric_searches("hospital-alpha"),
         "dbous R steps from seed_x": steps["seed_x"],
         "dbous R steps from seed_t": steps["seed_t"],
         "dbous R step 3 from seed_x, integration ansatz": ansatz,
