@@ -25,7 +25,12 @@ Sums are accumulated in place in a plain dict (``_accumulate``), so a sum
 or product costs time linear in the terms it produces.  Results built that
 way skip the constructor's filtering (``_wrap``); two invariants make that
 safe: no stored coefficient is zero, and no two values share a ``terms``
-dict.  Generators compute their hash and sort key once per instance.
+dict.  Generators are pooled (``_Pooled``): calling ``JetVar``, ``Theta`` or
+``Clifford`` again with the same arguments returns the first instance, so
+each is built, hashed and given its sort key once per process, and dict
+lookups meet the same object.  A jet is keyed on the identity of its field
+symbol, because equal non-locals may declare different values.  Equality
+and hashes stay by value, so unpooled clones (pickles, copies) still match.
 """
 
 from __future__ import annotations
@@ -59,6 +64,7 @@ class _Cached:
 
     Each dataclass sets ``__hash__ = _Cached.__hash__`` so that the decorator
     keeps it.  Pickles leave the caches out: string hashes differ by process.
+    Pooled generators compute both once per process.
     """
 
     @cached_property
@@ -105,12 +111,32 @@ class Phantom(FieldSymbol):
         return f"Phantom({self.name!r})"
 
 
+_POOL: dict = {}
+
+
+class _Pooled(type):
+    """Maps the class and its ``_pool_key`` of the arguments to the first
+    instance built, for the life of the process; a construction that raises
+    leaves nothing behind."""
+
+    def __call__(cls, *args, **kwargs):
+        key = (cls, cls._pool_key(*args, **kwargs))
+        g = _POOL.get(key)
+        if g is None:
+            g = _POOL[key] = super().__call__(*args, **kwargs)
+        return g
+
+
 @dataclass(frozen=True)
-class Theta(_Cached):
+class Theta(_Cached, metaclass=_Pooled):
     """An anticommuting independent variable theta^i (odd, squares to zero)."""
 
     __hash__ = _Cached.__hash__
     index: int
+
+    @staticmethod
+    def _pool_key(index):
+        return index
 
     @property
     def parity(self):
@@ -125,7 +151,7 @@ class Theta(_Cached):
 
 
 @dataclass(frozen=True)
-class Clifford(_Cached):
+class Clifford(_Cached, metaclass=_Pooled):
     """Odd auxiliary whose square is a declared even parameter monomial.
 
     ``square`` is a pair (rational, params) where params is a sorted tuple
@@ -135,6 +161,10 @@ class Clifford(_Cached):
     __hash__ = _Cached.__hash__
     name: str
     square: tuple = (1, ())
+
+    @staticmethod
+    def _pool_key(name, square=(1, ())):
+        return name, square
 
     @property
     def parity(self):
@@ -149,7 +179,7 @@ class Clifford(_Cached):
 
 
 @dataclass(frozen=True)
-class JetVar(_Cached):
+class JetVar(_Cached, metaclass=_Pooled):
     """A derivative coordinate D1^d1 D2^d2 Dx^m (field)."""
 
     __hash__ = _Cached.__hash__
@@ -157,6 +187,11 @@ class JetVar(_Cached):
     d1: int = 0
     d2: int = 0
     m: int = 0
+
+    @staticmethod
+    def _pool_key(fieldsym, d1=0, d2=0, m=0):
+        # the pooled jet keeps fieldsym alive, so its id is never reused
+        return id(fieldsym), d1, d2, m
 
     def __post_init__(self):
         if self.d1 not in (0, 1) or self.d2 not in (0, 1) or self.m < 0:

@@ -7,6 +7,7 @@ repeated odd factors and reducing Clifford squares.  It shares no code
 with the engine's merge-based product.
 """
 
+import dataclasses
 import pickle
 from fractions import Fraction
 
@@ -15,6 +16,8 @@ import pytest
 from superjet import catalog
 from superjet.algebra import (
     _ONE_KEY,
+    _POOL,
+    DX,
     EVEN,
     ODD,
     Clifford,
@@ -27,6 +30,7 @@ from superjet.algebra import (
     prod,
 )
 from superjet.grammar import parse_document
+from superjet.jets import Nonlocality, jet_poly
 from superjet.recursion import apply_shadow
 
 from conftest import stray_coefficients
@@ -240,6 +244,35 @@ def test_cached_hash_and_sort_key_stay_out_of_pickles():
     assert "_hash" not in vars(clone) and "_sort_key" not in vars(clone)
     assert "_hash" not in vars(clone.fieldsym)
     assert clone == g and hash(clone) == h and clone.sort_key() == key
+
+
+# ---------------------------------------------------------------------------
+# the generator pool
+
+
+def test_a_generator_is_built_once_per_arguments():
+    assert JetVar(u2, 1, 0, 2) is JetVar(u2, d1=1, m=2)
+    assert dataclasses.replace(JetVar(f, 1), m=3) is JetVar(f, 1, 0, 3)
+    assert Theta(2) is Theta(index=2)
+    assert Clifford("c", (2, ())) is Clifford("c", square=(2, ()))
+
+
+def test_equal_nonlocals_keep_their_own_jets():
+    w1 = Nonlocality("w", EVEN, 1, defs={DX: jp(b)})
+    w2 = Nonlocality("w", EVEN, 1, defs={DX: jp(b, 0, 0, 1)})
+    j1, j2 = JetVar(w1), JetVar(w2)
+    assert j1 == j2 and j1 is not j2
+    assert j1.fieldsym is w1 and j2.fieldsym is w2
+    assert jet_poly(j1.fieldsym, m=1) == jp(b)
+    assert jet_poly(j2.fieldsym, m=1) == jp(b, 0, 0, 1)
+
+
+@pytest.mark.parametrize("args", [(b, 2), (b, 0, 0, -1), (b, 0, 1), (FieldSymbol("c", EVEN, 0), 1)])
+def test_a_rejected_jet_leaves_the_pool_unchanged(args):
+    pooled = dict(_POOL)
+    with pytest.raises(ValueError):
+        JetVar(*args)
+    assert _POOL == pooled
 
 
 # ---------------------------------------------------------------------------

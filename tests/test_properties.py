@@ -1,5 +1,6 @@
 """Randomized property suites for the graded calculus."""
 
+import pickle
 from fractions import Fraction
 from itertools import product
 
@@ -27,6 +28,7 @@ from superjet.algebra import (
     term_order_key,
 )
 from superjet.coverings import is_phantom
+from superjet.grammar import print_poly
 from superjet.jets import Flow, dt_apply, evolutionary_apply, prolong, super_derive
 from superjet.linsolve import LinearEquation, NonlinearSystemError, gauss_jordan, quotient
 from superjet.recursion import NotIntegrableError, _substitute_phantoms, d_integrate
@@ -72,6 +74,22 @@ def test_graded_commutativity(a, c):
         return
     sign = -1 if (pa == ODD and pc == ODD) else 1
     assert a * c == SuperPoly.scalar(sign) * (c * a)
+
+
+# equal generators outside the pool, as pickles and copies make them
+CLONES = {g: pickle.loads(pickle.dumps(g)) for g in GENS}
+mixed_words = st.lists(st.tuples(st.sampled_from(GENS), st.booleans()), max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(coeffs, mixed_words), min_size=1, max_size=3))
+def test_unpooled_generators_give_the_same_values(terms):
+    pooled = poly_sum(prod([g for g, _ in word], c) for c, word in terms)
+    mixed = poly_sum(prod([CLONES[g] if clone else g for g, clone in word], c)
+                     for c, word in terms)
+    assert mixed == pooled and print_poly(mixed) == print_poly(pooled)
+    assert all(pooled.terms[key] == c for key, c in mixed.terms.items())
+    assert all(CLONES[g] is not g for g in GENS)
 
 
 @settings(max_examples=200, deadline=None)
