@@ -19,7 +19,11 @@ Reordering two odd factors flips the sign of the coefficient; a repeated
 odd factor annihilates the monomial, except for Clifford auxiliaries
 whose square reduces to a declared even parameter monomial.  All
 operations return fully canonical values, and every value is immutable
-after construction.
+after construction.  A ``SuperPoly``'s one other slot, ``_jets``, is a
+table of its own total derivatives that ``jets.prolong`` fills on demand:
+it only caches what the terms and the declared non-local values determine,
+starts empty in every constructor, dies with its value and is left out of
+pickles and copies.
 
 Sums are accumulated in place in a plain dict (``_accumulate``), so a sum
 or product costs time linear in the terms it produces.  Results built that
@@ -364,19 +368,26 @@ def _wrap(terms: dict) -> "SuperPoly":
     """A SuperPoly owning terms, which must be canonical, zero-free and unshared."""
     p = object.__new__(SuperPoly)
     p.terms = terms
+    p._jets = None
     return p
 
 
 class SuperPoly:
     """A canonical graded differential polynomial; its ``terms`` dict is
-    never mutated after ``__init__`` or ``_wrap`` has built it."""
+    never mutated after ``__init__`` or ``_wrap`` has built it.  ``_jets``
+    is None or the jet table of ``jets.prolong``."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_jets")
 
     def __init__(self, terms: Mapping = ()):
         d = dict(terms)
         t = {k: c for k, c in zip(d, map(rat, d.values())) if c}
         object.__setattr__(self, "terms", t)
+        object.__setattr__(self, "_jets", None)
+
+    def __reduce__(self):
+        # pickles and copies rebuild the terms and start a fresh jet table
+        return SuperPoly, (self.terms,)
 
     # -- constructors ------------------------------------------------
 

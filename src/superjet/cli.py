@@ -97,15 +97,23 @@ def _emit(args, payload, code):
         print(json.dumps(payload, indent=2, sort_keys=True, default=str))
     else:
         for k, v in payload.items():
-            if isinstance(v, list):
-                for item in v:
-                    print(f"{k}: {item}")
-            elif isinstance(v, dict):
-                for kk, vv in v.items():
-                    print(f"{k}.{kk}: {vv}")
-            else:
-                print(f"{k}: {v}")
+            for line in _plain_lines(k, v):
+                print(line)
     return code
+
+
+def _plain_lines(key, value):
+    """``key: value`` lines: a dict adds ``.name`` to the key per entry and a
+    list repeats the key per item, adding ``.i`` for an item that is itself
+    a dict or a list, so that the lines of two items stay apart."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from _plain_lines(f"{key}.{k}", v)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _plain_lines(f"{key}.{i}" if isinstance(item, (dict, list)) else key, item)
+    else:
+        yield f"{key}: {value}"
 
 
 def _flow_dict(flow):

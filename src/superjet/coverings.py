@@ -11,7 +11,7 @@ from .jets import (
     EvolutionSystem,
     Flow,
     Nonlocality,
-    check_definition,
+    declare,
     dt_apply,
     evolutionary_apply,
     super_derive,
@@ -136,9 +136,7 @@ def linearize(cov: Covering) -> PhantomFrame:
         comps[w] = SuperPoly.from_gen(JetVar(W))
         flow = Flow(dict(comps), EVEN, name="linearization")
         for d, e in w.defs.items():
-            value = evolutionary_apply(flow, e)
-            check_definition(W, d, value)
-            W.defs[d] = value
+            declare(W, d, evolutionary_apply(flow, e))
         pn[w] = W
     rhs = dict(sys.rhs)
     for u in sys.fields:

@@ -39,7 +39,15 @@ from .algebra import (
     term_order_key,
 )
 from .coverings import Covering, linearize
-from .jets import EvolutionSystem, Flow, Nonlocality, jet_poly, prolong, super_derive
+from .jets import (
+    EvolutionSystem,
+    Flow,
+    Nonlocality,
+    declare,
+    jet_poly,
+    prolong,
+    super_derive,
+)
 from .recursion import Shadow
 from .weights import WeightSystem
 
@@ -490,12 +498,10 @@ def _nonlocal_statement(p: _Parser, doc: SourceDocument) -> None:
         else:
             p.error(f"expected a derivative of {name!r}")
         p.expect("op", "=")
-        sym.defs[direction] = p.expression()
+        declare(sym, direction, p.expression())
         if not p.accept("op", ","):
             break
     p.expect("op", ";")
-    # re-run the declaration-time parity validation
-    Nonlocality(name, parity, n_susy, weight=w, defs=dict(sym.defs))
 
 
 def _components(p: _Parser, doc: SourceDocument, scope: Scope) -> dict:

@@ -13,6 +13,13 @@ Sign conventions, fixed once and verified by the test suite:
 Non-local (covering) variables carry their declared derivative values;
 jets of a non-local variable reduce through those declarations whenever
 possible, so only genuinely new coordinates survive normalization.
+
+``prolong`` keeps each jet it derives in the value's own table, so a value
+is derived once in each direction.  A declaration can change every jet
+that reduces through it, so after a ``Nonlocality`` is built, ``declare``
+is the only writer of its ``defs``: it validates the value, stores it and
+drops every jet table (through the module's epoch, which each table
+records).
 """
 
 from __future__ import annotations
@@ -62,6 +69,19 @@ class Nonlocality(FieldSymbol):
 
     def __repr__(self):
         return f"Nonlocality({self.name!r})"
+
+
+#: bumped by ``declare``; ``prolong`` drops a jet table of an older epoch
+_epoch = 0
+
+
+def declare(w: Nonlocality, direction: str, value: SuperPoly) -> None:
+    """Declare the derivative of w in direction to be value; every jet
+    derived before may have reduced through the old declarations of w."""
+    global _epoch
+    check_definition(w, direction, value)
+    w.defs[direction] = value
+    _epoch += 1
 
 
 def check_definition(w: Nonlocality, direction: str, value: SuperPoly):
@@ -186,8 +206,13 @@ def nonlocal_jet(w: Nonlocality, d1=0, d2=0, m=0) -> SuperPoly:
         return (-1 if d2 else 1) * prolong(defs[D1], 0, d2, m)
     if route == D2:
         return prolong(defs[D2], d1, 0, m)
-    d = next(d for d in (DX, D1, D2) if d in defs)
-    return prolong(defs[d] if d == DX else super_derive(defs[d], d), d1, d2, m - 1)
+    if DX in defs:
+        dx = defs[DX]
+    elif D1 in defs:
+        dx = prolong(defs[D1], 1, 0, 0)  # D1^2 = Dx
+    else:
+        dx = prolong(defs[D2], 0, 1, 0)  # D2^2 = Dx
+    return prolong(dx, d1, d2, m - 1)
 
 
 def jet_poly(sym: FieldSymbol, d1=0, d2=0, m=0) -> SuperPoly:
@@ -277,8 +302,28 @@ def apply_ops(p: SuperPoly, ops) -> SuperPoly:
 
 
 def prolong(p: SuperPoly, d1=0, d2=0, m=0) -> SuperPoly:
-    """D1^d1 D2^d2 Dx^m (p): the value at a jet of a field whose value is p."""
-    return apply_ops(p, [DX] * m + [D2] * d2 + [D1] * d1)
+    """D1^d1 D2^d2 Dx^m (p): the value at a jet of a field whose value is p.
+
+    Each jet is derived once, from the next lower one in the order Dx, D2,
+    D1 (so it equals ``apply_ops(p, [DX] * m + [D2] * d2 + [D1] * d1)``),
+    and kept in p's table until the next ``declare``.
+    """
+    if not (d1 or d2 or m):
+        return p
+    memo = p._jets
+    if memo is None or memo[0] != _epoch:
+        memo = p._jets = (_epoch, {})
+    table = memo[1]
+    out = table.get((d1, d2, m))
+    if out is None:
+        if d1:
+            out = super_derive(prolong(p, 0, d2, m), D1)
+        elif d2:
+            out = super_derive(prolong(p, 0, 0, m), D2)
+        else:
+            out = super_derive(prolong(p, 0, 0, m - 1), DX)
+        table[(d1, d2, m)] = out
+    return out
 
 
 def _prolonged(value_of):

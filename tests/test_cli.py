@@ -123,6 +123,28 @@ def test_infer_weights(capsys):
     assert "1/2" in out
 
 
+def test_a_list_of_dicts_prints_one_numbered_line_per_entry(capsys, tmp_path):
+    """Plain text numbers the items of a list of dicts and prints their
+    entries as ``key.i.name: value``; ``--json`` keeps the list."""
+    doc = tmp_path / "doc.sj"
+    doc.write_text("field b even susy 1 weight 1; param alpha; time weight -3; b_t = b_xxx;")
+    code, out = run(capsys, "infer-weights", "--file", str(doc))
+    assert code == 0
+    assert out.splitlines() == ["weights.b: 0", "weights.t: -3", "weights.alpha: 0",
+                                "unique: False", "freedom.0.b: 1", "freedom.1.alpha: 1",
+                                "status: ok"]
+    code, out = run(capsys, "infer-weights", "--file", str(doc), "--json")
+    assert json.loads(out)["freedom"] == [{"b": "1"}, {"alpha": "1"}]
+
+
+def test_plain_text_flattens_nested_lists_and_dicts(capsys):
+    code, out = run(capsys, "find-symmetries", "--catalog", "bous-embed",
+                    "--weight=-1/2..-1", "--parity", "even")
+    assert code == 0
+    assert "{" not in out and "[" not in out
+    assert "rows.1.flows.0.b: b_x" in out.splitlines()
+
+
 def test_a_reused_parser_keeps_calls_independent(capsys, monkeypatch):
     for a, b in (("eq3_4_x", "eq3_4_t"), ("eq3_4_t", "eq3_4_x")):
         assert main(["commute", "--catalog", "burgers-repr", "--flow", a, "--flow", b]) == 0

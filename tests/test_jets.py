@@ -1,5 +1,7 @@
 """Derivations on jet space: Leibniz rules, direction algebra, flows."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -25,10 +27,12 @@ from superjet.jets import (
     apply_ops,
     check_symmetry,
     commutator,
+    declare,
     dt_apply,
     evolutionary_apply,
     jet_poly,
     nonlocal_jet,
+    prolong,
     substitute,
     substitute_params,
     super_derive,
@@ -277,3 +281,63 @@ def test_a_negative_power_of_a_rational_is_exact(exp, value, want):
     p = SuperPoly.param("a", exp) * SuperPoly.from_gen(JetVar(b))
     (c,) = substitute_params(p, {"a": value}).terms.values()
     assert c == want and type(c) is type(want)
+
+
+# ---------------------------------------------------------------------------
+# the jet table of a value (``prolong``)
+
+
+def _gens_of(sym, n=4):
+    return [SuperPoly.from_gen(JetVar(sym, 0, 0, m)) for m in range(n)]
+
+
+def test_a_later_declaration_refreshes_the_memoized_jets():
+    """Jets memoized while w_x was a coordinate reduce through its
+    declaration once it is made."""
+    w = Nonlocality("w", EVEN, 1)
+    bb = SuperPoly.from_gen(JetVar(b))
+    p = jet_poly(w) * bb + jet_poly(w, d1=1) * JetVar(f)
+    stale = {jet: prolong(p, *jet) for jet in ((0, 0, 1), (1, 0, 2), (0, 0, 3))}
+    assert JetVar(w, 0, 0, 1) in stale[(0, 0, 1)].generators()
+    declare(w, DX, bb * bb)
+    for (d1, d2, m), old in stale.items():
+        fresh = apply_ops(p, [DX] * m + [D1] * d1)
+        assert prolong(p, d1, d2, m) == fresh != old
+        assert all(g.fieldsym is not w or not g.m for g in fresh.generators())
+
+
+@pytest.mark.parametrize("clone", [
+    lambda p: pickle.loads(pickle.dumps(p)), copy.copy, copy.deepcopy])
+def test_a_pickle_or_copy_carries_no_jet_table(clone):
+    p = SuperPoly.from_gen(JetVar(b, 1, 0, 0)) * JetVar(f) + Q(1, 2)
+    filled = prolong(p, 1, 0, 1)
+    c = clone(p)
+    assert c == p and c.terms == p.terms and c.terms is not p.terms
+    assert c._jets is None
+    assert prolong(c, 1, 0, 1) == filled and prolong(c, 1, 0, 1) is not filled
+    assert prolong(p, 1, 0, 1) is filled
+
+
+def test_every_constructor_starts_an_empty_jet_table():
+    x = SuperPoly.from_gen(JetVar(b))
+    prolong(x, 1, 0, 1)
+    built = [
+        SuperPoly({((), (), (), ()): 2}), SuperPoly.zero(), SuperPoly.scalar(3),
+        SuperPoly.param("alpha"), SuperPoly.from_gen(JetVar(b)), x + x, x * x, -x,
+        x - 1, x / 2, super_derive(x, D1), prolong(x, 0, 0, 1), substitute(x, {b: x * x}),
+    ]
+    assert all(p._jets is None for p in built)
+
+
+def test_declare_validates_before_it_writes():
+    w = Nonlocality("w", EVEN, 1)
+    even = SuperPoly.from_gen(JetVar(b))
+    with pytest.raises(ParityError):
+        declare(w, D1, even)  # D1 of an even variable is odd
+    with pytest.raises(ParityError):
+        declare(w, DX, SuperPoly.from_gen(JetVar(f)))
+    with pytest.raises(ValueError, match="unknown direction"):
+        declare(w, "Dy", even)
+    assert w.defs == {}
+    declare(w, DX, even)
+    assert w.defs == {DX: even}

@@ -29,7 +29,7 @@ from superjet.algebra import (
 )
 from superjet.coverings import is_phantom
 from superjet.grammar import print_poly
-from superjet.jets import Flow, dt_apply, evolutionary_apply, prolong, super_derive
+from superjet.jets import Flow, apply_ops, dt_apply, evolutionary_apply, prolong, super_derive
 from superjet.linsolve import LinearEquation, NonlinearSystemError, gauss_jordan, quotient
 from superjet.recursion import NotIntegrableError, _substitute_phantoms, d_integrate
 from superjet.variational import graded_partial
@@ -351,3 +351,28 @@ def test_phantom_substitution_matches_the_key_walk(parity, expr, data):
               for u, U in PHANTOMS.items()}
     (got,) = _substitute_phantoms({b: expr}, values, parity).values()
     assert got == _phantom_oracle(expr, values)
+
+
+# dbous declares D(w) = f and v_x = b: jets of w and v reduce through them
+DBOUS = catalog.get("dbous").doc
+DBOUS_GENS = [JetVar(u, d1, 0, m) for u in DBOUS.fields.values()
+              for d1 in (0, 1) for m in (0, 1)]
+DBOUS_GENS += [JetVar(w) for w in DBOUS.nonlocals.values()]
+dbous_values = st.one_of(
+    st.sampled_from([p for w in DBOUS.nonlocals.values() for p in w.defs.values()]),
+    st.lists(st.tuples(coeffs, st.lists(st.sampled_from(DBOUS_GENS), min_size=1, max_size=3)),
+             min_size=1, max_size=3).map(lambda ts: poly_sum(prod(g, c) for c, g in ts)),
+)
+jet_indices = st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(polys, dbous_values), st.lists(jet_indices, min_size=1, max_size=6))
+def test_prolong_matches_apply_ops_in_any_order(p, requests):
+    """A memoized jet is the from-scratch one term for term, in the same
+    order, whichever jets of the value were asked for before."""
+    for d1, d2, m in requests:
+        got = prolong(p, d1, d2, m)
+        want = apply_ops(p, [DX] * m + [D2] * d2 + [D1] * d1)
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert prolong(p, d1, d2, m) is got

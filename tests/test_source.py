@@ -75,3 +75,31 @@ def test_every_public_definition_has_a_caller():
             if refs[node.name] == own and not re.search(rf"\b{node.name}\b", readme):
                 unused.add(f"{path.stem}.{qualified}")
     assert unused == ONLY_TESTS_USE, f"used by the tests alone: {sorted(unused)}"
+
+
+def _writes_to_defs(tree):
+    """The enclosing function names of every statement that stores into, or
+    calls a mutating method of, a ``.defs`` mapping."""
+    mutators = {"update", "setdefault", "pop", "popitem", "clear", "__setitem__"}
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for n in ast.walk(fn):
+            targets = []
+            if isinstance(n, (ast.Assign, ast.AugAssign, ast.Delete)):
+                targets = n.targets if hasattr(n, "targets") else [n.target]
+            elif (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                  and n.func.attr in mutators):
+                targets = [n.func.value]
+            for t in targets:
+                t = t.value if isinstance(t, ast.Subscript) else t
+                if isinstance(t, ast.Attribute) and t.attr == "defs":
+                    yield fn.name
+
+
+def test_declared_values_are_written_only_by_declare():
+    """Memoized jets stay valid only if every change to a non-local's
+    declarations goes through ``jets.declare``."""
+    writers = {(path.stem, name) for path in SOURCES
+               for name in _writes_to_defs(ast.parse(path.read_text(), str(path)))}
+    assert writers == {("jets", "declare")}
