@@ -203,7 +203,8 @@ def nonlocal_jet(w: Nonlocality, d1=0, d2=0, m=0) -> SuperPoly:
     if route is None:
         return SuperPoly.from_gen(JetVar(w, d1, d2, m))
     if route == D1:
-        return (-1 if d2 else 1) * prolong(defs[D1], 0, d2, m)
+        out = prolong(defs[D1], 0, d2, m)
+        return -out if d2 else out
     if route == D2:
         return prolong(defs[D2], d1, 0, m)
     if DX in defs:
@@ -235,7 +236,8 @@ def _derive_gen(g, direction) -> SuperPoly:
         # D_i = D_theta^i + theta^i Dx on a theta^i-independent field
         return SuperPoly.from_gen(Theta(idx)) * _derive_gen(g, DX)
     d1, d2, m, sign = _flag_step(g.d1, g.d2, g.m, direction)
-    return sign * jet_poly(sym, d1, d2, m)
+    out = jet_poly(sym, d1, d2, m)
+    return out if sign == 1 else -out
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,11 @@ the images of single generators, computed once per call, and nothing
 else is enumerated or differentiated.  Solving the component with its
 columns in term order gives the same preimage as solving the whole
 system.
+
+Along an odd direction D, D^2 = Dx turns D(g) = f into Dx(g) = D(f),
+whose component is much smaller, so ``d_integrate`` solves that system
+first and keeps its solution only where guards prove it is the direct
+D-preimage; elsewhere it solves the D system as before.
 """
 
 from __future__ import annotations
@@ -34,7 +39,10 @@ from .jets import (
     _derive_gen,
     dt_apply,
     evolutionary_apply,
+    jet_poly,
+    prolong,
     reduction,
+    super_derive,
 )
 from .linsolve import LinearEquation, NonlinearSystemError, gauss_jordan
 from .weights import (
@@ -105,50 +113,133 @@ def d_integrate(
 
     The preimage is sought as a homogeneous polynomial ansatz over the
     admissible jets of the given symbols (those of ``items_from_gens``);
-    raises NotIntegrableError when no such preimage exists.  Only the
-    target's component of the system is built (``_component``): the
-    ansatz monomials linked to the target through shared monomials of
-    their images.  Everything outside it is homogeneous and shares no
-    unknown or equation with it, and Gauss-Jordan takes pivots column by
-    column, so with the columns in term order, as the whole ansatz had
-    them, the preimage is the one the whole ansatz gives.  Unknowns that
-    the equations force to zero (``_forced_zero``) are dropped from the
-    rows before the rest are solved for.
+    raises NotIntegrableError when no such preimage exists.  Each weight
+    and parity part is solved on its own component (``_integrate_part``).
+
+    Along D (D1 or D2) the call first tries the Dx system of D(target),
+    which is much smaller (``_through_dx``), and returns its solution h
+    only when h is provably the preimage the direct D path gives;
+    otherwise it takes the direct path.  For one part f, both paths use
+    the same ansatz A: D(f) has weight [f] + 1/2 and the other parity, so
+    its Dx-preimages have the weight and parity of f's D-preimages.  The
+    guards are
+
+    (i) no symbol of ``gens`` has a Dx-jet that reduces to 0;
+    (ii) the Dx system of every part is consistent, its solution is a
+        Laurent polynomial, and it has no free column once the forced
+        zeros are dropped;
+    (iii) D(h) = f for every part;
+    (iv) D(D(g)) = Dx(g) for every non-local jet g of the ansatz.
+
+    The argument, for one part, with C the Dx-component of D(f) and p
+    the direct answer (the particular solution of f's D-component):
+
+    * D^2 = Dx on A, since both are even derivations that agree on A's
+      generators: local jets by the index rule, non-local ones by (iv).
+      So ker D is inside ker Dx on A.
+    * A vector of A splits into its part on C and the rest, whose
+      Dx-images share no monomial (C is a whole component).  So a b in
+      ker D has Dx(b) = 0, hence Dx(b on C) = 0, and (ii) makes b vanish
+      on C.
+    * h lives on C and D(h) = f (iii), so the part of h off f's
+      D-component is in ker D and on C, hence 0: h solves the direct
+      system.  Then p - h is in ker D, so p = h on C, and the direct
+      answer minus h lies outside C and in ker D.
+    * Each column the direct solve leaves free carries a basis vector of
+      ker D, which vanishes on C, so the column lies off C and h is 0
+      there, like p.  Two solutions of the direct system (both 0 on its
+      forced columns) that agree on every free column are equal, so
+      p = h.
+
+    The argument treats the parameters as indeterminates, as both solves
+    do, so an assumed pivot counts as nonzero; what holds for particular
+    parameter values is left out, as on the direct path.  Guard (i) is
+    not used: it refuses the route up front on coverings such as
+    ``D(v) = 0``, whose Dx-closed potentials make ker Dx large.  A failed
+    guard proves nothing, so the route never decides that a target has
+    no preimage; the direct path does.
     """
     if target.is_zero:
         return SuperPoly.zero()
-    shift = Q(1) if direction == DX else Q(1, 2)
     parts = []
     for wt, whole in sorted(split_by_weight(ws, target).items()):
-        want_wt = wt - shift
+        want_wt = wt - _shift(direction)
         jets = [g for g in jets_up_to_weight(ws, gens, want_wt) if _is_new_coordinate(g)]
         items = items_from_gens(ws, jets, want_wt, zero_weight_cap)
-        for par, part in enumerate(whole.parity_report()):
-            if part.is_zero:
-                continue
-            want_par = par if direction == DX else (par + 1) % 2
-            component = _component(_by_monomial(part), direction, items, want_wt, want_par)
-            monos = sorted(component, key=term_order_key)
-            eqs = _equations(part, [component[m] for m in monos])
-            zero = _forced_zero(eqs)
-            red = gauss_jordan([LinearEquation({c: v for c, v in eq.coeffs.items()
-                                                if c not in zero}, eq.const) for eq in eqs],
-                               range(len(monos)))
-            if red.leftover:
-                raise NotIntegrableError(
-                    f"no exact {direction}-preimage of weight {wt} part"
-                )
-            try:
-                values = red.particular
-            except NonlinearSystemError:
-                raise NotIntegrableError(
-                    f"the {direction}-preimage of weight {wt} part has a coefficient "
-                    "that is not a Laurent polynomial in the parameters"
-                ) from None
-            parts.append(poly_sum(
-                v * _wrap({monos[c]: 1}) for c, v in values.items() if not v.is_zero
-            ))
-    return poly_sum(parts)
+        parts += [(part, wt, items) for part in whole.parity_report() if not part.is_zero]
+    if direction != DX:
+        routed = _through_dx(parts, direction, gens)
+        if routed is not None:
+            return routed
+    return poly_sum(_integrate_part(part, direction, wt, items)[0]
+                    for part, wt, items in parts)
+
+
+def _shift(direction) -> Fraction:
+    """The weight of the direction."""
+    return Q(1) if direction == DX else Q(1, 2)
+
+
+def _through_dx(parts, direction, gens) -> Optional[SuperPoly]:
+    """The D-preimage of the parts found as Dx-preimages of their
+    D-images, or None unless guards (i)-(iv) of ``d_integrate`` hold."""
+    if any(jet_poly(s, 0, 0, 1).is_zero for s in gens):
+        return None
+    twice = (1, 0, 0) if direction == D1 else (0, 1, 0)
+    out = []
+    for part, wt, items in parts:
+        for it in items:
+            g = it.factor
+            if (isinstance(g.fieldsym, Nonlocality)
+                    and prolong(_derive_gen(g, direction), *twice) != _derive_gen(g, DX)):
+                return None
+        image = super_derive(part, direction)
+        if image.is_zero:
+            return None
+        try:
+            h, unique = _integrate_part(image, DX, wt + _shift(direction), items)
+        except NotIntegrableError:
+            return None
+        if not unique or super_derive(h, direction) != part:
+            return None
+        out.append(h)
+    return poly_sum(out)
+
+
+def _integrate_part(part: SuperPoly, direction, wt, items) -> tuple:
+    """The preimage of one part of weight wt and one parity from the
+    part's component (``_component``), and whether it is the component's
+    only one.
+
+    Everything outside the component is homogeneous and shares no
+    unknown or equation with it, and Gauss-Jordan takes pivots column by
+    column, so with the columns in term order, as the whole ansatz had
+    them, the preimage is the one the whole ansatz gives.  Unknowns that
+    the equations force to zero (``_forced_zero``) are dropped before the
+    rest are solved for, so the preimage is unique exactly when no
+    column is left free.  Raises NotIntegrableError when the component
+    has no solution, or none with Laurent coefficients.
+    """
+    want_par = (part.parity() + (direction != DX)) % 2
+    component = _component(_by_monomial(part), direction, items, wt - _shift(direction),
+                           want_par)
+    monos = sorted(component, key=term_order_key)
+    eqs = _equations(part, [component[m] for m in monos])
+    zero = _forced_zero(eqs)
+    red = gauss_jordan([LinearEquation({c: v for c, v in eq.coeffs.items() if c not in zero},
+                                       eq.const) for eq in eqs],
+                       [c for c in range(len(monos)) if c not in zero])
+    if red.leftover:
+        raise NotIntegrableError(f"no exact {direction}-preimage of weight {wt} part")
+    try:
+        values = red.particular
+    except NonlinearSystemError:
+        raise NotIntegrableError(
+            f"the {direction}-preimage of weight {wt} part has a coefficient "
+            "that is not a Laurent polynomial in the parameters"
+        ) from None
+    return (poly_sum(v * _wrap({monos[c]: 1}) for c, v in values.items() if not v.is_zero),
+            not red.basis)
 
 
 def _by_monomial(p: SuperPoly) -> dict:

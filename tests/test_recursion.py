@@ -228,8 +228,24 @@ def _component_sizes(target, direction, ws, gens, zero_weight_cap):
     return out
 
 
-@pytest.mark.parametrize("seed, unknowns", [("seed_x", [35, 10]), ("seed_t", [56, 13])])
+def _record_parts(monkeypatch):
+    """The direction of every part system that ``d_integrate`` solves."""
+    directions = []
+    real = recursion._integrate_part
+
+    def record(part, direction, *args):
+        directions.append(direction)
+        return real(part, direction, *args)
+
+    monkeypatch.setattr(recursion, "_integrate_part", record)
+    return directions
+
+
+@pytest.mark.parametrize("seed, unknowns", [("seed_x", [13, 10]), ("seed_t", [18, 13])])
 def test_integration_builds_only_the_targets_component(monkeypatch, seed, unknowns):
+    """Every system built is the target's component of the whole-ansatz
+    system; a D1 call that takes the route builds the Dx system of
+    D1(target) instead of the D1 system of the target."""
     doc = catalog.get("dbous").doc
     ws = doc.weight_system()
     flow = iterate(doc.shadows["R"], doc.flows[seed], 2, ws)[-1]
@@ -242,24 +258,57 @@ def test_integration_builds_only_the_targets_component(monkeypatch, seed, unknow
 
     monkeypatch.setattr(recursion, "_forced_zero", record)
     apply_shadow(doc.shadows["R"], flow, ws)
-    assert systems == [size for args in calls for size in _component_sizes(*args[:5])]
+    assert [args[1] for args in calls] == [D1, DX]
+    want = []
+    for target, direction, *rest in calls:
+        if direction == D1:
+            target, direction = super_derive(target, D1), DX
+        want += _component_sizes(target, direction, *rest)
+    assert systems == want
     assert [n for n, _eqs in systems] == unknowns
+
+
+def test_every_d1_call_of_the_dbous_steps_takes_the_route(monkeypatch):
+    calls = _record_calls(monkeypatch)
+    solved = _record_parts(monkeypatch)
+    doc = catalog.get("dbous").doc
+    ws = doc.weight_system()
+    for seed in ("seed_x", "seed_t"):
+        iterate(doc.shadows["R"], doc.flows[seed], 4, ws)
+    assert [args[1] for args in calls].count(D1) == 8
+    assert D1 not in solved and solved.count(DX) >= 16
 
 
 ORACLE_ENTRIES = ("skdv", "dbous", "pskdv", "skdv-a")
 
+# two potentials of one field, so v - w (or Dv - Dw) has zero derivative;
+# a potential p of Du, so Dp - u has zero derivative
+DEPENDENT_COVERINGS = {
+    "x-potential of Du": parse_document(
+        "field u even susy 1 weight 1;\nnonlocal p odd weight 1/2: p_x = Du;\nu_t = u_xxx;\n"),
+    "x-potentials": parse_document(
+        "field u even susy 1 weight 1;\nnonlocal v even weight 0: v_x = u;\n"
+        "nonlocal w even weight 0: w_x = u;\nu_t = u_xxx;\n"),
+    "D-potentials": parse_document(
+        "field f odd susy 1 weight 1/2;\nnonlocal v even weight 0: D(v) = f;\n"
+        "nonlocal w even weight 0: D(w) = f;\nf_t = f_xxx;\n"),
+}
+
 
 @st.composite
 def integration_problems(draw):
-    """A target on a catalog entry's fields and non-local variables, with a
-    weight-0 parameter alpha: the image of a random polynomial, that image
-    plus a random term, or a random polynomial."""
-    doc = catalog.get(draw(st.sampled_from(ORACLE_ENTRIES))).doc
+    """A target on the fields and non-local variables of a catalog entry or
+    of a covering with dependent potentials, with a weight-0 parameter
+    alpha: the image of a random polynomial, that image plus a random
+    term, or a random polynomial."""
+    source = draw(st.sampled_from(ORACLE_ENTRIES + tuple(DEPENDENT_COVERINGS)))
+    doc = DEPENDENT_COVERINGS[source] if source in DEPENDENT_COVERINGS else catalog.get(source).doc
     ws0 = doc.weight_system()
     ws = WeightSystem(dict(ws0.fields), {**ws0.params, "alpha": Q(0)}, ws0.t)
     gens = list(doc.system().fields)
     for sh in doc.shadows.values():
         gens += [w for w in sh.frame.covering.nonlocals if w not in gens]
+    gens += [w for w in doc.nonlocals.values() if w not in gens]
     jets = [jet_poly(u, d1, 0, m) for u in gens for d1 in (0, 1) for m in (0, 1, 2)]
     factors = st.lists(st.sampled_from(jets), min_size=1, max_size=2)
     scalars = st.sampled_from([SuperPoly.scalar(c) for c in (1, -2, Q(1, 3))]
@@ -287,15 +336,55 @@ DEGENERATE_COVERING = parse_document(
 
 @pytest.mark.parametrize("target, preimage", [
     ("v", "w"), ("v + D(u)", "u + w"), ("D(w*u)", "u*w"), ("u*v", None)])
-def test_integration_on_a_degenerate_covering_matches_the_whole_ansatz(target, preimage):
+def test_integration_on_a_degenerate_covering_matches_the_whole_ansatz(
+        monkeypatch, target, preimage):
     """D(v) = 0 and D(w) = v, so v and w have zero x-derivatives; D1 still
-    integrates v to w."""
+    integrates v to w, on the direct path."""
     doc = DEGENERATE_COVERING
     args = (doc.poly(target), D1, doc.weight_system(),
             [*doc.fields.values(), *doc.nonlocals.values()])
     want = NotIntegrableError if preimage is None else doc.poly(preimage)
     assert _outcome(_reference_integrate, *args) == want
+    solved = _record_parts(monkeypatch)
     assert _outcome(d_integrate, *args) == want
+    assert solved and set(solved) == {D1}
+
+
+@pytest.mark.parametrize("covering, target, routed", [
+    ("x-potentials", "u", False), ("x-potentials", "D(u*v)", True),
+    ("x-potentials", "Du*v", False), ("x-potentials", "D(v*w)", False),
+    ("x-potentials", "D(Dv*Dw)", True), ("x-potentials", "u_x*Dv", True),
+    ("x-potentials", "Du*(v - w)", True), ("x-potentials", "v*Dv", False),
+    ("x-potential of Du", "u", False), ("x-potential of Du", "Dp + D(u*p)", True),
+    ("D-potentials", "f", False), ("D-potentials", "D(v*w)", False),
+    ("D-potentials", "f*(v - w)", False), ("D-potentials", "D(f*v)", True),
+    ("D-potentials", "D(Df*v)", True), ("D-potentials", "f*v^2", False),
+    ("D-potentials", "D(f*f_x*v)", True)])
+def test_integration_with_dependent_potentials_matches_the_whole_ansatz(
+        monkeypatch, covering, target, routed):
+    """v - w, Dv - Dw or Dp - u lies in the kernel of D, so the D1 system
+    may have a free column, and a target may have a D-image with a
+    Dx-preimage but no D-preimage; the route is taken only where its
+    answer is the direct one."""
+    doc = DEPENDENT_COVERINGS[covering]
+    args = (doc.poly(target), D1, doc.weight_system(),
+            [*doc.fields.values(), *doc.nonlocals.values()])
+    solved = _record_parts(monkeypatch)
+    assert _outcome(d_integrate, *args) == _outcome(_reference_integrate, *args)
+    assert (D1 not in solved) == routed
+
+
+def test_integration_on_an_inconsistent_covering_takes_the_direct_path(monkeypatch):
+    """D(v) = f but v_x = 2*Df, so D^2 = Dx fails on v, and the route, whose
+    argument needs it on every non-local jet of the ansatz, is refused even
+    for a target that v plays no part in."""
+    doc = parse_document("field f odd susy 1 weight 1/2;\n"
+                         "nonlocal v even weight 0: D(v) = f, v_x = 2*Df;\nf_t = f_xxx;\n")
+    args = (doc.poly("D(f*f_x)"), D1, doc.weight_system(),
+            [*doc.fields.values(), *doc.nonlocals.values()])
+    solved = _record_parts(monkeypatch)
+    assert _outcome(d_integrate, *args) == doc.poly("f*f_x") == _reference_integrate(*args)
+    assert solved == [D1]
 
 
 @pytest.mark.parametrize("weight, others", [(Q(0), 1), (Q(-1), 3)])
