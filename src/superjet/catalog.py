@@ -2,11 +2,11 @@
 
 Each entry bundles one or more grammar documents (system, coverings,
 flows, shadows, functionals), any extra structures that the grammar
-does not express (Hamiltonian operators, deformation data, recorded
-rational scales), and a list of self-checks.  ``get(id)`` builds an
-entry once per process and hands every caller that same entry, so
-nothing may write to an entry after its builder returns.  ``verify(id)``
-runs the checks and reports one line per check.
+does not express (the direction of a Hamiltonian structure, deformation
+data, recorded rational scales), and a list of self-checks.  ``get(id)``
+builds an entry once per process and hands every caller that same entry,
+so nothing may write to an entry after its builder returns.
+``verify(id)`` runs the checks and reports one line per check.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .recursion import (
     shadow_is_valid,
     shadow_power,
 )
-from .variational import antidiagonal, hamiltonian_flow, is_conserved
+from .variational import hamiltonian_flow, is_conserved
 from .weights import infer_weights, weight_of
 
 Q = Fraction
@@ -374,7 +374,7 @@ shadow R2 using w, v:
             w: doc.poly("Dx(Dx(w)) + Dx(vt)*Dx(w)"),
             vt: doc.poly("Dx(Dx(vt)) + 1/2*Dx(vt)^2"),
         }
-        res = derived_equation_check(doc.covering(), rhs)
+        res = derived_equation_check(rhs)
         ok = all(r.is_zero for r in res.values())
         return _ok(ok, "potentials satisfy the potential Burgers system",
                    "derived potential system fails")
@@ -455,10 +455,6 @@ flow burg: b = D1(D2(b_x)) + b*b_x;
     return e
 
 
-def _dbous_operator(fields):
-    return antidiagonal(fields, D1, "odd-antidiagonal")
-
-
 def _dbous():
     e = _base("dbous", "dispersionless Boussinesq superfield system", {
         "main": """
@@ -483,7 +479,7 @@ functional H2_1: 1/2*Df^2 + 1/6*b^3;
 functional H2_2: 1/6*Df^3 + 1/6*b^3*Df;
 """,
     })
-    e.extras["make_operator"] = _dbous_operator
+    e.extras["operator"] = D1  # the odd (0 D; D 0)
     e.add_check("covering", _covering_consistent(e))
     e.add_check("shadow-R", _shadow_valid(e, "R"))
     for nm in ("eq4_9_x", "eq4_9_t"):
@@ -511,8 +507,7 @@ functional H2_2: 1/6*Df^3 + 1/6*b^3*Df;
     def hamiltonian_hierarchy():
         doc = e.doc
         sys = doc.system()
-        f, b = doc.fields["f"], doc.fields["b"]
-        op = _dbous_operator((f, b))
+        fields = (doc.fields["f"], doc.fields["b"])
         expected = {
             "H1_0": None, "H2_0": None,  # Casimirs
             "H1_1": doc.flows["seed_x"],
@@ -521,7 +516,7 @@ functional H2_2: 1/6*Df^3 + 1/6*b^3*Df;
             "H2_2": doc.flows["eq4_9_t"],
         }
         for nm, want in expected.items():
-            fl = hamiltonian_flow(op, doc.functionals[nm])
+            fl = hamiltonian_flow(fields, e.extras["operator"], doc.functionals[nm])
             if want is None:
                 if not fl.is_zero:
                     return False, f"{nm} is not a Casimir"
@@ -589,15 +584,11 @@ functional Hbar: 1/6*w1^3 + 1/2*w2^2 + 1/6*eps*w2^3;
         nm: [parse_expression(s, main.scope) for s in lst]
         for nm, lst in densities_src.items()
     }
-
-    def op0(fields):
-        return antidiagonal(fields, DX, "antidiagonal-Dx")
-
-    e.extras["make_operator"] = op0
+    e.extras["operator"] = DX
 
     def hamiltonian_form():
         sys = main.system()
-        fl = hamiltonian_flow(op0((b, c)), main.functionals["H"])
+        fl = hamiltonian_flow((b, c), e.extras["operator"], main.functionals["H"])
         ok = all((fl.components[u] - sys.rhs[u]).is_zero for u in sys.fields)
         return _ok(ok, "system equals the Hamiltonian flow of H",
                    "Hamiltonian form mismatch")

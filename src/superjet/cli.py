@@ -15,7 +15,7 @@ import traceback
 from fractions import Fraction
 
 from . import catalog
-from .algebra import D1, D2, DX, EVEN, ODD, ParityError, UnknownNameError
+from .algebra import D1, DX, EVEN, ODD, ParityError, UnknownNameError
 from .coverings import check_covering
 from .determine import find_symmetries
 from .gardner import (
@@ -24,6 +24,7 @@ from .gardner import (
     verify_deformation,
 )
 from .grammar import (
+    DERIV_WORDS,
     SyntaxErrorWithPos,
     UndeclaredSymbolError,
     parse_document,
@@ -46,12 +47,10 @@ from .recursion import (
     nilpotency_order,
     verify_shadow,
 )
-from .variational import antidiagonal, euler, hamiltonian_flow
+from .variational import euler, hamiltonian_flow
 from .weights import InhomogeneousError, infer_weights
 
 Q = Fraction
-
-_DIRECTIONS = {"D": D1, "D1": D1, "D2": D2, "Dx": DX}
 
 
 class UsageError(Exception):
@@ -147,7 +146,7 @@ def cmd_derive(args):
     doc, _ = _load_doc(args)
     p = parse_expression(args.expr, doc.scope)
     for _ in range(args.times):
-        p = super_derive(p, _DIRECTIONS[args.dir])
+        p = super_derive(p, DERIV_WORDS[args.dir])
     return _emit(args, {"result": print_poly(p)}, 0)
 
 
@@ -304,7 +303,7 @@ def cmd_integrate(args):
     p = parse_expression(args.expr, doc.scope)
     gens = list(doc.fields.values()) + list(doc.nonlocals.values())
     try:
-        out = d_integrate(p, _DIRECTIONS[args.dir], doc.weight_system(), gens, args.max_degree)
+        out = d_integrate(p, DERIV_WORDS[args.dir], doc.weight_system(), gens, args.max_degree)
     except NotIntegrableError as exc:
         return _emit(args, {"error": str(exc)}, 1)
     return _emit(args, {"preimage": print_poly(out)}, 0)
@@ -319,7 +318,7 @@ def cmd_conserved(args):
     flux_src = dt_apply(doc.system(), rho)
     gens = list(doc.fields.values()) + list(doc.nonlocals.values())
     try:
-        flux = d_integrate(flux_src, _DIRECTIONS[args.image], doc.weight_system(), gens,
+        flux = d_integrate(flux_src, DERIV_WORDS[args.image], doc.weight_system(), gens,
                            args.max_degree)
     except NotIntegrableError as exc:
         return _emit(args, {"conserved": False, "error": str(exc)}, 1)
@@ -333,12 +332,9 @@ def cmd_hamiltonian_flow(args):
     else:
         H = parse_expression(args.density, doc.scope)
     sys = doc.system()
-    if entry is not None and "make_operator" in entry.extras:
-        op = entry.extras["make_operator"](tuple(sys.fields))
-    else:
-        op = antidiagonal(sys.fields, {"dx": DX, "susy": D1}[args.operator])
+    direction = _operator(entry, {"dx": DX, "susy": D1}[args.operator])
     try:
-        flow = hamiltonian_flow(op, H)
+        flow = hamiltonian_flow(sys.fields, direction, H)
     except ParityError as exc:
         raise UsageError(f"operator {args.operator} does not fit the fields: {exc}") from None
     res = check_symmetry(sys, flow)
@@ -349,11 +345,16 @@ def cmd_hamiltonian_flow(args):
     )
 
 
+def _operator(entry, default):
+    """The direction of the entry's Hamiltonian structure, else ``default``."""
+    return entry.extras.get("operator", default) if entry is not None else default
+
+
 def _gardner_fixture(args):
     doc, entry = _load_doc(args)
     if entry is None or "miura" not in entry.extras:
         raise UsageError(
-            "gardner commands need a catalog entry with a recorded deformation"
+            "gardner verify and densities need a catalog entry with a recorded deformation"
         )
     base = doc.system()
     extended = entry.extras["extended"]
@@ -362,12 +363,12 @@ def _gardner_fixture(args):
         "correspondence",
         tuple(zip(base.fields, extended.fields)),
     )
-    return doc, entry, base, extended, miura, corr
+    return base, extended, miura, corr
 
 
 def cmd_gardner(args):
     if args.action == "verify":
-        _doc, _e, base, extended, miura, _corr = _gardner_fixture(args)
+        base, extended, miura, _corr = _gardner_fixture(args)
         res = verify_deformation(base, extended, miura)
         bad = {u.name: print_poly(p) for u, p in res.items() if not p.is_zero}
         code = 0 if not bad else 1
@@ -376,24 +377,23 @@ def cmd_gardner(args):
             out["residual"] = bad
         return _emit(args, out, code)
     if args.action == "densities":
-        _doc, _e, base, _ext, miura, corr = _gardner_fixture(args)
+        _base, _ext, miura, corr = _gardner_fixture(args)
         rows = density_recurrence(miura, corr, "eps", args.order)
         out = {
             w.name: [print_poly(r) for r in rho_list]
             for w, rho_list in rows.items()
         }
         return _emit(args, {"densities": out}, 0)
-    doc, entry, base, _ext, _miura, _corr = _gardner_fixture(args)  # search
+    doc, entry = _load_doc(args)  # search
     H0 = next(iter(doc.functionals.values()), None)
     if H0 is None:
-        raise UsageError("entry declares no functional to deform")
-    make_op = entry.extras.get("make_operator") if entry else None
+        raise UsageError("document declares no functional to deform")
     eps_weight = doc.param_weights.get("eps")
     if eps_weight is None:
-        raise UsageError("entry declares no weighted deformation parameter")
+        raise UsageError("document declares no weighted deformation parameter eps")
     results = search_deformation(
-        base, doc.weight_system(), H0, "eps", eps_weight,
-        args.max_order, make_op=make_op,
+        doc.system(), doc.weight_system(), H0, "eps", eps_weight,
+        args.max_order, _operator(entry, DX),
     )
     out = []
     for d in results:
@@ -507,7 +507,7 @@ def build_parser():
 
     sp = sub.add_parser("derive", help="apply a derivation to an expression")
     _add_common(sp, expr=True)
-    sp.add_argument("--dir", required=True, choices=list(_DIRECTIONS))
+    sp.add_argument("--dir", required=True, choices=list(DERIV_WORDS))
     sp.add_argument("--times", type=_count, default=1)
     sp.set_defaults(fn=cmd_derive)
 

@@ -65,7 +65,7 @@ def covering_is_consistent(cov: Covering) -> bool:
     return all(r.is_zero for r in check_covering(cov).values())
 
 
-def derived_equation_check(cov: Covering, rhs_map: Mapping) -> dict:
+def derived_equation_check(rhs_map: Mapping) -> dict:
     """Check that covering variables obey a stated derived evolution.
 
     ``rhs_map`` maps non-local variables to right-hand sides written in

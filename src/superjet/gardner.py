@@ -6,13 +6,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
-from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence
+from typing import Collection, Iterable, Mapping, Optional, Sequence
 
 from .algebra import DX, EVEN, FieldSymbol, JetVar, SuperPoly, linear_ansatz
 from .jets import EvolutionSystem, dt_apply, substitute, substitute_params
 from .determine import extract_linear_system
 from .linsolve import gauss_jordan
-from .variational import antidiagonal, hamiltonian_flow
+from .variational import hamiltonian_flow
 from .weights import (
     WeightSystem,
     enumerate_monomials,
@@ -166,17 +166,20 @@ def search_deformation(
     eps: str,
     eps_weight: Fraction,
     max_order: int,
-    make_op: Optional[Callable] = None,
+    direction: str = DX,
 ) -> list:
     """Search for a Hamiltonian Gardner deformation up to the given order.
 
     The base system must be Hamiltonian with density ``H0`` for the
-    operator produced by ``make_op`` (default: the antidiagonal Dx
-    matrix).  The Miura map and the deformed density are expanded in the
-    (negative-weight) parameter with homogeneous coefficients that are
-    polynomials in the undifferentiated extended fields only, so a map
-    with derivatives (such as skdv's ``chi + eps*chi_x - eps^2*chi*Dchi``)
-    is out of reach.  Each order is solved as a linear stage, with
+    structure of ``direction`` (default Dx): each field evolves by that
+    direction applied to the gradient of its partner, as in
+    ``variational.hamiltonian_flow``, and the extended system is the
+    flow of the deformed density for the same structure.  The Miura map
+    and the deformed density are expanded in the (negative-weight)
+    parameter with homogeneous coefficients that are polynomials in the
+    undifferentiated extended fields only, so a map with derivatives
+    (such as skdv's ``chi + eps*chi_x - eps^2*chi*Dchi``) is out of
+    reach.  Each order is solved as a linear stage, with
     surviving freedoms carried symbolically and resolved by the final
     full-residual conditions.
     A stage does not stop on a row that its elimination leaves over: such
@@ -196,8 +199,6 @@ def search_deformation(
     wsw = WeightSystem(
         {w: ws.field_weight(u) for u, w in corr}, {eps: eps_weight}, ws.t
     )
-    op = antidiagonal(wfields, DX) if make_op is None else make_op(wfields)
-
     to_w = {u: SuperPoly.from_gen(JetVar(w)) for u, w in corr}
     miura = dict(to_w)
     hbar = substitute(H0, to_w)
@@ -207,7 +208,7 @@ def search_deformation(
 
     def extension(h):
         """The extended system that the density h generates."""
-        return EvolutionSystem(wfields, hamiltonian_flow(op, h).components,
+        return EvolutionSystem(wfields, hamiltonian_flow(wfields, direction, h).components,
                                params=(eps,) + tuple(base.params))
 
     def stage_ansatz(target, names):

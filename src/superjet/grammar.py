@@ -114,7 +114,7 @@ def tokenize(text: str):
 # ---------------------------------------------------------------------------
 # scopes
 
-_DERIV_WORDS = {"D": D1, "D1": D1, "D2": D2, "Dx": DX}
+DERIV_WORDS = {"D": D1, "D1": D1, "D2": D2, "Dx": DX}
 
 
 @dataclass
@@ -162,7 +162,7 @@ class Scope:
             if base.startswith(word):
                 inner = self._resolve_jet(base[len(word) :])
                 if inner is not None:
-                    return super_derive(inner, _DERIV_WORDS[word])
+                    return super_derive(inner, DERIV_WORDS[word])
         if base.startswith("D"):
             inner = self._resolve_jet(base[1:])
             if inner is not None:
@@ -259,11 +259,11 @@ class _Parser:
             name = self.advance().text
             if name.rstrip("'") in self.scope.functions and "(" == self.cur.text:
                 return self.function_call(name)
-            if name in _DERIV_WORDS and self.at("op", "("):
+            if name in DERIV_WORDS and self.at("op", "("):
                 self.advance()
                 inner = self.expression()
                 self.expect("op", ")")
-                return super_derive(inner, _DERIV_WORDS[name])
+                return super_derive(inner, DERIV_WORDS[name])
             self.i -= 1
             p = self.scope.resolve(name)
             if p is None:
@@ -484,13 +484,13 @@ def _nonlocal_statement(p: _Parser, doc: SourceDocument) -> None:
     doc.nonlocals[name] = sym
     while True:
         t = p.expect("name").text
-        if t in _DERIV_WORDS:
+        if t in DERIV_WORDS:
             p.expect("op", "(")
             inner = p.expect("name").text
             p.expect("op", ")")
             if inner != name:
                 p.error(f"expected a derivative of {name!r}")
-            direction = _DERIV_WORDS[t]
+            direction = DERIV_WORDS[t]
         elif t == f"{name}_t":
             direction = DT
         elif t == f"{name}_x":

@@ -514,7 +514,10 @@ def compose(s1: Shadow, s2: Shadow) -> Shadow:
 
 
 def nilpotency_order(shadow: Shadow, max_power: int = 8) -> Optional[int]:
-    """Least k with the k-th power of the shadow vanishing, or None."""
+    """Least k <= max_power with the k-th power of the shadow vanishing, or
+    None; the zero shadow has order 1."""
+    if shadow.is_zero:
+        return 1 if max_power >= 1 else None
     cur = shadow
     for k in range(2, max_power + 1):
         cur = compose(cur, shadow)

@@ -3,11 +3,10 @@ conserved-density tests and Hamiltonian structures."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .algebra import EVEN, FieldSymbol, JetVar, SuperPoly, poly_sum
-from .jets import EvolutionSystem, Flow, _derive, apply_ops, dt_apply, prolong
+from .jets import EvolutionSystem, Flow, _derive, dt_apply, prolong, super_derive
 
 
 def graded_partial(p: SuperPoly, v) -> SuperPoly:
@@ -63,42 +62,18 @@ def is_conserved(sys: EvolutionSystem, rho: SuperPoly) -> bool:
 
 # ---------------------------------------------------------------------------
 # Hamiltonian structures
+#
+# Each structure of the catalog is one total derivative that pairs field i
+# with field n-1-i: the odd (0 D; D 0) of dbous and the (0 Dx; Dx 0) of the
+# hydrodynamic Boussinesq form.  A structure is therefore named by its
+# direction alone.
 
 
-@dataclass
-class HamiltonianOperator:
-    """A matrix of total-derivative operators acting on variational gradients.
-
-    ``entries[u][v]`` is a list of (coefficient, operator word) pairs;
-    the flow component of u is the sum over v of coeff * word(grad_v),
-    words applied innermost first.
-    """
-
-    fields: tuple
-    entries: Mapping  # u -> {v -> [(SuperPoly, tuple of directions)]}
-    name: str = ""
-
-    def apply_gradient(self, grads: Mapping) -> dict:
-        comps = {}
-        for u in self.fields:
-            comps[u] = poly_sum(
-                coeff * apply_ops(grads[v], list(word))
-                for v, terms in self.entries.get(u, {}).items()
-                for coeff, word in terms
-            )
-        return comps
-
-
-def antidiagonal(fields: Sequence, direction, name: str = "") -> HamiltonianOperator:
-    """The operator whose flow of ``fields[i]`` is ``direction`` applied to
-    the gradient of ``fields[n-1-i]``."""
-    one, n = SuperPoly.one(), len(fields)
-    return HamiltonianOperator(
-        tuple(fields), {fields[i]: {fields[n - 1 - i]: [(one, (direction,))]} for i in range(n)},
-        name)
-
-
-def hamiltonian_flow(op: HamiltonianOperator, H: SuperPoly) -> Flow:
-    """The evolutionary flow generated by a Hamiltonian density."""
-    grads = euler(H, op.fields)
-    return Flow(op.apply_gradient(grads), EVEN)
+def hamiltonian_flow(fields: Sequence[FieldSymbol], direction: str, H: SuperPoly) -> Flow:
+    """The evolutionary flow of the density ``H``: ``fields[i]`` evolves
+    by ``direction`` applied to the variational derivative of ``H`` with
+    respect to ``fields[n-1-i]`` (an odd-size list pairs its middle field
+    with itself)."""
+    grads = euler(H, fields)
+    return Flow({u: super_derive(grads[v], direction)
+                 for u, v in zip(fields, reversed(fields))}, EVEN)

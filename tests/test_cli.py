@@ -111,6 +111,16 @@ def test_nilpotency_through_nonlocal_phantoms_is_an_error(capsys):
     assert "non-local phantoms" in json.loads(out)["error"]
 
 
+@pytest.mark.parametrize("max_power", ["1", "6"])
+def test_the_zero_shadow_has_nilpotency_order_one(capsys, tmp_path, max_power):
+    doc = tmp_path / "zero.sj"
+    doc.write_text(catalog.get("hospital-1").sources["main"] + "shadow Z: f = 0, b = 0;\n")
+    code, out = run(capsys, "nilpotency", "--file", str(doc), "--shadow", "Z",
+                    "--max", max_power, "--json")
+    assert code == 0
+    assert json.loads(out)["order"] == 1
+
+
 def test_apply_recursion(capsys):
     code, out = run(capsys, "apply-recursion", "--catalog", "skdv-a",
                     "--shadow", "R", "--seed", "seed_x", "--iterations", "1")
@@ -242,8 +252,8 @@ def test_assume_nonzero_of_an_undeclared_name_is_a_usage_error(capsys, entry, na
 
 
 def test_hamiltonian_operator_of_the_wrong_parity_is_a_usage_error(capsys):
-    """The odd antidiagonal operator on one even field gives an odd
-    component for an even field."""
+    """The odd direction D on one even field gives an odd component for
+    an even field."""
     code = main(["hamiltonian-flow", "--catalog", "pskdv", "--density", "rho2",
                  "--operator", "susy"])
     err = capsys.readouterr().err
@@ -523,6 +533,36 @@ def test_hamiltonian_flow(capsys):
     payload = json.loads(out)
     assert payload["flow"] == {"b": "b_x", "f": "f_x"}
     assert payload["is_symmetry"] is True
+
+
+def test_gardner_search_runs_on_a_document_without_a_recorded_deformation(capsys, tmp_path):
+    """The search needs the system, a functional and a weighted eps only:
+    on the hydro-bous main text it finds what the catalog entry finds."""
+    doc = tmp_path / "hb.sj"
+    doc.write_text(catalog.get("hydro-bous").sources["main"])
+    code, out = run(capsys, "gardner", "search", "--file", str(doc),
+                    "--max-order", "2", "--json")
+    assert code == 0
+    assert json.loads(out) == {
+        "deformations": [{
+            "density": "1/6*w1^3 + 1/2*w2^2 + eps*t1_0*w2^3",
+            "free": ["t1_0"],
+            "miura": {
+                "b": "w1 + 6*eps*t1_0*w1*w2",
+                "c": "2*eps*t1_0*w1^3 + w2 + 6*eps*t1_0*w2^2 + 12*eps^2*t1_0^2*w2^3",
+            },
+        }],
+        "status": "ok",
+    }
+    assert run(capsys, "gardner", "search", "--catalog", "hydro-bous",
+               "--max-order", "2", "--json") == (code, out)
+
+
+def test_gardner_verify_needs_a_recorded_deformation(capsys, tmp_path):
+    doc = tmp_path / "hb.sj"
+    doc.write_text(catalog.get("hydro-bous").sources["main"])
+    assert main(["gardner", "verify", "--file", str(doc)]) == 2
+    assert "recorded deformation" in capsys.readouterr().err
 
 
 def test_gardner_densities(capsys):

@@ -482,6 +482,14 @@ def test_zero_order_shadows_square_to_zero():
     assert not shadow_power(r2, 3).is_zero
 
 
+def test_the_zero_shadow_has_nilpotency_order_one():
+    r1 = catalog.get("hospital-1").doc.shadows["R1"]
+    zero = Shadow(r1.frame, {u: SuperPoly.zero() for u in r1.components})
+    assert nilpotency_order(zero, 1) == 1
+    assert nilpotency_order(zero, 6) == 1
+    assert nilpotency_order(zero, 0) is None
+
+
 def test_compose_matches_power():
     doc = catalog.get("hospital-1").doc
     r2 = doc.shadows["R2"]

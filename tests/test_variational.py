@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from superjet import catalog
-from superjet.algebra import D1, D2, DX, JetVar, SuperPoly, prod
+from superjet.algebra import D1, D2, DX, EVEN, FieldSymbol, JetVar, SuperPoly, prod
 from superjet.jets import check_symmetry, dt_apply, super_derive
 from superjet.variational import (
     euler,
@@ -95,8 +95,7 @@ def test_hydrodynamic_system_is_hamiltonian():
     e = catalog.get("hydro-bous")
     doc = e.doc
     sys = doc.system()
-    op = e.extras["make_operator"](sys.fields)
-    fl = hamiltonian_flow(op, doc.functionals["H"])
+    fl = hamiltonian_flow(sys.fields, e.extras["operator"], doc.functionals["H"])
     for u in sys.fields:
         assert (fl.components[u] - sys.rhs[u]).is_zero
 
@@ -105,10 +104,10 @@ def test_hamiltonian_hierarchy_of_susy_boussinesq():
     e = catalog.get("dbous")
     doc = e.doc
     sys = doc.system()
-    op = e.extras["make_operator"](tuple(doc.fields[n] for n in ("f", "b")))
+    fields, op = (doc.fields["f"], doc.fields["b"]), e.extras["operator"]
     # the two lowest functionals are Casimirs
-    assert hamiltonian_flow(op, doc.functionals["H1_0"]).is_zero
-    assert hamiltonian_flow(op, doc.functionals["H2_0"]).is_zero
+    assert hamiltonian_flow(fields, op, doc.functionals["H1_0"]).is_zero
+    assert hamiltonian_flow(fields, op, doc.functionals["H2_0"]).is_zero
     # the next ones generate the recorded symmetries
     for nm, want in (
         ("H1_1", "seed_x"),
@@ -116,6 +115,24 @@ def test_hamiltonian_hierarchy_of_susy_boussinesq():
         ("H1_2", "eq4_9_x"),
         ("H2_2", "eq4_9_t"),
     ):
-        fl = hamiltonian_flow(op, doc.functionals[nm])
+        fl = hamiltonian_flow(fields, op, doc.functionals[nm])
         assert check_symmetry(sys, fl).is_zero, nm
         assert (fl - doc.flows[want]).is_zero, nm
+
+
+def test_an_odd_number_of_fields_pairs_the_middle_field_with_itself():
+    """fields[i] evolves by the direction applied to the gradient of
+    fields[n-1-i]: with H = u*v*w and Dx, u_t = Dx(u*v), v_t = Dx(u*w)
+    and w_t = Dx(v*w)."""
+    u, v, w = (FieldSymbol(n, EVEN, 0) for n in "uvw")
+
+    def j(f, m=0):
+        return SuperPoly.from_gen(JetVar(f, 0, 0, m))
+
+    fl = hamiltonian_flow((u, v, w), DX, j(u) * j(v) * j(w))
+    assert fl.parameter_parity == EVEN
+    assert fl.components == {
+        u: j(u, 1) * j(v) + j(u) * j(v, 1),
+        v: j(u, 1) * j(w) + j(u) * j(w, 1),
+        w: j(v, 1) * j(w) + j(v) * j(w, 1),
+    }
