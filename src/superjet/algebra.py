@@ -610,12 +610,3 @@ def linear_ansatz(names: Sequence[str], monomials: Sequence[SuperPoly]) -> Super
         _accumulate(acc, (((e, o, f, _merge_params(p, unknown)), c)
                           for (e, o, f, p), c in m.terms.items()))
     return _wrap(acc)
-
-
-def prod(factors: Sequence, coeff: Rat = 1) -> SuperPoly:
-    """Ordered product of generators/polynomials with a scalar prefactor."""
-    out = SuperPoly.scalar(coeff)
-    for g in factors:
-        out = out * _coerce(g)
-    return out
-

@@ -7,20 +7,25 @@ symmetry substitutes that symmetry for the phantoms; values of
 non-local phantoms are produced by exact term-wise integration of their
 linearized defining relations.
 
-Integration (``d_integrate``) costs what the target's part of the
-integration system costs, not what the whole weight space does.  The
-system pairs every homogeneous ansatz monomial with the monomials of its
-image, but only the connected component that touches the target carries
-a constant, so the ansatz is grown from the target's monomials through
-the images of single generators, computed once per call, and nothing
-else is enumerated or differentiated.  Solving the component with its
-columns in term order gives the same preimage as solving the whole
-system.
+Integration (``d_integrate``) takes one of three paths, and each gives
+the preimage that solving the whole homogeneous ansatz would give:
 
-Along an odd direction D, D^2 = Dx turns D(g) = f into Dx(g) = D(f),
-whose component is much smaller, so ``d_integrate`` solves that system
-first and keeps its solution only where guards prove it is the direct
-D-preimage; elsewhere it solves the D system as before.
+* A local Dx-target is integrated by the homotopy operator (Hereman et
+  al., "Continuous and discrete homotopy operators: a theoretical
+  approach made concrete", Math. Comput. Simul., 2007), which solves no
+  system.  Its answer is kept only where guards prove that Dx has no
+  kernel on the ansatz.
+* Otherwise the part's component of the integration system is solved.
+  The system pairs every ansatz monomial with the monomials of its
+  image, but only the connected component that touches the target
+  carries a constant, so the ansatz is grown from the target's monomials
+  through the images of single generators, and nothing else is
+  enumerated or differentiated.  With its columns in term order, the
+  component gives the whole system's preimage.
+* Along an odd direction D, D^2 = Dx turns D(g) = f into Dx(g) = D(f),
+  which the first two paths solve, and the answer is kept only where
+  guards prove it is the direct D-preimage; elsewhere the D system's
+  component is solved.
 """
 
 from __future__ import annotations
@@ -30,7 +35,20 @@ from fractions import Fraction
 from math import ceil, lcm
 from typing import Optional, Sequence
 
-from .algebra import D1, D2, DX, JetVar, SuperPoly, _wrap, poly_sum, term_order_key
+from . import jets as _jets
+from .algebra import (
+    D1,
+    D2,
+    DX,
+    JetVar,
+    Phantom,
+    SuperPoly,
+    _accumulate,
+    _wrap,
+    poly_sum,
+    rat_div,
+    term_order_key,
+)
 from .coverings import PhantomFrame, is_phantom
 from .jets import (
     Flow,
@@ -45,6 +63,7 @@ from .jets import (
     super_derive,
 )
 from .linsolve import LinearEquation, NonlinearSystemError, gauss_jordan
+from .variational import graded_partial
 from .weights import (
     WeightSystem,
     items_from_gens,
@@ -114,7 +133,31 @@ def d_integrate(
     The preimage is sought as a homogeneous polynomial ansatz over the
     admissible jets of the given symbols (those of ``items_from_gens``);
     raises NotIntegrableError when no such preimage exists.  Each weight
-    and parity part is solved on its own component (``_integrate_part``).
+    and parity part is integrated on its own (``_integrate_part``).
+
+    Along Dx, the homotopy operator (``_homotopy``) integrates a part
+    first, and its answer h is returned as the only preimage in the
+    part's ansatz A when
+
+    (a) the part has only local jets of fields: no non-local, phantom,
+        theta, Clifford or function factor;
+    (b) the preimage's weight is not 0;
+    (c) each monomial of h lies in A: its factors are items, within
+        their caps, and it has the preimage's weight and parity;
+    (d) Dx(h) is the part;
+    (e) each non-local item g_j has a local Dx-image q_j, and no nonzero
+        combination of the q_j is Dx-exact (``_kernel_free``).
+
+    Then ker Dx meets A only in 0, so A holds one preimage, the one the
+    component solve finds, with no free column.  Write an a in A with
+    Dx(a) = 0 as a polynomial in the g_j over local coefficients c.  The
+    q_j are local, so the terms of Dx(a) of top degree d in the g_j come
+    from the images of the top coefficients, which are therefore
+    constants, the local kernel of Dx.  In degree d - 1 the coefficient
+    of each g^b reads Dx(c_b) + sum_j +-(b_j + 1) c_(b+e_j) q_j = 0, so
+    that combination of the q_j is Dx-exact, and (e) makes every top
+    coefficient 0.  Down the degrees, a is local, hence a constant, and
+    A, of nonzero weight (b), holds no constant.
 
     Along D (D1 or D2) the call first tries the Dx system of D(target),
     which is much smaller (``_through_dx``), and returns its solution h
@@ -150,6 +193,10 @@ def d_integrate(
       there, like p.  Two solutions of the direct system (both 0 on its
       forced columns) that agree on every free column are equal, so
       p = h.
+
+    Where the homotopy operator answers the Dx solve, no component is
+    built, and the argument holds with C = A: from (ii) it needs only h
+    and that ker Dx meets C only in 0, which (b) and (e) prove for A.
 
     The argument treats the parameters as indeterminates, as both solves
     do, so an assumed pivot counts as nonzero; what holds for particular
@@ -207,6 +254,105 @@ def _through_dx(parts, direction, gens) -> Optional[SuperPoly]:
 
 
 def _integrate_part(part: SuperPoly, direction, wt, items) -> tuple:
+    """The preimage of one part of weight wt and one parity, and whether
+    it is the only one: along Dx from ``_homotopy`` where its guards hold,
+    otherwise from the part's component (``_solve_component``)."""
+    if direction == DX:
+        h = _homotopy(part, wt, items)
+        if h is not None:
+            return h, True
+    return _solve_component(part, direction, wt, items)
+
+
+def _homotopy(part: SuperPoly, wt, items) -> Optional[SuperPoly]:
+    """The Dx-preimage of a local part by the homotopy operator, or None
+    unless guards (a)-(e) of ``d_integrate`` hold.
+
+    Each jet sequence u = D1^d1 D2^d2 (field) is its own dependent
+    variable, with u_k = Dx^k u.  The operator sums
+    u_i (-Dx)^(k-1-i) dp/du_k (left partials) over the sequences and
+    0 <= i < k.  When p is Dx-exact, the Dx-image of that sum is p with
+    each monomial times its degree, which the sum keeps, so each monomial
+    of the sum is divided by its degree.
+    """
+    gens = part.generators()
+    if (wt == _shift(DX) or not all(map(_is_local_jet, gens))
+            or any(key[2] for key in part.terms) or not _kernel_free(items)):
+        return None  # guards (b), (a) and (e)
+    top: dict = {}
+    for g in gens:
+        seq = (g.fieldsym, g.d1, g.d2)
+        top[seq] = max(top.get(seq, 0), g.m)
+    acc: dict = {}
+    for (sym, d1, d2), n in top.items():
+        tail = SuperPoly.zero()  # sum over k > i of (-Dx)^(k-1-i) dp/du_k
+        for i in range(n - 1, -1, -1):
+            tail = graded_partial(part, JetVar(sym, d1, d2, i + 1)) - super_derive(tail, DX)
+            _accumulate(acc, (SuperPoly.from_gen(JetVar(sym, d1, d2, i)) * tail).terms.items())
+    h = _wrap({key: rat_div(c, sum(x for _g, x in key[0]) + len(key[1]))
+               for key, c in acc.items()})
+    want_wt, want_par = wt - _shift(DX), part.parity()
+    item = {it.factor: it for it in items}
+    for evens, odds, _funcs, _params in h.terms:  # guard (c)
+        factors = [*evens, *((g, 1) for g in odds)]
+        if (len(odds) % 2 != want_par
+                or any(g not in item or item[g].max_exp < x for g, x in factors)
+                or sum(x * item[g].weight for g, x in factors) != want_wt):
+            return None
+    if super_derive(h, DX) != part:  # guard (d)
+        return None
+    return h
+
+
+def _is_local_jet(g) -> bool:
+    return isinstance(g, JetVar) and not isinstance(g.fieldsym, (Nonlocality, Phantom))
+
+
+#: [memo epoch, {ids of an ansatz's non-local jets: (guard (e), the jets)}]
+_KERNEL_FREE: list = [None, {}]
+
+
+def _kernel_free(items) -> bool:
+    """Guard (e) of ``d_integrate``.  The Euler operator along Dx,
+    sum_m (-Dx)^m d/du_m on each jet sequence u, annihilates every
+    Dx-exact form, so the q_j are independent modulo Dx-exact forms when
+    their Euler images are independent.
+
+    The answer depends on the declared values, so it is kept for one
+    epoch of the jet memos, keyed on the identity of the jets (equal
+    non-locals may declare different values), which it keeps alive.
+    """
+    nonlocal_jets = tuple(it.factor for it in items if not _is_local_jet(it.factor))
+    if _KERNEL_FREE[0] != _jets._epoch:
+        _KERNEL_FREE[:] = [_jets._epoch, {}]
+    memo = _KERNEL_FREE[1]
+    key = tuple(map(id, nonlocal_jets))
+    if key not in memo:
+        memo[key] = (_images_independent(nonlocal_jets), nonlocal_jets)
+    return memo[key][0]
+
+
+def _images_independent(nonlocal_jets) -> bool:
+    rows: dict = {}  # (jet sequence, monomial) -> {column: coefficient}
+    for j, g in enumerate(nonlocal_jets):
+        if not (isinstance(g, JetVar) and isinstance(g.fieldsym, Nonlocality)):
+            return False
+        q = _derive_gen(g, DX)
+        if not all(_is_local_jet(u) for u in q.generators()) or any(k[2] for k in q.terms):
+            return False
+        euler: dict = {}
+        for u in q.generators():
+            d = prolong(graded_partial(q, u), 0, 0, u.m)
+            seq = (u.fieldsym, u.d1, u.d2)
+            euler[seq] = euler.get(seq, SuperPoly.zero()) + (-d if u.m % 2 else d)
+        for seq, e in euler.items():
+            for m, coeff in _by_monomial(e).items():
+                rows.setdefault((seq, m), {})[j] = _wrap(dict(coeff))
+    eqs = [LinearEquation(row, SuperPoly.zero()) for row in rows.values()]
+    return not gauss_jordan(eqs, range(len(nonlocal_jets))).basis
+
+
+def _solve_component(part: SuperPoly, direction, wt, items) -> tuple:
     """The preimage of one part of weight wt and one parity from the
     part's component (``_component``), and whether it is the component's
     only one.

@@ -1,5 +1,5 @@
-"""Shared fixtures and helpers: a deterministic RNG, integration ansatz
-parts and a check on how coefficients are stored."""
+"""Shared fixtures and helpers: a deterministic RNG, ordered products,
+integration ansatz parts and a check on how coefficients are stored."""
 
 import contextlib
 import random
@@ -20,6 +20,14 @@ from superjet.weights import (
 @pytest.fixture()
 def rng():
     return random.Random(20260824)
+
+
+def prod(factors, coeff=1) -> SuperPoly:
+    """Ordered product of generators or polynomials with a scalar prefactor."""
+    out = SuperPoly.scalar(coeff)
+    for g in factors:
+        out = out * g
+    return out
 
 
 def integration_ansatz_parts(target, direction, ws, gens, zero_weight_cap=2):

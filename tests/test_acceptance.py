@@ -17,7 +17,6 @@ from superjet.algebra import (
     FieldSymbol,
     JetVar,
     SuperPoly,
-    prod,
 )
 from superjet.determine import find_symmetries, flows_proportional
 from superjet.coverings import covering_is_consistent, derived_equation_check
@@ -48,6 +47,7 @@ from superjet.recursion import (
 from superjet.variational import euler, hamiltonian_flow, is_conserved
 from superjet.weights import infer_weights
 
+from conftest import prod
 from test_weights import satisfies
 
 Q = Fraction

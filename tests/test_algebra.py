@@ -27,13 +27,12 @@ from superjet.algebra import (
     Theta,
     _wrap,
     poly_sum,
-    prod,
 )
 from superjet.grammar import parse_document
 from superjet.jets import Nonlocality, jet_poly
 from superjet.recursion import apply_shadow
 
-from conftest import stray_coefficients
+from conftest import prod, stray_coefficients
 
 Q = Fraction
 

@@ -138,7 +138,7 @@ def _recorded_integration_ansatz(log):
 
 
 def _shadow_steps():
-    """Six R steps from each seed, and the integration ansatz of the
+    """Ten R steps from each seed, and the integration ansatz of the
     third step from seed_x."""
     doc = catalog.get("dbous").doc
     ws = doc.weight_system()
@@ -147,7 +147,7 @@ def _shadow_steps():
     for seed in ("seed_x", "seed_t"):
         flow = doc.flows[seed]
         steps[seed] = []
-        for step in (1, 2, 3, 4, 5, 6):
+        for step in range(1, 11):
             if (seed, step) == ("seed_x", 3):
                 with _recorded_integration_ansatz(ansatz):
                     flow = apply_shadow(doc.shadows["R"], flow, ws)
@@ -205,8 +205,10 @@ def snapshot():
         "hospital-alpha find_symmetries": _parametric_searches("hospital-alpha"),
         "dbous R steps from seed_x": steps["seed_x"][:4],
         "dbous R steps from seed_t": steps["seed_t"][:4],
-        "dbous R steps 5-6 from seed_x": steps["seed_x"][4:],
-        "dbous R steps 5-6 from seed_t": steps["seed_t"][4:],
+        "dbous R steps 5-6 from seed_x": steps["seed_x"][4:6],
+        "dbous R steps 5-6 from seed_t": steps["seed_t"][4:6],
+        "dbous R steps 7-10 from seed_x": steps["seed_x"][6:],
+        "dbous R steps 7-10 from seed_t": steps["seed_t"][6:],
         "dbous R step 3 from seed_x, integration ansatz": ansatz,
         "hydro-bous search_deformation": _deformation_search(),
         "hydro-bous density_recurrence": _density_recurrence(),

@@ -19,7 +19,6 @@ from superjet.algebra import (
     Phantom,
     SuperPoly,
     Theta,
-    prod,
 )
 from superjet.jets import (
     Flow,
@@ -38,6 +37,7 @@ from superjet.jets import (
     super_derive,
 )
 
+from conftest import prod
 
 Q = Fraction
 

@@ -24,7 +24,6 @@ from superjet.algebra import (
     _sorted_funcs,
     _wrap,
     poly_sum,
-    prod,
     term_order_key,
 )
 from superjet.coverings import is_phantom
@@ -35,7 +34,7 @@ from superjet.recursion import NotIntegrableError, _substitute_phantoms, d_integ
 from superjet.variational import graded_partial
 from superjet.weights import AnsatzItem, WeightSystem, enumerate_monomials
 
-from conftest import is_canonical
+from conftest import is_canonical, prod
 
 Q = Fraction
 

@@ -19,11 +19,18 @@ from superjet.algebra import (
     SuperPoly,
     linear_ansatz,
     poly_sum,
-    prod,
 )
 from superjet.determine import extract_linear_system, solve_linear
 from superjet.grammar import parse_document, parse_expression
-from superjet.jets import Flow, Nonlocality, apply_ops, dt_apply, jet_poly, super_derive
+from superjet.jets import (
+    Flow,
+    Nonlocality,
+    apply_ops,
+    declare,
+    dt_apply,
+    jet_poly,
+    super_derive,
+)
 from superjet.linsolve import LinearEquation
 from superjet.recursion import (
     NotIntegrableError,
@@ -42,9 +49,9 @@ from superjet.recursion import (
     shadow_power,
     verify_shadow,
 )
-from superjet.weights import WeightSystem
+from superjet.weights import AnsatzItem, WeightSystem
 
-from conftest import integration_ansatz_parts
+from conftest import integration_ansatz_parts, prod
 
 Q = Fraction
 
@@ -243,12 +250,14 @@ def _record_parts(monkeypatch):
 
 @pytest.mark.parametrize("seed, unknowns", [("seed_x", [13, 10]), ("seed_t", [18, 13])])
 def test_integration_builds_only_the_targets_component(monkeypatch, seed, unknowns):
-    """Every system built is the target's component of the whole-ansatz
-    system; a D1 call that takes the route builds the Dx system of
-    D1(target) instead of the D1 system of the target."""
+    """With the homotopy operator switched off, every system built is the
+    target's component of the whole-ansatz system; a D1 call that takes
+    the route builds the Dx system of D1(target) instead of the D1 system
+    of the target."""
     doc = catalog.get("dbous").doc
     ws = doc.weight_system()
     flow = iterate(doc.shadows["R"], doc.flows[seed], 2, ws)[-1]
+    monkeypatch.setattr(recursion, "_homotopy", lambda *args: None)
     calls = _record_calls(monkeypatch)
     systems = []
 
@@ -279,13 +288,81 @@ def test_every_d1_call_of_the_dbous_steps_takes_the_route(monkeypatch):
     assert D1 not in solved and solved.count(DX) >= 16
 
 
+def _record_homotopy(monkeypatch):
+    """The answer of every ``_homotopy`` call, None where it refused."""
+    answers = []
+    real = recursion._homotopy
+
+    def record(*args):
+        answers.append(real(*args))
+        return answers[-1]
+
+    monkeypatch.setattr(recursion, "_homotopy", record)
+    return answers
+
+
+@pytest.mark.parametrize("seed", ["seed_x", "seed_t"])
+def test_the_third_dbous_step_builds_no_component_system(monkeypatch, seed):
+    """The homotopy operator answers both Dx solves of the step, the one
+    of the routed D1 call included, so no component system is built."""
+    doc = catalog.get("dbous").doc
+    ws = doc.weight_system()
+    flow = iterate(doc.shadows["R"], doc.flows[seed], 2, ws)[-1]
+    answers = _record_homotopy(monkeypatch)
+
+    def solve_component(*args):
+        raise AssertionError("a component system was built")
+
+    monkeypatch.setattr(recursion, "_solve_component", solve_component)
+    apply_shadow(doc.shadows["R"], flow, ws)
+    assert len(answers) == 2 and all(h is not None for h in answers)
+
+
+def test_homotopy_answers_equal_the_component_solve(monkeypatch):
+    """Every Dx solve of dbous R steps 1-6 from both seeds and of the
+    catalog's apply-R checks takes the homotopy route, and its answer is
+    the component's only solution."""
+    solves = []
+    real = recursion._integrate_part
+
+    def record(part, direction, *rest):
+        if direction == DX:
+            solves.append((part, *rest))
+        return real(part, direction, *rest)
+
+    monkeypatch.setattr(recursion, "_integrate_part", record)
+    doc = catalog.get("dbous").doc
+    ws = doc.weight_system()
+    for seed in ("seed_x", "seed_t"):
+        iterate(doc.shadows["R"], doc.flows[seed], 6, ws)
+    checks = [(entry_id, name, check) for entry_id in catalog.ids()
+              for name, check in catalog.get(entry_id).checks if name.startswith("apply-R")]
+    for entry_id, name, check in checks:
+        assert check()[0], (entry_id, name)
+    assert len(checks) == 5 and len(solves) == 24 + 7
+    for part, wt, items in solves:
+        h = recursion._homotopy(part, wt, items)
+        assert h is not None
+        assert recursion._solve_component(part, DX, wt, items) == (h, True)
+
+
 ORACLE_ENTRIES = ("skdv", "dbous", "pskdv", "skdv-a")
 
 # two potentials of one field, so v - w (or Dv - Dw) has zero derivative;
-# a potential p of Du, so Dp - u has zero derivative
+# a potential p of Du, so Dp - u has zero derivative; a potential c whose
+# x-derivative holds the potential a, so c - u - a^2/2 has zero derivative;
+# a potential a of u*u_x, so a - u^2/2 has zero derivative; a field b of
+# weight 0, so a preimage of weight 0 can have the factors b and b^2
 DEPENDENT_COVERINGS = {
     "x-potential of Du": parse_document(
         "field u even susy 1 weight 1;\nnonlocal p odd weight 1/2: p_x = Du;\nu_t = u_xxx;\n"),
+    "chained x-potentials": parse_document(
+        "field u even susy 1 weight 2;\nnonlocal a even weight 1: a_x = u;\n"
+        "nonlocal c even weight 2: c_x = u_x + u*a;\nu_t = u_xxx;\n"),
+    "x-potential of an x-derivative": parse_document(
+        "field u even susy 1 weight 1;\nnonlocal a even weight 2: a_x = u*u_x;\nu_t = u_xxx;\n"),
+    "weight 0": parse_document(
+        "field b even susy 1 weight 0;\nnonlocal v even weight -1: v_x = b;\nb_t = b_xxx;\n"),
     "x-potentials": parse_document(
         "field u even susy 1 weight 1;\nnonlocal v even weight 0: v_x = u;\n"
         "nonlocal w even weight 0: w_x = u;\nu_t = u_xxx;\n"),
@@ -374,6 +451,44 @@ def test_integration_with_dependent_potentials_matches_the_whole_ansatz(
     assert (D1 not in solved) == routed
 
 
+@pytest.mark.parametrize("covering, target, answered", [
+    ("x-potentials", "u_x", False), ("x-potential of Du", "u_x", False),
+    ("chained x-potentials", "u_x", False), ("chained x-potentials", "u*u_x", False),
+    ("x-potential of an x-derivative", "u*u_x", False),
+    ("weight 0", "b*b_x", False), ("weight 0", "b_x^3 + 2*b*b_x*b_xx", True),
+    ("weight 0", "b_x^2", False), ("weight 0", "v*b_x + b^2", False)])
+def test_dx_integration_takes_the_homotopy_route_only_where_its_guards_hold(
+        monkeypatch, covering, target, answered):
+    """The homotopy operator answers only where the ansatz meets the kernel
+    of Dx in 0.  It is refused where the Dx-images of the potentials are
+    dependent modulo Dx-exact forms (v - w, Dp - u, a - u^2/2), where the
+    Dx-image of a potential holds another potential (c - u - a^2/2), at
+    preimage weight 0, on a target with no preimage and on a non-local
+    target."""
+    doc = DEPENDENT_COVERINGS[covering]
+    args = (doc.poly(target), DX, doc.weight_system(),
+            [*doc.fields.values(), *doc.nonlocals.values()])
+    answers = _record_homotopy(monkeypatch)
+    assert _outcome(d_integrate, *args) == _outcome(_reference_integrate, *args)
+    assert answers and any(h is not None for h in answers) == answered
+
+
+def test_the_kernel_guard_reads_the_declared_values():
+    """v_x = u keeps v out of the kernel of Dx and v_x = 0 puts it in.  The
+    two v are equal as symbols, and ``declare`` can change a value, so the
+    guard's memo must tell them apart and see the change."""
+    header = "field u even susy 1 weight 1;\nnonlocal v even weight 0: v_x = {};\nu_t = u_xxx;\n"
+    v_free, v_const = (parse_document(header.format(value)).nonlocals["v"] for value in "u0")
+    assert v_free == v_const
+
+    def guard(v):
+        return recursion._kernel_free([AnsatzItem(JetVar(v), Q(0), EVEN, 2)])
+
+    assert guard(v_free) and not guard(v_const)
+    declare(v_free, DX, SuperPoly.zero())
+    assert not guard(v_free)
+
+
 def test_integration_on_an_inconsistent_covering_takes_the_direct_path(monkeypatch):
     """D(v) = f but v_x = 2*Df, so D^2 = Dx fails on v, and the route, whose
     argument needs it on every non-local jet of the ansatz, is refused even
@@ -409,6 +524,17 @@ def test_parametric_target_integrates():
     q = d_integrate(target, DX, ws, [b])
     assert q == SuperPoly.param("alpha") * JetVar(b) * JetVar(b) / 2
     assert super_derive(q, DX) == target
+
+
+def test_a_weighted_parameter_counts_in_the_part_weight():
+    """alpha weighs 1, so the part alpha*b*b_x weighs 4, and the ansatz
+    has factors of weight 3: alpha*b^2/2, whose factors weigh 2, is not
+    in it, and neither the whole ansatz nor d_integrate finds a preimage."""
+    b = FieldSymbol("b", EVEN, 1)
+    ws = WeightSystem({b: Q(1)}, {"alpha": Q(1)})
+    target = SuperPoly.param("alpha") * JetVar(b) * JetVar(b, 0, 0, 1)
+    assert _outcome(_reference_integrate, target, DX, ws, [b]) is NotIntegrableError
+    assert _outcome(d_integrate, target, DX, ws, [b]) is NotIntegrableError
 
 
 def test_mixed_parity_target_splits():

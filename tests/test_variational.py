@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from superjet import catalog
-from superjet.algebra import D1, D2, DX, EVEN, FieldSymbol, JetVar, SuperPoly, prod
+from superjet.algebra import D1, D2, DX, EVEN, FieldSymbol, JetVar, SuperPoly
 from superjet.jets import check_symmetry, dt_apply, super_derive
 from superjet.variational import (
     euler,
@@ -13,6 +13,7 @@ from superjet.variational import (
     is_conserved,
 )
 
+from conftest import prod
 
 Q = Fraction
 
