@@ -296,19 +296,12 @@ def super_derive(p: SuperPoly, direction: str) -> SuperPoly:
     return _derive(p, lambda g: _derive_gen(g, direction), side)
 
 
-def apply_ops(p: SuperPoly, ops) -> SuperPoly:
-    """Apply a sequence of directions, innermost first."""
-    for direction in ops:
-        p = super_derive(p, direction)
-    return p
-
-
 def prolong(p: SuperPoly, d1=0, d2=0, m=0) -> SuperPoly:
     """D1^d1 D2^d2 Dx^m (p): the value at a jet of a field whose value is p.
 
     Each jet is derived once, from the next lower one in the order Dx, D2,
-    D1 (so it equals ``apply_ops(p, [DX] * m + [D2] * d2 + [D1] * d1)``),
-    and kept in p's table until the next ``declare``.
+    D1 (so Dx is applied m times first and D1 last), and kept in p's
+    table until the next ``declare``.
     """
     if not (d1 or d2 or m):
         return p

@@ -17,7 +17,8 @@ side by ``s``, and a quotient that is not a Laurent polynomial raises
 its free column, times the numerator of ``s`` if it reads any pivot row,
 so all its entries are Laurent polynomials.  The assumed pivots are the
 ring's, and may carry factors of earlier pivots; a leftover right-hand
-side is the field's times ``s`` (``Reduced.scale``).
+side is the field's times ``s``, the pivot of any solved row (1 when no
+row is solved).
 
 The one system type is ``LinearEquation``, keyed by its unknowns, and
 the solution comes back keyed by them too.  The caller lists the
@@ -105,11 +106,6 @@ class Reduced:
     basis: list
     assumed: list
     leftover: list
-
-    @property
-    def scale(self) -> SuperPoly:
-        """The last pivot once one had several terms, else 1."""
-        return next((pivot for pivot, _rhs in self.solved.values()), LaurentRing.one)
 
     @property
     def particular(self) -> dict:

@@ -7,8 +7,9 @@ symmetry substitutes that symmetry for the phantoms; values of
 non-local phantoms are produced by exact term-wise integration of their
 linearized defining relations.
 
-Integration (``d_integrate``) takes one of three paths, and each gives
-the preimage that solving the whole homogeneous ansatz would give:
+Integration (``d_integrate``) works one weight and parity part at a
+time and takes one of three paths for each, every one giving the
+preimage that solving the whole homogeneous ansatz would give:
 
 * A local Dx-target is integrated by the homotopy operator (Hereman et
   al., "Continuous and discrete homotopy operators: a theoretical
@@ -24,8 +25,8 @@ the preimage that solving the whole homogeneous ansatz would give:
   component gives the whole system's preimage.
 * Along an odd direction D, D^2 = Dx turns D(g) = f into Dx(g) = D(f),
   which the first two paths solve, and the answer is kept only where
-  guards prove it is the direct D-preimage; elsewhere the D system's
-  component is solved.
+  guards prove it is the direct D-preimage; elsewhere the part's D
+  system's component is solved.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ from .jets import (
     _derive_gen,
     dt_apply,
     evolutionary_apply,
-    jet_poly,
     prolong,
     reduction,
     super_derive,
@@ -159,67 +159,62 @@ def d_integrate(
     coefficient 0.  Down the degrees, a is local, hence a constant, and
     A, of nonzero weight (b), holds no constant.
 
-    Along D (D1 or D2) the call first tries the Dx system of D(target),
-    which is much smaller (``_through_dx``), and returns its solution h
-    only when h is provably the preimage the direct D path gives;
-    otherwise it takes the direct path.  For one part f, both paths use
-    the same ansatz A: D(f) has weight [f] + 1/2 and the other parity, so
-    its Dx-preimages have the weight and parity of f's D-preimages.  The
+    Along D (D1 or D2) a part is first integrated through the Dx system
+    of its D-image, which is much smaller (``_through_dx``), and that
+    solution h is returned only when it is provably the preimage the
+    direct D path gives; otherwise the part takes the direct path.  Each
+    part falls back on its own.  For one part f, both paths use the same
+    ansatz A: D(f) has weight [f] + 1/2 and the other parity, so its
+    Dx-preimages have the weight and parity of f's D-preimages.  The
     guards are
 
-    (i) no symbol of ``gens`` has a Dx-jet that reduces to 0;
-    (ii) the Dx system of every part is consistent, its solution is a
-        Laurent polynomial, and it has no free column once the forced
-        zeros are dropped;
-    (iii) D(h) = f for every part;
-    (iv) D(D(g)) = Dx(g) for every non-local jet g of the ansatz.
+    (i) the Dx system of D(f) is consistent, its solution is a Laurent
+        polynomial, and it has no free column;
+    (ii) D(h) = f;
+    (iii) D(D(g)) = Dx(g) for every non-local jet g of the ansatz.
 
-    The argument, for one part, with C the Dx-component of D(f) and p
-    the direct answer (the particular solution of f's D-component):
+    The argument, with C the Dx-component of D(f) and p the direct
+    answer (the particular solution of f's D-component):
 
     * D^2 = Dx on A, since both are even derivations that agree on A's
-      generators: local jets by the index rule, non-local ones by (iv).
+      generators: local jets by the index rule, non-local ones by (iii).
       So ker D is inside ker Dx on A.
     * A vector of A splits into its part on C and the rest, whose
       Dx-images share no monomial (C is a whole component).  So a b in
-      ker D has Dx(b) = 0, hence Dx(b on C) = 0, and (ii) makes b vanish
+      ker D has Dx(b) = 0, hence Dx(b on C) = 0, and (i) makes b vanish
       on C.
-    * h lives on C and D(h) = f (iii), so the part of h off f's
+    * h lives on C and D(h) = f (ii), so the part of h off f's
       D-component is in ker D and on C, hence 0: h solves the direct
       system.  Then p - h is in ker D, so p = h on C, and the direct
       answer minus h lies outside C and in ker D.
     * Each column the direct solve leaves free carries a basis vector of
       ker D, which vanishes on C, so the column lies off C and h is 0
-      there, like p.  Two solutions of the direct system (both 0 on its
-      forced columns) that agree on every free column are equal, so
-      p = h.
+      there, like p.  Two solutions of the direct system that agree on
+      every free column are equal, so p = h.
 
     Where the homotopy operator answers the Dx solve, no component is
-    built, and the argument holds with C = A: from (ii) it needs only h
+    built, and the argument holds with C = A: from (i) it needs only h
     and that ker Dx meets C only in 0, which (b) and (e) prove for A.
 
     The argument treats the parameters as indeterminates, as both solves
     do, so an assumed pivot counts as nonzero; what holds for particular
-    parameter values is left out, as on the direct path.  Guard (i) is
-    not used: it refuses the route up front on coverings such as
-    ``D(v) = 0``, whose Dx-closed potentials make ker Dx large.  A failed
-    guard proves nothing, so the route never decides that a target has
-    no preimage; the direct path does.
+    parameter values is left out, as on the direct path.  It needs
+    nothing more on coverings such as ``D(v) = 0``, whose potentials have
+    zero x-derivatives: a monomial with a zero Dx-image meets no equation
+    and never joins C, and a kernel vector on C is a free column, which
+    (i) refuses.  A failed guard proves nothing, so the route never
+    decides that a target has no preimage; the direct path does.
     """
     if target.is_zero:
         return SuperPoly.zero()
-    parts = []
+    out = []
     for wt, whole in sorted(split_by_weight(ws, target).items()):
         want_wt = wt - _shift(direction)
         jets = [g for g in jets_up_to_weight(ws, gens, want_wt) if _is_new_coordinate(g)]
         items = items_from_gens(ws, jets, want_wt, zero_weight_cap)
-        parts += [(part, wt, items) for part in whole.parity_report() if not part.is_zero]
-    if direction != DX:
-        routed = _through_dx(parts, direction, gens)
-        if routed is not None:
-            return routed
-    return poly_sum(_integrate_part(part, direction, wt, items)[0]
-                    for part, wt, items in parts)
+        out += [_integrate_part(part, direction, wt, items)[0]
+                for part in whole.parity_report() if not part.is_zero]
+    return poly_sum(out)
 
 
 def _shift(direction) -> Fraction:
@@ -227,41 +222,38 @@ def _shift(direction) -> Fraction:
     return Q(1) if direction == DX else Q(1, 2)
 
 
-def _through_dx(parts, direction, gens) -> Optional[SuperPoly]:
-    """The D-preimage of the parts found as Dx-preimages of their
-    D-images, or None unless guards (i)-(iv) of ``d_integrate`` hold."""
-    if any(jet_poly(s, 0, 0, 1).is_zero for s in gens):
-        return None
-    twice = (1, 0, 0) if direction == D1 else (0, 1, 0)
-    out = []
-    for part, wt, items in parts:
-        for it in items:
-            g = it.factor
-            if (isinstance(g.fieldsym, Nonlocality)
-                    and prolong(_derive_gen(g, direction), *twice) != _derive_gen(g, DX)):
-                return None
-        image = super_derive(part, direction)
-        if image.is_zero:
-            return None
-        try:
-            h, unique = _integrate_part(image, DX, wt + _shift(direction), items)
-        except NotIntegrableError:
-            return None
-        if not unique or super_derive(h, direction) != part:
-            return None
-        out.append(h)
-    return poly_sum(out)
-
-
 def _integrate_part(part: SuperPoly, direction, wt, items) -> tuple:
     """The preimage of one part of weight wt and one parity, and whether
-    it is the only one: along Dx from ``_homotopy`` where its guards hold,
-    otherwise from the part's component (``_solve_component``)."""
+    it is proven the only one in the part's component: along Dx from
+    ``_homotopy`` and along D from ``_through_dx`` where their guards
+    hold, otherwise from the part's component (``_solve_component``).  A
+    routed D answer counts as not proven unique."""
     if direction == DX:
         h = _homotopy(part, wt, items)
-        if h is not None:
-            return h, True
+    else:
+        h = _through_dx(part, direction, wt, items)
+    if h is not None:
+        return h, direction == DX
     return _solve_component(part, direction, wt, items)
+
+
+def _through_dx(part: SuperPoly, direction, wt, items) -> Optional[SuperPoly]:
+    """The D-preimage of the part found as the Dx-preimage of its D-image,
+    or None unless guards (i)-(iii) of ``d_integrate`` hold."""
+    twice = (1, 0, 0) if direction == D1 else (0, 1, 0)
+    for it in items:
+        g = it.factor
+        if (isinstance(g.fieldsym, Nonlocality)
+                and prolong(_derive_gen(g, direction), *twice) != _derive_gen(g, DX)):
+            return None
+    image = super_derive(part, direction)
+    if image.is_zero:
+        return None
+    try:
+        h, unique = _integrate_part(image, DX, wt + _shift(direction), items)
+    except NotIntegrableError:
+        return None
+    return h if unique and super_derive(h, direction) == part else None
 
 
 def _homotopy(part: SuperPoly, wt, items) -> Optional[SuperPoly]:
@@ -360,21 +352,16 @@ def _solve_component(part: SuperPoly, direction, wt, items) -> tuple:
     Everything outside the component is homogeneous and shares no
     unknown or equation with it, and Gauss-Jordan takes pivots column by
     column, so with the columns in term order, as the whole ansatz had
-    them, the preimage is the one the whole ansatz gives.  Unknowns that
-    the equations force to zero (``_forced_zero``) are dropped before the
-    rest are solved for, so the preimage is unique exactly when no
-    column is left free.  Raises NotIntegrableError when the component
-    has no solution, or none with Laurent coefficients.
+    them, the preimage is the one the whole ansatz gives, and it is the
+    component's only one exactly when no column is left free.  Raises
+    NotIntegrableError when the component has no solution, or none with
+    Laurent coefficients.
     """
     want_par = (part.parity() + (direction != DX)) % 2
     component = _component(_by_monomial(part), direction, items, wt - _shift(direction),
                            want_par)
     monos = sorted(component, key=term_order_key)
-    eqs = _equations(part, [component[m] for m in monos])
-    zero = _forced_zero(eqs)
-    red = gauss_jordan([LinearEquation({c: v for c, v in eq.coeffs.items() if c not in zero},
-                                       eq.const) for eq in eqs],
-                       [c for c in range(len(monos)) if c not in zero])
+    red = gauss_jordan(_equations(part, [component[m] for m in monos]), range(len(monos)))
     if red.leftover:
         raise NotIntegrableError(f"no exact {direction}-preimage of weight {wt} part")
     try:
@@ -495,40 +482,6 @@ def _equations(target: SuperPoly, images: list) -> list:
         rows.setdefault(e, ({}, {}))[1].update(coeff)
     return [LinearEquation(row, -_wrap(rhs))
             for e, (row, rhs) in sorted(rows.items(), key=lambda r: term_order_key(r[0]))]
-
-
-def _forced_zero(eqs) -> set:
-    """Columns that vanish in every solution, found by propagation.
-
-    A column is forced to zero when, once the columns already forced are
-    dropped, it is the only one left in a row with a zero right-hand side
-    and a rational coefficient.  A worklist of such rows keeps the pass
-    linear in the size of the system.  The unit vector of every forced
-    column lies in the row space, so it is a row of the reduced row
-    echelon form, and the other rows are 0 in its column: solving for the
-    remaining columns alone gives the same solution.
-    """
-    left = [len(eq.coeffs) for eq in eqs]
-    where: dict = {}
-    for i, eq in enumerate(eqs):
-        for c in eq.coeffs:
-            where.setdefault(c, []).append(i)
-    todo = [i for i, eq in enumerate(eqs) if left[i] == 1 and eq.const.is_zero]
-    zero: set = set()
-    while todo:
-        i = todo.pop()
-        if left[i] != 1:  # its last column was forced meanwhile
-            continue
-        row = eqs[i].coeffs
-        c = next(c for c in row if c not in zero)
-        if row[c].param_names():
-            continue
-        zero.add(c)
-        for j in where[c]:
-            left[j] -= 1
-            if left[j] == 1 and eqs[j].const.is_zero:
-                todo.append(j)
-    return zero
 
 
 def _is_new_coordinate(g: JetVar) -> bool:

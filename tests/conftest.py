@@ -1,5 +1,6 @@
 """Shared fixtures and helpers: a deterministic RNG, ordered products,
-integration ansatz parts and a check on how coefficients are stored."""
+repeated derivatives, integration ansatz parts and a check on how
+coefficients are stored."""
 
 import contextlib
 import random
@@ -9,6 +10,7 @@ import pytest
 
 from superjet import recursion
 from superjet.algebra import DX, SuperPoly
+from superjet.jets import super_derive
 from superjet.weights import (
     enumerate_monomials,
     items_from_gens,
@@ -28,6 +30,14 @@ def prod(factors, coeff=1) -> SuperPoly:
     for g in factors:
         out = out * g
     return out
+
+
+def apply_ops(p: SuperPoly, ops) -> SuperPoly:
+    """Apply a sequence of directions, innermost first: the oracle for
+    ``jets.prolong``, which derives each jet once."""
+    for direction in ops:
+        p = super_derive(p, direction)
+    return p
 
 
 def integration_ansatz_parts(target, direction, ws, gens, zero_weight_cap=2):

@@ -351,6 +351,12 @@ def field_gauss_jordan(rows, n, sure_nonzero, F):
     return pivots, particular, basis, assumed, leftover
 
 
+def ring_scale(red):
+    """The scale s of a reduction: the last pivot once one had several
+    terms, which every solved row holds in its pivot column, else 1."""
+    return next((pivot for pivot, _rhs in red.solved.values()), LaurentRing.one)
+
+
 @settings(max_examples=200, deadline=None)
 @given(laurent_systems())
 def test_laurent_elimination_matches_the_fraction_field(system):
@@ -364,16 +370,16 @@ def test_laurent_elimination_matches_the_fraction_field(system):
     have a value that is not a Laurent polynomial; each basis vector is a
     multiple of the field's; and the leftovers are empty together.  An
     inconsistent system has no particular solution to compare.  On every
-    draw each ring leftover is the field's times ``Reduced.scale``.
+    draw each ring leftover is the field's times ``ring_scale(red)``.
     """
     rows, n, names, nonzero = system
     K = _LaurentPivotLog()
     red = gauss_jordan([LinearEquation(row, -rhs) for row, rhs in rows], range(n), nonzero, K)
     # each leftover is the field's, rhs - row . x for the particular x, times
     # the last pivot; x times that pivot is the ring's right-hand sides
-    scale, zero = red.scale, SuperPoly.zero()
-    residues = [scale * rhs - sum((v * red.solved[c][1] for c, v in row.items()
-                                   if c in red.solved), zero) for row, rhs in rows]
+    s, zero = ring_scale(red), SuperPoly.zero()
+    residues = [s * rhs - sum((v * red.solved[c][1] for c, v in row.items()
+                               if c in red.solved), zero) for row, rhs in rows]
     assert [r for r in residues if not r.is_zero] == red.leftover
     F = sympy.QQ.frac_field(*names)
     if len(K.pivots) == len(red.solved):

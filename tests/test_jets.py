@@ -23,7 +23,6 @@ from superjet.algebra import (
 from superjet.jets import (
     Flow,
     Nonlocality,
-    apply_ops,
     check_symmetry,
     commutator,
     declare,
@@ -37,7 +36,7 @@ from superjet.jets import (
     super_derive,
 )
 
-from conftest import prod
+from conftest import apply_ops, prod
 
 Q = Fraction
 

@@ -28,13 +28,13 @@ from superjet.algebra import (
 )
 from superjet.coverings import is_phantom
 from superjet.grammar import print_poly
-from superjet.jets import Flow, apply_ops, dt_apply, evolutionary_apply, prolong, super_derive
+from superjet.jets import Flow, dt_apply, evolutionary_apply, prolong, super_derive
 from superjet.linsolve import LinearEquation, NonlinearSystemError, gauss_jordan, quotient
 from superjet.recursion import NotIntegrableError, _substitute_phantoms, d_integrate
 from superjet.variational import graded_partial
 from superjet.weights import AnsatzItem, WeightSystem, enumerate_monomials
 
-from conftest import is_canonical, prod
+from conftest import apply_ops, is_canonical, prod
 
 Q = Fraction
 

@@ -25,17 +25,14 @@ from superjet.grammar import parse_document, parse_expression
 from superjet.jets import (
     Flow,
     Nonlocality,
-    apply_ops,
     declare,
     dt_apply,
     jet_poly,
     super_derive,
 )
-from superjet.linsolve import LinearEquation
 from superjet.recursion import (
     NotIntegrableError,
     NotLinearInPhantomsError,
-    _forced_zero,
     Shadow,
     apply_shadow,
     compose,
@@ -51,7 +48,7 @@ from superjet.recursion import (
 )
 from superjet.weights import AnsatzItem, WeightSystem
 
-from conftest import integration_ansatz_parts, prod
+from conftest import apply_ops, integration_ansatz_parts, prod
 
 Q = Fraction
 
@@ -130,21 +127,13 @@ def test_non_integrable_density_raises():
         d_integrate(flux, DX, ws, sys.fields)
 
 
-def test_no_preimage_raises_after_every_unknown_is_forced_to_zero(monkeypatch):
+def test_no_preimage_raises_after_every_unknown_is_forced_to_zero():
+    """The component of b_x^2 forces every unknown to zero, and the row of
+    the target is left over."""
     doc = catalog.get("pskdv").doc
-    forced = []
-
-    def record(eqs):
-        zero = _forced_zero(eqs)
-        forced.append(({c for eq in eqs for c in eq.coeffs}, zero))
-        return zero
-
-    monkeypatch.setattr(recursion, "_forced_zero", record)
     target = parse_expression("b_x^2", doc.scope)
     with pytest.raises(NotIntegrableError):
         d_integrate(target, DX, doc.weight_system(), doc.system().fields)
-    ((unknowns, zero),) = forced
-    assert unknowns and zero == unknowns
 
 
 # ---------------------------------------------------------------------------
@@ -236,16 +225,34 @@ def _component_sizes(target, direction, ws, gens, zero_weight_cap):
 
 
 def _record_parts(monkeypatch):
-    """The direction of every part system that ``d_integrate`` solves."""
-    directions = []
-    real = recursion._integrate_part
+    """(direction, path) for every part solve of ``d_integrate``, in the
+    order they end: "homotopy" or "route" where that path answered a Dx or
+    a D part, "component" for every component solve (answered or not),
+    the Dx solves of the route included."""
+    solved = []
+    homotopy, through_dx = recursion._homotopy, recursion._through_dx
+    solve_component = recursion._solve_component
 
-    def record(part, direction, *args):
-        directions.append(direction)
-        return real(part, direction, *args)
+    def record_homotopy(*args):
+        h = homotopy(*args)
+        if h is not None:
+            solved.append((DX, "homotopy"))
+        return h
 
-    monkeypatch.setattr(recursion, "_integrate_part", record)
-    return directions
+    def record_route(part, direction, *rest):
+        h = through_dx(part, direction, *rest)
+        if h is not None:
+            solved.append((direction, "route"))
+        return h
+
+    def record_component(part, direction, *rest):
+        solved.append((direction, "component"))
+        return solve_component(part, direction, *rest)
+
+    monkeypatch.setattr(recursion, "_homotopy", record_homotopy)
+    monkeypatch.setattr(recursion, "_through_dx", record_route)
+    monkeypatch.setattr(recursion, "_solve_component", record_component)
+    return solved
 
 
 @pytest.mark.parametrize("seed, unknowns", [("seed_x", [13, 10]), ("seed_t", [18, 13])])
@@ -260,12 +267,13 @@ def test_integration_builds_only_the_targets_component(monkeypatch, seed, unknow
     monkeypatch.setattr(recursion, "_homotopy", lambda *args: None)
     calls = _record_calls(monkeypatch)
     systems = []
+    real = recursion.gauss_jordan
 
-    def record(eqs):
+    def record(eqs, *args):
         systems.append((len({c for eq in eqs for c in eq.coeffs}), len(eqs)))
-        return _forced_zero(eqs)
+        return real(eqs, *args)
 
-    monkeypatch.setattr(recursion, "_forced_zero", record)
+    monkeypatch.setattr(recursion, "gauss_jordan", record)
     apply_shadow(doc.shadows["R"], flow, ws)
     assert [args[1] for args in calls] == [D1, DX]
     want = []
@@ -285,7 +293,8 @@ def test_every_d1_call_of_the_dbous_steps_takes_the_route(monkeypatch):
     for seed in ("seed_x", "seed_t"):
         iterate(doc.shadows["R"], doc.flows[seed], 4, ws)
     assert [args[1] for args in calls].count(D1) == 8
-    assert D1 not in solved and solved.count(DX) >= 16
+    assert (D1, "component") not in solved and solved.count((D1, "route")) == 8
+    assert sum(direction == DX for direction, _path in solved) >= 16
 
 
 def _record_homotopy(monkeypatch):
@@ -411,12 +420,17 @@ DEGENERATE_COVERING = parse_document(
     "nonlocal w even weight 1: D(w) = v;\nu_t = u_xxx;\n")
 
 
-@pytest.mark.parametrize("target, preimage", [
-    ("v", "w"), ("v + D(u)", "u + w"), ("D(w*u)", "u*w"), ("u*v", None)])
+@pytest.mark.parametrize("target, preimage, routed", [
+    ("v", "w", False), ("v + D(u)", "u + w", False), ("D(w*u)", "u*w", True),
+    ("u*v", None, False)])
 def test_integration_on_a_degenerate_covering_matches_the_whole_ansatz(
-        monkeypatch, target, preimage):
+        monkeypatch, target, preimage, routed):
     """D(v) = 0 and D(w) = v, so v and w have zero x-derivatives; D1 still
-    integrates v to w, on the direct path."""
+    integrates v to w, on the direct path, since the D-image of v is 0.
+    The Dx-preimage u of the D-image of v + D(u) fails guard (ii), and
+    u*v has none.  The Dx-image w*u_x of D(w*u) has the one preimage u*w
+    in its component, where w, whose Dx-image is 0, meets no equation, so
+    the route answers it; D has no kernel on the even jets of weight 1."""
     doc = DEGENERATE_COVERING
     args = (doc.poly(target), D1, doc.weight_system(),
             [*doc.fields.values(), *doc.nonlocals.values()])
@@ -424,7 +438,8 @@ def test_integration_on_a_degenerate_covering_matches_the_whole_ansatz(
     assert _outcome(_reference_integrate, *args) == want
     solved = _record_parts(monkeypatch)
     assert _outcome(d_integrate, *args) == want
-    assert solved and set(solved) == {D1}
+    assert ((D1, "route") in solved) == routed
+    assert (solved[-1] == (D1, "component")) == (not routed)
 
 
 @pytest.mark.parametrize("covering, target, routed", [
@@ -448,7 +463,28 @@ def test_integration_with_dependent_potentials_matches_the_whole_ansatz(
             [*doc.fields.values(), *doc.nonlocals.values()])
     solved = _record_parts(monkeypatch)
     assert _outcome(d_integrate, *args) == _outcome(_reference_integrate, *args)
-    assert (D1 not in solved) == routed
+    assert ((D1, "route") in solved) == routed
+    assert ((D1, "component") not in solved) == routed
+
+
+def test_the_route_falls_back_part_by_part(monkeypatch):
+    """u + D(u*v) has an odd part D(u*v) of weight 3/2, which the route
+    answers, and an even part u of weight 1, whose D-image Du has the
+    Dx-preimages Dv and Dw: only u reaches the direct D1 solve."""
+    doc = DEPENDENT_COVERINGS["x-potentials"]
+    args = (doc.poly("u + D(u*v)"), D1, doc.weight_system(),
+            [*doc.fields.values(), *doc.nonlocals.values()])
+    direct = []
+    real = recursion._solve_component
+
+    def record(part, direction, *rest):
+        if direction == D1:
+            direct.append(part)
+        return real(part, direction, *rest)
+
+    monkeypatch.setattr(recursion, "_solve_component", record)
+    assert _outcome(d_integrate, *args) == _outcome(_reference_integrate, *args)
+    assert direct == [doc.poly("u")]
 
 
 @pytest.mark.parametrize("covering, target, answered", [
@@ -499,7 +535,7 @@ def test_integration_on_an_inconsistent_covering_takes_the_direct_path(monkeypat
             [*doc.fields.values(), *doc.nonlocals.values()])
     solved = _record_parts(monkeypatch)
     assert _outcome(d_integrate, *args) == doc.poly("f*f_x") == _reference_integrate(*args)
-    assert solved == [D1]
+    assert solved == [(D1, "component")]
 
 
 @pytest.mark.parametrize("weight, others", [(Q(0), 1), (Q(-1), 3)])
@@ -545,21 +581,6 @@ def test_mixed_parity_target_splits():
     target = super_derive(pre, DX)
     assert target.parity() is None
     assert d_integrate(target, DX, ws, [b, f]) == pre
-
-
-def test_forced_zero_needs_a_rational_coefficient_and_no_constant():
-    one, alpha = SuperPoly.one(), SuperPoly.param("alpha")
-    zero = SuperPoly.zero()
-    # column 1 is forced, which leaves column 0 alone in a row, but only
-    # through alpha
-    eqs = [LinearEquation({0: alpha, 1: one}, zero), LinearEquation({1: 2 * one}, zero)]
-    assert _forced_zero(eqs) == {1}
-    assert _forced_zero([LinearEquation({0: alpha}, zero)]) == set()
-    assert _forced_zero([LinearEquation({0: one}, -one)]) == set()
-    # a chain: column 2 forces column 1, which forces column 0
-    eqs = [LinearEquation({0: one, 1: one}, zero), LinearEquation({1: -one, 2: 3 * one}, zero),
-           LinearEquation({2: one}, zero)]
-    assert _forced_zero(eqs) == {0, 1, 2}
 
 
 def _reduced_jet(w, d1, d2, m):
