@@ -130,7 +130,8 @@ def gauss_jordan(
     K: LaurentRing = LaurentRing(),
 ) -> Reduced:
     """Reduce the equations, with ``unknowns`` (any hashable values) as the
-    columns in order.  Zero coefficients are skipped.
+    columns in order.  Zero coefficients are skipped, and so is every ring
+    operation on a zero right-hand side, which stays zero.
 
     An entry is sure to be nonzero when it is one monomial in the
     parameters ``assume_nonzero`` (with none, a rational).  For each
@@ -182,7 +183,7 @@ def gauss_jordan(
         if unit:
             inv = K.revert(pivot)
             row = {cc: mul(v, inv) for cc, v in row.items()}
-            rhs = mul(rhs, inv)
+            rhs = rhs if is_zero(rhs) else mul(rhs, inv)
             work[p] = (row, rhs)
         used.add(p)
         pivot_row[c] = p
@@ -191,7 +192,7 @@ def gauss_jordan(
             f = orow.get(c)
             if not unit:
                 orow = {cc: mul(pivot, v) for cc, v in orow.items()}
-                orhs = mul(pivot, orhs)
+                orhs = orhs if is_zero(orhs) else mul(pivot, orhs)
             if f is not None:
                 for cc, v in row.items():
                     nv = submul(orow.get(cc, zero), f, v)
@@ -201,10 +202,10 @@ def gauss_jordan(
                     else:
                         del orow[cc]
                         col_rows[cc].discard(i)
-                orhs = submul(orhs, f, rhs)
+                orhs = orhs if is_zero(rhs) else submul(orhs, f, rhs)
             if scale is not one:
                 orow = {cc: quotient(v, scale) for cc, v in orow.items()}
-                orhs = quotient(orhs, scale)
+                orhs = orhs if is_zero(orhs) else quotient(orhs, scale)
             work[i] = (orow, orhs)
         if not unit:
             scale = pivot

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, lcm
+from math import ceil
 from typing import Optional, Sequence
 
 from . import jets as _jets
@@ -66,6 +66,7 @@ from .linsolve import LinearEquation, NonlinearSystemError, gauss_jordan
 from .variational import graded_partial
 from .weights import (
     WeightSystem,
+    integer_weights,
     items_from_gens,
     jets_up_to_weight,
     split_by_weight,
@@ -396,12 +397,13 @@ def _component(target: dict, direction, items, weight, parity) -> dict:
     factor g of m and a term t of the image of g, so the candidates for
     e are the admissible (e / t) * g.  A candidate joins when e really
     occurs in its image, and its image's monomials join the equations.
+    Weights compare as the ints of ``integer_weights``, the scaling that
+    ``enumerate_monomials`` uses too.
     """
     side = "left" if direction in (D1, D2) else "even"
     caps = {it.factor: it.max_exp for it in items}
-    scale = lcm(Q(weight).denominator, *(it.weight.denominator for it in items))
-    weights = {it.factor: int(it.weight * scale) for it in items}
-    weight = int(weight * scale)
+    ints, weight = integer_weights(items, weight)
+    weights = {it.factor: w for it, w in zip(items, ints)}
     gen_image = {g: _derive_gen(g, direction) for g in caps}
     steps: dict = {}  # a factor of t -> the (g, t) pairs, each filed under one factor
     for g, img in gen_image.items():

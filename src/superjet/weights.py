@@ -5,6 +5,10 @@ Conventions: [x] = -1, [theta] = -1/2, so Dx raises weight by 1 and an
 odd super derivative by 1/2; time weights are negative for evolution in
 positive-weight right-hand sides.  A Clifford auxiliary weighs half of
 its declared even square.
+
+An ansatz is built on integers: a ``WeightSystem`` keeps growing tables of
+its jets and items, and ``enumerate_monomials`` keeps the reachable sums of
+scaled weights as bitsets, so an unreachable target gives ``[]`` at once.
 """
 
 from __future__ import annotations
@@ -39,12 +43,15 @@ class InhomogeneousError(ValueError):
 
 @dataclass
 class WeightSystem:
-    """Assignment of weights to fields, parameters and the time variable."""
+    """Assignment of weights to fields, parameters and the time variable; it
+    caches generator weights, and what ``jets_up_to_weight`` and ``items_from_gens`` build."""
 
     fields: Mapping[FieldSymbol, Fraction]
     params: Mapping[str, Fraction] = dc_field(default_factory=dict)
     t: Optional[Fraction] = None
     _gen_weights: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
+    _jet_table: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
+    _items: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def field_weight(self, sym: FieldSymbol) -> Fraction:
         if sym in self.fields:
@@ -194,36 +201,68 @@ class AnsatzItem:
 
 
 def items_from_gens(ws: WeightSystem, gens, max_weight, zero_weight_cap=2):
-    items = []
+    """The gens with their caps (1 if odd, max_weight // weight if of positive
+    weight, else zero_weight_cap) where positive; each item is built once."""
+    mn, md, items = max_weight.numerator, max_weight.denominator, []
     for g in gens:
-        w = ws.gen_weight(g)
-        q = g.parity
-        if q:
-            cap = 1
-        elif w > 0:
-            cap = int(Q(max_weight) // w) if Q(max_weight) >= w else 0
-        else:
-            cap = zero_weight_cap
+        entry = ws._items.get(id(g))
+        if entry is None:  # the entry holds g, so the id stays g's
+            w = ws.gen_weight(g)
+            entry = ws._items[id(g)] = (g, w, w.numerator, w.denominator, g.parity, {})
+        _g, w, wn, wd, q, made = entry
+        cap = 1 if q else (mn * wd // (md * wn) if wn > 0 else zero_weight_cap)
         if cap > 0:
-            items.append(AnsatzItem(g, w, q, cap))
+            items.append(made.get(cap) or made.setdefault(cap, AnsatzItem(g, w, q, cap)))
     return items
 
 
 def jets_up_to_weight(ws: WeightSystem, fields, max_weight):
-    """All jet variables of the given fields with weight <= max_weight."""
-    out = []
+    """All jets of the fields with weight <= max_weight, by field, D-flag and
+    x-order, cut on integers from the table of ``ws`` that holds for each
+    field (by identity, as jets are keyed) each D-flag's weight at x-order
+    0 and its jets by x-order, and grows on demand."""
+    mn, md, out = max_weight.numerator, max_weight.denominator, []
     for u in fields:
-        flags = [(0, 0)]
-        if u.n_susy >= 1:
-            flags.append((1, 0))
-        if u.n_susy >= 2:
-            flags += [(0, 1), (1, 1)]
-        for d1, d2 in flags:
-            g = JetVar(u, d1, d2)
-            while ws.gen_weight(g) <= max_weight:
-                out.append(g)
-                g = JetVar(u, d1, d2, g.m + 1)
+        rows = ws._jet_table.get(id(u))
+        if rows is None:
+            firsts = [JetVar(u, *f) for f in ((0, 0), (1, 0), (0, 1), (1, 1))[: 2**u.n_susy]]
+            rows = ws._jet_table[id(u)] = [(ws.gen_weight(g), [g]) for g in firsts]
+        for w, jets in rows:  # x-orders 0 .. floor(max_weight - w)
+            n = (mn * w.denominator - w.numerator * md) // (md * w.denominator) + 1
+            while len(jets) < n:
+                jets.append(JetVar(u, jets[0].d1, jets[0].d2, len(jets)))
+            out += jets[: max(n, 0)]
     return out
+
+
+def integer_weights(items: Sequence[AnsatzItem], weight) -> tuple:
+    """The item weights and ``weight`` times the lcm of the item weights'
+    denominators, as ints; None for ``weight`` if no sum of them equals it."""
+    scale = lcm(*(it.weight.denominator for it in items))
+    target, rest = divmod(weight.numerator * scale, weight.denominator)
+    return [it.weight.numerator * (scale // it.weight.denominator) for it in items], (
+        None if rest else target)
+
+
+def _reach(weights, caps, parities, target) -> tuple:
+    """``(off, reach)``: ``reach[i][p]`` has bit k set when items i.. can add the sum
+    k + off of parity p, within the window of the weight still to find before item i."""
+    lo, hi = [target], [target]
+    for w, cap in zip(weights, caps):
+        lo.append(lo[-1] - max(0, w * cap))
+        hi.append(hi[-1] - min(0, w * cap))
+    off = min(0, *lo)  # so that the empty sum has a bit
+    reach = [(1 << -off, 0)]
+    for i in range(len(weights) - 1, -1, -1):
+        w, q, (b0, b1) = weights[i], parities[i], reach[-1]
+        even, odd = b0, b1
+        for _e in range(caps[i]):  # one more factor: shift by w, and swap if odd
+            b0, b1 = (b1, b0) if q else (b0, b1)
+            b0, b1 = (b0 << w, b1 << w) if w >= 0 else (b0 >> -w, b1 >> -w)
+            even, odd = even | b0, odd | b1
+        window = ((1 << (hi[i] - lo[i] + 1)) - 1) << (lo[i] - off)
+        reach.append((even & window, odd & window))
+    return off, reach[::-1]
 
 
 def enumerate_monomials(items: Sequence[AnsatzItem], weight, parity):
@@ -235,38 +274,27 @@ def enumerate_monomials(items: Sequence[AnsatzItem], weight, parity):
     bringing the odd factors into canonical order, times the squares of
     repeated Clifford factors; products that vanish are left out.  The
     result is sorted by ``term_order_key``, ties in enumeration order.
+
+    Weights are scaled to ints (``integer_weights``) and reachable sums kept
+    as bitsets (``_reach``): an unreachable target gives ``[]`` before any sort
+    or product, and the search takes only exponents that keep the rest reachable.
     """
-    items = sorted(items, key=lambda it: (it.weight <= 0, str(it.factor)))
-    weight = Q(weight)
-    scale = lcm(weight.denominator, *(it.weight.denominator for it in items))
-    target = int(weight * scale)
-    weights = [int(it.weight * scale) for it in items]
-    caps = [it.max_exp for it in items]
-    parities = [it.parity for it in items]
-    gen_keys = [next(iter(SuperPoly.from_gen(it.factor).terms)) for it in items]
-    n = len(items)
-    # the weight still to find before item i lies in lo[i]..hi[i]
-    lo, hi = [target], [target]
-    for w, cap in zip(weights, caps):
-        lo.append(lo[-1] - max(0, w * cap))
-        hi.append(hi[-1] - min(0, w * cap))
-    # reach[i]: the (weight, parity) pairs items i.. can add, within lo[i]..hi[i]
-    reach = [None] * n + [{(0, 0)}]
-    for i in range(n - 1, -1, -1):
-        w, q = weights[i], parities[i]
-        reach[i] = {
-            (s + w * e, (p + q * e) % 2)
-            for s, p in reach[i + 1]
-            for e in range(caps[i] + 1)
-            if lo[i] <= s + w * e <= hi[i]
-        }
-    found = []
+    weights, target = integer_weights(items, weight)
+    caps, parities = [it.max_exp for it in items], [it.parity for it in items]
+    if target is None or not _reach(weights, caps, parities, target)[1][0][parity]:
+        return []
+    order = sorted(range(len(items)), key=lambda i: (weights[i] <= 0, str(items[i].factor)))
+    weights, caps, parities = ([v[i] for i in order] for v in (weights, caps, parities))
+    gen_keys = [next(iter(SuperPoly.from_gen(items[i].factor).terms)) for i in order]
+    off, reach = _reach(weights, caps, parities, target)
+    n, found = len(order), []
 
     def build(i, rest, par, chosen, scalar, key):
         """Extend the product (scalar, key) of the factors before item i."""
         while i < n:
             w, q, after = weights[i], parities[i], reach[i + 1]
-            exps = [e for e in range(caps[i] + 1) if (rest - w * e, (par + q * e) % 2) in after]
+            exps = [e for e in range(caps[i] + 1)
+                    if (k := rest - w * e - off) >= 0 and after[(par + q * e) % 2] >> k & 1]
             if exps != [0]:
                 break
             i += 1
@@ -283,7 +311,6 @@ def enumerate_monomials(items: Sequence[AnsatzItem], weight, parity):
             if e in exps:
                 build(i + 1, rest - w * e, (par + q * e) % 2, chosen or e, scalar, key)
 
-    if (target, parity) in reach[0]:
-        build(0, target, parity, 0, 1, _ONE_KEY)
+    build(0, target, parity, 0, 1, _ONE_KEY)
     found.sort(key=lambda kc: term_order_key(kc[0]))
     return [_wrap({key: c}) for key, c in found]

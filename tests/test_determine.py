@@ -75,6 +75,15 @@ def test_empty_slot_returns_nothing(embed):
     assert res.flows == []
 
 
+def test_a_weight_off_the_half_grid_has_an_empty_ansatz(embed):
+    """Every jet of bous-embed weighs a multiple of 1/2, so at -1/3 no
+    monomial has the weight of either field's flow component."""
+    _doc, sys, ws = embed
+    for parity in (EVEN, ODD):
+        res = find_symmetries(sys, ws, Q(-1, 3), parity, assume_nonzero=NONZERO)
+        assert (res.flows, res.ansatz_size) == ([], 0)
+
+
 def test_rational_and_parametric_paths_agree():
     """The same solution space must come out of the sparse rational
     elimination and the parametric (symbolic-pivot) route."""
@@ -467,8 +476,9 @@ class _LaurentWorkCount(LaurentRing):
 
 def test_sparse_pivot_rows_bound_the_elimination_work(embed, monkeypatch):
     """Taking the sparsest eligible row as pivot keeps the fill down: the
-    106 x 38 elimination of the weight -5 even search makes 3349 ring
-    products, where taking the first eligible row made 25 522."""
+    106 x 38 elimination of the weight -5 even search makes 2309 ring
+    products, where taking the first eligible row made 23 078 (with the
+    ring operations on zero right-hand sides skipped in both)."""
     _doc, sys, ws = embed
     rings = []
 
@@ -479,7 +489,7 @@ def test_sparse_pivot_rows_bound_the_elimination_work(embed, monkeypatch):
     monkeypatch.setattr(determine, "gauss_jordan", counted)
     find_symmetries(sys, ws, Q(-5), EVEN, assume_nonzero=NONZERO)
     (ring,) = rings
-    assert ring.submuls <= 4000
+    assert ring.submuls <= 2760
 
 
 @st.composite

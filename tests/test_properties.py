@@ -244,9 +244,8 @@ def _oracle(items, weight, parity):
     return out
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_monomial_enumeration_matches_brute_force(data):
+def _draw_aimed(data):
+    """Items, and the weight and parity of some exponent vector within their caps."""
     gens = data.draw(st.lists(st.sampled_from(ENUM_GENS), min_size=1, max_size=5,
                               unique=True))
     items = [
@@ -254,13 +253,42 @@ def test_monomial_enumeration_matches_brute_force(data):
                    data.draw(st.integers(1, 2 if g.parity else 3)))
         for g in gens
     ]
-    # aim at the weight and parity of some exponent vector within the caps
     exps = [data.draw(st.integers(0, it.max_exp)) for it in items]
     weight = sum((it.weight * e for it, e in zip(items, exps)), Q(0))
     parity = sum(it.parity * e for it, e in zip(items, exps)) % 2
+    return items, weight, parity
+
+
+def _assert_enumeration_matches_oracle(items, weight, parity):
     got = enumerate_monomials(items, weight, parity)
     want = _oracle(items, weight, parity)
     assert [list(m.terms.items()) for m in got] == [list(m.terms.items()) for m in want]
+    return got
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_monomial_enumeration_matches_brute_force(data):
+    _assert_enumeration_matches_oracle(*_draw_aimed(data))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from(["parity", "off the grid", "beyond"]))
+def test_monomial_enumeration_of_missed_targets_matches_brute_force(data, miss):
+    """Targets that no exponent vector may reach: an aimed target with its
+    parity flipped, with its weight shifted by 1/7, which no sum of the
+    item weights (all on the 1/6 grid) equals, or past the heaviest or
+    below the lightest sum within the caps."""
+    items, weight, parity = _draw_aimed(data)
+    if miss == "parity":
+        _assert_enumeration_matches_oracle(items, weight, 1 - parity)
+        return
+    if miss == "off the grid":
+        weight += Q(1, 7)
+    else:
+        sign = data.draw(st.sampled_from([1, -1]))
+        weight = sign * (1 + sum(max(0, sign * it.weight) * it.max_exp for it in items))
+    assert _assert_enumeration_matches_oracle(items, weight, parity) == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Scaling weights: inference, homogeneity, ansatz enumeration."""
 
+import random
 from fractions import Fraction
 
 from superjet import catalog
@@ -163,3 +164,37 @@ def test_enumeration_has_no_duplicates():
     monos = enumerate_monomials(items, Q(4), EVEN)
     keys = [tuple(sorted(m.terms)) for m in monos]
     assert len(keys) == len(set(keys))
+
+
+def test_no_items_enumerate_nothing():
+    for weight in (Q(-1), Q(0), Q(1, 2), Q(1)):
+        for parity in (EVEN, ODD):
+            assert enumerate_monomials([], weight, parity) == []
+
+
+def _jets_by_definition(ws, fields, max_weight):
+    """The jets of weight <= max_weight, by field, D-flag and x-order, each
+    weighed on its own."""
+    flags = ((0, 0), (1, 0), (0, 1), (1, 1))
+    return [JetVar(u, d1, d2, m) for u in fields for d1, d2 in flags[: 2**u.n_susy]
+            for m in range(40) if ws.gen_weight(JetVar(u, d1, d2, m)) <= max_weight]
+
+
+@pytest.mark.parametrize("cid", ["bous-embed", "dbous", "hydro-bous"])
+def test_the_jet_and_item_tables_are_never_stale(cid):
+    """Weights asked for in increasing, decreasing and shuffled order, off
+    the 1/2 grid and below every jet too, give the lists of a freshly built
+    weight system, order included."""
+    doc = catalog.get(cid).doc
+    fields = doc.system().fields
+    asked = [Q(n, 6) for n in range(-12, 61, 5)]
+    orders = [asked, asked[::-1], random.Random(cid).sample(asked, len(asked))]
+    for order in orders:
+        ws = doc.weight_system()
+        for i, w in enumerate(order):
+            cap = 1 + i % 3
+            fresh = doc.weight_system()
+            jets = jets_up_to_weight(ws, fields, w)
+            assert jets == jets_up_to_weight(fresh, fields, w)
+            assert jets == _jets_by_definition(fresh, fields, w)
+            assert items_from_gens(ws, jets, w, cap) == items_from_gens(fresh, jets, w, cap)
