@@ -222,18 +222,19 @@ Generator = Union[Theta, Clifford, JetVar]
 
 
 def _merge_params(a, b):
-    if not a:
-        return b
-    if not b:
-        return a
-    d = dict(a)
-    for k, e in b:
-        e2 = d.get(k, 0) + e
-        if e2:
-            d[k] = e2
-        else:
-            del d[k]
-    return tuple(sorted(d.items()))
+    """The product of two parameter monomials: one linear merge of their
+    sorted ``(name, exponent)`` tuples, dropping a zero exponent."""
+    if not a or not b:
+        return a or b
+    out, i, j = [], 0, 0
+    while i < len(a) and j < len(b):
+        (n, x), (m, y) = a[i], b[j]
+        if n != m:
+            out.append(a[i] if n < m else b[j])
+        elif x + y:
+            out.append((n, x + y))
+        i, j = i + (n <= m), j + (m <= n)
+    return (*out, *a[i:], *b[j:])
 
 
 def _merge_odds(a: tuple, b: tuple):
@@ -243,8 +244,6 @@ def _merge_odds(a: tuple, b: tuple):
     Clifford square reductions, or (0, (), ()) when the product vanishes;
     coeff is the int 1 or -1 unless a Clifford square was reduced.
     """
-    if not a or not b:
-        return 1, (), a or b
     sign = 1
     out = []
     i = j = 0
@@ -283,6 +282,14 @@ def _merge_evens(a, b):
         return b
     if not b:
         return a
+    if len(b) == 1:  # in place, after the factors of a that sort no later
+        ((g, e),) = b
+        for i, (h, x) in enumerate(a):
+            if h._sort_key > g._sort_key:
+                return (*a[:i], (g, e), *a[i:])
+            if h == g:
+                return (*a[:i], (h, x + e), *a[i + 1:])
+        return (*a, (g, e))
     d = dict(a)
     for g, e in b:
         d[g] = d.get(g, 0) + e
@@ -318,10 +325,11 @@ def _mul_keys(k1, k2):
     """Product of monomial keys, k1 on the left: (scalar, key); scalar 0 if it vanishes."""
     e1, o1, f1, p1 = k1
     e2, o2, f2, p2 = k2
-    coeff, sq_params, odds = _merge_odds(o1, o2)
+    coeff, sq_params, odds = _merge_odds(o1, o2) if o1 and o2 else (1, (), o1 or o2)
     if not coeff:
         return 0, None
-    params = _merge_params(_merge_params(p1, p2), sq_params)
+    params = _merge_params(p1, p2)
+    params = _merge_params(params, sq_params) if sq_params else params
     return coeff, (_merge_evens(e1, e2), odds, _merge_funcs(f1, f2), params)
 
 

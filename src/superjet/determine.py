@@ -22,9 +22,10 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .algebra import SuperPoly, _accumulate, _wrap, linear_ansatz, rat_div, term_order_key
+from .algebra import SuperPoly, linear_ansatz, rat_div, term_order_key
 from .jets import EvolutionSystem, Flow, check_symmetry, substitute_params
-from .linsolve import LinearEquation, NonlinearSystemError, clearing_scale, gauss_jordan, numerator
+from .linsolve import (LinearEquation, NonlinearSystemError, as_poly, clearing_scale,
+                       gauss_jordan, numerator)
 from .weights import WeightSystem, enumerate_monomials, items_from_gens, jets_up_to_weight
 
 Q = Fraction
@@ -37,27 +38,30 @@ Q = Fraction
 def extract_linear_system(
     residuals: Iterable[SuperPoly], unknowns: Sequence[str]
 ) -> list:
-    """Split residuals into per-monomial equations linear in the unknowns."""
+    """Split residuals into per-monomial equations linear in the unknowns,
+    in ``term_order_key`` order of the monomials, which breaks ties between
+    pivot rows.  A term with two unknowns, or one to a power other than 1,
+    raises ``NonlinearSystemError``."""
     uset = set(unknowns)
     eqs = []
     for p in residuals:
         grouped: dict = {}
         for (evens, odds, funcs, params), c in p.terms.items():
-            upart = [(n, e) for n, e in params if n in uset]
-            rest = tuple((n, e) for n, e in params if n not in uset)
-            if sum(e for _n, e in upart) > 1 or any(e < 0 for _n, e in upart):
-                raise NonlinearSystemError(
-                    f"residual is not linear in the unknowns: {upart}"
-                )
-            slot = upart[0][0] if upart else None
-            by_unknown = grouped.setdefault((evens, odds, funcs), {})
-            _accumulate(by_unknown.setdefault(slot, {}), ((((), (), (), rest), c),))
+            slot, rest = None, params
+            for i, (n, e) in enumerate(params):
+                if n not in uset:
+                    continue
+                if e != 1 or slot is not None:
+                    raise NonlinearSystemError(
+                        f"residual is not linear in the unknowns: "
+                        f"{[(n, e) for n, e in params if n in uset]}")
+                slot, rest = n, params[:i] + params[i + 1:]
+            # canonical keys differ, so no two terms meet here
+            grouped.setdefault((evens, odds, funcs), {}).setdefault(slot, {})[rest] = c
         for mono in sorted(grouped, key=lambda k: term_order_key((k[0], k[1], k[2], ()))):
-            parts = {n: _wrap(t) for n, t in grouped[mono].items()}
-            const = parts.pop(None, SuperPoly.zero())
-            coeffs = {n: v for n, v in parts.items() if not v.is_zero}
-            if coeffs or not const.is_zero:
-                eqs.append(LinearEquation(coeffs, const))
+            parts = grouped[mono]
+            const = as_poly(parts.pop(None, {}))
+            eqs.append(LinearEquation({n: as_poly(t) for n, t in parts.items()}, const))
     return eqs
 
 
@@ -101,7 +105,8 @@ def solve_linear(
     unknowns = tuple(unknowns)
     nonzero = frozenset(assume_nonzero)
     branches = [_solve_branch(eqs, unknowns, nonzero, frozenset())]
-    inverted = {n for n, e in _param_powers(eqs) if e < 0}
+    inverted = {n for eq in eqs for p in (eq.const, *eq.coeffs.values())
+                for key in p.terms for n, e in key[3] if e < 0}
     seen = {frozenset()}
     frontier = branches
     for _depth in range(case_split_limit):
@@ -127,14 +132,6 @@ def solve_linear(
         branches.extend(new)
         frontier = new
     return [b for b in branches if b is not None]
-
-
-def _param_powers(eqs):
-    """Every (parameter, exponent) pair of every coefficient."""
-    for eq in eqs:
-        for p in (eq.const, *eq.coeffs.values()):
-            for key in p.terms:
-                yield from key[3]
 
 
 def _solve_branch(eqs, unknowns, assume_nonzero, zero_params):

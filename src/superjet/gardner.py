@@ -59,14 +59,11 @@ def density_recurrence(
     trunc = {w: SuperPoly.from_gen(JetVar(u)) for u, w in correspondence}
     rows = {w: [trunc[w]] for _u, w in correspondence}
     for k in range(1, order + 1):
-        new = {}
-        for u, w in correspondence:
-            img = substitute(miura[u], trunc)
-            rho = -img.coefficient_of_param_power(eps, k)
-            new[w] = rho
+        new = {w: -substitute(miura[u], trunc, cap=(eps, k)).coefficient_of_param_power(eps, k)
+               for u, w in correspondence}
+        for w, rho in new.items():
             rows[w].append(rho)
-        for _u, w in correspondence:
-            trunc[w] = trunc[w] + SuperPoly.param(eps, k) * new[w]
+            trunc[w] = trunc[w] + SuperPoly.param(eps, k) * rho
     return rows
 
 

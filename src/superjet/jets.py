@@ -41,6 +41,7 @@ from .algebra import (
     SuperPoly,
     Theta,
     _accumulate,
+    _ONE_KEY,
     _Cached,
     _placed,
     _scaled,
@@ -395,12 +396,14 @@ def check_symmetry(sys: EvolutionSystem, phi: Flow) -> Flow:
 # substitution
 
 
-def substitute(p: SuperPoly, mapping: Mapping) -> SuperPoly:
+def substitute(p: SuperPoly, mapping: Mapping, cap: Optional[tuple] = None) -> SuperPoly:
     """Graded homomorphic substitution; keys are fields or non-local
     variables.
 
     Each image is prolonged to all jets of its key and must have the
-    key's parity.
+    key's parity.  With ``cap = (name, k)``, where no image has a negative
+    power of the parameter ``name``, every product term with a power of
+    ``name`` above k is dropped as it is formed.
     """
     for sym, img in mapping.items():
         q = img.parity()
@@ -423,10 +426,18 @@ def substitute(p: SuperPoly, mapping: Mapping) -> SuperPoly:
                 )
         # function factors are even, so they may lead
         t = SuperPoly({((), (), funcs, params): c})
-        for g, x in evens:
-            t = t * image_of(g) ** x
-        for g in odds:
-            t = t * image_of(g)
+        for g, x in (*evens, *((g, 1) for g in odds)):
+            if cap is None:
+                t = t * image_of(g) ** x
+                continue
+            img = [(key, cc, dict(key[3]).get(cap[0], 0)) for key, cc in image_of(g).terms.items()]
+            for _ in range(x):
+                acc: dict = {}
+                for k1, c1 in t.terms.items():
+                    room = cap[1] - dict(k1[3]).get(cap[0], 0)
+                    _accumulate(acc, _placed(k1, [(k2, c2) for k2, c2, d in img if d <= room],
+                                             _ONE_KEY, c1))
+                t = _wrap(acc)
         _accumulate(out, t.terms.items())
     return _wrap(out)
 

@@ -2,7 +2,9 @@
 
 The only domain is the Laurent ring ``QQ[p1^±1, ..., pk^±1]``
 (``LaurentRing``) in the parameters that occur; with no parameters it is
-``QQ`` itself.  Its elements are parameter-only ``SuperPoly`` values.  A
+``QQ`` itself.  An element is a dict from the parameter part of a key,
+a sorted ``(name, exponent)`` tuple, to a nonzero coefficient; the
+entries of the ``SuperPoly`` system and answer are converted once.  A
 one-term pivot is a unit of the ring, and its row is divided by it, so a
 system whose pivots are all monomials reduces exactly as over the field.
 A pivot with several terms is not a unit: it stays in its row, and from
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import add, sub
+from operator import add, not_, sub
 from typing import Iterable, Optional, Sequence
 
 from .algebra import SuperPoly, _accumulate, _merge_params, _wrap, rat_div
@@ -51,35 +53,43 @@ class NonlinearSystemError(ValueError):
 
 
 class LaurentRing:
-    """``QQ[p1^±1, ..., pk^±1]`` with parameter-only SuperPolys as elements.
+    """``QQ[p1^±1, ..., pk^±1]`` on dict elements.  ``revert`` inverts a
+    monomial, the ring's only units.  No operation changes its operands."""
 
-    Products work on the parameter part of the monomial keys alone, and
-    ``revert`` inverts a monomial, the ring's only units.
-    """
-
-    zero, one = SuperPoly.zero(), SuperPoly.one()
+    zero, one = {}, {(): 1}
+    is_zero = staticmethod(not_)
 
     @staticmethod
-    def is_zero(a: SuperPoly) -> bool:
-        return not a.terms
+    def revert(a: dict) -> dict:
+        ((key, c),) = a.items()
+        return {tuple((nm, -x) for nm, x in key): rat_div(1, c)}
 
     @staticmethod
-    def revert(a: SuperPoly) -> SuperPoly:
-        ((key, c),) = a.terms.items()
-        return _wrap({((), (), (), tuple((nm, -x) for nm, x in key[3])): rat_div(1, c)})
+    def mul(a: dict, b: dict) -> dict:
+        return LaurentRing.submul({}, a, {key: -c for key, c in b.items()})
 
     @staticmethod
-    def mul(a: SuperPoly, b: SuperPoly) -> SuperPoly:
-        return LaurentRing.submul(LaurentRing.zero, a, -b)
+    def submul(a: dict, f: dict, v: dict) -> dict:
+        """``a - f*v``, accumulated into a copy of ``a``."""
+        acc = dict(a)
+        for pf, cf in f.items():
+            for pv, cv in v.items():
+                key = _merge_params(pf, pv)
+                if c := acc.get(key, 0) - cf * cv:
+                    acc[key] = c if type(c) is int or c.denominator != 1 else c.numerator
+                else:
+                    del acc[key]
+        return acc
 
-    @staticmethod
-    def submul(a: SuperPoly, f: SuperPoly, v: SuperPoly) -> SuperPoly:
-        """``a - f*v``, accumulated into a copy of ``a``'s terms."""
-        acc = dict(a.terms)
-        vt = [(key[3], -c) for key, c in v.terms.items()]
-        for (_e, _o, _f, pf), c in f.terms.items():
-            _accumulate(acc, ((((), (), (), _merge_params(pf, pv)), c * cv) for pv, cv in vt))
-        return _wrap(acc)
+
+def ring_element(p: SuperPoly) -> dict:
+    """The ring element of a parameter-only ``SuperPoly``."""
+    return {key[3]: c for key, c in p.terms.items()}
+
+
+def as_poly(a: dict) -> SuperPoly:
+    """The parameter-only ``SuperPoly`` of a ring element."""
+    return _wrap({((), (), (), key): c for key, c in a.items()})
 
 
 @dataclass
@@ -115,11 +125,11 @@ class Reduced:
         """
         out = {}
         for u, (pivot, rhs) in self.solved.items():
-            out[u] = quotient(rhs, pivot)
-            if out[u] is None:
-                raise NonlinearSystemError(
-                    f"solution {rhs} / ({pivot}) is not a Laurent polynomial"
-                )
+            q = quotient(ring_element(rhs), ring_element(pivot))
+            if q is None:
+                raise NonlinearSystemError(f"solution {rhs} / ({pivot}) is not a Laurent "
+                                           "polynomial")
+            out[u] = as_poly(q)
         return out
 
 
@@ -154,8 +164,8 @@ def gauss_jordan(
     """
     zero, one, is_zero, mul, submul = K.zero, K.one, K.is_zero, K.mul, K.submul
     index = {u: c for c, u in enumerate(unknowns)}
-    work = [({index[u]: v for u, v in eq.coeffs.items() if not is_zero(v)}, -eq.const)
-            for eq in eqs]
+    work = [({index[u]: ring_element(v) for u, v in eq.coeffs.items() if not v.is_zero},
+             {key[3]: -c for key, c in eq.const.terms.items()}) for eq in eqs]
     col_rows: dict = {}  # column -> indices of the rows with an entry there
     for i, (row, _rhs) in enumerate(work):
         for c in row:
@@ -179,7 +189,7 @@ def gauss_jordan(
             assumed.append(work[p][0][c])
         row, rhs = work[p]
         pivot = row[c]
-        unit = scale is one and len(pivot.terms) == 1
+        unit = scale is one and len(pivot) == 1
         if unit:
             inv = K.revert(pivot)
             row = {cc: mul(v, inv) for cc, v in row.items()}
@@ -209,23 +219,25 @@ def gauss_jordan(
             work[i] = (orow, orhs)
         if not unit:
             scale = pivot
-    leftover = [rhs for i, (_row, rhs) in enumerate(work)
+    leftover = [as_poly(rhs) for i, (_row, rhs) in enumerate(work)
                 if i not in used and not is_zero(rhs)]
-    solved = {unknowns[c]: (work[p][0][c], work[p][1]) for c, p in pivot_row.items()}
+    solved = {unknowns[c]: (as_poly(work[p][0][c]), as_poly(work[p][1]))
+              for c, p in pivot_row.items()}
     # every pivot row now has ``scale`` in its pivot column
-    clear, head = clearing_scale((scale,)), numerator(scale)
+    s = as_poly(scale)
+    minus_clear, head = ring_element(-clearing_scale((s,))), numerator(s)
     basis = []
     for fc, fu in enumerate(unknowns):
         if fc in pivot_row:
             continue
         reads = [(c, work[p][0][fc]) for c, p in pivot_row.items() if fc in work[p][0]]
-        vec = {fu: head if reads else one}
-        vec.update((unknowns[c], mul(clear, -v)) for c, v in reads)
+        vec = {fu: head if reads else SuperPoly.one()}
+        vec.update((unknowns[c], as_poly(mul(minus_clear, v))) for c, v in reads)
         basis.append(vec)
-    return Reduced(solved, basis, assumed, leftover)
+    return Reduced(solved, basis, [as_poly(a) for a in assumed], leftover)
 
 
-def quotient(a: SuperPoly, b: SuperPoly) -> Optional[SuperPoly]:
+def quotient(a: dict, b: dict) -> Optional[dict]:
     """``a / b`` when it is a Laurent polynomial, else None.
 
     Shifted by monomials to polynomials, with no monomial factor left in
@@ -233,16 +245,16 @@ def quotient(a: SuperPoly, b: SuperPoly) -> Optional[SuperPoly]:
     the polynomial ring.  Long division by the lex-leading term of ``b``
     decides that, since one polynomial is a Groebner basis of its ideal.
     """
-    if len(b.terms) == 1:
+    if len(b) == 1:
         return LaurentRing.mul(a, LaurentRing.revert(b))
-    if not a.terms:
+    if not a:
         return a
-    names = sorted(a.param_names() | b.param_names())
+    names = sorted({nm for key in (*a, *b) for nm, _x in key})
 
     def shifted(p):
-        vecs = [tuple(dict(key[3]).get(nm, 0) for nm in names) for key in p.terms]
+        vecs = [tuple(dict(key).get(nm, 0) for nm in names) for key in p]
         low = [min(col) for col in zip(*vecs)]
-        return {tuple(map(sub, v, low)): c for v, c in zip(vecs, p.terms.values())}, low
+        return {tuple(map(sub, v, low)): c for v, c in zip(vecs, p.values())}, low
 
     (rest, low_a), (den, low_b) = shifted(a), shifted(b)
     lead = max(den)
@@ -255,8 +267,8 @@ def quotient(a: SuperPoly, b: SuperPoly) -> Optional[SuperPoly]:
         out[q] = qc = rat_div(rest[top], den[lead])
         _accumulate(rest, ((tuple(map(add, q, v)), -qc * c) for v, c in den.items()))
     shift = list(map(sub, low_a, low_b))
-    return _wrap({((), (), (), tuple((nm, x) for nm, x in zip(names, map(add, e, shift)) if x)):
-                  c for e, c in out.items()})
+    return {tuple((nm, x) for nm, x in zip(names, map(add, e, shift)) if x): c
+            for e, c in out.items()}
 
 
 def numerator(v: SuperPoly) -> SuperPoly:
@@ -279,7 +291,6 @@ def clearing_scale(values: Iterable[SuperPoly]) -> SuperPoly:
     return SuperPoly({((), (), (), tuple(sorted(clear.items()))): denom})
 
 
-def is_monomial_in(v: SuperPoly, names: Sequence[str]) -> bool:
-    """Whether ``v`` is a single monomial in ``names``."""
-    ((key, _c), *more) = v.terms.items()
-    return not more and all(nm in names for nm, _x in key[3])
+def is_monomial_in(v: dict, names: Sequence[str]) -> bool:
+    """Whether the ring element ``v`` is a single monomial in ``names``."""
+    return len(v) == 1 and all(nm in names for key in v for nm, _x in key)

@@ -25,6 +25,8 @@ from superjet.algebra import (
     JetVar,
     SuperPoly,
     Theta,
+    _merge_evens,
+    _merge_params,
     _wrap,
     poly_sum,
 )
@@ -234,6 +236,34 @@ def test_distributivity_random(rng):
         a, b_, c = (prod([rng.choice(GENS) for _ in range(rng.randint(1, 3))])
                     for _ in range(3))
         assert a * (b_ + c) == a * b_ + a * c
+
+
+def _dict_merge(a, b, sort_key):
+    """Exponents added in a dict, zeros dropped, then a stable sort: the
+    merge that key products made before they merged sorted tuples."""
+    d = dict(a)
+    for g, e in b:
+        d[g] = d.get(g, 0) + e
+    return tuple(sorted(((g, e) for g, e in d.items() if e), key=lambda ge: sort_key(ge[0])))
+
+
+def test_key_merges_match_a_dict_and_a_stable_sort(rng):
+    """Parameter words merge as in a dict, and even words too, where unequal
+    jets of two fields named ``t`` tie in the sort and keep their order."""
+    t1, t2 = FieldSymbol("t", EVEN, 1), FieldSymbol("t", EVEN, 2)
+    evens = [JetVar(u, 0, 0, m) for u in (b, t1, t2) for m in range(2)]
+    names = ["alpha", "beta", "gamma"]
+
+    def word(pool, exponents, sort_key):
+        picked = rng.sample(pool, rng.randint(0, 3))
+        return _dict_merge((), [(g, rng.choice(exponents)) for g in picked], sort_key)
+
+    for _ in range(400):
+        p1, p2 = (word(names, [-2, -1, 1, 2], str) for _ in range(2))
+        assert _merge_params(p1, p2) == _dict_merge(p1, p2, str), (p1, p2)
+        e1, e2 = (word(evens, [1, 2], JetVar.sort_key) for _ in range(2))
+        for e2 in (e2, e2[:1]):
+            assert _merge_evens(e1, e2) == _dict_merge(e1, e2, JetVar.sort_key), (e1, e2)
 
 
 def test_cached_hash_and_sort_key_stay_out_of_pickles():

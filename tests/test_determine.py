@@ -20,10 +20,12 @@ from superjet.determine import (
 from superjet.linsolve import (
     LaurentRing,
     LinearEquation,
+    as_poly,
     clearing_scale,
     gauss_jordan,
     numerator,
     quotient,
+    ring_element,
 )
 
 
@@ -288,13 +290,14 @@ def laurent_systems(draw):
 
 
 class _LaurentPivotLog(LaurentRing):
-    """The Laurent ring, recording every pivot gauss_jordan inverts."""
+    """The Laurent ring, recording every pivot gauss_jordan inverts, as a
+    ``SuperPoly``."""
 
     def __init__(self):
         self.pivots = []
 
     def revert(self, a):
-        self.pivots.append(a)
+        self.pivots.append(as_poly(a))
         return LaurentRing.revert(a)
 
 
@@ -363,7 +366,7 @@ def field_gauss_jordan(rows, n, sure_nonzero, F):
 def ring_scale(red):
     """The scale s of a reduction: the last pivot once one had several
     terms, which every solved row holds in its pivot column, else 1."""
-    return next((pivot for pivot, _rhs in red.solved.values()), LaurentRing.one)
+    return next((pivot for pivot, _rhs in red.solved.values()), SuperPoly.one())
 
 
 @settings(max_examples=200, deadline=None)
@@ -471,7 +474,8 @@ class _LaurentWorkCount(LaurentRing):
         return LaurentRing.submul(a, f, v)
 
     def mul(self, a, b):
-        return self.submul(self.zero, a, -b)
+        self.submuls += 1
+        return LaurentRing.mul(a, b)
 
 
 def test_sparse_pivot_rows_bound_the_elimination_work(embed, monkeypatch):
@@ -489,7 +493,18 @@ def test_sparse_pivot_rows_bound_the_elimination_work(embed, monkeypatch):
     monkeypatch.setattr(determine, "gauss_jordan", counted)
     find_symmetries(sys, ws, Q(-5), EVEN, assume_nonzero=NONZERO)
     (ring,) = rings
-    assert ring.submuls <= 2760
+    assert 0 < ring.submuls <= 2760
+
+
+def test_the_ring_hook_sees_every_monomial_pivot():
+    """``gauss_jordan`` inverts each monomial pivot through ``K.revert``,
+    so the fraction-field comparison above meets the all-monomial branch."""
+    K = _LaurentPivotLog()
+    red = gauss_jordan([LinearEquation({0: P("alpha"), 1: 2 * SuperPoly.one()}, -SuperPoly.one()),
+                        LinearEquation({1: P("beta", -1), 2: SuperPoly.one()}, -P("alpha"))],
+                       range(3), ("alpha", "beta"), K)
+    assert K.pivots == [P("alpha"), P("beta", -1)]
+    assert len(K.pivots) == len(red.solved)
 
 
 @st.composite
@@ -514,13 +529,40 @@ def test_ring_numerator_matches_the_fraction_field(v):
     assert to_poly(numerator(v), R) == to_field(v, F).numer
 
 
+def poly_quotient(a, b):
+    """``quotient`` on parameter-only SuperPolys."""
+    q = quotient(ring_element(a), ring_element(b))
+    return None if q is None else as_poly(q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(*[laurent_polynomials(laurent_coefficients)] * 3)
+def test_ring_operations_match_superpoly_arithmetic(a, f, v):
+    """On dict elements ``submul``, ``mul``, ``revert`` and ``quotient`` are
+    ``SuperPoly``'s ``a - f*v``, ``f*v``, inverse and exact division, and
+    none of them changes its operands or the shared ``zero`` and ``one``."""
+    ra, rf, rv = (ring_element(p) for p in (a, f, v))
+    K = LaurentRing
+    assert as_poly(K.submul(ra, rf, rv)) == a - f * v
+    assert as_poly(K.submul(K.zero, rf, rv)) == -(f * v)
+    assert as_poly(K.mul(rf, rv)) == f * v == as_poly(K.mul(rv, rf))
+    assert as_poly(K.mul(K.one, rv)) == v
+    for key, c in rf.items():
+        assert as_poly(K.revert({key: c})) * as_poly({key: c}) == SuperPoly.one()
+    assert as_poly(quotient(K.mul(rf, rv), rv)) == f
+    q = quotient(ra, rv)
+    assert q is None or as_poly(q) * v == a
+    assert (ra, rf, rv) == tuple(ring_element(p) for p in (a, f, v))
+    assert (K.zero, K.one) == ({}, {(): 1})
+
+
 @settings(max_examples=200, deadline=None)
 @given(*[laurent_polynomials(laurent_coefficients)] * 3)
 def test_exact_quotient(a, b, c):
     """``quotient`` undoes a product, and it gives up exactly when sympy's
     fraction field leaves a denominator that is not a monomial."""
-    assert quotient(a * b, b) == a
-    q = quotient(a * b + c, b)
+    assert poly_quotient(a * b, b) == a
+    q = poly_quotient(a * b + c, b)
     F = sympy.QQ.frac_field(*LAURENT_PARAMS)
     if q is None:
         assert len((to_field(a * b + c, F) / to_field(b, F)).denom) > 1
@@ -588,3 +630,26 @@ P = SuperPoly.param
 def test_a_pivot_is_sure_when_it_is_one_monomial_in_the_assumed_names(pivot, nonzero, assumed):
     red = gauss_jordan([LinearEquation({"x": pivot}, SuperPoly.zero())], ["x"], nonzero)
     assert red.assumed == ([pivot] if assumed else [])
+
+
+@pytest.mark.parametrize("term", [P("_c0", 2), P("_c0") * P("_c1"), P("_c0", -1)],
+                         ids=["square", "product", "inverse"])
+def test_a_term_nonlinear_in_the_unknowns_is_refused(term):
+    b = SuperPoly.from_gen(JetVar(FieldSymbol("b", EVEN, 1)))
+    residual = P("_c1") * b + P("alpha") * term * b
+    with pytest.raises(NonlinearSystemError):
+        extract_linear_system([residual], ["_c0", "_c1"])
+
+
+def test_terms_in_the_parameters_alone_land_in_const():
+    """Per monomial, in ``term_order_key`` order: the unknowns' coefficients
+    and a constant from the terms with no unknown."""
+    u = FieldSymbol("b", EVEN, 1)
+    b, bx = (SuperPoly.from_gen(JetVar(u, m=m)) for m in (0, 1))
+    one, alpha, beta = SuperPoly.one(), P("alpha"), P("beta", -1)
+    residual = P("_c1") * b + 2 * beta * bx + alpha * P("_c0") * bx + 3 * one
+    assert extract_linear_system([residual], ["_c0", "_c1"]) == [
+        LinearEquation({}, 3 * one),
+        LinearEquation({"_c1": one}, SuperPoly.zero()),
+        LinearEquation({"_c0": alpha}, 2 * beta),
+    ]

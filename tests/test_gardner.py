@@ -69,6 +69,30 @@ def test_recurrence_densities_are_conserved_through_order_four():
             assert is_conserved(sys, rho)
 
 
+def untruncated_density_recurrence(miura, correspondence, eps, order):
+    """The recurrence expanding every ε power: each order substitutes the
+    whole truncated series and keeps the coefficient of ε^k."""
+    trunc = {w: SuperPoly.from_gen(JetVar(u)) for u, w in correspondence}
+    rows = {w: [trunc[w]] for _u, w in correspondence}
+    for k in range(1, order + 1):
+        new = {}
+        for u, w in correspondence:
+            img = substitute(miura[u], trunc)
+            rho = -img.coefficient_of_param_power(eps, k)
+            new[w] = rho
+            rows[w].append(rho)
+        for _u, w in correspondence:
+            trunc[w] = trunc[w] + SuperPoly.param(eps, k) * new[w]
+    return rows
+
+
+@pytest.mark.parametrize("order", [5, 6])
+def test_truncated_recurrence_matches_the_full_expansion(order):
+    e = catalog.get("hydro-bous")
+    args = e.extras["miura"], e.extras["correspondence"], "eps", order
+    assert density_recurrence(*args) == untruncated_density_recurrence(*args)
+
+
 def test_search_recovers_the_recorded_deformation():
     e = catalog.get("hydro-bous")
     doc = e.doc

@@ -29,7 +29,8 @@ from superjet.algebra import (
 from superjet.coverings import is_phantom
 from superjet.grammar import print_poly
 from superjet.jets import Flow, dt_apply, evolutionary_apply, prolong, super_derive
-from superjet.linsolve import LinearEquation, NonlinearSystemError, gauss_jordan, quotient
+from superjet.linsolve import (LinearEquation, NonlinearSystemError, as_poly, gauss_jordan,
+                                quotient, ring_element)
 from superjet.recursion import NotIntegrableError, _substitute_phantoms, d_integrate
 from superjet.variational import graded_partial
 from superjet.weights import AnsatzItem, WeightSystem, enumerate_monomials
@@ -179,7 +180,9 @@ def test_the_solver_stores_integral_coefficients_as_ints(rows, x, y):
         values += red.particular.values()
     except NonlinearSystemError:
         pass
-    values += [q for q in (quotient(x * y, y), quotient(x, y)) if q is not None]
+    values += [as_poly(q) for q in (quotient(ring_element(x * y), ring_element(y)),
+                                    quotient(ring_element(x), ring_element(y)))
+               if q is not None]
     assert _canonical(values)
 
 
