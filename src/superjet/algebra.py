@@ -226,6 +226,8 @@ def _merge_params(a, b):
     sorted ``(name, exponent)`` tuples, dropping a zero exponent."""
     if not a or not b:
         return a or b
+    if len(a) == 1 == len(b) and a[0][0] == b[0][0]:  # one name times itself
+        return ((a[0][0], x),) if (x := a[0][1] + b[0][1]) else ()
     out, i, j = [], 0, 0
     while i < len(a) and j < len(b):
         (n, x), (m, y) = a[i], b[j]
@@ -480,7 +482,7 @@ class SuperPoly:
         out: dict = {}
         items = other.terms.items()
         for k1, c1 in self.terms.items():
-            _accumulate(out, _placed(k1, items, _ONE_KEY, c1))
+            _accumulate(out, _placed(k1, items, c1))
         return _wrap(out)
 
     def __rmul__(self, other):
@@ -558,16 +560,10 @@ class SuperPoly:
         return best
 
 
-def _placed(left, terms, right, c):
-    """(key, coefficient) pairs of c * left * terms * right.
-
-    left and right are monomial keys, right with nothing but an odd word.
-    """
+def _placed(left, terms, c):
+    """(key, coefficient) pairs of c * left * terms, left a monomial key."""
     for dk, dc in terms:
         s, key = _mul_keys(left, dk)
-        if s and right[1]:
-            s2, key = _mul_keys(key, right)
-            s *= s2
         if s:
             yield key, _scaled(dc * c, s)
 

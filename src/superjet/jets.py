@@ -41,10 +41,12 @@ from .algebra import (
     SuperPoly,
     Theta,
     _accumulate,
-    _ONE_KEY,
     _Cached,
+    _merge_evens,
+    _merge_funcs,
+    _merge_odds,
+    _merge_params,
     _placed,
-    _scaled,
     _sorted_funcs,
     _wrap,
 )
@@ -258,35 +260,59 @@ def _derive(p: SuperPoly, gen_image, side: str) -> SuperPoly:
 
     The written order of a monomial is evens, function factors, odd word;
     ``gen_image(g)`` returns the image of generator g, placed at g's slot.
-    Each image is computed once per call.
+    Each image is computed once per call.  An image term with odd word o2
+    is placed by one merge: ``_merge_odds(rest, o2)``, where rest is the
+    term's odd word without the slot's generator, times
+    ``(-1)^(len(o2) * r - shared)`` for the r odd factors right of the
+    slot, of which ``shared`` are Clifford factors that o2 squares.
     """
+    return _wrap(_derive_into({}, p, gen_image, side))
+
+
+def _derive_into(out: dict, p: SuperPoly, gen_image, side: str, negate=False) -> dict:
+    """Add ``_derive(p, gen_image, side)``, negated if asked, into out."""
     images = {}
-    out: dict = {}
     for (evens, odds, funcs, params), c in p.terms.items():
+        c = -c if negate else c
         n_odds = len(odds)
         even_sign = -1 if (side == "right" and n_odds % 2) else 1
-        # each slot: (generator, key left of its image, odd word right of it, sign)
+        # each slot: (generator, evens, rest word, funcs, r, sign)
         slots = []
         for i, (g, x) in enumerate(evens):
             rest = evens[:i] + (((g, x - 1),) if x > 1 else ()) + evens[i + 1 :]
-            slots.append((g, (rest, (), funcs, params), odds, x * even_sign))
+            slots.append((g, rest, odds, funcs, n_odds, x * even_sign))
         for i, (n, k, arg) in enumerate(funcs):
             rest = _sorted_funcs(funcs[:i] + ((n, k + 1, arg),) + funcs[i + 1 :])
-            slots.append((arg, (evens, (), rest, params), odds, even_sign))
+            slots.append((arg, evens, odds, rest, n_odds, even_sign))
         for j, g in enumerate(odds):
-            if side == "left":
-                sign = -1 if j % 2 else 1
-            elif side == "right":
-                sign = -1 if (n_odds - 1 - j) % 2 else 1
-            else:
-                sign = 1
-            slots.append((g, (evens, odds[:j], funcs, params), odds[j + 1 :], sign))
-        for g, left, right, sign in slots:
+            r = n_odds - 1 - j
+            flips = j if side == "left" else (r if side == "right" else 0)
+            slots.append((g, evens, odds[:j] + odds[j + 1 :], funcs, r, -1 if flips % 2 else 1))
+        for g, e1, o1, f1, r, sign in slots:
             d = images.get(g)
             if d is None:
                 d = images[g] = list(gen_image(g).terms.items())
-            _accumulate(out, _placed(left, d, ((), right, (), ()), _scaled(c, sign)))
-    return _wrap(out)
+            cs = c if sign == 1 else (-c if sign == -1 else c * sign)
+            for (e2, o2, f2, p2), dc in d:
+                v = cs if dc == 1 else (-cs if dc == -1 else dc * cs)
+                ps, odd = _merge_params(params, p2), o1 or o2
+                if o1 and o2:
+                    s, sq, odd = _merge_odds(o1, o2)
+                    if not s:
+                        continue
+                    ps = _merge_params(ps, sq)
+                    flips = len(o2) * r
+                    if len(odd) < len(o1) + len(o2):  # o2 squared a Clifford factor
+                        flips -= len(set(o2).intersection(o1[len(o1) - r:]))
+                    s = -s if flips % 2 else s
+                    v = v if s == 1 else (-v if s == -1 else v * s)
+                key = (_merge_evens(e1, e2), odd, _merge_funcs(f1, f2), ps)
+                c0 = out.get(key)
+                if c0 is not None and not (v := c0 + v):
+                    del out[key]
+                    continue
+                out[key] = v if type(v) is int or v.denominator != 1 else v.numerator
+    return out
 
 
 def super_derive(p: SuperPoly, direction: str) -> SuperPoly:
@@ -335,8 +361,8 @@ def _prolonged(value_of):
     return image
 
 
-def dt_apply(sys: EvolutionSystem, p: SuperPoly) -> SuperPoly:
-    """Total t-derivative along the system (an even derivation)."""
+def _dt_image(sys: EvolutionSystem):
+    """The generator images of the total t-derivative along sys."""
 
     def value_of(sym):
         if isinstance(sym, Nonlocality):
@@ -349,15 +375,11 @@ def dt_apply(sys: EvolutionSystem, p: SuperPoly) -> SuperPoly:
             raise MissingDerivativeError(f"no evolution declared for {sym.name}")
         return sys.rhs[sym]
 
-    return _derive(p, _prolonged(value_of), side="even")
+    return _prolonged(value_of)
 
 
-def evolutionary_apply(flow: Flow, p: SuperPoly) -> SuperPoly:
-    """The evolutionary derivation X_phi of the flow's parameter parity.
-
-    Odd-parameter derivations follow the right Leibniz convention and
-    commute with the super derivatives: X(D^kappa u) = D^kappa(phi_u).
-    """
+def _flow_image(flow: Flow):
+    """The generator images of X_phi and its Leibniz side."""
 
     def value_of(sym):
         if sym not in flow.components:
@@ -366,8 +388,28 @@ def evolutionary_apply(flow: Flow, p: SuperPoly) -> SuperPoly:
             )
         return flow.components[sym]
 
-    side = "right" if flow.parameter_parity else "even"
-    return _derive(p, _prolonged(value_of), side)
+    return _prolonged(value_of), "right" if flow.parameter_parity else "even"
+
+
+def dt_apply(sys: EvolutionSystem, p: SuperPoly) -> SuperPoly:
+    """Total t-derivative along the system (an even derivation)."""
+    return _derive(p, _dt_image(sys), "even")
+
+
+def evolutionary_apply(flow: Flow, p: SuperPoly) -> SuperPoly:
+    """The evolutionary derivation X_phi of the flow's parameter parity.
+
+    Odd-parameter derivations follow the right Leibniz convention and
+    commute with the super derivatives: X(D^kappa u) = D^kappa(phi_u).
+    """
+    return _derive(p, *_flow_image(flow))
+
+
+def _residual(sys: EvolutionSystem, flow: Flow, u, rhs_u: SuperPoly) -> SuperPoly:
+    """``dt_apply(sys, flow.components[u]) - evolutionary_apply(flow, rhs_u)``,
+    built in one dict."""
+    out = _derive_into({}, flow.components[u], _dt_image(sys), "even")
+    return _wrap(_derive_into(out, rhs_u, *_flow_image(flow), negate=True))
 
 
 def commutator(phi: Flow, psi: Flow) -> Flow:
@@ -384,11 +426,7 @@ def commutator(phi: Flow, psi: Flow) -> Flow:
 
 def check_symmetry(sys: EvolutionSystem, phi: Flow) -> Flow:
     """Residual of the symmetry condition; identically zero iff phi is a symmetry."""
-    comps = {}
-    for u in sys.fields:
-        comps[u] = dt_apply(sys, phi.components[u]) - evolutionary_apply(
-            phi, sys.rhs[u]
-        )
+    comps = {u: _residual(sys, phi, u, sys.rhs[u]) for u in sys.fields}
     return Flow(comps, phi.parameter_parity, name=f"sym-residual({phi.name})")
 
 
@@ -435,8 +473,7 @@ def substitute(p: SuperPoly, mapping: Mapping, cap: Optional[tuple] = None) -> S
                 acc: dict = {}
                 for k1, c1 in t.terms.items():
                     room = cap[1] - dict(k1[3]).get(cap[0], 0)
-                    _accumulate(acc, _placed(k1, [(k2, c2) for k2, c2, d in img if d <= room],
-                                             _ONE_KEY, c1))
+                    _accumulate(acc, _placed(k1, [(k2, c2) for k2, c2, d in img if d <= room], c1))
                 t = _wrap(acc)
         _accumulate(out, t.terms.items())
     return _wrap(out)

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
 from typing import Optional, Sequence
 
 from . import jets as _jets
@@ -56,7 +55,7 @@ from .jets import (
     Nonlocality,
     _derive,
     _derive_gen,
-    dt_apply,
+    _residual,
     evolutionary_apply,
     prolong,
     reduction,
@@ -106,12 +105,7 @@ def verify_shadow(shadow: Shadow) -> dict:
     frame = shadow.frame
     sys = frame.base
     flow = Flow(dict(shadow.components), shadow.parameter_parity, name=shadow.name)
-    out = {}
-    for u in sys.fields:
-        out[u] = dt_apply(frame.system, shadow.components[u]) - evolutionary_apply(
-            flow, sys.rhs[u]
-        )
-    return out
+    return {u: _residual(frame.system, flow, u, sys.rhs[u]) for u in sys.fields}
 
 
 def shadow_is_valid(shadow: Shadow) -> bool:
@@ -639,12 +633,9 @@ def shadow_power(shadow: Shadow, k: int) -> Shadow:
 
 
 def differential_order(p: SuperPoly) -> int:
-    """Highest derivative count of any jet factor (odd directions count 1/2)."""
-    best = Q(0)
-    for g in p.generators():
-        if isinstance(g, JetVar):
-            best = max(best, g.m + Q(g.d1 + g.d2, 2))
-    return ceil(best)
+    """Highest derivative count of any jet factor (odd directions count 1/2), rounded up."""
+    twice = [2 * g.m + g.d1 + g.d2 for g in p.generators() if isinstance(g, JetVar)]
+    return (max(twice, default=0) + 1) // 2
 
 
 def flow_order(flow: Flow) -> int:

@@ -1,6 +1,6 @@
 """Shared fixtures and helpers: a deterministic RNG, ordered products,
-repeated derivatives, integration ansatz parts and a check on how
-coefficients are stored."""
+repeated derivatives, a product oracle for the derivation kernel,
+integration ansatz parts and a check on how coefficients are stored."""
 
 import contextlib
 import random
@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from superjet import recursion
-from superjet.algebra import DX, SuperPoly
+from superjet.algebra import DX, SuperPoly, _sorted_funcs
 from superjet.jets import super_derive
 from superjet.weights import (
     enumerate_monomials,
@@ -38,6 +38,34 @@ def apply_ops(p: SuperPoly, ops) -> SuperPoly:
     for direction in ops:
         p = super_derive(p, direction)
     return p
+
+
+def derive_oracle(p: SuperPoly, gen_image, side: str) -> SuperPoly:
+    """The oracle for ``jets._derive``: the sum over the slots of every
+    term c * key of sign * c * left * image * right, built from
+    ``SuperPoly`` products, where left is the key up to the slot's
+    generator (an even or function slot takes one factor off, with none
+    of the odd word), image is ``gen_image`` of that generator and right
+    is the odd word after the slot.  Slot signs follow ``side`` as the
+    kernel's docstring gives them."""
+    out = SuperPoly.zero()
+    for (evens, odds, funcs, params), c in p.terms.items():
+        n = len(odds)
+        even_sign = -1 if side == "right" and n % 2 else 1
+        slots = []
+        for i, (g, x) in enumerate(evens):
+            rest = evens[:i] + (((g, x - 1),) if x > 1 else ()) + evens[i + 1:]
+            slots.append((g, (rest, (), funcs, params), odds, x * even_sign))
+        for i, (name, k, arg) in enumerate(funcs):
+            rest = _sorted_funcs(funcs[:i] + ((name, k + 1, arg),) + funcs[i + 1:])
+            slots.append((arg, (evens, (), rest, params), odds, even_sign))
+        for j, g in enumerate(odds):
+            flips = {"left": j, "right": n - 1 - j}.get(side, 0)
+            slots.append((g, (evens, odds[:j], funcs, params), odds[j + 1:], (-1) ** flips))
+        for g, left, right, sign in slots:
+            word = SuperPoly({((), right, (), ()): 1})
+            out = out + SuperPoly({left: sign * c}) * gen_image(g) * word
+    return out
 
 
 def integration_ansatz_parts(target, direction, ws, gens, zero_weight_cap=2):

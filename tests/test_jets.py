@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from superjet import catalog
+from superjet import algebra, catalog, jets
 from superjet.algebra import (
     D1,
     D2,
@@ -20,9 +20,12 @@ from superjet.algebra import (
     SuperPoly,
     Theta,
 )
+from superjet.determine import build_flow_ansatz
 from superjet.jets import (
     Flow,
     Nonlocality,
+    _derive_gen,
+    _prolonged,
     check_symmetry,
     commutator,
     declare,
@@ -36,7 +39,7 @@ from superjet.jets import (
     super_derive,
 )
 
-from conftest import apply_ops, prod
+from conftest import apply_ops, is_canonical, prod
 
 Q = Fraction
 
@@ -151,6 +154,81 @@ def test_check_symmetry_matches_commutator():
     )
     assert not check_symmetry(sys, bad).is_zero
     assert not commutator(sys.as_flow(), bad).is_zero
+
+
+def _by_parts(sys, phi):
+    """The symmetry residual as the difference of two derivations."""
+    return {u: dt_apply(sys, phi.components[u]) - evolutionary_apply(phi, sys.rhs[u])
+            for u in sys.fields}
+
+
+def test_symmetry_residuals_are_the_difference_where_they_do_not_vanish():
+    """``check_symmetry`` builds each component in one dict; it equals the
+    t-derivative minus the evolutionary derivation, with canonical
+    coefficients, on a flow that is not a symmetry and on the odd ansatz
+    of bous-embed at weight -7/2, whose residual is linear in the
+    unknowns."""
+    doc = catalog.get("burgers-repr").doc
+    burgers = doc.system()
+    good = doc.flows["eq3_4_x"]
+    bad = Flow({u: good.components[u] + Q(3, 2) * jet_poly(u, m=1) * jet_poly(burgers.fields[1])
+                for u in burgers.fields}, good.parameter_parity)
+    embed = catalog.get("bous-embed").doc
+    bous = embed.system()
+    comps, names, _ = build_flow_ansatz(bous, embed.weight_system(), Q(-7, 2), ODD)
+    assert names
+    for sys, phi in ((burgers, bad), (bous, Flow(comps, ODD))):
+        before = {u: dict(p.terms) for u, p in phi.components.items()}
+        res = check_symmetry(sys, phi)
+        assert res.parameter_parity == phi.parameter_parity
+        assert res.components == _by_parts(sys, phi)
+        assert all(not r.is_zero for r in res.components.values())
+        assert all(is_canonical(c) for r in res.components.values() for c in r.terms.values())
+        assert {u: p.terms for u, p in phi.components.items()} == before
+
+
+def _count_odd_merges(monkeypatch):
+    """Count every ``_merge_odds`` call, from the kernel and from products."""
+    calls = []
+    real = algebra._merge_odds
+
+    def counted(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(algebra, "_merge_odds", counted)
+    monkeypatch.setattr(jets, "_merge_odds", counted)
+    return calls
+
+
+def _placed_odd_image_terms(p, gen_image):
+    """The image terms with an odd word that the kernel places on p: one
+    per slot of a generator and term of its image with odd factors."""
+    n = 0
+    for evens, odds, funcs, _params in p.terms:
+        for g in [g for g, _x in evens] + [arg for _n, _k, arg in funcs] + list(odds):
+            n += sum(1 for key in gen_image(g).terms if key[1])
+    return n
+
+
+def test_each_placed_image_term_takes_at_most_one_odd_merge(monkeypatch):
+    """The kernel places an image term with a single ``_merge_odds`` call,
+    and only when both the image term and the slot's rest word have odd
+    factors.  Placing it left of the slot and then merging the odd word
+    right of the slot takes two merges, and one for an image term without
+    odd factors, which breaks this bound on both derivations below."""
+    p = (prod([JetVar(b), JetVar(b), JetVar(f), JetVar(b, 1), JetVar(f, 0, 0, 1),
+               JetVar(b, 1, 0, 1)])
+         + prod([JetVar(b, 1), JetVar(f, 0, 0, 2), JetVar(b, 0, 0, 1), JetVar(f)], Q(3, 4)))
+    flow = Flow({b: prod([JetVar(f, 0, 0, 1)]) + prod([JetVar(b), JetVar(f)]),
+                 f: prod([JetVar(b, 0, 0, 1)]) + prod([JetVar(b), JetVar(f, 1)])}, ODD)
+    cases = [(lambda q: super_derive(q, D1), lambda g: _derive_gen(g, D1)),
+             (lambda q: evolutionary_apply(flow, q), _prolonged(flow.components.__getitem__))]
+    for derive, gen_image in cases:
+        derive(p)  # fills the jet tables the images are read from
+        calls = _count_odd_merges(monkeypatch)
+        derive(p)
+        assert 0 < len(calls) <= _placed_odd_image_terms(p, gen_image)
 
 
 def test_adding_flows_of_different_parameter_parity_raises():

@@ -4,7 +4,7 @@ import pickle
 from fractions import Fraction
 from itertools import product
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from superjet import catalog
@@ -28,14 +28,14 @@ from superjet.algebra import (
 )
 from superjet.coverings import is_phantom
 from superjet.grammar import print_poly
-from superjet.jets import Flow, dt_apply, evolutionary_apply, prolong, super_derive
+from superjet.jets import Flow, _derive, dt_apply, evolutionary_apply, prolong, super_derive
 from superjet.linsolve import (LinearEquation, NonlinearSystemError, as_poly, gauss_jordan,
                                 quotient, ring_element)
 from superjet.recursion import NotIntegrableError, _substitute_phantoms, d_integrate
 from superjet.variational import graded_partial
 from superjet.weights import AnsatzItem, WeightSystem, enumerate_monomials
 
-from conftest import apply_ops, is_canonical, prod
+from conftest import apply_ops, derive_oracle, is_canonical, prod
 
 Q = Fraction
 
@@ -406,3 +406,49 @@ def test_prolong_matches_apply_ops_in_any_order(p, requests):
         want = apply_ops(p, [DX] * m + [D2] * d2 + [D1] * d1)
         assert list(got.terms.items()) == list(want.terms.items())
         assert prolong(p, d1, d2, m) is got
+
+
+# the derivation kernel on terms with powers, function factors, Clifford
+# factors and parameters, and on images with several terms
+KERNEL_EVENS = [JetVar(b), JetVar(b, 0, 0, 1), JetVar(f, 1), JetVar(u2, 1, 1)]
+KERNEL_ODDS = [Theta(1), Clifford("k"), Clifford("kappa", (Q(3, 2), (("alpha", 1),))),
+               JetVar(f), JetVar(b, 1), JetVar(f, 0, 0, 1), JetVar(u2, 0, 1)]
+units_or_coeffs = st.one_of(st.sampled_from((1, -1)), coeffs)
+
+
+@st.composite
+def kernel_terms(draw, odd_words):
+    """A sum of one to three terms: a coefficient, up to two even factors
+    with exponents 1-3, up to two function factors of b, an odd word drawn
+    from odd_words and a power of alpha."""
+    out = SuperPoly.zero()
+    for _ in range(draw(st.integers(1, 3))):
+        alpha = SuperPoly.param("alpha", draw(st.integers(-2, 2)))
+        t = SuperPoly.scalar(draw(units_or_coeffs)) * alpha
+        for g in draw(st.lists(st.sampled_from(KERNEL_EVENS), max_size=2)):
+            t = t * SuperPoly.from_gen(g) ** draw(st.integers(1, 3))
+        for k in draw(st.lists(st.integers(0, 2), max_size=2)):
+            t = t * SuperPoly.func("Q", k, JetVar(b))
+        out = out + prod([t, *draw(odd_words)])
+    return out
+
+
+kernel_polys = kernel_terms(st.lists(st.sampled_from(KERNEL_ODDS), max_size=4, unique=True))
+kernel_images = st.fixed_dictionaries({
+    g: kernel_terms(st.lists(st.sampled_from(KERNEL_ODDS), max_size=2, unique=True))
+    for g in KERNEL_EVENS + KERNEL_ODDS})
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_polys, kernel_images, st.sampled_from(("even", "left", "right")))
+@example(prod([Theta(1), Clifford("k")]),
+         {g: prod([Clifford("k")] if g == Theta(1) else [], 1 if g == Theta(1) else 0)
+          for g in KERNEL_EVENS + KERNEL_ODDS}, "even")
+def test_derivation_kernel_matches_the_product_oracle(p, images, side):
+    """``_derive`` places every image term as the products of the slot's
+    left part, the image and the odd word right of the slot would; the
+    example's image k of theta1 squares the k right of its slot, which it
+    passes with no sign."""
+    got = _derive(p, images.__getitem__, side)
+    assert got == derive_oracle(p, images.__getitem__, side)
+    assert all(map(is_canonical, got.terms.values()))

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import product
+from math import ceil
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from superjet.jets import (
     Nonlocality,
     declare,
     dt_apply,
+    evolutionary_apply,
     jet_poly,
     super_derive,
 )
@@ -48,7 +50,7 @@ from superjet.recursion import (
 )
 from superjet.weights import AnsatzItem, WeightSystem
 
-from conftest import apply_ops, integration_ansatz_parts, prod
+from conftest import apply_ops, integration_ansatz_parts, is_canonical, prod
 
 Q = Fraction
 
@@ -75,6 +77,28 @@ def test_perturbed_shadow_fails():
     bad_comp[f] = bad_comp[f] + SuperPoly.from_gen(JetVar(ph, 0, 0, 1))
     bad = Shadow(sh.frame, bad_comp, sh.parameter_parity)
     assert not shadow_is_valid(bad)
+
+
+def test_a_wrong_coefficient_leaves_the_difference_as_residual():
+    """``verify_shadow`` builds each residual in one dict; with the 3/4
+    of a term of the dbous shadow R made 1/4 it equals the t-derivative
+    on the phantom extension minus the evolutionary derivation, and does
+    not vanish."""
+    doc = catalog.get("dbous").doc
+    sh = doc.shadows["R"]
+    comps = dict(sh.components)
+    u = doc.fields["f"]
+    key = next(k for k, c in comps[u].terms.items() if c == Q(3, 4))
+    comps[u] = comps[u] - SuperPoly({key: Q(1, 2)})
+    bad = Shadow(sh.frame, comps, sh.parameter_parity)
+    flow = Flow(dict(comps), bad.parameter_parity)
+    base = sh.frame.base
+    res = verify_shadow(bad)
+    assert list(res) == list(base.fields)
+    assert res == {v: dt_apply(sh.frame.system, comps[v]) - evolutionary_apply(flow, base.rhs[v])
+                   for v in base.fields}
+    assert not res[u].is_zero
+    assert all(is_canonical(c) for r in res.values() for c in r.terms.values())
 
 
 def test_application_reproduces_recorded_targets():
@@ -666,6 +690,22 @@ def test_shadow_not_linear_in_the_phantoms_raises(b_component, message):
         apply_shadow(bad, seed, doc.weight_system())
     with pytest.raises(NotLinearInPhantomsError, match=message):
         compose(bad, r1)
+
+
+def test_differential_order_rounds_half_steps_up():
+    """The integer form of the order agrees with ``ceil(m + (d1 + d2)/2)``
+    over every jet with m <= 6, alone, times a second jet and times a
+    constant, and the order of a constant is 0."""
+    u = FieldSymbol("u", EVEN, 2)
+    all_jets = [JetVar(u, d1, d2, m) for d1 in (0, 1) for d2 in (0, 1) for m in range(7)]
+    order = {g: ceil(g.m + Q(g.d1 + g.d2, 2)) for g in all_jets}
+    for g in all_jets:
+        assert differential_order(SuperPoly.from_gen(g)) == order[g]
+        assert differential_order(3 * SuperPoly.from_gen(g) + 1) == order[g]
+        for h in all_jets:
+            gh = prod([g, h])  # zero for an odd jet times itself
+            assert differential_order(gh) == (0 if gh.is_zero else max(order[g], order[h]))
+    assert differential_order(SuperPoly.scalar(5)) == differential_order(SuperPoly.zero()) == 0
 
 
 def test_order_helpers():
