@@ -4,16 +4,17 @@ Unknown constants are carried inside expressions as distinguished
 parameter names, so building an ansatz, pushing it through the calculus
 and reading off the determining system needs no special data flow.  The
 system is a list of ``linsolve.LinearEquation``s keyed by those names,
-solved by the sparse Gauss-Jordan elimination of ``linsolve`` over one
-domain, the Laurent ring in the parameters that occur (the rationals
-when there are none).  Parameters are arbitrary symbols, so a row left
-over with a nonzero right-hand side ends the branch.  The numerator of
-every pivot whose non-vanishing is not guaranteed is recorded, and
-optional case splitting re-solves with such parameters pinned to zero.
-After a pivot with several terms the elimination is fraction-free, so
-the later ring pivots, and with them ``assumptions``, may carry factors
-of that pivot; a basis vector is then the field's vector scaled by the
-numerator of the last such pivot.
+whose entries extraction writes as elements of one domain, the Laurent
+ring in the parameters that occur (the rationals when there are none).
+The elimination of ``linsolve`` reads and answers them, and a branch
+converts its answer to ``SuperPoly``s once.  A row left over with a
+nonzero right-hand side ends the branch.  The numerator of every pivot
+whose non-vanishing is not guaranteed is recorded, and optional case
+splitting re-solves with such parameters pinned to zero: every term that
+holds one is dropped.  After a pivot with several terms the elimination
+is fraction-free, so the later ring pivots, and with them
+``assumptions``, may carry factors of that pivot; a basis vector is then
+the field's vector scaled by the numerator of the last such pivot.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .algebra import SuperPoly, linear_ansatz, rat_div, term_order_key
 from .jets import EvolutionSystem, Flow, check_symmetry, substitute_params
-from .linsolve import (LinearEquation, NonlinearSystemError, as_poly, clearing_scale,
-                       gauss_jordan, numerator)
+from .linsolve import (LinearEquation, NonlinearSystemError, RingElement, as_poly,
+                       clearing_scale, gauss_jordan, numerator)
 from .weights import WeightSystem, enumerate_monomials, items_from_gens, jets_up_to_weight
 
 Q = Fraction
@@ -35,9 +36,7 @@ Q = Fraction
 # extraction
 
 
-def extract_linear_system(
-    residuals: Iterable[SuperPoly], unknowns: Sequence[str]
-) -> list:
+def extract_linear_system(residuals: Iterable[SuperPoly], unknowns: Sequence[str]) -> list:
     """Split residuals into per-monomial equations linear in the unknowns,
     in ``term_order_key`` order of the monomials, which breaks ties between
     pivot rows.  A term with two unknowns, or one to a power other than 1,
@@ -57,11 +56,15 @@ def extract_linear_system(
                         f"{[(n, e) for n, e in params if n in uset]}")
                 slot, rest = n, params[:i] + params[i + 1:]
             # canonical keys differ, so no two terms meet here
-            grouped.setdefault((evens, odds, funcs), {}).setdefault(slot, {})[rest] = c
+            parts = grouped.setdefault((evens, odds, funcs), {})
+            if slot in parts:
+                parts[slot][rest] = c
+            else:
+                parts[slot] = RingElement({rest: c})
         for mono in sorted(grouped, key=lambda k: term_order_key((k[0], k[1], k[2], ()))):
             parts = grouped[mono]
-            const = as_poly(parts.pop(None, {}))
-            eqs.append(LinearEquation({n: as_poly(t) for n, t in parts.items()}, const))
+            const = parts.pop(None, None) or RingElement()
+            eqs.append(LinearEquation(parts, const))
     return eqs
 
 
@@ -105,8 +108,8 @@ def solve_linear(
     unknowns = tuple(unknowns)
     nonzero = frozenset(assume_nonzero)
     branches = [_solve_branch(eqs, unknowns, nonzero, frozenset())]
-    inverted = {n for eq in eqs for p in (eq.const, *eq.coeffs.values())
-                for key in p.terms for n, e in key[3] if e < 0}
+    inverted = {n for eq in eqs for a in (eq.const, *eq.coeffs.values())
+                for key in a for n, e in key if e < 0}
     seen = {frozenset()}
     frontier = branches
     for _depth in range(case_split_limit):
@@ -120,31 +123,34 @@ def solve_linear(
                 if zp in seen:
                     continue
                 seen.add(zp)
-                pinned = dict.fromkeys(zp, Q(0))
-                sub = [
-                    LinearEquation(
-                        {u: substitute_params(c, pinned) for u, c in eq.coeffs.items()},
-                        substitute_params(eq.const, pinned),
-                    )
-                    for eq in eqs
-                ]
-                new.append(_solve_branch(sub, unknowns, nonzero, zp))
+                new.append(_solve_branch(_pinned(eqs, zp), unknowns, nonzero, zp))
         branches.extend(new)
         frontier = new
     return [b for b in branches if b is not None]
 
 
+def _pinned(eqs, names) -> list:
+    """The equations with the parameters ``names``, none of them inverted,
+    set to zero: every term whose key holds one of them vanishes."""
+
+    def pin(a):
+        return RingElement({k: c for k, c in a.items() if not any(nm in names for nm, _x in k)})
+
+    return [LinearEquation({u: v for u, v in zip(eq.coeffs, map(pin, eq.coeffs.values())) if v},
+                           pin(eq.const)) for eq in eqs]
+
+
 def _solve_branch(eqs, unknowns, assume_nonzero, zero_params):
-    """The generic solution of one branch, or None if it is inconsistent."""
+    """The generic solution of one branch in ``SuperPoly``s, or None if it is inconsistent."""
     red = gauss_jordan(eqs, unknowns, assume_nonzero)
     if red.leftover:
         return None
     zero = dict.fromkeys(unknowns, SuperPoly.zero())
     return LinearSolution(
         unknowns,
-        {**zero, **red.particular},
-        [{**zero, **vec} for vec in red.basis],
-        assumptions=[numerator(a) for a in red.assumed],
+        {**zero, **{u: as_poly(v) for u, v in red.particular.items()}},
+        [{**zero, **{u: as_poly(v) for u, v in vec.items()}} for vec in red.basis],
+        assumptions=[as_poly(numerator(a)) for a in red.assumed],
         zero_params=zero_params,
     )
 
@@ -152,14 +158,13 @@ def _solve_branch(eqs, unknowns, assume_nonzero, zero_params):
 def normalize_vector(vec: Mapping[str, SuperPoly], order: Sequence[str]) -> dict:
     """Clear denominators and negative parameter exponents, and make the
     leading coefficient equal to one."""
-    scale = clearing_scale(vec.values())
+    scale = as_poly(clearing_scale({k[3]: c for k, c in v.terms.items()} for v in vec.values()))
     vec = {u: scale * v for u, v in vec.items()}
     for u in order:
         v = vec[u]
         if v.is_zero:
             continue
-        lead_key = min(v.terms, key=term_order_key)
-        lead = v.terms[lead_key]
+        lead = v.terms[min(v.terms, key=term_order_key)]
         return {w: x / lead for w, x in vec.items()}
     return dict(vec)
 

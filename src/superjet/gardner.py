@@ -11,7 +11,7 @@ from typing import Collection, Iterable, Mapping, Optional, Sequence
 from .algebra import DX, EVEN, FieldSymbol, JetVar, SuperPoly, linear_ansatz
 from .jets import EvolutionSystem, dt_apply, substitute, substitute_params
 from .determine import extract_linear_system
-from .linsolve import gauss_jordan
+from .linsolve import as_poly, gauss_jordan
 from .variational import hamiltonian_flow
 from .weights import (
     WeightSystem,
@@ -149,10 +149,9 @@ def _general_solution(red, names: Sequence[str], frees: Sequence[str]) -> dict:
     """Each unknown of ``names`` as its particular value in the reduced
     system ``red`` plus the basis vectors weighted by the parameters
     ``frees``."""
-    zero = SuperPoly.zero()
     particular = red.particular
-    return {u: sum((SuperPoly.param(f) * vec.get(u, zero) for f, vec in zip(frees, red.basis)),
-                   particular.get(u, zero))
+    return {u: sum((SuperPoly.param(f) * as_poly(vec.get(u, {}))
+                    for f, vec in zip(frees, red.basis)), as_poly(particular.get(u, {})))
             for u in names}
 
 
@@ -247,7 +246,7 @@ def search_deformation(
         for u in base.fields
         for kk in range(1, residuals[u].max_param_power(eps) + 1)
     ]
-    conditions = [eq.const for eq in extract_linear_system(parts, ())]
+    conditions = [as_poly(eq.const) for eq in extract_linear_system(parts, ())]
     # a free that occurs inverted is nonzero by construction
     inverted = {n for p in (hbar, *miura.values()) for key in p.terms
                 for n, x in key[3] if x < 0}

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from operator import add, sub
 from typing import Mapping, Optional
 
 from .algebra import (
@@ -143,20 +144,18 @@ class Flow:
         return all(p.is_zero for p in self.components.values())
 
     def __add__(self, other):
-        if self.parameter_parity != other.parameter_parity:
-            raise ParityError("cannot add flows of different parameter parity")
-        keys = set(self.components) | set(other.components)
-        return Flow(
-            {
-                u: self.components.get(u, SuperPoly.zero())
-                + other.components.get(u, SuperPoly.zero())
-                for u in keys
-            },
-            self.parameter_parity,
-        )
+        return self._combine(other, add)
 
     def __sub__(self, other):
-        return self + other.scaled(-1)
+        return self._combine(other, sub)
+
+    def _combine(self, other, op):
+        if self.parameter_parity != other.parameter_parity:
+            raise ParityError("cannot add flows of different parameter parity")
+        zero = SuperPoly.zero()
+        return Flow({u: op(self.components.get(u, zero), other.components.get(u, zero))
+                     for u in set(self.components) | set(other.components)},
+                    self.parameter_parity)
 
     def scaled(self, c):
         return Flow(
@@ -415,12 +414,12 @@ def _residual(sys: EvolutionSystem, flow: Flow, u, rhs_u: SuperPoly) -> SuperPol
 def commutator(phi: Flow, psi: Flow) -> Flow:
     """Graded commutator of two flows on a common field set."""
     fields = set(phi.components) | set(psi.components)
-    sign = -1 if (phi.parameter_parity and psi.parameter_parity) else 1
+    op = add if (phi.parameter_parity and psi.parameter_parity) else sub
     comps = {}
     for u in fields:
         a = evolutionary_apply(phi, psi.components.get(u, SuperPoly.zero()))
         b = evolutionary_apply(psi, phi.components.get(u, SuperPoly.zero()))
-        comps[u] = a - sign * b
+        comps[u] = op(a, b)
     return Flow(comps, (phi.parameter_parity + psi.parameter_parity) % 2)
 
 

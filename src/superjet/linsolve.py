@@ -3,8 +3,7 @@
 The only domain is the Laurent ring ``QQ[p1^±1, ..., pk^±1]``
 (``LaurentRing``) in the parameters that occur; with no parameters it is
 ``QQ`` itself.  An element is a dict from the parameter part of a key,
-a sorted ``(name, exponent)`` tuple, to a nonzero coefficient; the
-entries of the ``SuperPoly`` system and answer are converted once.  A
+a sorted ``(name, exponent)`` tuple, to a nonzero coefficient.  A
 one-term pivot is a unit of the ring, and its row is divided by it, so a
 system whose pivots are all monomials reduces exactly as over the field.
 A pivot with several terms is not a unit: it stays in its row, and from
@@ -22,20 +21,21 @@ ring's, and may carry factors of earlier pivots; a leftover right-hand
 side is the field's times ``s``, the pivot of any solved row (1 when no
 row is solved).
 
-The one system type is ``LinearEquation``, keyed by its unknowns, and
-the solution comes back keyed by them too.  The caller lists the
-unknowns in column order.  Inside, each equation is a sparse row from
-column index to nonzero element, so the loop costs nothing for the zero
-entries that dominate determining systems.  Pivot columns are taken in
-order.  While every pivot is a monomial, the pivot row of a column is
-the sparsest eligible one: Markowitz's fill-reducing choice (Management
-Science, 1957) with the column order fixed.  Over the field the reduced
-row echelon form, and with it the pivot columns, the particular solution
-and the basis, does not depend on which rows are taken, so a system
-whose pivots are all monomials gets its canonical solution whatever the
-order of its rows.  Which pivots are assumed, which rows are left over
-and the scale ``s`` may depend on the rows taken; the rule fixes them
-from the order of the input rows.
+The one system type is ``LinearEquation``, keyed by its unknowns, with
+``RingElement`` entries, and ``Reduced`` answers in ring elements keyed
+by them too; each caller converts what it keeps (``as_poly``) once.  The
+caller lists the unknowns in column order.  Inside, each equation is a
+sparse row from column index to nonzero element, so the loop costs
+nothing for the zero entries that dominate determining systems.  Pivot
+columns are taken in order.  While every pivot is a monomial, the pivot
+row of a column is the sparsest eligible one: Markowitz's fill-reducing
+choice (Management Science, 1957) with the column order fixed.  Over the
+field the reduced row echelon form, and with it the pivot columns, the
+particular solution and the basis, does not depend on which rows are
+taken, so a system whose pivots are all monomials gets its canonical
+solution whatever the order of its rows.  Which pivots are assumed, which
+rows are left over and the scale ``s`` may depend on the rows taken; the
+rule fixes them from the order of the input rows.
 """
 
 from __future__ import annotations
@@ -82,9 +82,14 @@ class LaurentRing:
         return acc
 
 
-def ring_element(p: SuperPoly) -> dict:
-    """The ring element of a parameter-only ``SuperPoly``."""
-    return {key[3]: c for key, c in p.terms.items()}
+class RingElement(dict):
+    """A ``LinearEquation`` entry: a ring element, never changed once built,
+    that names its parameters.  Ring operations answer in plain dicts."""
+
+    __slots__ = ()
+
+    def param_names(self) -> set:
+        return {nm for key in self for nm, _x in key}
 
 
 def as_poly(a: dict) -> SuperPoly:
@@ -94,22 +99,22 @@ def as_poly(a: dict) -> SuperPoly:
 
 @dataclass
 class LinearEquation:
-    """``sum(coeffs[u] * u) + const == 0`` over parameter-only coefficients."""
+    """``sum(coeffs[u] * u) + const == 0`` over the Laurent ring."""
 
-    coeffs: dict  # unknown -> SuperPoly in parameters
-    const: SuperPoly
+    coeffs: dict  # unknown -> RingElement
+    const: RingElement
 
 
 @dataclass
 class Reduced:
     """Solution set of a list of ``LinearEquation``s, keyed by their unknowns.
 
-    ``solved`` maps each pivot unknown to its row's entry there and its
-    row's right-hand side, ``-const`` reduced.  Each ``basis`` vector maps
-    unknowns to values and is nonzero in its own free unknown only among
-    the free ones.  ``assumed`` lists the pivots that were not known to be
-    nonzero, in elimination order.  ``leftover`` holds the nonzero
-    right-hand sides of rows that reduced to ``0 == rhs``.
+    Every value is a ring element.  ``solved`` maps each pivot unknown to
+    its row's entry there and its row's right-hand side, ``-const`` reduced.
+    Each ``basis`` vector maps unknowns to values and is nonzero in its own
+    free unknown only among the free ones.  ``assumed`` lists the pivots
+    that were not known to be nonzero, in elimination order.  ``leftover``
+    holds the nonzero right-hand sides of rows that reduced to ``0 == rhs``.
     """
 
     solved: dict
@@ -125,11 +130,11 @@ class Reduced:
         """
         out = {}
         for u, (pivot, rhs) in self.solved.items():
-            q = quotient(ring_element(rhs), ring_element(pivot))
+            q = quotient(rhs, pivot) if rhs else {}
             if q is None:
-                raise NonlinearSystemError(f"solution {rhs} / ({pivot}) is not a Laurent "
-                                           "polynomial")
-            out[u] = as_poly(q)
+                raise NonlinearSystemError(f"solution {as_poly(rhs)} / ({as_poly(pivot)}) is "
+                                           "not a Laurent polynomial")
+            out[u] = q
         return out
 
 
@@ -164,8 +169,8 @@ def gauss_jordan(
     """
     zero, one, is_zero, mul, submul = K.zero, K.one, K.is_zero, K.mul, K.submul
     index = {u: c for c, u in enumerate(unknowns)}
-    work = [({index[u]: ring_element(v) for u, v in eq.coeffs.items() if not v.is_zero},
-             {key[3]: -c for key, c in eq.const.terms.items()}) for eq in eqs]
+    work = [({index[u]: v for u, v in eq.coeffs.items() if v},
+             {key: -c for key, c in eq.const.items()}) for eq in eqs]
     col_rows: dict = {}  # column -> indices of the rows with an entry there
     for i, (row, _rhs) in enumerate(work):
         for c in row:
@@ -219,22 +224,19 @@ def gauss_jordan(
             work[i] = (orow, orhs)
         if not unit:
             scale = pivot
-    leftover = [as_poly(rhs) for i, (_row, rhs) in enumerate(work)
-                if i not in used and not is_zero(rhs)]
-    solved = {unknowns[c]: (as_poly(work[p][0][c]), as_poly(work[p][1]))
-              for c, p in pivot_row.items()}
+    leftover = [rhs for i, (_row, rhs) in enumerate(work) if i not in used and not is_zero(rhs)]
+    solved = {unknowns[c]: (work[p][0][c], work[p][1]) for c, p in pivot_row.items()}
     # every pivot row now has ``scale`` in its pivot column
-    s = as_poly(scale)
-    minus_clear, head = ring_element(-clearing_scale((s,))), numerator(s)
+    minus_clear, head = {k: -c for k, c in clearing_scale((scale,)).items()}, numerator(scale)
     basis = []
     for fc, fu in enumerate(unknowns):
         if fc in pivot_row:
             continue
         reads = [(c, work[p][0][fc]) for c, p in pivot_row.items() if fc in work[p][0]]
-        vec = {fu: head if reads else SuperPoly.one()}
-        vec.update((unknowns[c], as_poly(mul(minus_clear, v))) for c, v in reads)
+        vec = {fu: head if reads else dict(one)}
+        vec.update((unknowns[c], mul(minus_clear, v)) for c, v in reads)
         basis.append(vec)
-    return Reduced(solved, basis, [as_poly(a) for a in assumed], leftover)
+    return Reduced(solved, basis, assumed, leftover)
 
 
 def quotient(a: dict, b: dict) -> Optional[dict]:
@@ -271,24 +273,23 @@ def quotient(a: dict, b: dict) -> Optional[dict]:
             for e, c in out.items()}
 
 
-def numerator(v: SuperPoly) -> SuperPoly:
-    """``v`` times its ``clearing_scale``: the numerator the fraction field
-    keeps for ``v``."""
-    return clearing_scale((v,)) * v
+def numerator(a: dict) -> dict:
+    """``a`` times its ``clearing_scale``: the fraction field's numerator."""
+    return LaurentRing.mul(clearing_scale((a,)), a)
 
 
-def clearing_scale(values: Iterable[SuperPoly]) -> SuperPoly:
-    """The lcm of the coefficient denominators of ``values`` times the
-    monomial that clears their negative parameter exponents."""
+def clearing_scale(values: Iterable[dict]) -> dict:
+    """The lcm of the coefficient denominators of the ring elements ``values``
+    times the monomial that clears their negative parameter exponents."""
     denom = 1
     clear: dict = {}
     for v in values:
-        for key, c in v.terms.items():
+        for key, c in v.items():
             denom = math.lcm(denom, c.denominator)
-            for nm, x in key[3]:
+            for nm, x in key:
                 if x < 0:
                     clear[nm] = max(clear.get(nm, 0), -x)
-    return SuperPoly({((), (), (), tuple(sorted(clear.items()))): denom})
+    return {tuple(sorted(clear.items())): denom}
 
 
 def is_monomial_in(v: dict, names: Sequence[str]) -> bool:

@@ -61,7 +61,7 @@ from .jets import (
     reduction,
     super_derive,
 )
-from .linsolve import LinearEquation, NonlinearSystemError, gauss_jordan
+from .linsolve import LinearEquation, NonlinearSystemError, RingElement, gauss_jordan
 from .variational import graded_partial
 from .weights import (
     WeightSystem,
@@ -334,8 +334,8 @@ def _images_independent(nonlocal_jets) -> bool:
             euler[seq] = euler.get(seq, SuperPoly.zero()) + (-d if u.m % 2 else d)
         for seq, e in euler.items():
             for m, coeff in _by_monomial(e).items():
-                rows.setdefault((seq, m), {})[j] = _wrap(dict(coeff))
-    eqs = [LinearEquation(row, SuperPoly.zero()) for row in rows.values()]
+                rows.setdefault((seq, m), {})[j] = coeff
+    eqs = [LinearEquation(row, RingElement()) for row in rows.values()]
     return not gauss_jordan(eqs, range(len(nonlocal_jets))).basis
 
 
@@ -366,16 +366,16 @@ def _solve_component(part: SuperPoly, direction, wt, items) -> tuple:
             f"the {direction}-preimage of weight {wt} part has a coefficient "
             "that is not a Laurent polynomial in the parameters"
         ) from None
-    return (poly_sum(v * _wrap({monos[c]: 1}) for c, v in values.items() if not v.is_zero),
+    return (_wrap({(*monos[c][:3], key): x for c, v in values.items() for key, x in v.items()}),
             not red.basis)
 
 
 def _by_monomial(p: SuperPoly) -> dict:
     """The terms of p grouped by their key without the parameter part:
-    {monomial: {parameter-only key: coefficient}}."""
+    {monomial: RingElement}."""
     out: dict = {}
     for (e, o, f, params), c in p.terms.items():
-        out.setdefault((e, o, f, ()), {})[((), (), (), params)] = c
+        out.setdefault((e, o, f, ()), RingElement())[params] = c
     return out
 
 
@@ -473,10 +473,11 @@ def _equations(target: SuperPoly, images: list) -> list:
     rows: dict = {}
     for c, image in enumerate(images):
         for e, coeff in image.items():
-            rows.setdefault(e, ({}, {}))[0][c] = _wrap(dict(coeff))
+            rows.setdefault(e, [{}, None])[0][c] = coeff
     for e, coeff in _by_monomial(target).items():
-        rows.setdefault(e, ({}, {}))[1].update(coeff)
-    return [LinearEquation(row, -_wrap(rhs))
+        rows.setdefault(e, [{}, None])[1] = RingElement({key: -x for key, x in coeff.items()})
+    zero = RingElement()
+    return [LinearEquation(row, zero if rhs is None else rhs)
             for e, (row, rhs) in sorted(rows.items(), key=lambda r: term_order_key(r[0]))]
 
 

@@ -32,7 +32,7 @@ from .algebra import (
     rat,
     term_order_key,
 )
-from .linsolve import LinearEquation, gauss_jordan
+from .linsolve import gauss_jordan
 
 Q = Fraction
 
@@ -166,19 +166,14 @@ def infer_weights(sys, fixed: Mapping = None, param_names: Sequence[str] = ()):
     balances = [ws.key_weight(key) - forms[u.name] + forms["t"]
                 for u in sys.fields for key in sys.rhs[u].terms]
     pins = [forms[n] - v for n, v in fixed.items() if n in forms]
+    from .determine import extract_linear_system  # determine builds on this module
 
-    def equation(form):
-        """The equation ``form == 0``."""
-        return LinearEquation({key[3][0][0]: SuperPoly.scalar(c)
-                               for key, c in form.terms.items() if key != _ONE_KEY},
-                              SuperPoly.scalar(form.terms.get(_ONE_KEY, 0)))
-
-    red = gauss_jordan(map(equation, balances + pins), unknowns)
+    red = gauss_jordan(extract_linear_system(balances + pins, unknowns), unknowns)
     if red.leftover:
         return None
 
     def rational(vec):
-        return {n: Q(v.terms.get(_ONE_KEY, 0)) for n, v in vec.items()}
+        return {n: Q(v.get((), 0)) for n, v in vec.items()}
 
     return WeightSolution(
         {**dict.fromkeys(unknowns, Q(0)), **rational(red.particular)},

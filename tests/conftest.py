@@ -11,6 +11,7 @@ import pytest
 from superjet import recursion
 from superjet.algebra import DX, SuperPoly, _sorted_funcs
 from superjet.jets import super_derive
+from superjet.linsolve import LinearEquation, RingElement, as_poly, gauss_jordan
 from superjet.weights import (
     enumerate_monomials,
     items_from_gens,
@@ -112,3 +113,33 @@ def stray_coefficients():
         yield stray
     finally:
         SuperPoly.terms = slot
+
+
+def ring(p: SuperPoly) -> RingElement:
+    """The ring element of a parameter-only ``SuperPoly``."""
+    return RingElement({key[3]: c for key, c in p.terms.items()})
+
+
+def equation(coeffs: dict, const: SuperPoly) -> LinearEquation:
+    """The ``LinearEquation`` of parameter-only ``SuperPoly`` entries."""
+    return LinearEquation({u: ring(v) for u, v in coeffs.items()}, ring(const))
+
+
+class PolyReduced:
+    """A ``linsolve.Reduced`` with every value read back as a ``SuperPoly``."""
+
+    def __init__(self, red):
+        self.red = red
+        self.solved = {u: (as_poly(p), as_poly(r)) for u, (p, r) in red.solved.items()}
+        self.basis = [{u: as_poly(v) for u, v in vec.items()} for vec in red.basis]
+        self.assumed = [as_poly(a) for a in red.assumed]
+        self.leftover = [as_poly(a) for a in red.leftover]
+
+    @property
+    def particular(self) -> dict:
+        return {u: as_poly(v) for u, v in self.red.particular.items()}
+
+
+def poly_gauss_jordan(rows, unknowns, *args) -> PolyReduced:
+    """``gauss_jordan`` on (coefficients, const) pairs of ``SuperPoly``s."""
+    return PolyReduced(gauss_jordan([equation(*row) for row in rows], unknowns, *args))

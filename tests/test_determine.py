@@ -12,11 +12,13 @@ from superjet import catalog, determine
 from superjet.algebra import EVEN, ODD, FieldSymbol, JetVar, SuperPoly
 from superjet.determine import (
     NonlinearSystemError,
+    build_flow_ansatz,
     extract_linear_system,
     find_symmetries,
     flows_proportional,
     solve_linear,
 )
+from superjet.jets import Flow, check_symmetry, substitute_params
 from superjet.linsolve import (
     LaurentRing,
     LinearEquation,
@@ -25,8 +27,9 @@ from superjet.linsolve import (
     gauss_jordan,
     numerator,
     quotient,
-    ring_element,
 )
+
+from conftest import equation, poly_gauss_jordan, ring
 
 
 Q = Fraction
@@ -59,8 +62,6 @@ def test_translation_slots(embed):
     # weight -1: the x-translation only
     res = find_symmetries(sys, ws, Q(-1), EVEN, assume_nonzero=NONZERO)
     assert len(res.flows) == 1
-    from superjet.jets import Flow
-
     translation = Flow(
         {u: SuperPoly.from_gen(JetVar(u, 0, 0, 1)) for u in sys.fields}, EVEN
     )
@@ -116,8 +117,8 @@ def test_rational_and_parametric_paths_agree():
             for eq in eqs:
                 total = SuperPoly.zero()
                 for n, coeff in eq.coeffs.items():
-                    total = total + coeff * vec.get(n, SuperPoly.zero())
-                total = total + eq.const
+                    total = total + as_poly(coeff) * vec.get(n, SuperPoly.zero())
+                total = total + as_poly(eq.const)
                 assert total.is_zero
 
 
@@ -143,13 +144,9 @@ def test_solutions_of_random_rational_systems(rows):
     the rank taken from sympy as an independent oracle."""
     n = len(rows[0]) - 1
     names = [f"c{i}" for i in range(n)]
-    eqs = [
-        LinearEquation(
-            {u: SuperPoly.scalar(a) for u, a in zip(names, row) if a},
-            SuperPoly.scalar(row[n]),
-        )
-        for row in rows
-    ]
+    poly_rows = [({u: SuperPoly.scalar(a) for u, a in zip(names, row) if a},
+                  SuperPoly.scalar(row[n])) for row in rows]
+    eqs = [equation(*row) for row in poly_rows]
     coeffs = sympy.Matrix([row[:n] for row in rows])
     augmented = sympy.Matrix([row[:n] + [-row[n]] for row in rows])
     branches = solve_linear(eqs, names)
@@ -160,16 +157,16 @@ def test_solutions_of_random_rational_systems(rows):
     assert sol.dim == n - coeffs.rank()
     assert not sol.assumptions
 
-    def value(eq, vec, const):
+    def value(coeffs, vec, const):
         total = const
-        for u, c in eq.coeffs.items():
+        for u, c in coeffs.items():
             total = total + c * vec[u]
         return total
 
-    for eq in eqs:
-        assert value(eq, sol.particular, eq.const).is_zero
+    for coeffs, const in poly_rows:
+        assert value(coeffs, sol.particular, const).is_zero
         for vec in sol.basis:
-            assert value(eq, vec, SuperPoly.zero()).is_zero
+            assert value(coeffs, vec, SuperPoly.zero()).is_zero
 
 
 def test_case_split_pins_an_assumed_parameter_to_zero():
@@ -189,6 +186,54 @@ def test_inverted_parameter_is_never_pinned_to_zero():
     branches = solve_linear(eqs, names, case_split_limit=2)
     assert [b.zero_params for b in branches] == [frozenset()]
     assert branches[0].assumptions == [alpha]
+
+
+def substituted(eqs, names):
+    """The equations with the parameters ``names`` set to zero through
+    ``SuperPoly`` and ``substitute_params``, zero coefficients dropped."""
+    zero = dict.fromkeys(names, Q(0))
+
+    def sub(a):
+        return ring(substitute_params(as_poly(a), zero))
+
+    return [LinearEquation({u: v for u, v in zip(eq.coeffs, map(sub, eq.coeffs.values())) if v},
+                           sub(eq.const)) for eq in eqs]
+
+
+def test_pinning_on_ring_elements_matches_substitute_params():
+    """Pinning drops every term that holds a pinned name: a coefficient
+    that vanishes leaves its row, a constant can vanish, and a parameter
+    with a negative exponent, which is never pinned, stays."""
+    u = FieldSymbol("b", EVEN, 1)
+    b, bx = (SuperPoly.from_gen(JetVar(u, m=m)) for m in (0, 1))
+    c0, c1 = P("c0"), P("c1")
+    alpha, beta, gamma = P("alpha"), P("beta"), P("gamma")
+    residual = (alpha * c0 * b + P("beta", -1) * c1 * b + alpha * beta * bx + 2 * c0 * bx
+                + alpha * alpha * gamma * c1 * bx + gamma * c1 * b)
+    eqs = extract_linear_system([residual], ["c0", "c1"])
+    for names in ({"alpha"}, {"gamma"}, {"alpha", "gamma"}):
+        assert determine._pinned(eqs, names) == substituted(eqs, names)
+    assert determine._pinned(eqs, {"alpha"}) == [
+        equation({"c1": P("beta", -1) + gamma}, SuperPoly.zero()),
+        equation({"c0": 2 * SuperPoly.one()}, SuperPoly.zero())]
+    homogeneous = extract_linear_system([residual - alpha * beta * bx], ["c0", "c1"])
+    branches = solve_linear(homogeneous, ["c0", "c1"], case_split_limit=2)
+    assert {"alpha", "gamma"} <= set().union(*(br.zero_params for br in branches))
+    assert all("beta" not in br.zero_params for br in branches)
+
+
+def test_a_case_split_of_a_one_parameter_search_pins_as_substitution_did():
+    """The -3 even search of hospital-alpha with one level of case splits
+    re-solves with alpha pinned to zero.  Its pinned system is the one
+    ``substitute_params`` gave, so its branches are too; the golden
+    snapshot holds them."""
+    doc = catalog.get("hospital-alpha").doc
+    sys, ws = doc.system(), doc.weight_system()
+    comps, names, _monos = build_flow_ansatz(sys, ws, Q(-3), EVEN)
+    residual = check_symmetry(sys, Flow(comps, EVEN))
+    eqs = extract_linear_system([residual.components[u] for u in sys.fields], names)
+    pinned = determine._pinned(eqs, {"alpha"})
+    assert pinned == substituted(eqs, {"alpha"}) != eqs
 
 
 def test_basis_vector_with_polynomial_denominator_is_cleared():
@@ -386,7 +431,7 @@ def test_laurent_elimination_matches_the_fraction_field(system):
     """
     rows, n, names, nonzero = system
     K = _LaurentPivotLog()
-    red = gauss_jordan([LinearEquation(row, -rhs) for row, rhs in rows], range(n), nonzero, K)
+    red = poly_gauss_jordan([(row, -rhs) for row, rhs in rows], range(n), nonzero, K)
     # each leftover is the field's, rhs - row . x for the particular x, times
     # the last pivot; x times that pivot is the ring's right-hand sides
     s, zero = ring_scale(red), SuperPoly.zero()
@@ -410,7 +455,7 @@ def test_laurent_elimination_matches_the_fraction_field(system):
         assert over_f(red.leftover) == leftover
         return
     R = sympy.QQ.poly_ring(*names)
-    augmented = [[to_poly(clearing_scale([*row.values(), rhs]) * v, R)
+    augmented = [[to_poly(as_poly(clearing_scale(map(ring, [*row.values(), rhs]))) * v, R)
                   for v in [row.get(c, SuperPoly.zero()) for c in range(n)] + [rhs]]
                  for row, rhs in rows]
     num, den, pivots = DomainMatrix(augmented, (len(rows), n + 1), R).rref_den(method="FF")
@@ -420,7 +465,7 @@ def test_laurent_elimination_matches_the_fraction_field(system):
     free = [c for c in range(n) if c not in pivots]
     assert len(red.basis) == len(free)
     for fc, vec in zip(free, red.basis):
-        scale = clearing_scale(vec.values())
+        scale = as_poly(clearing_scale(map(ring, vec.values())))
         lead = to_poly(scale * vec[fc], R)
         assert lead
         for c in range(n):
@@ -451,8 +496,7 @@ def test_row_order_leaves_a_monomial_elimination_unchanged(system, data):
     reds = []
     for permuted in (rows, [rows[i] for i in order]):
         K = _LaurentPivotLog()
-        red = gauss_jordan([LinearEquation(row, -rhs) for row, rhs in permuted], range(n),
-                           nonzero, K)
+        red = poly_gauss_jordan([(row, -rhs) for row, rhs in permuted], range(n), nonzero, K)
         if red.assumed or len(K.pivots) < len(red.solved):
             return
         reds.append(red)
@@ -500,9 +544,9 @@ def test_the_ring_hook_sees_every_monomial_pivot():
     """``gauss_jordan`` inverts each monomial pivot through ``K.revert``,
     so the fraction-field comparison above meets the all-monomial branch."""
     K = _LaurentPivotLog()
-    red = gauss_jordan([LinearEquation({0: P("alpha"), 1: 2 * SuperPoly.one()}, -SuperPoly.one()),
-                        LinearEquation({1: P("beta", -1), 2: SuperPoly.one()}, -P("alpha"))],
-                       range(3), ("alpha", "beta"), K)
+    red = poly_gauss_jordan([({0: P("alpha"), 1: 2 * SuperPoly.one()}, -SuperPoly.one()),
+                             ({1: P("beta", -1), 2: SuperPoly.one()}, -P("alpha"))],
+                            range(3), ("alpha", "beta"), K)
     assert K.pivots == [P("alpha"), P("beta", -1)]
     assert len(K.pivots) == len(red.solved)
 
@@ -526,12 +570,12 @@ def test_ring_numerator_matches_the_fraction_field(v):
     field as the oracle."""
     F = sympy.QQ.frac_field(*LAURENT_PARAMS)
     R = sympy.QQ.poly_ring(*LAURENT_PARAMS)
-    assert to_poly(numerator(v), R) == to_field(v, F).numer
+    assert to_poly(as_poly(numerator(ring(v))), R) == to_field(v, F).numer
 
 
 def poly_quotient(a, b):
     """``quotient`` on parameter-only SuperPolys."""
-    q = quotient(ring_element(a), ring_element(b))
+    q = quotient(ring(a), ring(b))
     return None if q is None else as_poly(q)
 
 
@@ -541,7 +585,7 @@ def test_ring_operations_match_superpoly_arithmetic(a, f, v):
     """On dict elements ``submul``, ``mul``, ``revert`` and ``quotient`` are
     ``SuperPoly``'s ``a - f*v``, ``f*v``, inverse and exact division, and
     none of them changes its operands or the shared ``zero`` and ``one``."""
-    ra, rf, rv = (ring_element(p) for p in (a, f, v))
+    ra, rf, rv = (ring(p) for p in (a, f, v))
     K = LaurentRing
     assert as_poly(K.submul(ra, rf, rv)) == a - f * v
     assert as_poly(K.submul(K.zero, rf, rv)) == -(f * v)
@@ -552,7 +596,7 @@ def test_ring_operations_match_superpoly_arithmetic(a, f, v):
     assert as_poly(quotient(K.mul(rf, rv), rv)) == f
     q = quotient(ra, rv)
     assert q is None or as_poly(q) * v == a
-    assert (ra, rf, rv) == tuple(ring_element(p) for p in (a, f, v))
+    assert (ra, rf, rv) == tuple(ring(p) for p in (a, f, v))
     assert (K.zero, K.one) == ({}, {(): 1})
 
 
@@ -578,8 +622,8 @@ def test_rational_system_keeps_its_solution():
             ([0, 3, 0, 1, Q(-2, 3)], -2),
             ([2, 1, -2, Q(-1, 3), 0], 0),
             ([1, -1, -1, Q(-1, 3), Q(2, 9)], Q(5, 2))]
-    eqs = [LinearEquation({u: SuperPoly.scalar(a) for u, a in zip(names, row) if a},
-                          SuperPoly.scalar(const)) for row, const in rows]
+    eqs = [equation({u: SuperPoly.scalar(a) for u, a in zip(names, row) if a},
+                    SuperPoly.scalar(const)) for row, const in rows]
     (sol,) = solve_linear(eqs, names)
     s = SuperPoly.scalar
     assert sol.particular == {"c0": s(Q(-11, 6)), "c1": s(Q(2, 3)), "c2": s(0),
@@ -597,8 +641,7 @@ def test_unknowns_of_any_hashable_kind_key_the_solution_in_their_order():
     for unknowns in ([3, 1, 2], keys):
         x, y, z = unknowns
         # x + 2y - 1 = 0 and 3z = 0
-        red = gauss_jordan([LinearEquation({y: 2 * one, x: one}, -one),
-                            LinearEquation({z: 3 * one}, zero)], unknowns)
+        red = poly_gauss_jordan([({y: 2 * one, x: one}, -one), ({z: 3 * one}, zero)], unknowns)
         assert list(red.solved) == [x, z]
         assert red.particular == {x: one, z: zero}
         assert red.basis == [{y: one, x: -2 * one}]
@@ -609,8 +652,8 @@ def test_a_zero_coefficient_is_skipped():
     """Pinning a parameter to zero can leave a zero coefficient; it is no
     entry of the system, not an entry to judge or pivot on."""
     zero, one = SuperPoly.zero(), SuperPoly.one()
-    red = gauss_jordan([LinearEquation({"x": zero, "y": one}, -one),
-                        LinearEquation({"x": zero}, zero)], ["x", "y"], ("alpha",))
+    red = poly_gauss_jordan([({"x": zero, "y": one}, -one), ({"x": zero}, zero)], ["x", "y"],
+                            ("alpha",))
     assert red.particular == {"y": one}
     assert red.basis == [{"x": one}]
     assert not red.assumed and not red.leftover
@@ -628,7 +671,7 @@ P = SuperPoly.param
     (P("alpha") + P("beta"), ("alpha", "beta"), True),
 ], ids=["rational", "unnamed", "product", "half-named-product", "inverse", "sum"])
 def test_a_pivot_is_sure_when_it_is_one_monomial_in_the_assumed_names(pivot, nonzero, assumed):
-    red = gauss_jordan([LinearEquation({"x": pivot}, SuperPoly.zero())], ["x"], nonzero)
+    red = poly_gauss_jordan([({"x": pivot}, SuperPoly.zero())], ["x"], nonzero)
     assert red.assumed == ([pivot] if assumed else [])
 
 
@@ -649,7 +692,7 @@ def test_terms_in_the_parameters_alone_land_in_const():
     one, alpha, beta = SuperPoly.one(), P("alpha"), P("beta", -1)
     residual = P("_c1") * b + 2 * beta * bx + alpha * P("_c0") * bx + 3 * one
     assert extract_linear_system([residual], ["_c0", "_c1"]) == [
-        LinearEquation({}, 3 * one),
-        LinearEquation({"_c1": one}, SuperPoly.zero()),
-        LinearEquation({"_c0": alpha}, 2 * beta),
+        equation({}, 3 * one),
+        equation({"_c1": one}, SuperPoly.zero()),
+        equation({"_c0": alpha}, 2 * beta),
     ]

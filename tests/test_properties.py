@@ -4,6 +4,7 @@ import pickle
 from fractions import Fraction
 from itertools import product
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -27,15 +28,15 @@ from superjet.algebra import (
     term_order_key,
 )
 from superjet.coverings import is_phantom
+from superjet.determine import extract_linear_system
 from superjet.grammar import print_poly
 from superjet.jets import Flow, _derive, dt_apply, evolutionary_apply, prolong, super_derive
-from superjet.linsolve import (LinearEquation, NonlinearSystemError, as_poly, gauss_jordan,
-                                quotient, ring_element)
+from superjet.linsolve import NonlinearSystemError, as_poly, quotient
 from superjet.recursion import NotIntegrableError, _substitute_phantoms, d_integrate
 from superjet.variational import graded_partial
 from superjet.weights import AnsatzItem, WeightSystem, enumerate_monomials
 
-from conftest import apply_ops, derive_oracle, is_canonical, prod
+from conftest import apply_ops, derive_oracle, is_canonical, poly_gauss_jordan, prod, ring
 
 Q = Fraction
 
@@ -173,17 +174,47 @@ laurent_rows = st.lists(st.tuples(st.dictionaries(st.integers(0, 3), laurent, ma
 @settings(max_examples=100, deadline=None)
 @given(laurent_rows, laurent, laurent.filter(lambda p: not p.is_zero))
 def test_the_solver_stores_integral_coefficients_as_ints(rows, x, y):
-    red = gauss_jordan([LinearEquation(row, rhs) for row, rhs in rows], range(4))
+    red = poly_gauss_jordan(rows, range(4))
     values = [v for pair in red.solved.values() for v in pair] + red.assumed + red.leftover
     values += [v for vec in red.basis for v in vec.values()]
     try:
         values += red.particular.values()
     except NonlinearSystemError:
         pass
-    values += [as_poly(q) for q in (quotient(ring_element(x * y), ring_element(y)),
-                                    quotient(ring_element(x), ring_element(y)))
+    values += [as_poly(q) for q in (quotient(ring(x * y), ring(y)), quotient(ring(x), ring(y)))
                if q is not None]
     assert _canonical(values)
+
+
+UNKNOWNS = ("_c0", "_c1", "_c2")
+# a rational times at most one unknown and a Laurent monomial in alpha and beta
+linear_factors = st.builds(
+    lambda c, u, i, j: SuperPoly.scalar(c) * (SuperPoly.param(u) if u else SuperPoly.one())
+    * SuperPoly.param("alpha", i) * SuperPoly.param("beta", j),
+    coeffs, st.sampled_from((None,) + UNKNOWNS), st.integers(-2, 2), st.integers(-2, 2))
+linear_residuals = st.lists(st.tuples(linear_factors, monomials), max_size=6).map(
+    lambda pairs: poly_sum(factor * m for factor, m in pairs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(linear_residuals, min_size=1, max_size=3),
+       monomials.filter(lambda m: not m.is_zero), st.sampled_from(UNKNOWNS),
+       st.sampled_from((None,) + UNKNOWNS))
+def test_extracted_rows_rebuild_the_residual(residuals, mono, u, v):
+    """Each residual is the sum over its rows, in ``term_order_key`` order
+    of its monomials, of (sum of coeff * unknown + const) * monomial; a
+    term with an unknown squared, or with two unknowns, is refused."""
+    rows = iter(extract_linear_system(residuals, UNKNOWNS))
+    for p in residuals:
+        monos = sorted({(*key[:3], ()) for key in p.terms}, key=term_order_key)
+        rebuilt = poly_sum(
+            (poly_sum(as_poly(c) * SuperPoly.param(n) for n, c in eq.coeffs.items())
+             + as_poly(eq.const)) * _wrap({m: 1}) for m, eq in zip(monos, rows))
+        assert rebuilt == p
+    assert next(rows, None) is None
+    nonlinear = SuperPoly.param(u) * SuperPoly.param(v or u) * mono
+    with pytest.raises(NonlinearSystemError):
+        extract_linear_system([residuals[0] + nonlinear], UNKNOWNS)
 
 
 SYS = None

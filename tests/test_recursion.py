@@ -236,7 +236,7 @@ def _component_sizes(target, direction, ws, gens, zero_weight_cap):
         for i, eq in enumerate(eqs):
             for n in eq.coeffs:
                 rows_of.setdefault(n, []).append(i)
-        rows = {i for i, eq in enumerate(eqs) if not eq.const.is_zero}
+        rows = {i for i, eq in enumerate(eqs) if eq.const}
         todo, unknowns = list(rows), set()
         while todo:
             for n in eqs[todo.pop()].coeffs:

@@ -103,3 +103,32 @@ def test_declared_values_are_written_only_by_declare():
     writers = {(path.stem, name) for path in SOURCES
                for name in _writes_to_defs(ast.parse(path.read_text(), str(path)))}
     assert writers == {("jets", "declare")}
+
+
+def _constructions(tree, name):
+    """The innermost enclosing function of every call of ``name``, or
+    ``None`` for a call at module level."""
+    def visit(node, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                yield from visit(child, getattr(child, "name", fn))
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == name:
+                    yield fn
+            yield from visit(child, fn)
+
+    return visit(tree, None)
+
+
+def test_linear_equations_are_built_only_by_the_row_builders():
+    """Each ``LinearEquation`` entry is a ``RingElement`` that the tracer
+    asks for ``param_names``, and the solver reads entries as they are,
+    so rows come from these four builders alone: extraction, the case
+    split's pinning and the two integration row builders."""
+    builders = {(path.stem, fn) for path in SOURCES
+                for fn in _constructions(ast.parse(path.read_text(), str(path)),
+                                         "LinearEquation")}
+    assert builders == {("determine", "extract_linear_system"), ("determine", "_pinned"),
+                        ("recursion", "_images_independent"), ("recursion", "_equations")}
