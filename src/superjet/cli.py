@@ -192,9 +192,11 @@ def _count(text: str) -> int:
 def _weights(spec: str) -> list:
     """A weight ``A``, or every weight of the range ``A..B`` in steps of -1/2."""
     bounds = [_rational(x) for x in spec.split("..")]
-    if len(bounds) > 2 or bounds[-1] > bounds[0]:
-        raise UsageError(f"bad weight range {spec!r}: give A..B with A >= B, e.g. -1/2..-5")
-    return [bounds[0] - Q(i, 2) for i in range(int(2 * (bounds[0] - bounds[-1])) + 1)]
+    steps = 2 * (bounds[0] - bounds[-1])
+    if len(bounds) > 2 or steps < 0 or steps.denominator > 1:
+        raise UsageError(f"bad weight range {spec!r}: give A..B with A >= B and A - B "
+                         "a multiple of 1/2, e.g. -1/2..-5")
+    return [bounds[0] - Q(i, 2) for i in range(int(steps) + 1)]
 
 
 def cmd_find_symmetries(args):

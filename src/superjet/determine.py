@@ -5,16 +5,17 @@ parameter names, so building an ansatz, pushing it through the calculus
 and reading off the determining system needs no special data flow.  The
 system is a list of ``linsolve.LinearEquation``s keyed by those names,
 whose entries extraction writes as elements of one domain, the Laurent
-ring in the parameters that occur (the rationals when there are none).
-The elimination of ``linsolve`` reads and answers them, and a branch
-converts its answer to ``SuperPoly``s once.  A row left over with a
-nonzero right-hand side ends the branch.  The numerator of every pivot
-whose non-vanishing is not guaranteed is recorded, and optional case
-splitting re-solves with such parameters pinned to zero: every term that
-holds one is dropped.  After a pivot with several terms the elimination
-is fraction-free, so the later ring pivots, and with them
-``assumptions``, may carry factors of that pivot; a basis vector is then
-the field's vector scaled by the numerator of the last such pivot.
+ring in the parameters that occur (the rationals when there are none);
+extraction is the one reader of residuals into rows.  The elimination of
+``linsolve`` reads and answers them, and a branch converts its answer to
+``SuperPoly``s once.  A row left over with a nonzero right-hand side ends
+the branch.  The numerator of every pivot whose non-vanishing is not
+guaranteed is recorded, and optional case splitting re-solves with such
+parameters pinned to zero: every term that holds one is dropped.  After
+a pivot with several terms the elimination is fraction-free, so the later
+ring pivots, and with them ``assumptions``, may carry factors of that
+pivot; a basis vector is then the field's vector scaled by the numerator
+of the last such pivot.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .algebra import SuperPoly, linear_ansatz, rat_div, term_order_key
+from .algebra import SuperPoly, rat_div, term_order_key
 from .jets import EvolutionSystem, Flow, check_symmetry, substitute_params
 from .linsolve import (LinearEquation, NonlinearSystemError, RingElement, as_poly,
                        clearing_scale, gauss_jordan, numerator)
-from .weights import WeightSystem, enumerate_monomials, items_from_gens, jets_up_to_weight
+from .weights import WeightSystem, jets_up_to_weight, weighted_ansatz
 
 Q = Fraction
 
@@ -133,11 +134,11 @@ def _pinned(eqs, names) -> list:
     """The equations with the parameters ``names``, none of them inverted,
     set to zero: every term whose key holds one of them vanishes."""
 
-    def pin(a):
-        return RingElement({k: c for k, c in a.items() if not any(nm in names for nm, _x in k)})
+    def kept(a):
+        return {k: c for k, c in a.items() if not any(nm in names for nm, _x in k)}
 
-    return [LinearEquation({u: v for u, v in zip(eq.coeffs, map(pin, eq.coeffs.values())) if v},
-                           pin(eq.const)) for eq in eqs]
+    return [LinearEquation({u: RingElement(v) for u, a in eq.coeffs.items() if (v := kept(a))},
+                           RingElement(kept(eq.const))) for eq in eqs]
 
 
 def _solve_branch(eqs, unknowns, assume_nonzero, zero_params):
@@ -194,20 +195,13 @@ def build_flow_ansatz(
     Returns (components dict with unknown-laden values, unknown names,
     monomials per field).
     """
-    comps = {}
-    names = []
-    monos_by_field = {}
-    idx = 0
+    comps, names, monos_by_field = {}, [], {}
     for u in sys.fields:
         target = ws.field_weight(u) - Q(s_weight)
-        gens = jets_up_to_weight(ws, sys.fields, target)
-        items = items_from_gens(ws, gens, target, zero_weight_cap)
-        monos = enumerate_monomials(items, target, (u.parity + parameter_parity) % 2)
-        new = [f"_c{idx + i}" for i in range(len(monos))]
-        idx += len(monos)
+        comps[u], new, monos_by_field[u] = weighted_ansatz(
+            ws, jets_up_to_weight(ws, sys.fields, target), target,
+            (u.parity + parameter_parity) % 2, "_c", len(names), zero_weight_cap)
         names += new
-        comps[u] = linear_ansatz(new, monos)
-        monos_by_field[u] = monos
     return comps, names, monos_by_field
 
 

@@ -8,17 +8,12 @@ from fractions import Fraction
 from itertools import count, islice
 from typing import Collection, Iterable, Mapping, Optional, Sequence
 
-from .algebra import DX, EVEN, FieldSymbol, JetVar, SuperPoly, linear_ansatz
+from .algebra import DX, EVEN, FieldSymbol, JetVar, SuperPoly
 from .jets import EvolutionSystem, dt_apply, substitute, substitute_params
 from .determine import extract_linear_system
 from .linsolve import as_poly, gauss_jordan
 from .variational import hamiltonian_flow
-from .weights import (
-    WeightSystem,
-    enumerate_monomials,
-    items_from_gens,
-    weight_of,
-)
+from .weights import WeightSystem, weight_of, weighted_ansatz
 
 Q = Fraction
 
@@ -200,7 +195,7 @@ def search_deformation(
     hbar = substitute(H0, to_w)
     h_weight = weight_of(ws, H0)
     frees: list = []
-    counter = 0
+    gens = [JetVar(w) for w in wfields]
 
     def extension(h):
         """The extended system that the density h generates."""
@@ -209,15 +204,11 @@ def search_deformation(
 
     def stage_ansatz(target, names):
         """Ansatz of the given weight; its unknowns ``_a0``, ``_a1``, ...,
-        names that no document can declare, are appended to names."""
-        nonlocal counter
-        gens = [JetVar(w) for w in wfields]
-        items = items_from_gens(wsw, gens, target)
-        monos = enumerate_monomials(items, target, EVEN)
-        new = [f"_a{counter + i}" for i in range(len(monos))]
-        counter += len(monos)
+        names that no document can declare, are appended to names.  A stage
+        substitutes its unknowns away, so the next one numbers them anew."""
+        ansatz, new, _monos = weighted_ansatz(wsw, gens, target, EVEN, "_a", len(names))
         names += new
-        return linear_ansatz(new, monos)
+        return ansatz
 
     for k in range(1, max_order + 1):
         names = []

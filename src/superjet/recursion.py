@@ -19,10 +19,11 @@ preimage that solving the whole homogeneous ansatz would give:
 * Otherwise the part's component of the integration system is solved.
   The system pairs every ansatz monomial with the monomials of its
   image, but only the connected component that touches the target
-  carries a constant, so the ansatz is grown from the target's monomials
-  through the images of single generators, and nothing else is
-  enumerated or differentiated.  With its columns in term order, the
-  component gives the whole system's preimage.
+  carries a constant, so the component's monomials are grown from the
+  target's through the images of single generators, and nothing else is
+  enumerated.  Its rows are extracted (``extract_linear_system``) from
+  the image of the component's ansatz minus the part; with its columns
+  in term order, the component gives the whole system's preimage.
 * Along an odd direction D, D^2 = Dx turns D(g) = f into Dx(g) = D(f),
   which the first two paths solve, and the answer is kept only where
   guards prove it is the direct D-preimage; elsewhere the part's D
@@ -45,11 +46,13 @@ from .algebra import (
     SuperPoly,
     _accumulate,
     _wrap,
+    linear_ansatz,
     poly_sum,
     rat_div,
     term_order_key,
 )
 from .coverings import PhantomFrame, is_phantom
+from .determine import extract_linear_system
 from .jets import (
     Flow,
     Nonlocality,
@@ -61,7 +64,7 @@ from .jets import (
     reduction,
     super_derive,
 )
-from .linsolve import LinearEquation, NonlinearSystemError, RingElement, gauss_jordan
+from .linsolve import NonlinearSystemError, gauss_jordan
 from .variational import graded_partial
 from .weights import (
     WeightSystem,
@@ -320,23 +323,23 @@ def _kernel_free(items) -> bool:
 
 
 def _images_independent(nonlocal_jets) -> bool:
-    rows: dict = {}  # (jet sequence, monomial) -> {column: coefficient}
-    for j, g in enumerate(nonlocal_jets):
+    """Whether sum_j _q{j} * (Euler image of q_j) on each jet sequence
+    vanishes only with every unknown _q{j} zero."""
+    names = [f"_q{j}" for j in range(len(nonlocal_jets))]
+    residuals: dict = {}  # jet sequence -> its terms
+    for name, g in zip(names, nonlocal_jets):
         if not (isinstance(g, JetVar) and isinstance(g.fieldsym, Nonlocality)):
             return False
         q = _derive_gen(g, DX)
         if not all(_is_local_jet(u) for u in q.generators()) or any(k[2] for k in q.terms):
             return False
-        euler: dict = {}
+        unknown = SuperPoly.param(name)
         for u in q.generators():
             d = prolong(graded_partial(q, u), 0, 0, u.m)
-            seq = (u.fieldsym, u.d1, u.d2)
-            euler[seq] = euler.get(seq, SuperPoly.zero()) + (-d if u.m % 2 else d)
-        for seq, e in euler.items():
-            for m, coeff in _by_monomial(e).items():
-                rows.setdefault((seq, m), {})[j] = coeff
-    eqs = [LinearEquation(row, RingElement()) for row in rows.values()]
-    return not gauss_jordan(eqs, range(len(nonlocal_jets))).basis
+            residuals.setdefault((u.fieldsym, u.d1, u.d2), []).append(
+                unknown * (-d if u.m % 2 else d))
+    eqs = extract_linear_system(map(poly_sum, residuals.values()), names)
+    return not gauss_jordan(eqs, names).basis
 
 
 def _solve_component(part: SuperPoly, direction, wt, items) -> tuple:
@@ -353,10 +356,11 @@ def _solve_component(part: SuperPoly, direction, wt, items) -> tuple:
     Laurent coefficients.
     """
     want_par = (part.parity() + (direction != DX)) % 2
-    component = _component(_by_monomial(part), direction, items, wt - _shift(direction),
-                           want_par)
-    monos = sorted(component, key=term_order_key)
-    red = gauss_jordan(_equations(part, [component[m] for m in monos]), range(len(monos)))
+    monos = sorted(_component(_monomials(part), direction, items, wt - _shift(direction),
+                              want_par), key=term_order_key)
+    names = [f"_c{i}" for i in range(len(monos))]
+    image = super_derive(linear_ansatz(names, [_wrap({m: 1}) for m in monos]), direction)
+    red = gauss_jordan(extract_linear_system([image - part], names), names)
     if red.leftover:
         raise NotIntegrableError(f"no exact {direction}-preimage of weight {wt} part")
     try:
@@ -366,22 +370,20 @@ def _solve_component(part: SuperPoly, direction, wt, items) -> tuple:
             f"the {direction}-preimage of weight {wt} part has a coefficient "
             "that is not a Laurent polynomial in the parameters"
         ) from None
-    return (_wrap({(*monos[c][:3], key): x for c, v in values.items() for key, x in v.items()}),
+    mono = dict(zip(names, monos))
+    return (_wrap({(*mono[u][:3], key): x for u, v in values.items() for key, x in v.items()}),
             not red.basis)
 
 
-def _by_monomial(p: SuperPoly) -> dict:
-    """The terms of p grouped by their key without the parameter part:
-    {monomial: RingElement}."""
-    out: dict = {}
-    for (e, o, f, params), c in p.terms.items():
-        out.setdefault((e, o, f, ()), RingElement())[params] = c
-    return out
+def _monomials(p: SuperPoly) -> set:
+    """The keys of p's terms without their parameter part."""
+    return {(e, o, f, ()) for e, o, f, _params in p.terms}
 
 
-def _component(target: dict, direction, items, weight, parity) -> dict:
-    """The ansatz monomials in the target's component of the integration
-    system, each with its image grouped by ``_by_monomial``.
+def _component(target: set, direction, items, weight, parity) -> set:
+    """The ansatz monomials in the component of the integration system
+    that holds the monomials ``target``; ``_solve_component`` extracts
+    the component's rows from their ansatz.
 
     The system has one unknown per admissible monomial of the given
     weight and parity (every factor an item's, within its cap) and one
@@ -404,8 +406,8 @@ def _component(target: dict, direction, items, weight, parity) -> dict:
         for t in dict.fromkeys(key[:3] for key in img.terms):
             factors = [h for h, _x in t[0]] + list(t[1]) + list(t[2])
             steps.setdefault(factors[0] if factors else None, []).append((g, t))
-    image_of: dict = {}  # candidate -> grouped image, or None if not admissible
-    found: dict = {}
+    image_of: dict = {}  # candidate -> monomials of its image, or None if not admissible
+    found: set = set()
     todo = list(target)
     seen = set(todo)
     while todo:
@@ -416,12 +418,12 @@ def _component(target: dict, direction, items, weight, parity) -> dict:
             if m not in image_of:
                 admissible = (len(m[1]) % 2 == parity and weight == sum(
                     x * weights[g] for g, x in m[0]) + sum(weights[g] for g in m[1]))
-                image_of[m] = (_by_monomial(_derive(_wrap({m: 1}), gen_image.get, side))
+                image_of[m] = (_monomials(_derive(_wrap({m: 1}), gen_image.get, side))
                                if admissible else None)
             image = image_of[m]
             if image is None or e not in image:
                 continue
-            found[m] = image
+            found.add(m)
             for e2 in image:
                 if e2 not in seen:
                     seen.add(e2)
@@ -464,21 +466,6 @@ def _quotient_times(e, t, g, caps):
         return None
     return (tuple(sorted(evens.items(), key=lambda hx: hx[0]._sort_key)),
             tuple(sorted(odds, key=lambda h: h._sort_key)), (), ())
-
-
-def _equations(target: SuperPoly, images: list) -> list:
-    """One LinearEquation keyed by column per monomial of the images and
-    the target, in term order: the coefficients of
-    sum(x[column] * images[column]) - target == 0."""
-    rows: dict = {}
-    for c, image in enumerate(images):
-        for e, coeff in image.items():
-            rows.setdefault(e, [{}, None])[0][c] = coeff
-    for e, coeff in _by_monomial(target).items():
-        rows.setdefault(e, [{}, None])[1] = RingElement({key: -x for key, x in coeff.items()})
-    zero = RingElement()
-    return [LinearEquation(row, zero if rhs is None else rhs)
-            for e, (row, rhs) in sorted(rows.items(), key=lambda r: term_order_key(r[0]))]
 
 
 def _is_new_coordinate(g: JetVar) -> bool:

@@ -9,6 +9,7 @@ its declared even square.
 An ansatz is built on integers: a ``WeightSystem`` keeps growing tables of
 its jets and items, and ``enumerate_monomials`` keeps the reachable sums of
 scaled weights as bitsets, so an unreachable target gives ``[]`` at once.
+``weighted_ansatz`` builds every linear ansatz on these monomials.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .algebra import (
     _mul_keys,
     _scaled,
     _wrap,
+    linear_ansatz,
     rat,
     term_order_key,
 )
@@ -309,3 +311,11 @@ def enumerate_monomials(items: Sequence[AnsatzItem], weight, parity):
     build(0, target, parity, 0, 1, _ONE_KEY)
     found.sort(key=lambda kc: term_order_key(kc[0]))
     return [_wrap({key: c}) for key, c in found]
+
+
+def weighted_ansatz(ws, gens, weight, parity, prefix, start, zero_weight_cap=2) -> tuple:
+    """(ansatz, names, monomials): one unknown, ``prefix`` and an index
+    from ``start`` on, per monomial of the weight and parity in the jets."""
+    monos = enumerate_monomials(items_from_gens(ws, gens, weight, zero_weight_cap), weight, parity)
+    names = [f"{prefix}{i}" for i in range(start, start + len(monos))]
+    return linear_ansatz(names, monos), names, monos

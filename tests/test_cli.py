@@ -262,7 +262,7 @@ def test_hamiltonian_operator_of_the_wrong_parity_is_a_usage_error(capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("weight", ["-1..0", "-1..-2..-3", "one", "1/0"])
+@pytest.mark.parametrize("weight", ["-1..0", "-1..-2..-3", "one", "1/0", "-1/2..-5/4"])
 def test_bad_weight_is_a_usage_error(capsys, weight):
     code = main(["find-symmetries", "--catalog", "bous-embed", f"--weight={weight}"])
     assert code == 2

@@ -23,6 +23,7 @@ from superjet.algebra import (
 )
 from superjet.determine import extract_linear_system, solve_linear
 from superjet.grammar import parse_document, parse_expression
+from superjet.linsolve import NonlinearSystemError
 from superjet.jets import (
     Flow,
     Nonlocality,
@@ -173,12 +174,16 @@ def _whole_ansatz_system(part, monos, direction):
 def _reference_integrate(target, direction, ws, gens, zero_weight_cap=2):
     """An exact preimage from the whole ansatz of every part: every
     monomial of the preimage's weight and parity, differentiated and
-    solved at once, with no presolve."""
+    solved at once, with no presolve.  As for ``d_integrate``, a preimage
+    with a coefficient that is not a Laurent polynomial is none."""
     parts = []
     for part, monos in integration_ansatz_parts(target, direction, ws, gens,
                                                 zero_weight_cap):
         names, eqs = _whole_ansatz_system(part, monos, direction)
-        branches = solve_linear(eqs, names)
+        try:
+            branches = solve_linear(eqs, names)
+        except NonlinearSystemError:
+            raise NotIntegrableError(f"no Laurent {direction}-preimage") from None
         if not branches:
             raise NotIntegrableError(f"no {direction}-preimage")
         sol = branches[0].particular
@@ -385,7 +390,8 @@ ORACLE_ENTRIES = ("skdv", "dbous", "pskdv", "skdv-a")
 # a potential p of Du, so Dp - u has zero derivative; a potential c whose
 # x-derivative holds the potential a, so c - u - a^2/2 has zero derivative;
 # a potential a of u*u_x, so a - u^2/2 has zero derivative; a field b of
-# weight 0, so a preimage of weight 0 can have the factors b and b^2
+# weight 0, so a preimage of weight 0 can have the factors b and b^2; a
+# potential v of (1 + alpha)*u, so a component solve pivots on 1 + alpha
 DEPENDENT_COVERINGS = {
     "x-potential of Du": parse_document(
         "field u even susy 1 weight 1;\nnonlocal p odd weight 1/2: p_x = Du;\nu_t = u_xxx;\n"),
@@ -402,6 +408,9 @@ DEPENDENT_COVERINGS = {
     "D-potentials": parse_document(
         "field f odd susy 1 weight 1/2;\nnonlocal v even weight 0: D(v) = f;\n"
         "nonlocal w even weight 0: D(w) = f;\nf_t = f_xxx;\n"),
+    "parametric x-potential": parse_document(
+        "param alpha weight 0;\nfield u even susy 1 weight 1;\n"
+        "nonlocal v even weight 0: v_x = (1 + alpha)*u;\nu_t = u_xxx;\n"),
 }
 
 
@@ -489,6 +498,34 @@ def test_integration_with_dependent_potentials_matches_the_whole_ansatz(
     assert _outcome(d_integrate, *args) == _outcome(_reference_integrate, *args)
     assert ((D1, "route") in solved) == routed
     assert ((D1, "component") not in solved) == routed
+
+
+@pytest.mark.parametrize("target, preimage", [
+    ("(1 + alpha)*u", "v"), ("(1 + alpha)*u*v", "1/2*v^2"), ("u", None)])
+def test_a_parametric_component_solve_pivots_on_one_plus_alpha(monkeypatch, target, preimage):
+    """v_x = (1 + alpha)*u, so each target's component is solved through
+    a pivot with two terms, a multiple of 1 + alpha: (1 + alpha)*u
+    integrates to v and (1 + alpha)*u*v to v^2/2, while the preimage
+    v/(1 + alpha) of u is not a Laurent polynomial.  All three preimages
+    weigh 0, so the homotopy operator refuses them."""
+    doc = DEPENDENT_COVERINGS["parametric x-potential"]
+    args = (doc.poly(target), DX, doc.weight_system(),
+            [*doc.fields.values(), *doc.nonlocals.values()])
+    want = NotIntegrableError if preimage is None else doc.poly(preimage)
+    assert _outcome(_reference_integrate, *args) == want
+    solved = _record_parts(monkeypatch)
+    pivots = []
+    real = recursion.gauss_jordan
+
+    def record(*args):
+        red = real(*args)
+        pivots.extend(pivot for pivot, _rhs in red.solved.values())
+        return red
+
+    monkeypatch.setattr(recursion, "gauss_jordan", record)
+    assert _outcome(d_integrate, *args) == want
+    assert solved == [(DX, "component")]
+    assert pivots and all(len(p) == 2 for p in pivots)
 
 
 def test_the_route_falls_back_part_by_part(monkeypatch):
