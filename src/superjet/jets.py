@@ -15,17 +15,22 @@ jets of a non-local variable reduce through those declarations whenever
 possible, so only genuinely new coordinates survive normalization.
 
 ``prolong`` keeps each jet it derives in the value's own table, so a value
-is derived once in each direction.  A declaration can change every jet
+is derived once in each direction.  Two image tables keep each generator's
+image: ``_SUPER_IMAGES`` under D1, D2 and Dx, and a system's ``_dt_images``
+under Dt along it.  Both are keyed by the generator's identity, since equal
+non-locals of different documents declare different values, and hold the
+generator, so its id is never reused.  A declaration can change every jet
 that reduces through it, so after a ``Nonlocality`` is built, ``declare``
 is the only writer of its ``defs``: it validates the value, stores it and
-drops every jet table (through the module's epoch, which each table
-records).
+drops every jet and image table (through the module's epoch, which each
+table records).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import partial
 from operator import add, sub
 from typing import Mapping, Optional
 
@@ -75,8 +80,10 @@ class Nonlocality(FieldSymbol):
         return f"Nonlocality({self.name!r})"
 
 
-#: bumped by ``declare``; ``prolong`` drops a jet table of an older epoch
+#: bumped by ``declare``; a jet or image table of an older epoch is dropped
 _epoch = 0
+#: per direction, [epoch, {id(g): (g, image)}]: D1, D2 and Dx on generators
+_SUPER_IMAGES = {d: [None, {}] for d in (D1, D2, DX)}
 
 
 def declare(w: Nonlocality, direction: str, value: SuperPoly) -> None:
@@ -102,12 +109,15 @@ def check_definition(w: Nonlocality, direction: str, value: SuperPoly):
 
 @dataclass
 class EvolutionSystem:
-    """An evolutionary super-system {u_t = rhs_u} with declared parameters."""
+    """An evolutionary super-system {u_t = rhs_u} with declared parameters;
+    ``rhs`` is never changed after construction (``_dt_image`` keeps images)."""
 
     fields: tuple
     rhs: dict
     params: tuple = ()
     name: str = ""
+    _dt_images: list = dc_field(default_factory=lambda: [None, {}], init=False, repr=False,
+                                compare=False)  # [epoch, {id(g): (g, Dt image)}]
 
     def __post_init__(self):
         self.fields = tuple(self.fields)
@@ -236,7 +246,7 @@ def _derive_gen(g, direction) -> SuperPoly:
     idx = {D1: 1, D2: 2, DX: 0}[direction]
     if idx and sym.n_susy < idx:
         # D_i = D_theta^i + theta^i Dx on a theta^i-independent field
-        return SuperPoly.from_gen(Theta(idx)) * _derive_gen(g, DX)
+        return SuperPoly.from_gen(Theta(idx)) * _super_image(DX)(g)
     d1, d2, m, sign = _flag_step(g.d1, g.d2, g.m, direction)
     out = jet_poly(sym, d1, d2, m)
     return out if sign == 1 else -out
@@ -314,12 +324,27 @@ def _derive_into(out: dict, p: SuperPoly, gen_image, side: str, negate=False) ->
     return out
 
 
+def _kept(memo: list, image, g):
+    """``image(g)``, built once per epoch and kept in ``memo``."""
+    if memo[0] != _epoch:
+        memo[:] = [_epoch, {}]
+    hit = memo[1].get(id(g))
+    if hit is None or hit[0] is not g:  # a copied memo may hold other generators
+        hit = memo[1][id(g)] = (g, image(g))
+    return hit[1]
+
+
 def super_derive(p: SuperPoly, direction: str) -> SuperPoly:
     """Apply D1, D2 or Dx as a (graded) derivation."""
     if direction == DT:
         raise ValueError("use dt_apply for total t-derivatives")
     side = "left" if direction in (D1, D2) else "even"
-    return _derive(p, lambda g: _derive_gen(g, direction), side)
+    return _derive(p, _super_image(direction), side)
+
+
+def _super_image(direction: str):
+    """The images of D1, D2 or Dx on generators, read from their table."""
+    return partial(_kept, _SUPER_IMAGES[direction], lambda g: _derive_gen(g, direction))
 
 
 def prolong(p: SuperPoly, d1=0, d2=0, m=0) -> SuperPoly:
@@ -374,7 +399,7 @@ def _dt_image(sys: EvolutionSystem):
             raise MissingDerivativeError(f"no evolution declared for {sym.name}")
         return sys.rhs[sym]
 
-    return _prolonged(value_of)
+    return partial(_kept, sys._dt_images, _prolonged(value_of))
 
 
 def _flow_image(flow: Flow):

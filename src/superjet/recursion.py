@@ -57,8 +57,8 @@ from .jets import (
     Flow,
     Nonlocality,
     _derive,
-    _derive_gen,
     _residual,
+    _super_image,
     evolutionary_apply,
     prolong,
     reduction,
@@ -242,7 +242,7 @@ def _through_dx(part: SuperPoly, direction, wt, items) -> Optional[SuperPoly]:
     for it in items:
         g = it.factor
         if (isinstance(g.fieldsym, Nonlocality)
-                and prolong(_derive_gen(g, direction), *twice) != _derive_gen(g, DX)):
+                and prolong(_super_image(direction)(g), *twice) != _super_image(DX)(g)):
             return None
     image = super_derive(part, direction)
     if image.is_zero:
@@ -330,7 +330,7 @@ def _images_independent(nonlocal_jets) -> bool:
     for name, g in zip(names, nonlocal_jets):
         if not (isinstance(g, JetVar) and isinstance(g.fieldsym, Nonlocality)):
             return False
-        q = _derive_gen(g, DX)
+        q = _super_image(DX)(g)
         if not all(_is_local_jet(u) for u in q.generators()) or any(k[2] for k in q.terms):
             return False
         unknown = SuperPoly.param(name)
@@ -400,7 +400,7 @@ def _component(target: set, direction, items, weight, parity) -> set:
     caps = {it.factor: it.max_exp for it in items}
     ints, weight = integer_weights(items, weight)
     weights = {it.factor: w for it, w in zip(items, ints)}
-    gen_image = {g: _derive_gen(g, direction) for g in caps}
+    gen_image = dict(zip(caps, map(_super_image(direction), caps)))
     steps: dict = {}  # a factor of t -> the (g, t) pairs, each filed under one factor
     for g, img in gen_image.items():
         for t in dict.fromkeys(key[:3] for key in img.terms):

@@ -2,14 +2,16 @@
 
 import copy
 import pickle
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from superjet import algebra, catalog, jets
+from superjet import algebra, catalog, jets, recursion
 from superjet.algebra import (
     D1,
     D2,
+    DT,
     DX,
     EVEN,
     ODD,
@@ -22,6 +24,7 @@ from superjet.algebra import (
 )
 from superjet.determine import build_flow_ansatz
 from superjet.jets import (
+    EvolutionSystem,
     Flow,
     Nonlocality,
     _derive_gen,
@@ -418,3 +421,102 @@ def test_declare_validates_before_it_writes():
     assert w.defs == {}
     declare(w, DX, even)
     assert w.defs == {DX: even}
+
+
+# ---------------------------------------------------------------------------
+# the image tables of D1, D2, Dx and of Dt along a system
+
+
+def test_equal_nonlocals_of_different_documents_keep_their_own_images():
+    """The image tables are keyed by a generator's identity: ``v`` of
+    skdv-a, skdv-b, skdv-c and dbous are equal values, and so are ``w`` of
+    skdv-a, skdv-b, burgers-repr and dbous, but their declarations differ.
+    Each shadow-R check passes, run forward and then reversed in one
+    process, and a jet of each document's non-local derives to that
+    document's own declared values."""
+    entries = [catalog.get(cid) for cid in ("skdv-a", "skdv-b", "skdv-c", "dbous")]
+    shadow_r = [dict(e.checks)["shadow-R"] for e in entries]
+    for check in shadow_r + shadow_r[::-1]:
+        assert check()[0]
+    docs = [e.doc for e in entries] + [catalog.get("burgers-repr").doc]
+    pairs = [(doc, doc.system()) for doc in docs]
+    for doc, sys in pairs + pairs[::-1]:
+        for w in doc.nonlocals.values():
+            jet = jet_poly(w)
+            for direction, value in w.defs.items():
+                got = dt_apply(sys, jet) if direction == DT else super_derive(jet, direction)
+                assert got == value, (doc.name, w.name, direction)
+
+
+def test_a_declaration_drops_both_image_tables():
+    """After a new Dx value is declared, a jet of the non-local derives to
+    it along Dx, and so does its jet in the Dt image of a system whose
+    right-hand side reads it."""
+    bb, b_x = SuperPoly.from_gen(JetVar(b)), SuperPoly.from_gen(JetVar(b, 0, 0, 1))
+    w = Nonlocality("w", EVEN, 1, defs={DX: bb})
+    jw = jet_poly(w)
+    sys = EvolutionSystem((b,), {b: bb * jw})
+    assert super_derive(jw, DX) == bb
+    assert dt_apply(sys, b_x) == b_x * jw + bb * bb
+    declare(w, DX, bb * bb * bb)
+    assert super_derive(jw, DX) == bb * bb * bb
+    assert dt_apply(sys, b_x) == b_x * jw + bb**4
+
+
+@pytest.mark.parametrize("clone", [
+    lambda g: pickle.loads(pickle.dumps(g)), copy.copy, copy.deepcopy])
+def test_an_unpooled_clone_derives_like_its_pooled_generator(clone):
+    doc = catalog.get("dbous").doc
+    sys = doc.system()
+    nl = doc.nonlocals
+    for g in (JetVar(doc.fields["b"], 1, 0, 1), JetVar(doc.fields["f"], 0, 0, 2),
+              JetVar(nl["v"]), JetVar(nl["w"]), Theta(1)):
+        c = clone(g)
+        assert c == g and c is not g
+        p, q = SuperPoly.from_gen(g), SuperPoly.from_gen(c)
+        for direction in (D1, DX):
+            assert super_derive(q, direction) == super_derive(p, direction)
+        assert dt_apply(sys, q) == dt_apply(sys, p)
+
+
+def test_each_generator_image_is_built_once_per_epoch(monkeypatch):
+    """``_derive_gen`` runs at most once per generator, direction and
+    epoch, so a second ``super_derive`` of the same polynomial builds no
+    image, and a shadow step reuses them too; two ``check_symmetry`` calls
+    on one system build each Dt image once."""
+    dbous, burgers = catalog.get("dbous").doc, catalog.get("burgers-repr").doc
+    declare(Nonlocality("z", EVEN, 1), DX, SuperPoly.zero())  # a new epoch: empty tables
+    built, dt_built = Counter(), Counter()
+    derive_gen, prolonged = jets._derive_gen, jets._prolonged
+
+    def spy(g, direction):
+        built[id(g), direction, jets._epoch] += 1
+        return derive_gen(g, direction)
+
+    def spy_prolonged(value_of):
+        image = prolonged(value_of)
+        if not value_of.__qualname__.startswith("_dt_image."):
+            return image  # the images of a flow, which are not kept
+
+        def counted(g):
+            dt_built[id(g)] += 1
+            return image(g)
+
+        return counted
+
+    monkeypatch.setattr(jets, "_derive_gen", spy)
+    monkeypatch.setattr(jets, "_prolonged", spy_prolonged)
+    c0 = FieldSymbol("c", EVEN, 0)
+    p = (prod([JetVar(b), JetVar(f, 1), JetVar(c0, 0, 0, 1)])
+         + prod([JetVar(u2, 1, 1), JetVar(u2, 0, 1)], Q(2, 3)))
+    for direction in (D1, D2, DX):
+        first = super_derive(p, direction)
+        n = sum(built.values())
+        assert n and super_derive(p, direction) == first and sum(built.values()) == n
+    recursion.apply_shadow(dbous.shadows["R"], dbous.flows["seed_x"], dbous.weight_system())
+    assert max(built.values()) == 1
+    sys, phi = burgers.system(), burgers.flows["eq3_4_x"]
+    assert check_symmetry(sys, phi).is_zero
+    n = sum(dt_built.values())
+    assert check_symmetry(sys, phi).is_zero
+    assert n and sum(dt_built.values()) == n and max(dt_built.values()) == 1
