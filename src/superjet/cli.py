@@ -33,6 +33,7 @@ from .grammar import (
     print_poly,
 )
 from .jets import (
+    MissingDerivativeError,
     check_symmetry,
     clifford_expand,
     commutator,
@@ -413,6 +414,8 @@ def cmd_theta_expand(args):
     doc, _ = _load_doc(args)
     sys = doc.system()
     field = _lookup(doc.fields, args.field, "field")
+    if field not in sys.rhs:
+        raise MissingDerivativeError(f"no evolution declared for {field.name}")
     mapping = {field: parse_expression(args.map, doc.scope)}
     sub = type(sys)(
         (field,), {field: sys.rhs[field]}, params=sys.params, name=sys.name
@@ -628,13 +631,11 @@ def main(argv=None):
         return 2
     try:
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (SyntaxErrorWithPos, UndeclaredSymbolError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, UnknownNameError, InhomogeneousError) as exc:
+    except (UsageError, FileNotFoundError, UnknownNameError, InhomogeneousError,
+            MissingDerivativeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:  # an engine fault, not a usage error

@@ -218,7 +218,7 @@ def find_symmetries(
     comps, names, _ = build_flow_ansatz(sys, ws, s_weight, parameter_parity, zero_weight_cap)
     if not names:
         return SymmetrySearchResult([], 0, None)
-    flow = Flow(comps, parameter_parity)
+    flow = Flow(comps, parameter_parity, name="symmetry ansatz")
     residual = check_symmetry(sys, flow)
     eqs = extract_linear_system(
         [residual.components[u] for u in sys.fields], names

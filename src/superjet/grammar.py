@@ -264,13 +264,10 @@ class _Parser:
                 inner = self.expression()
                 self.expect("op", ")")
                 return super_derive(inner, DERIV_WORDS[name])
-            self.i -= 1
             p = self.scope.resolve(name)
             if p is None:
-                self.advance()
                 self.i -= 1
                 self.undeclared(name)
-            self.advance()
             return p
         self.error(f"expected an expression, got {self.cur.text!r}")
 
@@ -364,6 +361,15 @@ def parse_document(text: str, name: str = "") -> SourceDocument:
     return doc
 
 
+def _symbol_header(p: _Parser) -> tuple:
+    """The name, parity, ``susy n`` (default 1) and optional weight that
+    open a field or non-local declaration."""
+    name = p.expect("name").text
+    parity = _parity_word(p)
+    n_susy = int(p.expect("int").text) if p.accept("name", "susy") else 1
+    return name, parity, n_susy, _opt_weight(p)
+
+
 def _parity_word(p: _Parser) -> int:
     w = p.expect("name").text
     if w == "odd":
@@ -405,12 +411,7 @@ def _statement(p: _Parser, doc: SourceDocument) -> None:
     t = p.expect("name")
     head = t.text
     if head == "field":
-        name = p.expect("name").text
-        parity = _parity_word(p)
-        n_susy = 1
-        if p.accept("name", "susy"):
-            n_susy = int(p.expect("int").text)
-        w = _opt_weight(p)
+        name, parity, n_susy, w = _symbol_header(p)
         p.expect("op", ";")
         sym = FieldSymbol(name, parity, n_susy)
         _register(doc, name, sym)
@@ -472,12 +473,7 @@ def _statement(p: _Parser, doc: SourceDocument) -> None:
 
 
 def _nonlocal_statement(p: _Parser, doc: SourceDocument) -> None:
-    name = p.expect("name").text
-    parity = _parity_word(p)
-    n_susy = 1
-    if p.accept("name", "susy"):
-        n_susy = int(p.expect("int").text)
-    w = _opt_weight(p)
+    name, parity, n_susy, w = _symbol_header(p)
     p.expect("op", ":")
     sym = Nonlocality(name, parity, n_susy, weight=w, defs={})
     _register(doc, name, sym)

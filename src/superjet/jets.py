@@ -15,15 +15,15 @@ jets of a non-local variable reduce through those declarations whenever
 possible, so only genuinely new coordinates survive normalization.
 
 ``prolong`` keeps each jet it derives in the value's own table, so a value
-is derived once in each direction.  Two image tables keep each generator's
-image: ``_SUPER_IMAGES`` under D1, D2 and Dx, and a system's ``_dt_images``
-under Dt along it.  Both are keyed by the generator's identity, since equal
-non-locals of different documents declare different values, and hold the
-generator, so its id is never reused.  A declaration can change every jet
-that reduces through it, so after a ``Nonlocality`` is built, ``declare``
-is the only writer of its ``defs``: it validates the value, stores it and
-drops every jet and image table (through the module's epoch, which each
-table records).
+is derived once in each direction; a Dt image along a system is a jet of a
+right-hand side or declared ``_t`` value, read from that table.  The one
+generator-image table, ``_SUPER_IMAGES``, keeps images under D1, D2 and Dx
+by the generator's identity (equal non-locals of different documents declare
+different values) and holds the generator, so its id is never reused.  A
+declaration can change every jet that reduces through it, so after a
+``Nonlocality`` is built ``declare`` is the only writer of its ``defs``: it
+validates the value, stores it and moves the epoch.  ``_epoch_table``
+empties each ``[epoch, table]`` memo, in any module, once the epoch has moved.
 """
 
 from __future__ import annotations
@@ -59,7 +59,8 @@ from .algebra import (
 
 
 class MissingDerivativeError(ValueError):
-    """A derivative of a covering variable was demanded but never declared."""
+    """A derivative was demanded that was never declared: a field's evolution,
+    a flow's component or a covering variable's derivative."""
 
 
 @dataclass(frozen=True)
@@ -80,10 +81,17 @@ class Nonlocality(FieldSymbol):
         return f"Nonlocality({self.name!r})"
 
 
-#: bumped by ``declare``; a jet or image table of an older epoch is dropped
+#: bumped by ``declare``; a jet or image table of an older epoch is emptied
 _epoch = 0
 #: per direction, [epoch, {id(g): (g, image)}]: D1, D2 and Dx on generators
 _SUPER_IMAGES = {d: [None, {}] for d in (D1, D2, DX)}
+
+
+def _epoch_table(memo: list) -> dict:
+    """The table of an ``[epoch, table]`` memo, emptied once the epoch has moved."""
+    if memo[0] != _epoch:
+        memo[:] = [_epoch, {}]
+    return memo[1]
 
 
 def declare(w: Nonlocality, direction: str, value: SuperPoly) -> None:
@@ -109,15 +117,12 @@ def check_definition(w: Nonlocality, direction: str, value: SuperPoly):
 
 @dataclass
 class EvolutionSystem:
-    """An evolutionary super-system {u_t = rhs_u} with declared parameters;
-    ``rhs`` is never changed after construction (``_dt_image`` keeps images)."""
+    """An evolutionary super-system {u_t = rhs_u} with declared parameters."""
 
     fields: tuple
     rhs: dict
     params: tuple = ()
     name: str = ""
-    _dt_images: list = dc_field(default_factory=lambda: [None, {}], init=False, repr=False,
-                                compare=False)  # [epoch, {id(g): (g, Dt image)}]
 
     def __post_init__(self):
         self.fields = tuple(self.fields)
@@ -326,11 +331,10 @@ def _derive_into(out: dict, p: SuperPoly, gen_image, side: str, negate=False) ->
 
 def _kept(memo: list, image, g):
     """``image(g)``, built once per epoch and kept in ``memo``."""
-    if memo[0] != _epoch:
-        memo[:] = [_epoch, {}]
-    hit = memo[1].get(id(g))
-    if hit is None or hit[0] is not g:  # a copied memo may hold other generators
-        hit = memo[1][id(g)] = (g, image(g))
+    table = _epoch_table(memo)
+    hit = table.get(id(g))
+    if hit is None:
+        hit = table[id(g)] = (g, image(g))
     return hit[1]
 
 
@@ -356,10 +360,9 @@ def prolong(p: SuperPoly, d1=0, d2=0, m=0) -> SuperPoly:
     """
     if not (d1 or d2 or m):
         return p
-    memo = p._jets
-    if memo is None or memo[0] != _epoch:
-        memo = p._jets = (_epoch, {})
-    table = memo[1]
+    if p._jets is None:
+        p._jets = [None, {}]
+    table = _epoch_table(p._jets)
     out = table.get((d1, d2, m))
     if out is None:
         if d1:
@@ -399,7 +402,7 @@ def _dt_image(sys: EvolutionSystem):
             raise MissingDerivativeError(f"no evolution declared for {sym.name}")
         return sys.rhs[sym]
 
-    return partial(_kept, sys._dt_images, _prolonged(value_of))
+    return _prolonged(value_of)
 
 
 def _flow_image(flow: Flow):

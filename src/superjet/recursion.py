@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import jets as _jets
 from .algebra import (
     D1,
     D2,
@@ -57,6 +56,7 @@ from .jets import (
     Flow,
     Nonlocality,
     _derive,
+    _epoch_table,
     _residual,
     _super_image,
     evolutionary_apply,
@@ -313,9 +313,7 @@ def _kernel_free(items) -> bool:
     non-locals may declare different values), which it keeps alive.
     """
     nonlocal_jets = tuple(it.factor for it in items if not _is_local_jet(it.factor))
-    if _KERNEL_FREE[0] != _jets._epoch:
-        _KERNEL_FREE[:] = [_jets._epoch, {}]
-    memo = _KERNEL_FREE[1]
+    memo = _epoch_table(_KERNEL_FREE)
     key = tuple(map(id, nonlocal_jets))
     if key not in memo:
         memo[key] = (_images_independent(nonlocal_jets), nonlocal_jets)

@@ -178,6 +178,12 @@ def test_catalog_list_and_show(capsys):
     assert "skdv" in out and "dbous" in out
     code, out = run(capsys, "catalog", "show", "pskdv")
     assert code == 0
+    code, out = run(capsys, "catalog", "show", "dbous")
+    assert code == 0
+    assert "scales.R-on-x: 3/2" in out.splitlines()
+    code, out = run(capsys, "catalog", "show", "dbous", "--json")
+    assert code == 0
+    assert json.loads(out)["scales"] == {"R-on-x": "3/2", "hamiltonian-flows": "1"}
 
 
 def test_catalog_verify_entry(capsys):
@@ -433,6 +439,27 @@ def test_function_factor_of_a_weighted_field_is_a_usage_error(capsys, tmp_path, 
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: function factor Q has no weight") and err.count("\n") == 1
+
+
+NO_F_T = ("field f odd susy 1 weight 1/2; field b even susy 1 weight 1/2;"
+          " time weight -1/2; b_t = D(f);")
+NO_V_T = ("field f odd susy 1 weight 3/2; time weight -3; f_t = D(f_x*f);"
+          " nonlocal v even weight 1: D(v) = f; shadow R: f = f*DF - f_x*V;")
+
+
+@pytest.mark.parametrize("source, argv, message", [
+    (NO_F_T, ["dt", "--expr", "f"], "no evolution declared for f"),
+    (NO_F_T, ["find-symmetries", "--weight=-1"], "flow symmetry ansatz has no component for f"),
+    (NO_F_T, ["theta-expand", "--field", "f", "--map", "b"], "no evolution declared for f"),
+    (NO_V_T, ["verify-shadow", "--shadow", "R"],
+     "no t-derivative declared for non-local variable V"),
+], ids=["dt", "find-symmetries", "theta-expand", "verify-shadow"])
+def test_an_undeclared_evolution_is_a_usage_error(capsys, tmp_path, source, argv, message):
+    doc = tmp_path / "doc.sj"
+    doc.write_text(source + "\n")
+    code = main(argv + ["--file", str(doc)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_engine_fault_is_not_a_usage_error(capsys, monkeypatch):

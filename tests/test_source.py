@@ -33,8 +33,9 @@ ONLY_TESTS_USE = set()
 
 
 def _identifiers(node):
-    """Every name a syntax tree refers to: variables, attributes, imported
-    names and identifier-like string constants (tables of names)."""
+    """Every name a syntax tree refers to: variables, attributes and
+    imported names.  A string that happens to spell a name is no
+    reference."""
     for n in ast.walk(node):
         if isinstance(n, ast.Name):
             yield n.id
@@ -42,8 +43,6 @@ def _identifiers(node):
             yield n.attr
         elif isinstance(n, ast.alias):
             yield n.name.rpartition(".")[2]
-        elif isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value.isidentifier():
-            yield n.value
 
 
 def _public_definitions(tree):
@@ -75,6 +74,17 @@ def test_every_public_definition_has_a_caller():
             if refs[node.name] == own and not re.search(rf"\b{node.name}\b", readme):
                 unused.add(f"{path.stem}.{qualified}")
     assert unused == ONLY_TESTS_USE, f"used by the tests alone: {sorted(unused)}"
+
+
+def test_only_jets_reads_the_memo_epoch():
+    """Every ``[epoch, table]`` memo reads its table through
+    ``jets._epoch_table``, so the rule that a declaration empties the
+    memos lives in ``jets`` alone."""
+    readers = {path.stem for path in SOURCES
+               for n in ast.walk(ast.parse(path.read_text(), str(path)))
+               if "_epoch" in (getattr(n, "id", None), getattr(n, "attr", None),
+                               getattr(n, "name", None))}
+    assert readers == {"jets"}
 
 
 def _writes_to_defs(tree):
