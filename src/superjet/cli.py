@@ -26,7 +26,6 @@ from .gardner import (
 from .grammar import (
     DERIV_WORDS,
     SyntaxErrorWithPos,
-    UndeclaredSymbolError,
     parse_document,
     parse_expression,
     print_flow,
@@ -631,7 +630,7 @@ def main(argv=None):
         return 2
     try:
         return args.fn(args)
-    except (SyntaxErrorWithPos, UndeclaredSymbolError) as exc:
+    except SyntaxErrorWithPos as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except (UsageError, FileNotFoundError, UnknownNameError, InhomogeneousError,

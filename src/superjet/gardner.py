@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
-from typing import Collection, Iterable, Mapping, Optional, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .algebra import DX, EVEN, FieldSymbol, JetVar, SuperPoly
 from .jets import EvolutionSystem, dt_apply, substitute, substitute_params
@@ -68,14 +68,11 @@ def density_recurrence(
 
 @dataclass
 class GardnerDeformation:
-    base: EvolutionSystem
     fields: tuple  # extended fields
     miura: dict  # base field -> SuperPoly in extended fields and eps
-    hamiltonian: Optional[SuperPoly]
+    hamiltonian: SuperPoly
     extended: EvolutionSystem
-    eps: str
     free_params: tuple = ()
-    correspondence: tuple = ()
     constraints: tuple = ()  # parameter conditions left unresolved, each == 0
 
 
@@ -247,7 +244,7 @@ def search_deformation(
         h2 = substitute_params(hbar, values)
         rest_frees = tuple(n for n in frees if n not in values)
         results.append(GardnerDeformation(
-            base, wfields, m2, h2, extension(h2), eps, rest_frees, corr, tuple(constraints)))
+            wfields, m2, h2, extension(h2), rest_frees, tuple(constraints)))
     return results
 
 
@@ -255,7 +252,7 @@ def specialize_deformation(
     d: GardnerDeformation, values: Mapping[str, Fraction]
 ) -> GardnerDeformation:
     miura = {u: substitute_params(p, values) for u, p in d.miura.items()}
-    h = substitute_params(d.hamiltonian, values) if d.hamiltonian is not None else None
+    h = substitute_params(d.hamiltonian, values)
     ext = EvolutionSystem(
         d.fields,
         {w: substitute_params(p, values) for w, p in d.extended.rhs.items()},
@@ -265,4 +262,4 @@ def specialize_deformation(
     constraints = tuple(c for c in (substitute_params(c, values) for c in d.constraints)
                         if not c.is_zero)
     return GardnerDeformation(
-        d.base, d.fields, miura, h, ext, d.eps, rest, d.correspondence, constraints)
+        d.fields, miura, h, ext, rest, constraints)

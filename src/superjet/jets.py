@@ -395,7 +395,7 @@ def _dt_image(sys: EvolutionSystem):
         if isinstance(sym, Nonlocality):
             if DT not in sym.defs:
                 raise MissingDerivativeError(
-                    f"no t-derivative declared for non-local variable {sym.name}"
+                    f"no t-derivative declared for non-local variable {(sym.base or sym).name}"
                 )
             return sym.defs[DT]
         if sym not in sys.rhs:

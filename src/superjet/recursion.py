@@ -44,6 +44,7 @@ from .algebra import (
     Phantom,
     SuperPoly,
     _accumulate,
+    _mul_keys,
     _wrap,
     linear_ansatz,
     poly_sum,
@@ -68,7 +69,7 @@ from .linsolve import NonlinearSystemError, gauss_jordan
 from .variational import graded_partial
 from .weights import (
     WeightSystem,
-    integer_weights,
+    ansatz_member,
     items_from_gens,
     jets_up_to_weight,
     split_by_weight,
@@ -97,6 +98,17 @@ class Shadow:
     components: dict  # base field -> SuperPoly, linear in phantom jets
     parameter_parity: int = 0
     name: str = ""
+
+    def __post_init__(self):
+        for p in self.components.values():
+            for evens, odds, _funcs, _params in p.terms:
+                found = ([x for g, x in evens if _is_phantom_jet(g)]
+                         + [1 for g in odds if _is_phantom_jet(g)])
+                if len(found) != 1:
+                    raise NotLinearInPhantomsError(
+                        f"monomial has {len(found)} phantom factors; shadows must be linear")
+                if found != [1]:
+                    raise NotLinearInPhantomsError("phantom factor occurs squared")
 
     @property
     def is_zero(self):
@@ -140,8 +152,8 @@ def d_integrate(
     (a) the part has only local jets of fields: no non-local, phantom,
         theta, Clifford or function factor;
     (b) the preimage's weight is not 0;
-    (c) each monomial of h lies in A: its factors are items, within
-        their caps, and it has the preimage's weight and parity;
+    (c) each monomial of h lies in A (``weights.ansatz_member``, the
+        rule of the ansatz ``enumerate_monomials`` builds);
     (d) Dx(h) is the part;
     (e) each non-local item g_j has a local Dx-image q_j, and no nonzero
         combination of the q_j is Dx-exact (``_kernel_free``).
@@ -281,14 +293,8 @@ def _homotopy(part: SuperPoly, wt, items) -> Optional[SuperPoly]:
             _accumulate(acc, (SuperPoly.from_gen(JetVar(sym, d1, d2, i)) * tail).terms.items())
     h = _wrap({key: rat_div(c, sum(x for _g, x in key[0]) + len(key[1]))
                for key, c in acc.items()})
-    want_wt, want_par = wt - _shift(DX), part.parity()
-    item = {it.factor: it for it in items}
-    for evens, odds, _funcs, _params in h.terms:  # guard (c)
-        factors = [*evens, *((g, 1) for g in odds)]
-        if (len(odds) % 2 != want_par
-                or any(g not in item or item[g].max_exp < x for g, x in factors)
-                or sum(x * item[g].weight for g, x in factors) != want_wt):
-            return None
+    if not all(map(ansatz_member(items, wt - _shift(DX), part.parity()), h.terms)):
+        return None  # guard (c)
     if super_derive(h, DX) != part:  # guard (d)
         return None
     return h
@@ -383,41 +389,36 @@ def _component(target: set, direction, items, weight, parity) -> set:
     that holds the monomials ``target``; ``_solve_component`` extracts
     the component's rows from their ansatz.
 
-    The system has one unknown per admissible monomial of the given
-    weight and parity (every factor an item's, within its cap) and one
-    equation per monomial of the images and of the target.  The
-    component grows from the target's monomials.  A monomial m can have
-    the equation monomial e in its image only if e = (m / g) * t for a
-    factor g of m and a term t of the image of g, so the candidates for
-    e are the admissible (e / t) * g.  A candidate joins when e really
-    occurs in its image, and its image's monomials join the equations.
-    Weights compare as the ints of ``integer_weights``, the scaling that
-    ``enumerate_monomials`` uses too.
+    The system has one unknown per monomial of the ansatz of the given
+    weight and parity (``weights.ansatz_member``) and one equation per
+    monomial of the images and of the target.  The component grows from
+    the target's monomials.  A monomial m can have the equation monomial
+    e in its image only if e = (m / g) * t for a factor g of m and a term
+    t of the image of g, so the candidates for e are the (e / t) * g in
+    the ansatz.  A candidate joins when e really occurs in its image, and
+    its image's monomials join the equations.
     """
     side = "left" if direction in (D1, D2) else "even"
-    caps = {it.factor: it.max_exp for it in items}
-    ints, weight = integer_weights(items, weight)
-    weights = {it.factor: w for it, w in zip(items, ints)}
-    gen_image = dict(zip(caps, map(_super_image(direction), caps)))
-    steps: dict = {}  # a factor of t -> the (g, t) pairs, each filed under one factor
+    member = ansatz_member(items, weight, parity)
+    gen_image = {it.factor: _super_image(direction)(it.factor) for it in items}
+    steps: dict = {}  # a factor of t -> the (g's key, t) pairs, each filed under one factor
     for g, img in gen_image.items():
+        g_key = next(iter(SuperPoly.from_gen(g).terms))
         for t in dict.fromkeys(key[:3] for key in img.terms):
             factors = [h for h, _x in t[0]] + list(t[1]) + list(t[2])
-            steps.setdefault(factors[0] if factors else None, []).append((g, t))
-    image_of: dict = {}  # candidate -> monomials of its image, or None if not admissible
+            steps.setdefault(factors[0] if factors else None, []).append((g_key, t))
+    image_of: dict = {}  # candidate -> monomials of its image, or None if not in the ansatz
     found: set = set()
     todo = list(target)
     seen = set(todo)
     while todo:
         e = todo.pop()
-        for m in _predecessors(e, steps, caps):
+        for m in _predecessors(e, steps):
             if m in found:
                 continue
             if m not in image_of:
-                admissible = (len(m[1]) % 2 == parity and weight == sum(
-                    x * weights[g] for g, x in m[0]) + sum(weights[g] for g in m[1]))
                 image_of[m] = (_monomials(_derive(_wrap({m: 1}), gen_image.get, side))
-                               if admissible else None)
+                               if member(m) else None)
             image = image_of[m]
             if image is None or e not in image:
                 continue
@@ -429,41 +430,27 @@ def _component(target: set, direction, items, weight, parity) -> set:
     return found
 
 
-def _predecessors(e, steps, caps):
+def _predecessors(e, steps):
     """The candidates (e / t) * g over the steps (g, t) filed under a
     factor of e (or under no factor) whose t divides e."""
     for h in (None, *(g for g, _x in e[0]), *e[1], *e[2]):
-        for g, t in steps.get(h, ()):
-            m = _quotient_times(e, t, g, caps)
+        for g_key, t in steps.get(h, ()):
+            m = _quotient_times(e, t, g_key)
             if m is not None:
                 yield m
 
 
-def _quotient_times(e, t, g, caps):
-    """The monomial key (e / t) * g, or None unless t divides e and every
-    factor of the result is admissible within its cap."""
+def _quotient_times(e, t, g_key):
+    """The monomial key (e / t) * g, or None unless t divides e and the
+    product is nonzero; g is a jet, so ``_mul_keys`` reduces no square."""
     evens = dict(e[0])
     for h, x in t[0]:
-        left = evens.get(h, 0) - x
-        if left < 0:
-            return None
-        if left:
-            evens[h] = left
-        else:
-            del evens[h]
-    if not set(t[1]) <= set(e[1]) or t[2] != e[2]:  # no item is a function factor
-        return None
-    odds = [h for h in e[1] if h not in t[1]]
-    if g.parity:
-        if g in odds:
-            return None
-        odds.append(g)
-    else:
-        evens[g] = evens.get(g, 0) + 1
-    if any(caps.get(h, 0) < x for h, x in evens.items()) or any(h not in caps for h in odds):
-        return None
-    return (tuple(sorted(evens.items(), key=lambda hx: hx[0]._sort_key)),
-            tuple(sorted(odds, key=lambda h: h._sort_key)), (), ())
+        evens[h] = evens.get(h, 0) - x
+    if min(evens.values(), default=0) < 0 or not set(t[1]) <= set(e[1]) or t[2] != e[2]:
+        return None  # no item is a function factor
+    s, key = _mul_keys((tuple((h, x) for h, x in evens.items() if x),
+                        tuple(h for h in e[1] if h not in t[1]), (), ()), g_key)
+    return key if s else None
 
 
 def _is_new_coordinate(g: JetVar) -> bool:
@@ -510,18 +497,8 @@ def _substitute_phantoms(comps: dict, values: dict, parity: int) -> dict:
     evolutionary derivation, of the values' parameter parity, that sends
     each phantom to its value and every other symbol to 0.
     """
-    symbols = set()
-    for p in comps.values():
-        for evens, odds, _funcs, _params in p.terms:
-            found = ([x for g, x in evens if _is_phantom_jet(g)]
-                     + [1 for g in odds if _is_phantom_jet(g)])
-            if len(found) != 1:
-                raise NotLinearInPhantomsError(
-                    f"monomial has {len(found)} phantom factors; shadows must be linear"
-                )
-            if found != [1]:
-                raise NotLinearInPhantomsError("phantom factor occurs squared")
-        symbols.update(g.fieldsym for g in p.generators() if isinstance(g, JetVar))
+    symbols = {g.fieldsym for p in comps.values() for g in p.generators()
+               if isinstance(g, JetVar)}
     flow = Flow({**dict.fromkeys(symbols, SuperPoly.zero()), **values}, parity)
     return {u: evolutionary_apply(flow, p) for u, p in comps.items()}
 

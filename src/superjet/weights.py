@@ -8,7 +8,8 @@ its declared even square.
 
 An ansatz is built on integers: a ``WeightSystem`` keeps growing tables of
 its jets and items, and ``enumerate_monomials`` keeps the reachable sums of
-scaled weights as bitsets, so an unreachable target gives ``[]`` at once.
+scaled weights as bitsets, so an unreachable target gives ``[]`` at once;
+``ansatz_member`` tests one monomial against that ansatz on the same ints.
 ``weighted_ansatz`` builds every linear ansatz on these monomials.
 """
 
@@ -273,17 +274,19 @@ def enumerate_monomials(items: Sequence[AnsatzItem], weight, parity):
     result is sorted by ``term_order_key``, ties in enumeration order.
 
     Weights are scaled to ints (``integer_weights``) and reachable sums kept
-    as bitsets (``_reach``): an unreachable target gives ``[]`` before any sort
-    or product, and the search takes only exponents that keep the rest reachable.
+    as bitsets (``_reach``): an unreachable target gives ``[]`` before any
+    product, and the search takes only exponents that keep the rest reachable.
     """
     weights, target = integer_weights(items, weight)
-    caps, parities = [it.max_exp for it in items], [it.parity for it in items]
-    if target is None or not _reach(weights, caps, parities, target)[1][0][parity]:
+    if target is None:
         return []
     order = sorted(range(len(items)), key=lambda i: (weights[i] <= 0, str(items[i].factor)))
-    weights, caps, parities = ([v[i] for i in order] for v in (weights, caps, parities))
-    gen_keys = [next(iter(SuperPoly.from_gen(items[i].factor).terms)) for i in order]
+    weights = [weights[i] for i in order]
+    caps, parities = [items[i].max_exp for i in order], [items[i].parity for i in order]
     off, reach = _reach(weights, caps, parities, target)
+    if not reach[0][parity]:
+        return []
+    gen_keys = [next(iter(SuperPoly.from_gen(items[i].factor).terms)) for i in order]
     n, found = len(order), []
 
     def build(i, rest, par, chosen, scalar, key):
@@ -311,6 +314,28 @@ def enumerate_monomials(items: Sequence[AnsatzItem], weight, parity):
     build(0, target, parity, 0, 1, _ONE_KEY)
     found.sort(key=lambda kc: term_order_key(kc[0]))
     return [_wrap({key: c}) for key, c in found]
+
+
+def ansatz_member(items: Sequence[AnsatzItem], weight, parity):
+    """The test of whether a monomial key, its parameters aside, is one of
+    ``enumerate_monomials(items, weight, parity)``: at least one factor, each
+    an item's within its cap, and the target's scaled weight and parity."""
+    ints, target = integer_weights(items, weight)  # a None target equals no sum
+    table = {it.factor: (w, it.max_exp) for it, w in zip(items, ints)}
+
+    def member(key) -> bool:
+        evens, odds, funcs, _params = key
+        if funcs or len(odds) % 2 != parity or not (evens or odds):
+            return False
+        total = 0
+        for g, x in (*evens, *((g, 1) for g in odds)):
+            w, cap = table.get(g, (0, 0))
+            if cap < x:
+                return False
+            total += x * w
+        return total == target
+
+    return member
 
 
 def weighted_ansatz(ws, gens, weight, parity, prefix, start, zero_weight_cap=2) -> tuple:

@@ -452,7 +452,7 @@ NO_V_T = ("field f odd susy 1 weight 3/2; time weight -3; f_t = D(f_x*f);"
     (NO_F_T, ["find-symmetries", "--weight=-1"], "flow symmetry ansatz has no component for f"),
     (NO_F_T, ["theta-expand", "--field", "f", "--map", "b"], "no evolution declared for f"),
     (NO_V_T, ["verify-shadow", "--shadow", "R"],
-     "no t-derivative declared for non-local variable V"),
+     "no t-derivative declared for non-local variable v"),
 ], ids=["dt", "find-symmetries", "theta-expand", "verify-shadow"])
 def test_an_undeclared_evolution_is_a_usage_error(capsys, tmp_path, source, argv, message):
     doc = tmp_path / "doc.sj"
@@ -460,6 +460,25 @@ def test_an_undeclared_evolution_is_a_usage_error(capsys, tmp_path, source, argv
     code = main(argv + ["--file", str(doc)])
     assert code == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+NOT_LINEAR = ("field f odd susy 1 weight 3/2;\ntime weight -3;\nf_t = D(f_x*f);\n"
+              "nonlocal v even weight 1: D(v) = f, v_t = f_x*f;\n"
+              "shadow R: f = f*DF*V - f_x*V^2;\nflow seed_x: f = f_x;\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["apply-recursion", "--shadow", "R", "--seed", "seed_x"],
+    ["verify-shadow", "--shadow", "R"],
+    ["nilpotency", "--shadow", "R"],
+], ids=["apply-recursion", "verify-shadow", "nilpotency"])
+def test_a_shadow_not_linear_in_its_phantoms_is_a_parse_error(capsys, tmp_path, argv):
+    doc = tmp_path / "doc.sj"
+    doc.write_text(NOT_LINEAR)
+    code = main(argv + ["--file", str(doc)])
+    assert code == 2
+    assert capsys.readouterr().err == ("parse error: line 5, column 1: monomial has 2 phantom "
+                                       "factors; shadows must be linear\n")
 
 
 def test_engine_fault_is_not_a_usage_error(capsys, monkeypatch):

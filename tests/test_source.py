@@ -87,6 +87,16 @@ def test_only_jets_reads_the_memo_epoch():
     assert readers == {"jets"}
 
 
+def test_recursion_leaves_ansatz_membership_to_weights():
+    """Whether a monomial is in an integration ansatz is decided by
+    ``weights.ansatz_member`` alone: ``recursion`` neither scales weights
+    to ints nor orders factors itself."""
+    tree = ast.parse((ROOT / "src" / "superjet" / "recursion.py").read_text())
+    names = {getattr(n, "id", None) or getattr(n, "attr", None) or getattr(n, "name", None)
+             for n in ast.walk(tree)}
+    assert not names & {"integer_weights", "_sort_key"}
+
+
 def _writes_to_defs(tree):
     """The enclosing function names of every statement that stores into, or
     calls a mutating method of, a ``.defs`` mapping."""

@@ -7,10 +7,14 @@ from superjet import catalog
 from superjet.algebra import EVEN, ODD, FieldSymbol, JetVar, SuperPoly
 from superjet.grammar import parse_document
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superjet.weights import (
+    AnsatzItem,
     InhomogeneousError,
     WeightSystem,
+    ansatz_member,
     enumerate_monomials,
     infer_weights,
     items_from_gens,
@@ -170,6 +174,45 @@ def test_no_items_enumerate_nothing():
     for weight in (Q(-1), Q(0), Q(1, 2), Q(1)):
         for parity in (EVEN, ODD):
             assert enumerate_monomials([], weight, parity) == []
+
+
+HALVES = st.integers(-2, 3).map(lambda n: Q(n, 2))  # -1 .. 3/2 in steps of 1/2
+
+
+@st.composite
+def ansatz_items(draw, name):
+    """An item on a fresh field: odd items have cap 1, even ones 1-3."""
+    parity = draw(st.sampled_from((EVEN, ODD)))
+    cap = 1 if parity else draw(st.integers(1, 3))
+    return AnsatzItem(JetVar(FieldSymbol(name, parity)), draw(HALVES), parity, cap)
+
+
+def _keys(items, weight, parity):
+    return {next(iter(m.terms)) for m in enumerate_monomials(items, weight, parity)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(
+           lambda n: st.tuples(*(ansatz_items(f"u{i}") for i in range(n)))),
+       ansatz_items("z"), st.integers(-4, 9).map(lambda n: Q(n, 2)),
+       st.sampled_from((EVEN, ODD)))
+def test_ansatz_membership_is_the_enumerated_ansatz(items, stranger, weight, parity):
+    """``ansatz_member`` accepts every monomial ``enumerate_monomials``
+    gives and rejects the monomials of the neighbouring weights and of the
+    other parity, those with a factor one past its cap or with a factor
+    that is not an item, and the empty monomial."""
+    items = list(items)
+    member = ansatz_member(items, weight, parity)
+    keys = _keys(items, weight, parity)
+    assert all(map(member, keys))
+    others = (_keys(items, weight - Q(1, 2), parity) | _keys(items, weight + Q(1, 2), parity)
+              | _keys(items, weight, 1 - parity))
+    raised = [AnsatzItem(it.factor, it.weight, it.parity, it.max_exp + (not it.parity))
+              for it in items]
+    past_cap = _keys(raised, weight, parity) - keys
+    foreign = _keys(items + [stranger], weight, parity) - keys
+    assert not any(map(member, others | past_cap | foreign))
+    assert not member(((), (), (), ())) and not ansatz_member(items, Q(0), EVEN)(((), (), (), ()))
 
 
 def _jets_by_definition(ws, fields, max_weight):
