@@ -39,7 +39,6 @@ and hashes stay by value, so unpooled clones (pickles, copies) still match.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence, Union
@@ -64,19 +63,40 @@ class UnknownNameError(KeyError):
 
 
 class _Cached:
-    """Hash (of the fields equality compares) and sort key, computed once.
+    """Value equality, hash and sort key of an immutable generator.
 
-    Each dataclass sets ``__hash__ = _Cached.__hash__`` so that the decorator
-    keeps it.  Pickles leave the caches out: string hashes differ by process.
-    Pooled generators compute both once per process.
+    Two generators are equal when they have the same class and equal
+    ``_compared`` fields; the hash, of the tuple of those fields, and the
+    sort key are computed once.  Attributes are set only by ``__init__``,
+    through ``vars``; assigning or deleting one raises ``AttributeError``.
+    Pickles leave the caches out: string hashes differ by process.  Pooled
+    generators compute both once per process.
     """
+
+    _compared: tuple  # the names of the fields that equality and the hash read
+
+    def _values(self):
+        return tuple([getattr(self, n) for n in self._compared])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # the cached hashes tell most unequal pairs apart (the odd-word merge
+        # compares neighbours) without building the two field tuples
+        return self is other or (self._hash == other._hash and self._values() == other._values())
 
     @cached_property
     def _hash(self):
-        return hash(tuple(getattr(self, f.name) for f in fields(self) if f.compare))
+        return hash(self._values())
 
     def __hash__(self):
         return self._hash
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def sort_key(self):
         return self._sort_key
@@ -85,31 +105,30 @@ class _Cached:
         return {k: v for k, v in vars(self).items() if k not in ("_hash", "_sort_key")}
 
 
-@dataclass(frozen=True)
 class FieldSymbol(_Cached):
     """A dependent variable: bosonic or fermionic, with 0..2 susy directions."""
 
-    __hash__ = _Cached.__hash__
-    name: str
-    parity: int
-    n_susy: int = 1
+    _compared = ("name", "parity", "n_susy")
 
-    def __post_init__(self):
-        if self.parity not in (EVEN, ODD):
-            raise ValueError(f"bad parity {self.parity!r} for field {self.name}")
-        if self.n_susy not in (0, 1, 2):
-            raise ValueError(f"bad susy count {self.n_susy!r} for field {self.name}")
+    def __init__(self, name: str, parity: int, n_susy: int = 1):
+        vars(self).update(name=name, parity=parity, n_susy=n_susy)
+        if parity not in (EVEN, ODD):
+            raise ValueError(f"bad parity {parity!r} for field {name}")
+        if n_susy not in (0, 1, 2):
+            raise ValueError(f"bad susy count {n_susy!r} for field {name}")
 
     def __repr__(self):
         return f"FieldSymbol({self.name!r})"
 
 
-@dataclass(frozen=True)
 class Phantom(FieldSymbol):
     """Linearized counterpart of a field; same parity, capitalized by convention."""
 
-    __hash__ = _Cached.__hash__
-    base: FieldSymbol = None
+    _compared = ("name", "parity", "n_susy", "base")
+
+    def __init__(self, name: str, parity: int, n_susy: int = 1, base: FieldSymbol = None):
+        super().__init__(name, parity, n_susy)
+        vars(self)["base"] = base
 
     def __repr__(self):
         return f"Phantom({self.name!r})"
@@ -131,12 +150,13 @@ class _Pooled(type):
         return g
 
 
-@dataclass(frozen=True)
 class Theta(_Cached, metaclass=_Pooled):
     """An anticommuting independent variable theta^i (odd, squares to zero)."""
 
-    __hash__ = _Cached.__hash__
-    index: int
+    _compared = ("index",)
+
+    def __init__(self, index: int):
+        vars(self)["index"] = index
 
     @staticmethod
     def _pool_key(index):
@@ -154,7 +174,6 @@ class Theta(_Cached, metaclass=_Pooled):
         return f"Theta({self.index})"
 
 
-@dataclass(frozen=True)
 class Clifford(_Cached, metaclass=_Pooled):
     """Odd auxiliary whose square is a declared even parameter monomial.
 
@@ -162,9 +181,10 @@ class Clifford(_Cached, metaclass=_Pooled):
     of (name, exponent).
     """
 
-    __hash__ = _Cached.__hash__
-    name: str
-    square: tuple = (1, ())
+    _compared = ("name", "square")
+
+    def __init__(self, name: str, square: tuple = (1, ())):
+        vars(self).update(name=name, square=square)
 
     @staticmethod
     def _pool_key(name, square=(1, ())):
@@ -182,29 +202,23 @@ class Clifford(_Cached, metaclass=_Pooled):
         return f"Clifford({self.name!r})"
 
 
-@dataclass(frozen=True)
 class JetVar(_Cached, metaclass=_Pooled):
     """A derivative coordinate D1^d1 D2^d2 Dx^m (field)."""
 
-    __hash__ = _Cached.__hash__
-    fieldsym: FieldSymbol
-    d1: int = 0
-    d2: int = 0
-    m: int = 0
+    _compared = ("fieldsym", "d1", "d2", "m")
+
+    def __init__(self, fieldsym: FieldSymbol, d1: int = 0, d2: int = 0, m: int = 0):
+        vars(self).update(fieldsym=fieldsym, d1=d1, d2=d2, m=m)
+        if d1 not in (0, 1) or d2 not in (0, 1) or m < 0:
+            raise ValueError(f"bad jet indices ({d1},{d2},{m})")
+        n = fieldsym.n_susy
+        if (d1 and n < 1) or (d2 and n < 2):
+            raise ValueError(f"field {fieldsym.name} has no direction D{2 if d2 else 1}")
 
     @staticmethod
     def _pool_key(fieldsym, d1=0, d2=0, m=0):
         # the pooled jet keeps fieldsym alive, so its id is never reused
         return id(fieldsym), d1, d2, m
-
-    def __post_init__(self):
-        if self.d1 not in (0, 1) or self.d2 not in (0, 1) or self.m < 0:
-            raise ValueError(f"bad jet indices ({self.d1},{self.d2},{self.m})")
-        n = self.fieldsym.n_susy
-        if (self.d1 and n < 1) or (self.d2 and n < 2):
-            raise ValueError(
-                f"field {self.fieldsym.name} has no direction D{2 if self.d2 else 1}"
-            )
 
     @property
     def parity(self):

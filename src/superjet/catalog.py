@@ -12,8 +12,6 @@ so nothing may write to an entry after its builder returns.
 from __future__ import annotations
 
 import os
-import traceback
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Callable
 
@@ -50,15 +48,15 @@ from .weights import infer_weights, weight_of
 Q = Fraction
 
 
-@dataclass
 class CatalogEntry:
-    id: str
-    title: str
-    sources: dict  # name -> document text ("main" first)
-    docs: dict = dc_field(default_factory=dict)
-    scales: dict = dc_field(default_factory=dict)  # fixture -> Fraction
-    extras: dict = dc_field(default_factory=dict)
-    checks: list = dc_field(default_factory=list)  # (name, fn) with fn() -> (ok, str)
+    def __init__(self, id: str, title: str, sources: dict, docs: dict = None):
+        self.id = id
+        self.title = title
+        self.sources = sources  # name -> document text ("main" first)
+        self.docs = {} if docs is None else docs
+        self.scales = {}  # fixture -> Fraction
+        self.extras = {}
+        self.checks = []  # (name, fn) with fn() -> (ok, str)
 
     @property
     def doc(self) -> SourceDocument:
@@ -634,8 +632,8 @@ functional Hbar: 1/6*w1^3 + 1/2*w2^2 + 1/6*eps*w2^3;
                     d, {n: Q(1, 6) for n in d.free_params})
             same = all(
                 (cand.miura[u] - substitute(miura[u], {
-                    w1: SuperPoly.from_gen(JetVar(cand.fields[0])),
-                    w2: SuperPoly.from_gen(JetVar(cand.fields[1])),
+                    w1: SuperPoly.from_gen(JetVar(cand.extended.fields[0])),
+                    w2: SuperPoly.from_gen(JetVar(cand.extended.fields[1])),
                 })).is_zero
                 for u in (b, c))
             if same:
@@ -781,6 +779,8 @@ def verify(entry_id: str) -> list:
         try:
             ok, detail = fn()
         except Exception as exc:  # noqa: BLE001 - report, don't crash the sweep
+            import traceback
+
             where = traceback.extract_tb(exc.__traceback__)[-1]
             ok, detail = False, (f"error: {type(exc).__name__}: {exc} "
                                  f"at {os.path.basename(where.filename)}:{where.lineno}")

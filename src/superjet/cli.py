@@ -11,7 +11,6 @@ import argparse
 import json
 import re
 import sys
-import traceback
 from fractions import Fraction
 
 from . import catalog
@@ -638,6 +637,8 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:  # an engine fault, not a usage error
+        import traceback
+
         traceback.print_exc()
         return 3
 

@@ -3,7 +3,6 @@ consistency checks, and linearization (phantom) extensions."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 from .algebra import D1, D2, DT, DX, EVEN, JetVar, Phantom, SuperPoly
@@ -18,16 +17,13 @@ from .jets import (
 )
 
 
-@dataclass
 class Covering:
     """An evolutionary system together with layered non-local variables."""
 
-    system: EvolutionSystem
-    nonlocals: tuple = ()
-    name: str = ""
-
-    def __post_init__(self):
-        self.nonlocals = tuple(self.nonlocals)
+    def __init__(self, system: EvolutionSystem, nonlocals, name: str = ""):
+        self.system = system
+        self.nonlocals = tuple(nonlocals)
+        self.name = name
 
 
 def check_covering(cov: Covering) -> dict:
@@ -88,14 +84,15 @@ def phantom_name(name: str) -> str:
     return name.upper() if name.upper() != name else name + "^"
 
 
-@dataclass
 class PhantomFrame:
     """A covering enlarged by the linearizations of all its variables."""
 
-    covering: Covering
-    phantoms: dict  # field -> Phantom
-    phantom_nonlocals: dict  # nonlocality -> phantom Nonlocality
-    system: EvolutionSystem  # fields + phantom fields
+    def __init__(self, covering: Covering, phantoms: dict, phantom_nonlocals: dict,
+                 system: EvolutionSystem):
+        self.covering = covering
+        self.phantoms = phantoms  # field -> Phantom
+        self.phantom_nonlocals = phantom_nonlocals  # nonlocality -> phantom Nonlocality
+        self.system = system  # fields + phantom fields
 
     @property
     def base(self) -> EvolutionSystem:

@@ -20,7 +20,6 @@ of the last such pivot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -73,15 +72,16 @@ def extract_linear_system(residuals: Iterable[SuperPoly], unknowns: Sequence[str
 # solving
 
 
-@dataclass
 class LinearSolution:
     """Affine solution set of a linear system over the parameter field."""
 
-    unknowns: tuple
-    particular: dict  # unknown -> SuperPoly (parameters only)
-    basis: list  # list of {unknown: SuperPoly}
-    assumptions: list = dc_field(default_factory=list)  # numerators of pivots assumed nonzero
-    zero_params: frozenset = frozenset()  # parameters pinned to 0 in this branch
+    def __init__(self, unknowns: tuple, particular: dict, basis: list, assumptions: list,
+                 zero_params: frozenset):
+        self.unknowns = unknowns
+        self.particular = particular  # unknown -> SuperPoly (parameters only)
+        self.basis = basis  # list of {unknown: SuperPoly}
+        self.assumptions = assumptions  # numerators of pivots assumed nonzero
+        self.zero_params = zero_params  # parameters pinned to 0 in this branch
 
     @property
     def dim(self):
@@ -174,12 +174,13 @@ def normalize_vector(vec: Mapping[str, SuperPoly], order: Sequence[str]) -> dict
 # symmetry search
 
 
-@dataclass
 class SymmetrySearchResult:
-    flows: list  # list of Flow, one per basis solution (generic branch)
-    ansatz_size: int
-    solution: Optional[LinearSolution]
-    branches: list = dc_field(default_factory=list)
+    def __init__(self, flows: list, ansatz_size: int, solution: Optional[LinearSolution],
+                 branches: list = None):
+        self.flows = flows  # list of Flow, one per basis solution (generic branch)
+        self.ansatz_size = ansatz_size
+        self.solution = solution
+        self.branches = [] if branches is None else branches
 
 
 def build_flow_ansatz(

@@ -3,7 +3,6 @@ recurrence for conserved densities, and staged deformation search."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
 from typing import Collection, Iterable, Mapping, Sequence
@@ -66,14 +65,14 @@ def density_recurrence(
 # deformation search
 
 
-@dataclass
 class GardnerDeformation:
-    fields: tuple  # extended fields
-    miura: dict  # base field -> SuperPoly in extended fields and eps
-    hamiltonian: SuperPoly
-    extended: EvolutionSystem
-    free_params: tuple = ()
-    constraints: tuple = ()  # parameter conditions left unresolved, each == 0
+    def __init__(self, miura: dict, hamiltonian: SuperPoly, extended: EvolutionSystem,
+                 free_params: tuple, constraints: tuple):
+        self.miura = miura  # base field -> SuperPoly in extended fields and eps
+        self.hamiltonian = hamiltonian
+        self.extended = extended
+        self.free_params = free_params
+        self.constraints = constraints  # parameter conditions left unresolved, each == 0
 
 
 def resolve_conditions(conditions: Iterable[SuperPoly], adjustable: Collection[str]) -> list:
@@ -244,7 +243,7 @@ def search_deformation(
         h2 = substitute_params(hbar, values)
         rest_frees = tuple(n for n in frees if n not in values)
         results.append(GardnerDeformation(
-            wfields, m2, h2, extension(h2), rest_frees, tuple(constraints)))
+            m2, h2, extension(h2), rest_frees, tuple(constraints)))
     return results
 
 
@@ -254,12 +253,11 @@ def specialize_deformation(
     miura = {u: substitute_params(p, values) for u, p in d.miura.items()}
     h = substitute_params(d.hamiltonian, values)
     ext = EvolutionSystem(
-        d.fields,
+        d.extended.fields,
         {w: substitute_params(p, values) for w, p in d.extended.rhs.items()},
         d.extended.params,
     )
     rest = tuple(n for n in d.free_params if n not in values)
     constraints = tuple(c for c in (substitute_params(c, values) for c in d.constraints)
                         if not c.is_zero)
-    return GardnerDeformation(
-        d.fields, miura, h, ext, rest, constraints)
+    return GardnerDeformation(miura, h, ext, rest, constraints)

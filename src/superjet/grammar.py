@@ -19,7 +19,6 @@ the normal form; parsing it back reproduces the object exactly.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Optional
 
@@ -79,12 +78,12 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str  # "name", "int", "op", "end"
-    text: str
-    line: int
-    col: int
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        self.kind = kind  # "name", "int", "op", "end"
+        self.text = text
+        self.line = line
+        self.col = col
 
 
 def tokenize(text: str):
@@ -117,14 +116,14 @@ def tokenize(text: str):
 DERIV_WORDS = {"D": D1, "D1": D1, "D2": D2, "Dx": DX}
 
 
-@dataclass
 class Scope:
     """Name resolution context for expression parsing."""
 
-    symbols: dict = dc_field(default_factory=dict)  # name -> field-like symbol
-    params: set = dc_field(default_factory=set)
-    cliffords: dict = dc_field(default_factory=dict)
-    functions: dict = dc_field(default_factory=dict)  # name -> argument symbol
+    def __init__(self, symbols: dict, params: set, cliffords: dict, functions: dict):
+        self.symbols = symbols  # name -> field-like symbol
+        self.params = params
+        self.cliffords = cliffords
+        self.functions = functions  # name -> argument symbol
 
     def child(self):
         return Scope(
@@ -302,21 +301,21 @@ def parse_expression(text: str, scope: Scope) -> SuperPoly:
 # ---------------------------------------------------------------------------
 # documents
 
-@dataclass
 class SourceDocument:
     """Declarations, equations and named objects of one input file."""
 
-    scope: Scope = dc_field(default_factory=Scope)
-    fields: dict = dc_field(default_factory=dict)  # name -> FieldSymbol
-    param_weights: dict = dc_field(default_factory=dict)  # name -> weight or None
-    nonlocals: dict = dc_field(default_factory=dict)  # name -> Nonlocality
-    field_weights: dict = dc_field(default_factory=dict)  # FieldSymbol -> weight
-    equations: dict = dc_field(default_factory=dict)  # FieldSymbol -> SuperPoly
-    flows: dict = dc_field(default_factory=dict)  # name -> Flow
-    shadows: dict = dc_field(default_factory=dict)  # name -> Shadow
-    functionals: dict = dc_field(default_factory=dict)  # name -> SuperPoly
-    t_weight: Optional[Fraction] = None
-    name: str = ""
+    def __init__(self, name: str = ""):
+        self.scope = Scope({}, set(), {}, {})
+        self.fields = {}  # name -> FieldSymbol
+        self.param_weights = {}  # name -> weight or None
+        self.nonlocals = {}  # name -> Nonlocality
+        self.field_weights = {}  # FieldSymbol -> weight
+        self.equations = {}  # FieldSymbol -> SuperPoly
+        self.flows = {}  # name -> Flow
+        self.shadows = {}  # name -> Shadow
+        self.functionals = {}  # name -> SuperPoly
+        self.t_weight = None  # Fraction or None
+        self.name = name
 
     # assembled objects -----------------------------------------------------
 

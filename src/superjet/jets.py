@@ -28,7 +28,6 @@ empties each ``[epoch, table]`` memo, in any module, once the epoch has moved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import partial
 from operator import add, sub
@@ -47,7 +46,6 @@ from .algebra import (
     SuperPoly,
     Theta,
     _accumulate,
-    _Cached,
     _merge_evens,
     _merge_funcs,
     _merge_odds,
@@ -63,17 +61,15 @@ class MissingDerivativeError(ValueError):
     a flow's component or a covering variable's derivative."""
 
 
-@dataclass(frozen=True)
 class Nonlocality(FieldSymbol):
-    """A covering (potential) variable with declared derivative values."""
+    """A covering (potential) variable with declared derivative values;
+    equality and the hash read only its ``FieldSymbol`` fields."""
 
-    __hash__ = _Cached.__hash__
-    weight: Optional[Fraction] = dc_field(default=None, compare=False)
-    defs: Mapping[str, SuperPoly] = dc_field(default_factory=dict, compare=False)
-    base: Optional[FieldSymbol] = dc_field(default=None, compare=False)
-
-    def __post_init__(self):
-        super().__post_init__()
+    def __init__(self, name: str, parity: int, n_susy: int = 1,
+                 weight: Optional[Fraction] = None, defs: Mapping[str, SuperPoly] = None,
+                 base: Optional[FieldSymbol] = None):
+        super().__init__(name, parity, n_susy)
+        vars(self).update(weight=weight, defs={} if defs is None else defs, base=base)
         for direction, value in self.defs.items():
             check_definition(self, direction, value)
 
@@ -115,20 +111,16 @@ def check_definition(w: Nonlocality, direction: str, value: SuperPoly):
         raise ParityError(f"{direction}({w.name}) must have parity {want}, got {q}")
 
 
-@dataclass
 class EvolutionSystem:
     """An evolutionary super-system {u_t = rhs_u} with declared parameters."""
 
-    fields: tuple
-    rhs: dict
-    params: tuple = ()
-    name: str = ""
-
-    def __post_init__(self):
-        self.fields = tuple(self.fields)
-        self.params = tuple(self.params)
+    def __init__(self, fields, rhs: dict, params=(), name: str = ""):
+        self.fields = tuple(fields)
+        self.rhs = rhs
+        self.params = tuple(params)
+        self.name = name
         for u in self.fields:
-            p = self.rhs[u]
+            p = rhs[u]
             q = p.parity()
             if q is not None and q != u.parity:
                 raise ParityError(f"rhs of {u.name} has parity {q}, field is {u.parity}")
@@ -137,21 +129,19 @@ class EvolutionSystem:
         return Flow(dict(self.rhs), EVEN, name=f"{self.name}-t")
 
 
-@dataclass
 class Flow:
     """Components of a flow u_s = phi_u; the parameter s may be even or odd."""
 
-    components: dict
-    parameter_parity: int = EVEN
-    name: str = ""
-
-    def __post_init__(self):
-        for u, p in self.components.items():
+    def __init__(self, components: dict, parameter_parity: int = EVEN, name: str = ""):
+        self.components = components
+        self.parameter_parity = parameter_parity
+        self.name = name
+        for u, p in components.items():
             q = p.parity()
-            if q is not None and q != (u.parity + self.parameter_parity) % 2:
+            if q is not None and q != (u.parity + parameter_parity) % 2:
                 raise ParityError(
                     f"component of {u.name} has parity {q}, expected "
-                    f"{(u.parity + self.parameter_parity) % 2}"
+                    f"{(u.parity + parameter_parity) % 2}"
                 )
 
     @property

@@ -41,9 +41,8 @@ rule fixes them from the order of the input rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import add, not_, sub
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .algebra import SuperPoly, _accumulate, _merge_params, _wrap, rat_div
 
@@ -97,15 +96,13 @@ def as_poly(a: dict) -> SuperPoly:
     return _wrap({((), (), (), key): c for key, c in a.items()})
 
 
-@dataclass
-class LinearEquation:
+class LinearEquation(NamedTuple):
     """``sum(coeffs[u] * u) + const == 0`` over the Laurent ring."""
 
     coeffs: dict  # unknown -> RingElement
     const: RingElement
 
 
-@dataclass
 class Reduced:
     """Solution set of a list of ``LinearEquation``s, keyed by their unknowns.
 
@@ -117,10 +114,11 @@ class Reduced:
     holds the nonzero right-hand sides of rows that reduced to ``0 == rhs``.
     """
 
-    solved: dict
-    basis: list
-    assumed: list
-    leftover: list
+    def __init__(self, solved: dict, basis: list, assumed: list, leftover: list):
+        self.solved = solved
+        self.basis = basis
+        self.assumed = assumed
+        self.leftover = leftover
 
     @property
     def particular(self) -> dict:

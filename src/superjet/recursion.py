@@ -32,7 +32,6 @@ preimage that solving the whole homogeneous ansatz would give:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -90,17 +89,16 @@ class NotLocalError(ValueError):
     """Raised when applying a shadow cannot produce a local flow."""
 
 
-@dataclass
 class Shadow:
     """A recursion-operator shadow over a phantom frame."""
 
-    frame: PhantomFrame
-    components: dict  # base field -> SuperPoly, linear in phantom jets
-    parameter_parity: int = 0
-    name: str = ""
-
-    def __post_init__(self):
-        for p in self.components.values():
+    def __init__(self, frame: PhantomFrame, components: dict, parameter_parity: int = 0,
+                 name: str = ""):
+        self.frame = frame
+        self.components = components  # base field -> SuperPoly, linear in phantom jets
+        self.parameter_parity = parameter_parity
+        self.name = name
+        for p in components.values():
             for evens, odds, _funcs, _params in p.terms:
                 found = ([x for g, x in evens if _is_phantom_jet(g)]
                          + [1 for g in odds if _is_phantom_jet(g)])

@@ -15,10 +15,9 @@ scaled weights as bitsets, so an unreachable target gives ``[]`` at once;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import lcm
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .algebra import (
     _ONE_KEY,
@@ -44,17 +43,18 @@ class InhomogeneousError(ValueError):
     pass
 
 
-@dataclass
 class WeightSystem:
     """Assignment of weights to fields, parameters and the time variable; it
     caches generator weights, and what ``jets_up_to_weight`` and ``items_from_gens`` build."""
 
-    fields: Mapping[FieldSymbol, Fraction]
-    params: Mapping[str, Fraction] = dc_field(default_factory=dict)
-    t: Optional[Fraction] = None
-    _gen_weights: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
-    _jet_table: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
-    _items: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(self, fields: Mapping[FieldSymbol, Fraction],
+                 params: Mapping[str, Fraction] = None, t: Optional[Fraction] = None):
+        self.fields = fields
+        self.params = {} if params is None else params
+        self.t = t
+        self._gen_weights = {}
+        self._jet_table = {}
+        self._items = {}
 
     def field_weight(self, sym: FieldSymbol) -> Fraction:
         if sym in self.fields:
@@ -128,7 +128,6 @@ def split_by_weight(ws: WeightSystem, p: SuperPoly) -> dict:
 # weight inference
 
 
-@dataclass
 class WeightSolution:
     """Affine solution set of a weight-balance system.
 
@@ -137,8 +136,9 @@ class WeightSolution:
     unique).
     """
 
-    particular: dict
-    basis: list
+    def __init__(self, particular: dict, basis: list):
+        self.particular = particular
+        self.basis = basis
 
     @property
     def unique(self) -> bool:
@@ -188,14 +188,14 @@ def infer_weights(sys, fixed: Mapping = None, param_names: Sequence[str] = ()):
 # homogeneous monomial enumeration
 
 
-@dataclass(frozen=True)
-class AnsatzItem:
+class AnsatzItem(NamedTuple):
     """One admissible factor for homogeneous enumeration."""
 
     factor: object  # a generator: Theta, Clifford or JetVar
     weight: Fraction
     parity: int
     max_exp: int  # 1 for odd factors
+    label: str  # str(factor), which orders the items of an enumeration
 
 
 def items_from_gens(ws: WeightSystem, gens, max_weight, zero_weight_cap=2):
@@ -206,11 +206,11 @@ def items_from_gens(ws: WeightSystem, gens, max_weight, zero_weight_cap=2):
         entry = ws._items.get(id(g))
         if entry is None:  # the entry holds g, so the id stays g's
             w = ws.gen_weight(g)
-            entry = ws._items[id(g)] = (g, w, w.numerator, w.denominator, g.parity, {})
-        _g, w, wn, wd, q, made = entry
+            entry = ws._items[id(g)] = (g, w, w.numerator, w.denominator, g.parity, {}, str(g))
+        _g, w, wn, wd, q, made, label = entry
         cap = 1 if q else (mn * wd // (md * wn) if wn > 0 else zero_weight_cap)
         if cap > 0:
-            items.append(made.get(cap) or made.setdefault(cap, AnsatzItem(g, w, q, cap)))
+            items.append(made.get(cap) or made.setdefault(cap, AnsatzItem(g, w, q, cap, label)))
     return items
 
 
@@ -268,7 +268,7 @@ def enumerate_monomials(items: Sequence[AnsatzItem], weight, parity):
 
     Each item's factor occurs at most ``max_exp`` times.  A monomial is the
     product of its factors in the order of the items sorted by
-    ``(weight <= 0, str(factor))``, so its coefficient is the sign of
+    ``(weight <= 0, label)``, so its coefficient is the sign of
     bringing the odd factors into canonical order, times the squares of
     repeated Clifford factors; products that vanish are left out.  The
     result is sorted by ``term_order_key``, ties in enumeration order.
@@ -280,7 +280,7 @@ def enumerate_monomials(items: Sequence[AnsatzItem], weight, parity):
     weights, target = integer_weights(items, weight)
     if target is None:
         return []
-    order = sorted(range(len(items)), key=lambda i: (weights[i] <= 0, str(items[i].factor)))
+    order = sorted(range(len(items)), key=lambda i: (weights[i] <= 0, items[i].label))
     weights = [weights[i] for i in order]
     caps, parities = [items[i].max_exp for i in order], [items[i].parity for i in order]
     off, reach = _reach(weights, caps, parities, target)

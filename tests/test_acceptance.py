@@ -213,8 +213,8 @@ def test_criterion_06_gardner():
         if cand.free_params:
             cand = specialize_deformation(d, {n: Q(1, 6) for n in d.free_params})
         rename = {
-            w1: SuperPoly.from_gen(JetVar(cand.fields[0])),
-            w2: SuperPoly.from_gen(JetVar(cand.fields[1])),
+            w1: SuperPoly.from_gen(JetVar(cand.extended.fields[0])),
+            w2: SuperPoly.from_gen(JetVar(cand.extended.fields[1])),
         }
         if all(
             (cand.miura[u] - substitute(eh.extras["miura"][u], rename)).is_zero

@@ -7,7 +7,6 @@ repeated odd factors and reducing Clifford squares.  It shares no code
 with the engine's merge-based product.
 """
 
-import dataclasses
 import pickle
 from fractions import Fraction
 
@@ -281,9 +280,23 @@ def test_cached_hash_and_sort_key_stay_out_of_pickles():
 
 def test_a_generator_is_built_once_per_arguments():
     assert JetVar(u2, 1, 0, 2) is JetVar(u2, d1=1, m=2)
-    assert dataclasses.replace(JetVar(f, 1), m=3) is JetVar(f, 1, 0, 3)
+    assert JetVar(f, 1, m=3) is JetVar(f, 1, 0, 3)
     assert Theta(2) is Theta(index=2)
     assert Clifford("c", (2, ())) is Clifford("c", square=(2, ()))
+
+
+def test_generators_cannot_be_changed():
+    """A pooled jet, and the symbols it is keyed on, refuse every assignment
+    and deletion, so the pool keeps handing out the instance it built."""
+    w = Nonlocality("w", EVEN, 1, defs={DX: jp(b)})
+    jet, jw = JetVar(f, 1, 0, 2), JetVar(w)
+    for g, name in ((jet, "m"), (jet, "extra"), (f, "name"), (w, "defs"), (w, "weight")):
+        with pytest.raises(AttributeError):
+            setattr(g, name, 3)
+        with pytest.raises(AttributeError):
+            delattr(g, name)
+    assert JetVar(f, 1, 0, 2) is jet and jet.m == 2 and not hasattr(jet, "extra")
+    assert JetVar(w) is jw and jw.fieldsym.defs == {DX: jp(b)} and f.name == "f"
 
 
 def test_equal_nonlocals_keep_their_own_jets():

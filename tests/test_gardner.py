@@ -107,8 +107,8 @@ def test_search_recovers_the_recorded_deformation():
         if cand.free_params:
             cand = specialize_deformation(d, {n: Q(1, 6) for n in d.free_params})
         rename = {
-            w1: SuperPoly.from_gen(JetVar(cand.fields[0])),
-            w2: SuperPoly.from_gen(JetVar(cand.fields[1])),
+            w1: SuperPoly.from_gen(JetVar(cand.extended.fields[0])),
+            w2: SuperPoly.from_gen(JetVar(cand.extended.fields[1])),
         }
         if all((cand.miura[u] - substitute(miura[u], rename)).is_zero for u in (b, c)):
             hit = True

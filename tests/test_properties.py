@@ -284,7 +284,7 @@ def _draw_aimed(data):
                               unique=True))
     items = [
         AnsatzItem(g, data.draw(st.sampled_from(ENUM_WEIGHTS)), g.parity,
-                   data.draw(st.integers(1, 2 if g.parity else 3)))
+                   data.draw(st.integers(1, 2 if g.parity else 3)), str(g))
         for g in gens
     ]
     exps = [data.draw(st.integers(0, it.max_exp)) for it in items]

@@ -579,7 +579,7 @@ def test_the_kernel_guard_reads_the_declared_values():
     assert v_free == v_const
 
     def guard(v):
-        return recursion._kernel_free([AnsatzItem(JetVar(v), Q(0), EVEN, 2)])
+        return recursion._kernel_free([AnsatzItem(JetVar(v), Q(0), EVEN, 2, str(JetVar(v)))])
 
     assert guard(v_free) and not guard(v_const)
     declare(v_free, DX, SuperPoly.zero())

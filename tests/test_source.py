@@ -1,7 +1,10 @@
 """Static checks on the engine's source."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -152,3 +155,22 @@ def test_linear_equations_are_built_only_by_the_row_builders():
                     for fn in _constructions(ast.parse(path.read_text(), str(path)), name)}
         assert builders == {("determine", "extract_linear_system"),
                             ("determine", "_pinned")}, name
+
+
+def test_the_engine_starts_without_the_dataclasses_machinery():
+    """Importing the engine and its command line loads neither ``dataclasses``
+    (which loads ``inspect``, ``ast``, ``dis`` and ``tokenize``) nor
+    ``traceback``: records are plain classes, and ``traceback`` is imported
+    only on the error paths that print one.  A fresh interpreter measures
+    what each ``superjet`` call pays at start-up."""
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        modules = {a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
+        modules |= {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+        assert "dataclasses" not in modules, path.name
+    code = ("import sys, superjet.catalog, superjet.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'traceback'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

@@ -184,7 +184,8 @@ def ansatz_items(draw, name):
     """An item on a fresh field: odd items have cap 1, even ones 1-3."""
     parity = draw(st.sampled_from((EVEN, ODD)))
     cap = 1 if parity else draw(st.integers(1, 3))
-    return AnsatzItem(JetVar(FieldSymbol(name, parity)), draw(HALVES), parity, cap)
+    g = JetVar(FieldSymbol(name, parity))
+    return AnsatzItem(g, draw(HALVES), parity, cap, str(g))
 
 
 def _keys(items, weight, parity):
@@ -207,8 +208,7 @@ def test_ansatz_membership_is_the_enumerated_ansatz(items, stranger, weight, par
     assert all(map(member, keys))
     others = (_keys(items, weight - Q(1, 2), parity) | _keys(items, weight + Q(1, 2), parity)
               | _keys(items, weight, 1 - parity))
-    raised = [AnsatzItem(it.factor, it.weight, it.parity, it.max_exp + (not it.parity))
-              for it in items]
+    raised = [it._replace(max_exp=it.max_exp + (not it.parity)) for it in items]
     past_cap = _keys(raised, weight, parity) - keys
     foreign = _keys(items + [stranger], weight, parity) - keys
     assert not any(map(member, others | past_cap | foreign))
